@@ -3,11 +3,10 @@
 One loop replaces the four per-engine speedup gates: for each workload
 registered on the execution core, the chunked executor is timed against
 that workload's honest scalar baseline and gated on the floor named by
-its kernel set (``floor_env``, 5x by default, relaxed in CI).  Each
-workload still drops its historical ``BENCH_<record>.json`` payload, and
-the whole sweep additionally lands in one unified ``BENCH_core.json``
-(workload -> payload) so the perf trajectory of the whole execution core
-diffs as a single file across PRs.
+its kernel set (``floor_env``, 5x by default, relaxed in CI).  The
+whole sweep lands in one unified ``BENCH_core.json`` (workload ->
+payload) so the perf trajectory of the whole execution core diffs as a
+single file across PRs.
 
 Baselines are chosen per workload to keep the claim honest:
 
@@ -137,12 +136,11 @@ def test_registered_workload_speedups(bench_json, historical_point,
         payload = measure_speedup(
             fast, slow, floor_from_env(kernels.floor_env),
             extras=extras, scalar_repeats=1)
-        path = bench_json(kernels.bench_record, **payload)
         unified[workload] = payload
         print(f"\n{workload}: scalar {payload['scalar_wall_s'] * 1e3:.0f}"
               f" ms, chunked {payload['batch_wall_s'] * 1e3:.1f} ms -> "
               f"{payload['speedup']:.1f}x (floor "
-              f"{payload['speedup_floor']:.1f}x) -> {path}")
+              f"{payload['speedup_floor']:.1f}x)")
     print(f"unified record -> {bench_json('core', **unified)}")
     below = {workload: payload["speedup"]
              for workload, payload in unified.items()

@@ -120,16 +120,16 @@ class MultiTargetPlatform:
 
         Vectorized counterpart of :meth:`calibrate`: the whole panel —
         every channel's blanks, standards and replicates — evaluates
-        through :func:`repro.engine.run_campaign` with deterministic
+        through :func:`repro.engine.calibrate_panel` with deterministic
         per-cell randomness derived from ``seed``.  Results are stored
         and returned exactly like :meth:`calibrate`.
         """
-        from repro.engine import run_campaign
+        from repro.engine import calibrate_panel
 
         resolved = self._channel_protocols(upper_molar_by_channel)
-        results = run_campaign([sensor for __, sensor, __p in resolved],
-                               [protocol for __, __s, protocol in resolved],
-                               seed=seed)
+        results = calibrate_panel(
+            [sensor for __, sensor, __p in resolved],
+            [protocol for __, __s, protocol in resolved], seed=seed)
         self.calibrations = {channel: result
                              for (channel, __, __p), result
                              in zip(resolved, results)}

@@ -12,7 +12,7 @@ operations:
   and the cell's position, never on batch grouping);
 * an LRU kernel cache (:mod:`repro.engine.kernels`) serves the repeated
   noiseless step responses and ground-truth chain outputs;
-* :func:`run_calibration_batch` / :func:`run_campaign` produce the usual
+* :func:`run_calibration_batch` / :func:`calibrate_panel` produce the usual
   :class:`~repro.core.calibration.CalibrationResult` rows through the
   shared analysis stage.
 
@@ -53,9 +53,8 @@ Under all of them sits one execution core (:mod:`repro.engine.core`):
 each workload is a registered :class:`~repro.engine.core.KernelSet`
 whose declarative plan compiles to a segment/chunk
 :class:`~repro.engine.core.ExecutionPlan`, and the shared executor
-threads carry state through the chunk loop.  The historical
-``run_*_scalar`` quartet is deprecated in favour of
-:func:`repro.engine.core.run_scalar`.
+threads carry state through the chunk loop; any workload's scalar
+reference runs through :func:`repro.engine.core.run_scalar`.
 """
 
 from repro.engine import core
@@ -68,12 +67,12 @@ from repro.engine.measure import (
     measure_amperometric_batch,
     measure_voltammetric_batch,
 )
-from repro.engine.runner import run_batch, run_batch_scalar
+from repro.engine.runner import run_batch
 from repro.engine.calibrate import (
+    calibrate_panel,
     calibration_plan,
     calibration_result_from_batch,
     run_calibration_batch,
-    run_campaign,
 )
 from repro.engine.monitor import (
     MonitorChannel,
@@ -85,19 +84,16 @@ from repro.engine.monitor import (
     glucose_cohort,
     reading_noise_sigma_a,
     run_monitor,
-    run_monitor_scalar,
 )
 from repro.engine.therapy import (
     TherapyPlan,
     TherapyResult,
     run_therapy,
-    run_therapy_scalar,
 )
 from repro.engine.estimation import (
     EstimationPlan,
     EstimationResult,
     run_estimation,
-    run_estimation_scalar,
 )
 from repro.engine.core import (
     kernels_for,
@@ -126,23 +122,19 @@ __all__ = [
     "glucose_cohort",
     "reading_noise_sigma_a",
     "run_monitor",
-    "run_monitor_scalar",
     "therapy",
     "TherapyPlan",
     "TherapyResult",
     "run_therapy",
-    "run_therapy_scalar",
     "estimation",
     "EstimationPlan",
     "EstimationResult",
     "run_estimation",
-    "run_estimation_scalar",
     "measure_amperometric_batch",
     "measure_voltammetric_batch",
     "run_batch",
-    "run_batch_scalar",
+    "calibrate_panel",
     "calibration_plan",
     "calibration_result_from_batch",
     "run_calibration_batch",
-    "run_campaign",
 ]

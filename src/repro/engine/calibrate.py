@@ -90,10 +90,10 @@ def run_calibration_batch(sensor: Biosensor,
     return calibration_result_from_batch(run_batch(plan), 0, protocol)
 
 
-def run_campaign(sensors: list[Biosensor],
-                 protocols: list[CalibrationProtocol],
-                 seed: int | None = None,
-                 add_noise: bool = True) -> list[CalibrationResult]:
+def calibrate_panel(sensors: list[Biosensor],
+                    protocols: list[CalibrationProtocol],
+                    seed: int | None = None,
+                    add_noise: bool = True) -> list[CalibrationResult]:
     """Calibrate a whole sensor panel as one batched campaign.
 
     Returns one :class:`CalibrationResult` per sensor, in panel order.

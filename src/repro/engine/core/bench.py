@@ -9,12 +9,11 @@ mechanics all four used to copy-paste:
 * :func:`floor_from_env` — resolve a workload's speedup floor.
 * :func:`measure_speedup` — warm, time both sides, return the JSON
   payload (``scalar_wall_s`` / ``batch_wall_s`` / ``speedup`` /
-  ``speedup_floor`` plus workload-specific extras) written to
-  ``BENCH_<record>.json``.
+  ``speedup_floor`` plus workload-specific extras).
 
 ``benchmarks/bench_core.py`` drives this harness over every registered
-workload in one loop and additionally emits the unified
-``BENCH_core.json`` record.
+workload in one loop and emits the payloads as the unified
+``BENCH_core.json`` record (one entry per workload).
 """
 
 from __future__ import annotations
@@ -62,7 +61,8 @@ def measure_speedup(fast, slow, floor: float, extras=None,
             fills lazy caches so the timed runs compare steady state).
 
     Returns:
-        The JSON-serializable payload for ``BENCH_<record>.json``.
+        The JSON-serializable payload for the workload's entry in
+        ``BENCH_core.json``.
     """
     if warm:
         fast()

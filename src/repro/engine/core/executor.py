@@ -19,21 +19,21 @@ depend only on the plan (and its seed), never on the chunking policy —
 the property the shared contract suite gates for every workload.
 
 Observability rides on this one loop, so every workload — and any
-future fifth kernel set — gets timing for free.  Two independent
-layers, each with its own on/off switch:
+future fifth kernel set — gets timing for free.  Spans carry durations,
+the metrics registry carries every number:
 
 * **Spans** (:func:`repro.telemetry.get_recorder` enabled): per-phase
   spans (``core.compile`` / ``core.init_state`` / ``core.segment`` /
-  ``core.run_chunk`` / ``core.finalize``), a ``core.samples``
-  cells-times-samples throughput counter, and the kernel set's optional
-  :meth:`~repro.engine.core.kernelset.KernelSet.describe_metrics`
-  counters.
+  ``core.run_chunk`` / ``core.finalize``).
 * **Metrics** (:func:`repro.telemetry.get_metrics_registry` enabled):
   per-workload ``repro_core_execute_seconds`` and
-  ``repro_core_chunk_seconds`` latency histograms plus
+  ``repro_core_chunk_seconds`` latency histograms,
   ``repro_core_chunks_total`` / ``repro_core_samples_total`` throughput
-  counters — the fleet-aggregable view ``campaign report`` and the
-  serve front door expose.
+  counters, and the kernel set's optional
+  :meth:`~repro.engine.core.kernelset.KernelSet.describe_metrics`
+  values as ``repro_core_workload_events_total{workload, event}`` —
+  the fleet-aggregable view ``campaign report`` and the serve front
+  door expose.
 
 When both are disabled — the default — :func:`execute` takes a branch
 that never touches telemetry at all, so the hot loop is byte-for-byte
@@ -114,16 +114,20 @@ def _core_instruments(registry, workload: str):
             "repro_core_samples_total",
             "Cells-times-samples processed per workload.",
             labels).labels(workload=workload),
+        registry.counter(
+            "repro_core_workload_events_total",
+            "Workload-specific events per finished run (describe_metrics).",
+            ("workload", "event")),
     )
 
 
 def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
-    """The same loop with spans, counters and metrics around every phase."""
+    """The same loop with spans and metrics around every phase."""
     workload = kernels.name
     metrics_on = registry.enabled
     if metrics_on:
-        (execute_seconds, chunk_seconds, chunks_total,
-         samples_total) = _core_instruments(registry, workload)
+        (execute_seconds, chunk_seconds, chunks_total, samples_total,
+         workload_events) = _core_instruments(registry, workload)
     execute_start = time.perf_counter()
     with recorder.span("core.execute", workload=workload):
         with recorder.span("core.compile", workload=workload):
@@ -145,9 +149,6 @@ def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
                                        segment=segment.index):
                         kernels.run_chunk(plan, state, segment, start,
                                           stop)
-                    recorder.count("core.chunks")
-                    recorder.count("core.samples",
-                                   n_channels * (stop - start))
                     if metrics_on:
                         chunk_seconds.observe(
                             time.perf_counter() - chunk_start)
@@ -158,6 +159,7 @@ def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
             result = kernels.finalize(plan, state)
     if metrics_on:
         execute_seconds.observe(time.perf_counter() - execute_start)
-    for metric, value in kernels.describe_metrics(plan, result).items():
-        recorder.count(f"{workload}.{metric}", float(value))
+        for event, value in kernels.describe_metrics(plan, result).items():
+            workload_events.labels(workload=workload, event=event).inc(
+                float(value))
     return result

@@ -6,9 +6,7 @@ suite) reaches an execution path without hard-coding four functions:
 
 * :func:`run_workload` — the vectorized path (compile + chunked
   executor) for any registered workload.
-* :func:`run_scalar` — the per-element reference path, replacing the
-  four historical ``run_*_scalar`` functions (kept as deprecated
-  aliases in their home modules).
+* :func:`run_scalar` — the per-element reference path.
 
 Lookups lazily import :mod:`repro.engine` so the four built-in kernel
 sets are registered on first use even when only
@@ -81,11 +79,5 @@ def run_workload(workload: str, plan):
 
 
 def run_scalar(workload: str, plan):
-    """Run ``plan`` through the named workload's scalar reference.
-
-    Replaces the historical ``run_batch_scalar`` /
-    ``run_monitor_scalar`` / ``run_therapy_scalar`` /
-    ``run_estimation_scalar`` quartet; those names remain as
-    ``DeprecationWarning`` aliases of this entry point.
-    """
+    """Run ``plan`` through the named workload's scalar reference."""
     return kernels_for(workload).run_scalar(plan)

@@ -27,7 +27,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -419,19 +418,6 @@ def run_estimation(plan: EstimationPlan) -> EstimationResult:
     return execute(ESTIMATION_KERNELS, plan)
 
 
-def run_estimation_scalar(plan: EstimationPlan) -> EstimationResult:
-    """Deprecated alias of ``run_scalar("estimation", plan)``.
-
-    The scalar reference now lives on the registered kernel set; use
-    :func:`repro.engine.core.run_scalar` instead.
-    """
-    warnings.warn(
-        "run_estimation_scalar() is deprecated; use "
-        "repro.engine.core.run_scalar('estimation', plan)",
-        DeprecationWarning, stacklevel=2)
-    return _run_estimation_scalar(plan)
-
-
 def _run_estimation_scalar(plan: EstimationPlan) -> EstimationResult:
     """Per-channel scalar reference of :func:`run_estimation`.
 
@@ -474,7 +460,6 @@ class EstimationKernels(KernelSet):
 
     name = "estimation"
     plan_type = EstimationPlan
-    bench_record = "inference"
     floor_env = "INFERENCE_SPEEDUP_FLOOR"
     snapshot_version = 1
 

@@ -41,7 +41,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -691,19 +690,6 @@ def _finalize_monitor(plan: MonitorPlan,
     )
 
 
-def run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
-    """Deprecated alias of ``run_scalar("monitor", plan)``.
-
-    The scalar reference now lives on the registered kernel set; use
-    :func:`repro.engine.core.run_scalar` instead.
-    """
-    warnings.warn(
-        "run_monitor_scalar() is deprecated; use "
-        "repro.engine.core.run_scalar('monitor', plan)",
-        DeprecationWarning, stacklevel=2)
-    return _run_monitor_scalar(plan)
-
-
 def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
     """Day-by-day scalar reference: one channel, one sample at a time.
 
@@ -907,7 +893,6 @@ class MonitorKernels(KernelSet):
 
     name = "monitor"
     plan_type = MonitorPlan
-    bench_record = "monitor"
     floor_env = "MONITOR_SPEEDUP_FLOOR"
     snapshot_version = 1
 

@@ -42,7 +42,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -567,8 +566,8 @@ def _trough_filter_step(plan: TherapyPlan, params: _CohortParams,
     against the digitized reading — with the same drifted-gain/baseline
     observation terms the simulator applied, and rail-censored readings
     skipped (infinite variance).  Called with the full cohort by
-    :func:`run_therapy` and with single-patient slices by
-    :func:`run_therapy_scalar`, so both paths share one arithmetic.
+    :func:`run_therapy` and with single-patient slices by the scalar
+    reference, so both paths share one arithmetic.
     """
     state = kalman_predict(state, 1.0, q_signal, a_wander, q_wander)
     c_lin = np.maximum(state.m1, 0.0)
@@ -780,19 +779,6 @@ def _finalize_therapy(plan: TherapyPlan,
     )
 
 
-def run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
-    """Deprecated alias of ``run_scalar("therapy", plan)``.
-
-    The scalar reference now lives on the registered kernel set; use
-    :func:`repro.engine.core.run_scalar` instead.
-    """
-    warnings.warn(
-        "run_therapy_scalar() is deprecated; use "
-        "repro.engine.core.run_scalar('therapy', plan)",
-        DeprecationWarning, stacklevel=2)
-    return _run_therapy_scalar(plan)
-
-
 def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
     """Per-patient scalar reference: one patient, one sample at a time.
 
@@ -964,7 +950,6 @@ class TherapyKernels(KernelSet):
 
     name = "therapy"
     plan_type = TherapyPlan
-    bench_record = "therapy"
     floor_env = "THERAPY_SPEEDUP_FLOOR"
 
     def compile(self, plan: TherapyPlan):

@@ -21,7 +21,7 @@ from repro.core.registry import (
     build_sensor,
     specs_by_group,
 )
-from repro.engine import run_campaign
+from repro.engine import calibrate_panel
 from repro.rng import generator_from_seed
 from repro.units import micromolar_from_molar, millimolar_from_molar, molar_from_millimolar
 
@@ -100,7 +100,7 @@ def run_table2(groups: list[str] | None = None,
         for spec in specs
     ]
     if use_engine:
-        results = run_campaign(sensors, protocols, seed=seed)
+        results = calibrate_panel(sensors, protocols, seed=seed)
     else:
         rng = generator_from_seed(seed)
         results = [run_calibration(sensor, protocol, rng)

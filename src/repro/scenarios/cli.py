@@ -19,11 +19,12 @@ One executable front door for every registered workload::
 ``run`` prints the workload's summary and, with ``--out``, writes the
 replayable artifact — the seed-resolved scenario envelope plus the full
 result export — as JSON.  ``--telemetry`` (or ``REPRO_TELEMETRY=1``)
-records executor spans and counters, printing the per-span summary
-after the run; ``--trace-out`` streams the events to a JSONL file and
-``--perfetto-out`` writes a flame-graph trace the Perfetto UI opens
-directly.  The global ``--log-level`` / ``-v`` flags configure the
-single ``repro`` stdlib logger (worker progress, resume decisions).
+records executor spans and metrics, printing the per-span summary and
+the metrics snapshot after the run; ``--trace-out`` streams the spans
+to a JSONL file and ``--perfetto-out`` writes a flame-graph trace the
+Perfetto UI opens directly.  The global ``--log-level`` / ``-v`` flags
+configure the single ``repro`` stdlib logger (worker progress, resume
+decisions).
 Checked-in starter scenarios live under ``examples/scenarios/`` and
 are smoke-run in CI.
 """
@@ -82,7 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spawn_scenario_seeds,
     )
     from repro.scenarios.spec import Scenario
-    from repro.telemetry import telemetry_env_enabled
+    from repro.telemetry import telemetry_session
 
     scenario = Scenario.load(args.scenario)
     if args.seed is not None:
@@ -91,41 +92,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # An unseeded file still yields a replayable --out artifact:
         # materialize an entropy-derived seed before running.
         scenario = scenario.with_seed(spawn_scenario_seeds(None, 1)[0])
-    telemetry_on = (args.telemetry or args.trace_out is not None
-                    or args.perfetto_out is not None
-                    or telemetry_env_enabled())
-    recorder = previous = None
-    if telemetry_on:
-        from repro.telemetry import (
-            InMemoryRecorder,
-            JsonlSink,
-            set_recorder,
-        )
-
-        sinks = ([JsonlSink(args.trace_out)]
-                 if args.trace_out is not None else [])
-        recorder = InMemoryRecorder(sinks=sinks)
-        previous = set_recorder(recorder)
-    try:
-        result = run_scenario(scenario, scalar=args.scalar)
-    finally:
-        if recorder is not None:
-            from repro.telemetry import set_recorder
-
-            set_recorder(previous)
-            recorder.close()
-    run = ScenarioRun(scenario=scenario, result=result)
-    print(run.summary())
-    if recorder is not None:
-        print(recorder.render_summary())
-        if args.trace_out is not None:
-            print(f"trace -> {args.trace_out}")
-        if args.perfetto_out is not None:
-            from repro.telemetry import write_perfetto
-
-            path = write_perfetto(args.perfetto_out, recorder.spans,
-                                  counters=recorder.counters)
-            print(f"perfetto trace -> {path}")
+    with telemetry_session(args.telemetry, args.trace_out,
+                           args.perfetto_out):
+        run = ScenarioRun(scenario=scenario,
+                          result=run_scenario(scenario, scalar=args.scalar))
+        print(run.summary())
     if args.out is not None:
         payload = run.to_dict(include_traces=args.traces)
         args.out.write_text(
@@ -234,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--traces", action="store_true",
                        help="include full per-sample traces in --out")
     run_p.add_argument("--telemetry", action="store_true",
-                       help="record executor spans/counters and print "
-                            "the telemetry summary after the run")
+                       help="record executor spans and metrics and print "
+                            "both after the run")
     run_p.add_argument("--trace-out", type=Path, default=None,
-                       help="stream telemetry events to this JSONL "
+                       help="stream spans to this JSONL "
                             "file (implies --telemetry)")
     run_p.add_argument("--perfetto-out", type=Path, default=None,
                        help="write a Chrome/Perfetto trace_event JSON "

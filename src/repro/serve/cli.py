@@ -1,11 +1,12 @@
 """The ``python -m repro serve`` command: boot the async front door.
 
 Thin argparse glue between the scenario CLI and
-:class:`repro.serve.server.ReproServer`; mirrors the ``run`` command's
-telemetry flags so a serving process records ``serve.*`` spans and
-counters next to the engine's own (``--telemetry``, ``--trace-out``,
-``--perfetto-out``) — the CI smoke job uploads the JSONL trace as an
-artifact.
+:class:`repro.serve.server.ReproServer`; shares the ``run`` command's
+telemetry flags (``--telemetry``, ``--trace-out``, ``--perfetto-out``,
+all through :func:`repro.telemetry.telemetry_session`) so a serving
+process records ``serve.*`` spans next to the engine's own and prints
+the span summary and its metrics on shutdown — the CI smoke job
+uploads the JSONL trace as an artifact.
 """
 
 from __future__ import annotations
@@ -40,48 +41,19 @@ def _install_shutdown_handlers() -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the serving process until interrupted."""
     from repro.serve.server import ReproServer, _run_server
-    from repro.telemetry import telemetry_env_enabled
+    from repro.telemetry import telemetry_session
 
-    telemetry_on = (args.telemetry or args.trace_out is not None
-                    or args.perfetto_out is not None
-                    or telemetry_env_enabled())
-    recorder = previous = None
-    if telemetry_on:
-        from repro.telemetry import (
-            InMemoryRecorder,
-            JsonlSink,
-            set_recorder,
-        )
-
-        sinks = ([JsonlSink(args.trace_out)]
-                 if args.trace_out is not None else [])
-        recorder = InMemoryRecorder(sinks=sinks)
-        previous = set_recorder(recorder)
-    server = ReproServer(host=args.host, port=args.port,
-                         queue_size=args.queue_size,
-                         workers=args.workers,
-                         per_workload=args.per_workload)
-    _install_shutdown_handlers()
-    try:
-        asyncio.run(_run_server(server))
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if recorder is not None:
-            from repro.telemetry import set_recorder
-
-            set_recorder(previous)
-            recorder.close()
-            print(recorder.render_summary())
-            if args.trace_out is not None:
-                print(f"trace -> {args.trace_out}")
-            if args.perfetto_out is not None:
-                from repro.telemetry import write_perfetto
-
-                path = write_perfetto(args.perfetto_out,
-                                      recorder.spans,
-                                      counters=recorder.counters)
-                print(f"perfetto trace -> {path}")
+    with telemetry_session(args.telemetry, args.trace_out,
+                           args.perfetto_out):
+        server = ReproServer(host=args.host, port=args.port,
+                             queue_size=args.queue_size,
+                             workers=args.workers,
+                             per_workload=args.per_workload)
+        _install_shutdown_handlers()
+        try:
+            asyncio.run(_run_server(server))
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -105,9 +77,9 @@ def add_serve_command(sub: "argparse._SubParsersAction") -> None:
                               "(default: 2)")
     serve_p.add_argument("--telemetry", action="store_true",
                          help="record serve.* and engine spans; print "
-                              "the summary on shutdown")
+                              "them and the metrics on shutdown")
     serve_p.add_argument("--trace-out", type=Path, default=None,
-                         help="stream telemetry events to this JSONL "
+                         help="stream spans to this JSONL "
                               "file (implies --telemetry)")
     serve_p.add_argument("--perfetto-out", type=Path, default=None,
                          help="write a Perfetto flame graph on "

@@ -31,8 +31,8 @@ request is assigned a ``trace_id`` at the front door
 trace, its latency observation stamps it as the histogram exemplar,
 and a job inherits its submitting request's id — so a slow bucket in
 the histogram leads straight to one request's Perfetto timeline.
-Recorder mirroring is unchanged: every counter also lands on the
-active :mod:`repro.telemetry` recorder as ``serve.*``.
+The active :mod:`repro.telemetry` recorder receives ``serve.*``
+spans only; every count lives on the registry.
 
 Endpoint reference: ``docs/serving.md``.  Run it with
 ``python -m repro serve``; tests drive an in-process
@@ -309,11 +309,6 @@ class ReproServer:
         }
 
     @staticmethod
-    def _mirror(key: str, value: float = 1) -> None:
-        """Mirror one counter to the active telemetry recorder."""
-        get_recorder().count(f"serve.{key}", value)
-
-    @staticmethod
     def _endpoint_pattern(path: str) -> str:
         """Normalize a path to its route pattern (ids become ``*``)."""
         parts = [part for part in path.split("/") if part]
@@ -323,9 +318,8 @@ class ReproServer:
 
     def _account_request(self, method: str, path: str, status: int,
                          elapsed_s: float) -> None:
-        """Record one finished request on every metrics surface."""
+        """Record one finished request's count and latency."""
         endpoint = self._endpoint_pattern(path)
-        self._mirror(f"requests.{method} {endpoint}")
         self._m["requests"].labels(
             method=method, endpoint=endpoint,
             code_class=f"{status // 100}xx").inc()
@@ -436,14 +430,12 @@ class ReproServer:
                                 self._pool, context.run, run_scenario,
                                 job.scenario)
                             job.status = "done"
-                            self._mirror(f"jobs.done.{workload}")
                             self._m["jobs"].labels(
                                 workload=workload, outcome="done").inc()
                         except Exception as error:
                             job.status = "failed"
                             job.error = (f"{type(error).__name__}: "
                                          f"{error}")
-                            self._mirror(f"jobs.failed.{workload}")
                             self._m["jobs"].labels(
                                 workload=workload,
                                 outcome="failed").inc()
@@ -518,7 +510,10 @@ class ReproServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self.max_body_bytes:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds the "
@@ -626,14 +621,12 @@ class ReproServer:
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
-            self._mirror("jobs.rejected")
             self._m["jobs"].labels(workload=scenario.workload,
                                    outcome="rejected").inc()
             raise _HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
         self._jobs[job.job_id] = job
-        self._mirror(f"jobs.submitted.{scenario.workload}")
         self._m["jobs"].labels(workload=scenario.workload,
                                outcome="submitted").inc()
         self._m["queue_depth"].set(self._queue.qsize())
@@ -671,7 +664,6 @@ class ReproServer:
         stream = _Stream(stream_id=self._next_id("stream"),
                          scenario=scenario, session=session)
         self._streams[stream.stream_id] = stream
-        self._mirror(f"streams.opened.{scenario.workload}")
         self._m["streams_opened"].labels(
             workload=scenario.workload).inc()
         self._m["streams_open"].set(len(self._streams))
@@ -686,7 +678,6 @@ class ReproServer:
         if not rest:
             if method == "DELETE":
                 del self._streams[stream_id]
-                self._mirror("streams.closed")
                 self._m["streams_closed"].inc()
                 self._m["streams_open"].set(len(self._streams))
                 return 200, {"stream_id": stream_id,
@@ -737,7 +728,6 @@ class ReproServer:
                     self._pool, context.run, stream.session.advance,
                     count)
             pushed = update.n_samples * stream.session.n_channels
-            self._mirror("readings.pushed", pushed)
             self._m["readings"].labels(
                 workload=stream.session.workload).inc(pushed)
             return 200, {

@@ -1,18 +1,20 @@
-"""Telemetry: spans, counters, metrics, and trace export for every layer.
+"""Telemetry: spans, metrics, and trace export for every layer.
 
 The observability subsystem the execution core, the serve front door,
-the campaign runner and the CLI all share.  Five small modules:
+the campaign runner and the CLI all share.  One instrumentation API
+with two halves — the recorder keeps **spans** (where did this run
+spend its time), the metrics registry keeps **every number** (counts,
+levels, latency distributions).  Five small modules:
 
-* :mod:`~repro.telemetry.recorder` — the instrumentation API:
-  ``span()`` context managers, monotonic counters, gauges, the
-  process-local active recorder, and trace correlation
+* :mod:`~repro.telemetry.recorder` — spans: ``span()`` context
+  managers, the process-local active recorder, and trace correlation
   (:func:`new_trace_id` / :func:`trace_context` /
   :func:`current_trace_id`).  **Disabled is a strict no-op**: the
   default :data:`NULL_RECORDER` allocates nothing, and hot paths branch
   once on :attr:`Recorder.enabled` (the disabled executor path is gated
   to within 3 % of the uninstrumented loop in
   ``benchmarks/bench_core.py``).
-* :mod:`~repro.telemetry.metrics` — the SLO layer: typed
+* :mod:`~repro.telemetry.metrics` — numbers: typed
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
   with label sets and cardinality caps behind a process-wide
   :class:`MetricsRegistry`, snapshot merge across processes, quantile
@@ -22,17 +24,19 @@ the campaign runner and the CLI all share.  Five small modules:
   ``REPRO_METRICS=1`` or :func:`set_metrics_registry`, gated <= 3 %
   enabled overhead on the executor.
 * :mod:`~repro.telemetry.aggregate` — :class:`InMemoryRecorder`, the
-  enabled recorder: keeps every span, accumulates counters, renders
-  ``summary()`` (count / total / p50 / p95 per span name).
+  enabled recorder: keeps every span and renders ``summary()``
+  (count / total / p50 / p95 per span name); plus
+  :func:`telemetry_session`, the set-up/report block the CLIs share.
 * :mod:`~repro.telemetry.sinks` — :class:`JsonlSink`, the streaming
   JSONL trace writer (and :func:`read_jsonl` to load traces back).
 * :mod:`~repro.telemetry.perfetto` — the Chrome/Perfetto
   ``trace_event`` exporter: open the written file in
   https://ui.perfetto.dev for a flame graph of any run.
 
-Enable with ``REPRO_TELEMETRY=1`` (plus optional
-``REPRO_TELEMETRY_TRACE=/path.jsonl``), the ``--telemetry`` flag on
-``python -m repro run``, or programmatically::
+Enable with ``REPRO_TELEMETRY=1`` (spans and metrics, plus optional
+``REPRO_TELEMETRY_TRACE=/path.jsonl``), ``REPRO_METRICS=1`` (metrics
+alone), the ``--telemetry`` flag on ``python -m repro run``, or
+programmatically::
 
     from repro.telemetry import InMemoryRecorder, set_recorder
 
@@ -53,6 +57,7 @@ from repro.telemetry.aggregate import (
     InMemoryRecorder,
     percentile,
     summarize_spans,
+    telemetry_session,
 )
 from repro.telemetry.metrics import (
     DEFAULT_CARDINALITY_CAP,
@@ -98,9 +103,7 @@ from repro.telemetry.recorder import (
     Recorder,
     SpanRecord,
     TRACE_ENV,
-    count,
     current_trace_id,
-    gauge,
     get_recorder,
     new_trace_id,
     recorder_from_env,
@@ -133,11 +136,9 @@ __all__ = [
     "SpanRecord",
     "TRACE_ENV",
     "complete_event",
-    "count",
     "current_trace_id",
     "exponential_buckets",
     "format_metric_value",
-    "gauge",
     "gc_collection_counts",
     "get_metrics_registry",
     "get_recorder",
@@ -163,6 +164,7 @@ __all__ = [
     "span_trace_events",
     "summarize_spans",
     "telemetry_env_enabled",
+    "telemetry_session",
     "thread_name_event",
     "trace_context",
     "write_perfetto",

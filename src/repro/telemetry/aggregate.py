@@ -1,18 +1,18 @@
-"""The in-memory aggregator: spans and counters a process can report on.
+"""The in-memory aggregator: spans a process can report on.
 
 :class:`InMemoryRecorder` is the enabled recorder everything else
 composes with: it keeps every completed :class:`~repro.telemetry.SpanRecord`,
-accumulates counters and gauges, forwards each event to any attached
-sinks (JSONL trace files), and renders the per-span-name statistics —
-count / total / p50 / p95 — that ``python -m repro run --telemetry``
-prints and campaign workers embed in their shard rows.
+forwards each one to any attached sinks (JSONL trace files), and
+renders the per-span-name statistics — count / total / p50 / p95 —
+that ``python -m repro run --telemetry`` prints and campaign workers
+embed in their shard rows.  :func:`telemetry_session` is the one
+set-up/tear-down block the command lines share.
 
 The aggregation here is process-local but thread-safe: the recorder
-hooks serialize on one lock (covering both the in-memory aggregates
-and the sink fan-out), so the serve thread pool can record spans and
-counters concurrently without torn lines or lost increments.
-Cross-process aggregation is the campaign store's job
-(:mod:`repro.campaigns.report`).
+hook serializes on one lock (covering both the span list and the sink
+fan-out), so the serve thread pool can record spans concurrently
+without torn lines.  Cross-process aggregation is the campaign store's
+job (:mod:`repro.campaigns.report`).
 """
 
 from __future__ import annotations
@@ -20,10 +20,24 @@ from __future__ import annotations
 import json
 import math
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.telemetry.recorder import Recorder, SpanRecord
+from repro.telemetry.metrics import (
+    MetricsRegistry,
+    get_metrics_registry,
+    render_snapshot,
+    set_metrics_registry,
+)
+from repro.telemetry.perfetto import perfetto_json, write_perfetto
+from repro.telemetry.recorder import (
+    Recorder,
+    SpanRecord,
+    set_recorder,
+    telemetry_env_enabled,
+)
+from repro.telemetry.sinks import JsonlSink
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -75,52 +89,28 @@ class InMemoryRecorder(Recorder):
 
     Args:
         sinks: objects with ``emit(event: dict)`` / ``close()`` (e.g.
-            :class:`~repro.telemetry.JsonlSink`); every span, counter
-            and gauge event is forwarded as it is recorded.
+            :class:`~repro.telemetry.JsonlSink`); every span event is
+            forwarded as it is recorded.
     """
 
     enabled = True
 
     def __init__(self, sinks: Iterable = ()) -> None:
-        """Start with empty aggregates and the given sinks."""
+        """Start with no spans and the given sinks."""
         super().__init__()
         self.spans: list[SpanRecord] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self._sinks = list(sinks)
-        # One lock covers aggregate mutation AND sink emission so a
-        # span's append and its JSONL line stay in the same order
+        # One lock covers the append AND sink emission so a span's
+        # list position and its JSONL line stay in the same order
         # across threads (the serve pool records concurrently).
         self._hook_lock = threading.Lock()
-
-    # -- recorder hooks --------------------------------------------------
 
     def _on_span(self, record: SpanRecord) -> None:
         """Keep the span and forward its trace event to every sink."""
         with self._hook_lock:
             self.spans.append(record)
-            if self._sinks:
-                self._emit(record.to_event())
-
-    def _on_count(self, name: str, value: float) -> None:
-        """Accumulate the counter and forward the increment event."""
-        with self._hook_lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-            if self._sinks:
-                self._emit({"type": "counter", "name": name,
-                            "value": value})
-
-    def _on_gauge(self, name: str, value: float) -> None:
-        """Latest-wins gauge update, forwarded to every sink."""
-        with self._hook_lock:
-            self.gauges[name] = value
-            if self._sinks:
-                self._emit({"type": "gauge", "name": name,
-                            "value": value})
-
-    def _emit(self, event: dict) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
+            for sink in self._sinks:
+                sink.emit(record.to_event())
 
     def close(self) -> None:
         """Close every attached sink (flushes JSONL trace files)."""
@@ -136,7 +126,7 @@ class InMemoryRecorder(Recorder):
         return summarize_spans(self.spans)
 
     def render_summary(self) -> str:
-        """The summary plus counters/gauges as an aligned text block."""
+        """The summary as an aligned text block."""
         lines = ["telemetry summary"]
         stats = self.summary()
         if stats:
@@ -150,17 +140,12 @@ class InMemoryRecorder(Recorder):
                     f"{row['p95_s'] * 1e3:>8.2f}ms")
         else:
             lines.append("  (no spans recorded)")
-        for label, table in (("counter", self.counters),
-                             ("gauge", self.gauges)):
-            for name in sorted(table):
-                lines.append(f"  {label} {name} = {table[name]:g}")
         return "\n".join(lines)
 
     def write_jsonl(self, path: "str | Path") -> Path:
         """Dump everything recorded so far as a JSONL trace file.
 
-        One JSON object per line: every span (in completion order),
-        then final counter totals and gauge values.  Equivalent to the
+        One JSON object per line, every span in completion order: the
         stream a live :class:`~repro.telemetry.JsonlSink` would have
         captured, for recorders that aggregated first.
         """
@@ -170,19 +155,55 @@ class InMemoryRecorder(Recorder):
             for record in self.spans:
                 handle.write(json.dumps(record.to_event(),
                                         sort_keys=True) + "\n")
-            for name in sorted(self.counters):
-                handle.write(json.dumps(
-                    {"type": "counter", "name": name,
-                     "value": self.counters[name]}, sort_keys=True) + "\n")
-            for name in sorted(self.gauges):
-                handle.write(json.dumps(
-                    {"type": "gauge", "name": name,
-                     "value": self.gauges[name]}, sort_keys=True) + "\n")
         return target
 
     def to_perfetto(self) -> dict:
         """The recorded spans as a Chrome/Perfetto ``trace_event`` dict
         (:func:`repro.telemetry.perfetto.perfetto_json`)."""
-        from repro.telemetry.perfetto import perfetto_json
-
         return perfetto_json(self.spans)
+
+
+@contextmanager
+def telemetry_session(enabled: bool = False,
+                      trace_out: "str | Path | None" = None,
+                      perfetto_out: "str | Path | None" = None
+                      ) -> Iterator["InMemoryRecorder | None"]:
+    """Record spans and metrics over the ``with`` body, then report.
+
+    The shared front-door block of ``python -m repro run`` and
+    ``python -m repro serve``.  Telemetry is on when ``enabled``, when
+    either output path is given, or when ``REPRO_TELEMETRY`` is set;
+    otherwise the body runs untouched and the context yields None.
+    When on, an :class:`InMemoryRecorder` (streaming to ``trace_out``
+    if given) and a metrics registry — the active one if already
+    enabled, else a fresh one — are installed process-wide.  On exit,
+    normal or not, both are restored, the recorder closed, the span
+    summary and the registry's :func:`~repro.telemetry.render_snapshot`
+    printed, and the Perfetto trace written to ``perfetto_out``.
+
+    Yields:
+        The installed recorder, or None when telemetry is off.
+    """
+    if not (enabled or trace_out is not None or perfetto_out is not None
+            or telemetry_env_enabled()):
+        yield None
+        return
+    active = get_metrics_registry()
+    registry = active if active.enabled else MetricsRegistry()
+    recorder = InMemoryRecorder(
+        sinks=[JsonlSink(trace_out)] if trace_out is not None else [])
+    previous = set_recorder(recorder)
+    previous_registry = set_metrics_registry(registry)
+    try:
+        yield recorder
+    finally:
+        set_recorder(previous)
+        set_metrics_registry(previous_registry)
+        recorder.close()
+        print(recorder.render_summary())
+        print(render_snapshot(registry.snapshot()))
+        if trace_out is not None:
+            print(f"trace -> {trace_out}")
+        if perfetto_out is not None:
+            path = write_perfetto(perfetto_out, recorder.spans)
+            print(f"perfetto trace -> {path}")

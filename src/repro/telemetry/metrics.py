@@ -27,10 +27,12 @@ The registry follows the :data:`~repro.telemetry.NULL_RECORDER`
 discipline exactly: the process-wide default is :data:`NULL_METRICS`,
 whose instruments are shared no-op objects, and hot paths branch once
 on :attr:`MetricsRegistry.enabled` (the enabled path itself is gated
-<= 3 % on the core executor in ``benchmarks/bench_core.py``).  Turn
-metrics on with ``REPRO_METRICS=1``, programmatically via
-:func:`set_metrics_registry`, or implicitly by running the serve front
-door (which always meters itself).
+<= 3 % on the core executor in ``benchmarks/bench_core.py``).  The
+registry is the only place a number is recorded — the span recorder
+keeps durations only.  Turn metrics on with ``REPRO_METRICS=1`` (metrics
+alone), ``REPRO_TELEMETRY=1`` (spans *and* metrics), programmatically
+via :func:`set_metrics_registry`, or implicitly by running the serve
+front door (which always meters itself).
 
 Cross-process aggregation goes through **snapshots**: a registry
 serializes to a schema-versioned dict (:meth:`MetricsRegistry.snapshot`),
@@ -57,7 +59,11 @@ import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.telemetry.recorder import current_trace_id
+from repro.telemetry.recorder import (
+    _TRUTHY,
+    current_trace_id,
+    telemetry_env_enabled,
+)
 
 #: Environment switch: a truthy value ("1", "true", "yes", "on") makes
 #: :func:`get_metrics_registry` start a real registry on first use.
@@ -78,25 +84,28 @@ OVERFLOW_LABEL = "__overflow__"
 #: ``GET /metrics?format=prometheus`` answers with.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 def metrics_env_enabled(environ: Mapping[str, str] | None = None) -> bool:
-    """Whether the environment asks for metrics (``REPRO_METRICS``).
+    """Whether the environment asks for metrics.
+
+    Either switch does: ``REPRO_METRICS`` (metrics alone) or
+    ``REPRO_TELEMETRY`` (spans, which always bring metrics with them).
 
     Args:
         environ: mapping to consult (default ``os.environ``).
 
     Returns:
-        True for the truthy spellings ``1``/``true``/``yes``/``on``
-        (case-insensitive); False for anything else, including unset.
+        True when either variable holds a truthy spelling
+        ``1``/``true``/``yes``/``on`` (case-insensitive); False for
+        anything else, including unset.
     """
     if environ is None:
         environ = os.environ
-    return environ.get(METRICS_ENV, "").strip().lower() in _TRUTHY
+    return (environ.get(METRICS_ENV, "").strip().lower() in _TRUTHY
+            or telemetry_env_enabled(environ))
 
 
 def exponential_buckets(start: float, factor: float,
@@ -639,8 +648,8 @@ def metrics_registry_from_env(
         environ: Mapping[str, str] | None = None) -> MetricsRegistry:
     """The registry the environment asks for.
 
-    ``REPRO_METRICS`` truthy yields a fresh enabled
-    :class:`MetricsRegistry`; anything else yields
+    ``REPRO_METRICS`` or ``REPRO_TELEMETRY`` truthy yields a fresh
+    enabled :class:`MetricsRegistry`; anything else yields
     :data:`NULL_METRICS`.
     """
     if metrics_env_enabled(environ):

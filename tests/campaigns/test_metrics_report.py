@@ -23,7 +23,11 @@ from repro.campaigns.report import (
     retry_budgets,
 )
 from repro.scenarios.cli import main as cli_main
-from repro.telemetry import MetricsRegistry, set_metrics_registry
+from repro.telemetry import (
+    MetricsRegistry,
+    set_metrics_registry,
+    set_recorder,
+)
 
 from tests.campaigns.test_retry import _flaky_spec, flaky_workload  # noqa: F401
 
@@ -71,6 +75,31 @@ class TestMeteredCampaign:
         assert row["count"] == small_campaign.n_shards
         assert "fleet-wide latency histograms" in text
         assert "repro_core_execute_seconds" in text
+
+    def test_telemetry_env_alone_records_core_and_workload_metrics(
+            self, monkeypatch, small_campaign, tmp_path):
+        """REPRO_TELEMETRY=1 implies metrics: the numbers that used to
+        be recorder counters land in the merged fleet snapshot."""
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        previous = set_recorder(None)
+        previous_registry = set_metrics_registry(None)
+        try:
+            run_campaign(small_campaign, tmp_path / "t.sqlite", workers=1)
+        finally:
+            set_recorder(previous)
+            set_metrics_registry(previous_registry)
+        with ArtifactStore.open(tmp_path / "t.sqlite") as store:
+            merged = merged_metrics(store.telemetry_events())
+        instruments = merged["instruments"]
+        (chunks,) = instruments["repro_core_chunks_total"]["series"]
+        assert chunks["value"] >= small_campaign.n_shards
+        events = {row["labels"]["event"]: row["value"] for row in
+                  instruments["repro_core_workload_events_total"]["series"]
+                  if row["labels"]["workload"] == "monitor"}
+        assert {"recalibrations", "readings"} <= set(events)
+        assert events["readings"] == \
+            instruments["repro_core_samples_total"]["series"][0]["value"]
 
     def test_unmetered_report_points_at_the_flag(self, small_campaign,
                                                  tmp_path):

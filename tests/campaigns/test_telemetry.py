@@ -76,6 +76,7 @@ class TestLifecycleEvents:
             events = store.telemetry_events()
         spans = [e for e in events if e["event"] == "spans"]
         assert len(spans) == small_campaign.n_shards
+        assert set(spans[0]["payload"]) == {"summary"}
         summary = spans[0]["payload"]["summary"]
         assert "core.run_chunk" in summary
         assert {"count", "total_s", "p50_s", "p95_s"} <= \
@@ -216,7 +217,7 @@ class TestReportPieces:
              "wall_s": 10.0, "duration_s": None,
              "payload": {"summary": {"core.run_chunk": {
                  "count": 4, "total_s": 1.5, "p50_s": 0.3,
-                 "p95_s": 0.6}}, "counters": {"core.chunks": 4.0}}},
+                 "p95_s": 0.6}}}},
         ]
 
     def test_shard_timings_from_terminal_events(self):
@@ -247,7 +248,7 @@ class TestReportPieces:
             "wall_s": 11.0, "duration_s": None,
             "payload": {"summary": {"core.run_chunk": {
                 "count": 6, "total_s": 2.5, "p50_s": 0.4,
-                "p95_s": 0.9}}, "counters": {}}})
+                "p95_s": 0.9}}}})
         table = span_breakdown(events)
         row = table["core.run_chunk"]
         assert row["count"] == 10

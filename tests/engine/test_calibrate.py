@@ -8,9 +8,9 @@ from repro.core.calibration import (
     run_calibration,
 )
 from repro.engine import (
+    calibrate_panel,
     calibration_plan,
     run_calibration_batch,
-    run_campaign,
 )
 from repro.experiments.table2 import run_table2
 
@@ -79,7 +79,7 @@ class TestRunCalibrationBatch:
                                   seed=1, add_noise=False)
 
 
-class TestRunCampaign:
+class TestCalibratePanel:
     def test_panel_order_and_results(self, glucose_sensor,
                                      glutamate_sensor):
         protocols = [
@@ -88,8 +88,8 @@ class TestRunCampaign:
             default_protocol_for_range(
                 glutamate_sensor.linear_range_upper_molar()),
         ]
-        results = run_campaign([glucose_sensor, glutamate_sensor],
-                               protocols, seed=7)
+        results = calibrate_panel([glucose_sensor, glutamate_sensor],
+                                  protocols, seed=7)
         assert len(results) == 2
         assert results[0].sensor_name == glucose_sensor.name
         assert results[1].sensor_name == glutamate_sensor.name

@@ -165,6 +165,8 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "telemetry summary" in out
         assert "core.execute" in out
+        assert "metrics summary" in out
+        assert "repro_core_chunks_total" in out
 
     def test_run_without_telemetry_prints_no_summary(self, capsys,
                                                      scenario_file):
@@ -181,7 +183,7 @@ class TestTelemetryFlags:
         events = read_jsonl(trace)
         assert any(e["type"] == "span" and e["name"] == "core.execute"
                    for e in events)
-        assert any(e["type"] == "counter" for e in events)
+        assert {e["type"] for e in events} == {"span"}
 
     def test_perfetto_out_writes_loadable_trace(self, capsys, tmp_path,
                                                 scenario_file):

@@ -245,20 +245,27 @@ class TestMetrics:
         assert after - before == 10 * 2   # 10 samples x 2 channels
         client.delete_stream(stream["stream_id"])
 
-    def test_counters_mirror_into_telemetry_recorder(self, client):
-        from repro.telemetry import InMemoryRecorder, set_recorder
+    def test_requests_are_spans_on_recorder_counts_on_registry(
+            self, client):
+        from repro.telemetry import (
+            InMemoryRecorder,
+            parse_prometheus,
+            set_recorder,
+        )
 
         recorder = InMemoryRecorder()
         previous = set_recorder(recorder)
         try:
             client.health()
-            client.metrics()
         finally:
             set_recorder(previous)
-        assert recorder.counters.get(
-            "serve.requests.GET /healthz", 0) >= 1
-        names = {record.name for record in recorder.spans}
-        assert "serve.request" in names
+        assert "serve.request" in {record.name
+                                    for record in recorder.spans}
+        samples = parse_prometheus(client.metrics_prometheus())
+        assert any(
+            sample["name"] == "repro_serve_requests_total"
+            and sample["labels"]["endpoint"] == "/healthz"
+            and sample["value"] >= 1 for sample in samples)
 
 
 class _SleepyResult:
@@ -339,6 +346,20 @@ class TestRequestLimits:
                 client._request("POST", "/scenarios",
                                 {"blob": "x" * 4096})
             assert excinfo.value.status == 413
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, client, length):
+        import socket
+
+        with socket.create_connection((client.host, client.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /scenarios HTTP/1.1\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n{}")
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"invalid Content-Length" in response
 
     def test_malformed_json_is_400(self, client):
         import http.client as http_client

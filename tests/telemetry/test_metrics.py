@@ -298,6 +298,8 @@ class TestFrontDoor:
                           NullMetricsRegistry)
         assert metrics_registry_from_env(
             {METRICS_ENV: "1"}).enabled
+        # spans always bring metrics with them
+        assert metrics_registry_from_env({"REPRO_TELEMETRY": "1"}).enabled
 
     def test_set_and_get_registry(self):
         registry = MetricsRegistry()

@@ -15,8 +15,6 @@ from repro.telemetry import (
     NULL_RECORDER,
     InMemoryRecorder,
     NullRecorder,
-    count,
-    gauge,
     get_recorder,
     recorder_from_env,
     set_recorder,
@@ -26,7 +24,7 @@ from repro.telemetry import (
 
 
 class CountingStub(NullRecorder):
-    """A disabled recorder that counts every telemetry verb call.
+    """A disabled recorder that counts every telemetry call.
 
     Still ``enabled = False``: any call that lands here proves a hot
     path did telemetry work despite telemetry being off.
@@ -39,12 +37,6 @@ class CountingStub(NullRecorder):
     def span(self, name, **attrs):
         self.calls += 1
         return super().span(name, **attrs)
-
-    def count(self, name, value=1.0):
-        self.calls += 1
-
-    def gauge(self, name, value):
-        self.calls += 1
 
     def record_span(self, record):
         self.calls += 1
@@ -73,8 +65,7 @@ class TestDisabledIsFree:
     def test_null_verbs_record_nothing_and_null_span_nests(self):
         with NULL_RECORDER.span("outer"):
             with NULL_RECORDER.span("inner"):
-                NULL_RECORDER.count("n")
-                NULL_RECORDER.gauge("g", 1.0)
+                pass
 
     def test_null_span_propagates_exceptions(self):
         with pytest.raises(RuntimeError, match="boom"):
@@ -114,21 +105,10 @@ class TestEnabledSpans:
             pass
         assert recorder.spans[-1].depth == 0
 
-    def test_counters_accumulate_and_gauges_latest_win(self, recorder):
-        recorder.count("chunks")
-        recorder.count("chunks", 2)
-        recorder.gauge("fill", 0.25)
-        recorder.gauge("fill", 0.75)
-        assert recorder.counters == {"chunks": 3.0}
-        assert recorder.gauges == {"fill": 0.75}
-
     def test_module_level_verbs_hit_active_recorder(self, recorder):
         with span("modlevel"):
-            count("c", 2.0)
-            gauge("g", 9.0)
+            pass
         assert recorder.spans[0].name == "modlevel"
-        assert recorder.counters == {"c": 2.0}
-        assert recorder.gauges == {"g": 9.0}
 
 
 class TestActiveRecorder:

@@ -1,7 +1,8 @@
 """Thread safety: concurrent recording produces consistent state.
 
-Serve's worker pool and campaign shard threads all write through one
-recorder, one JSONL sink and one metrics registry.  These tests hammer
+Serve's worker pool and campaign shard threads all write spans through
+one recorder and one JSONL sink, and numbers through one metrics
+registry.  These tests hammer
 each from many threads and assert the invariants that matter: JSONL
 output stays line-complete valid JSON with no interleaved writes,
 aggregate counts add up exactly, and registry instruments lose no
@@ -36,29 +37,29 @@ def _run_threads(target) -> None:
 
 class TestConcurrentRecorder:
     def test_spans_and_counts_from_many_threads(self, tmp_path):
-        """N threads x spans + counters through one recorder/sink:
-        every JSONL line parses, every event lands exactly once."""
+        """N threads x spans through one recorder/sink + counts through
+        one registry: every JSONL line parses, every event lands
+        exactly once."""
         trace = tmp_path / "trace.jsonl"
         recorder = InMemoryRecorder(sinks=[JsonlSink(trace)])
+        events = MetricsRegistry().counter("unit_events_total")
 
         def work(index: int) -> None:
             for step in range(N_EVENTS):
                 with trace_context():
                     with recorder.span("unit.work", thread=index,
                                        step=step):
-                        recorder.count("unit.events")
+                        events.inc()
 
         _run_threads(work)
         recorder.close()
 
-        assert recorder.counters["unit.events"] == N_THREADS * N_EVENTS
+        assert events.value == N_THREADS * N_EVENTS
         assert len(recorder.spans) == N_THREADS * N_EVENTS
 
-        rows = read_jsonl(trace)  # raises if any line is torn JSON
-        spans = [row for row in rows if row["type"] == "span"]
-        counts = [row for row in rows if row["type"] == "counter"]
-        assert len(spans) == N_THREADS * N_EVENTS
-        assert len(counts) == N_THREADS * N_EVENTS
+        spans = read_jsonl(trace)  # raises if any line is torn JSON
+        assert [row["type"] for row in spans] == \
+            ["span"] * (N_THREADS * N_EVENTS)
         # every span got its own thread's trace id stamped, none empty
         trace_ids = {row["attrs"]["trace_id"] for row in spans}
         assert len(trace_ids) == N_THREADS * N_EVENTS
