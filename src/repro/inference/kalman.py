@@ -26,12 +26,15 @@ so the filter is consistent-by-construction with the simulator.
 Execution model mirrors the engines: the recursion is inherently causal,
 so the batch path advances all channels one sample at a time as
 ``(n_channels,)`` array operations — one NumPy pass per sample instead
-of one Python iteration per (channel, sample) pair.  The scalar
-reference (:func:`kalman_filter_scalar` / :func:`rts_smoother_scalar`)
-replays the identical arithmetic with Python floats, channel by channel,
-and is gated bit-identical (<= 1e-9) by the execution-core contract
-suite (``tests/engine/test_core_contract.py``) with a >= 5x speedup
-floor in ``benchmarks/bench_core.py``.
+of one Python iteration per (channel, sample) pair.  The smoother's
+gains need no recursion, so :func:`rts_smoother_batch` forms them for
+the whole time axis in one pass and loops only over the moment
+back-pass.  The scalar reference (:func:`kalman_filter_scalar` /
+:func:`rts_smoother_scalar`) replays the identical arithmetic with
+Python floats, channel by channel, and is gated bit-identical
+(<= 1e-9) by the execution-core contract suite
+(``tests/engine/test_core_contract.py``) with a >= 5x speedup floor in
+``benchmarks/bench_core.py``.
 """
 
 from __future__ import annotations
@@ -413,6 +416,27 @@ def _inverse_2x2(p11: np.ndarray, p12: np.ndarray, p22: np.ndarray):
     return i11, i12, i22
 
 
+def _smoother_gains(trace: KalmanTrace, a_s: np.ndarray, a_w: np.ndarray):
+    """RTS gains ``G[k] = P_f[k] A^T P_pred[k+1]^{-1}`` for every step.
+
+    ``A = diag(a_s, a_w)``.  The gains depend on the forward trace alone,
+    so they are formed for the whole time axis in one pass; each entry
+    is the same float expression a per-sample loop would evaluate.
+
+    Returns:
+        ``(g11, g12, g21, g22)``, each of shape ``(n_channels,
+        n_samples - 1)``; column ``k`` smooths sample ``k``.
+    """
+    i11, i12, i22 = _inverse_2x2(
+        trace.pp11[:, 1:], trace.pp12[:, 1:], trace.pp22[:, 1:])
+    f11 = trace.p11[:, :-1] * a_s[:, None]
+    f12 = trace.p12[:, :-1] * a_w[:, None]
+    f21 = trace.p12[:, :-1] * a_s[:, None]
+    f22 = trace.p22[:, :-1] * a_w[:, None]
+    return (f11 * i11 + f12 * i12, f11 * i12 + f12 * i22,
+            f21 * i11 + f22 * i12, f21 * i12 + f22 * i22)
+
+
 def rts_smoother_batch(trace: KalmanTrace,
                        a_signal: "np.ndarray | float",
                        a_wander: "np.ndarray | float") -> SmoothedTrace:
@@ -421,6 +445,9 @@ def rts_smoother_batch(trace: KalmanTrace,
     Conditions every sample's belief on the *whole* record (the offline
     reconstruction the monitoring workload wants after a wear period),
     shrinking the posterior variance relative to the causal filter.
+    The gains ``G[k]`` come from the forward trace alone and are computed
+    for every sample at once; only the mean/covariance back-pass steps
+    through time.
 
     Args:
         trace: forward-pass output of :func:`kalman_filter_batch`.
@@ -439,19 +466,12 @@ def rts_smoother_batch(trace: KalmanTrace,
     out.p11[:, -1] = trace.p11[:, -1]
     out.p12[:, -1] = trace.p12[:, -1]
     out.p22[:, -1] = trace.p22[:, -1]
+    gain11, gain12, gain21, gain22 = _smoother_gains(trace, a_s, a_w)
     for k in range(t - 2, -1, -1):
-        i11, i12, i22 = _inverse_2x2(
-            trace.pp11[:, k + 1], trace.pp12[:, k + 1],
-            trace.pp22[:, k + 1])
-        # G = P_f A^T P_pred^{-1} with A = diag(a_s, a_w).
-        f11 = trace.p11[:, k] * a_s
-        f12 = trace.p12[:, k] * a_w
-        f21 = trace.p12[:, k] * a_s
-        f22 = trace.p22[:, k] * a_w
-        g11 = f11 * i11 + f12 * i12
-        g12 = f11 * i12 + f12 * i22
-        g21 = f21 * i11 + f22 * i12
-        g22 = f21 * i12 + f22 * i22
+        g11 = gain11[:, k]
+        g12 = gain12[:, k]
+        g21 = gain21[:, k]
+        g22 = gain22[:, k]
         dm1 = out.m1[:, k + 1] - trace.pm1[:, k + 1]
         dm2 = out.m2[:, k + 1] - trace.pm2[:, k + 1]
         out.m1[:, k] = trace.m1[:, k] + g11 * dm1 + g12 * dm2

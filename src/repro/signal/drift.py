@@ -21,11 +21,16 @@ bit-for-bit.  Draws are consumed strictly sequentially per channel, which
 makes chunked streaming invariant to chunk size: advancing a channel in
 one 10000-sample call or in ten 1000-sample calls produces the same
 trajectory.
+
+The OU recursion itself is a one-pole IIR filter, so it runs as one
+:func:`scipy.signal.lfilter` pass per distinct correlation time (a single
+pass for a uniform cohort) instead of a Python loop over samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
 
 from repro.rng import get_rng
 
@@ -147,6 +152,14 @@ def ou_process_batch(n_samples: int,
     as long as ``x0`` carries the state across chunk boundaries and each
     channel keeps its own generator.
 
+    The recursion runs as one ``lfilter([1], [1, -a], u, zi=a * x0)``
+    pass over the drive ``u = sigma * sqrt(1 - a^2) * z`` for each
+    distinct ``a`` among the channels.  That is bit-identical to the
+    per-sample loop ``x = a * x + u[k]``: the transposed direct-form
+    step of lfilter computes ``u[k] + (0 * u[k-1] + a * x[k-1])``, and
+    ``a * x[k-1]`` is rounded once either way, so both forms produce the
+    same IEEE sums.
+
     Args:
         n_samples: samples to generate per channel.
         dt_s: sample period [s].
@@ -176,7 +189,7 @@ def ou_process_batch(n_samples: int,
         raise ValueError("sample period must be > 0")
     tau = np.broadcast_to(np.asarray(tau_s, dtype=float), (n_channels,))
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n_channels,))
-    if np.any(tau <= 0):
+    if not np.all(tau > 0):
         raise ValueError("correlation time must be > 0")
     if np.any(sig < 0):
         raise ValueError("sigma must be >= 0")
@@ -193,9 +206,16 @@ def ou_process_batch(n_samples: int,
                 f"{n_channels}")
         shocks = np.stack([rng.standard_normal(n_samples) for rng in rngs])
 
-    values = np.empty((n_channels, n_samples))
-    state = x0
-    for k in range(n_samples):
-        state = a * state + innovation_scale * shocks[:, k]
-        values[:, k] = state
+    drive = innovation_scale[:, None] * shocks
+    zi = (a * x0)[:, None]
+    coefficients = np.unique(a)
+    if coefficients.size == 1:
+        values = lfilter([1.0], [1.0, -coefficients[0]], drive, axis=1,
+                         zi=zi)[0]
+    else:
+        values = np.empty_like(drive)
+        for coefficient in coefficients:
+            rows = a == coefficient
+            values[rows] = lfilter([1.0], [1.0, -coefficient], drive[rows],
+                                   axis=1, zi=zi[rows])[0]
     return values, values[:, -1].copy()

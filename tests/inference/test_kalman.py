@@ -5,6 +5,8 @@ import pytest
 
 from repro.inference.kalman import (
     KalmanState,
+    SmoothedTrace,
+    _inverse_2x2,
     kalman_filter_batch,
     kalman_filter_scalar,
     kalman_predict,
@@ -44,6 +46,44 @@ def run_both(z, params):
             params["a_signal"], params["q_signal"],
             params["a_wander"], params["q_wander"])
     return kalman_filter_batch(z, *args), kalman_filter_scalar(z, *args)
+
+
+def per_sample_rts(trace, a_signal, a_wander):
+    """The RTS back-pass with the gains formed inside the time loop: the
+    oracle that :func:`rts_smoother_batch` must match bit for bit."""
+    n, t = trace.m1.shape
+    a_s = np.broadcast_to(np.asarray(a_signal, dtype=float), (n,))
+    a_w = np.broadcast_to(np.asarray(a_wander, dtype=float), (n,))
+    out = SmoothedTrace(*(np.empty((n, t)) for _ in range(5)))
+    for name in ("m1", "m2", "p11", "p12", "p22"):
+        getattr(out, name)[:, -1] = getattr(trace, name)[:, -1]
+    for k in range(t - 2, -1, -1):
+        i11, i12, i22 = _inverse_2x2(
+            trace.pp11[:, k + 1], trace.pp12[:, k + 1],
+            trace.pp22[:, k + 1])
+        f11 = trace.p11[:, k] * a_s
+        f12 = trace.p12[:, k] * a_w
+        f21 = trace.p12[:, k] * a_s
+        f22 = trace.p22[:, k] * a_w
+        g11 = f11 * i11 + f12 * i12
+        g12 = f11 * i12 + f12 * i22
+        g21 = f21 * i11 + f22 * i12
+        g22 = f21 * i12 + f22 * i22
+        dm1 = out.m1[:, k + 1] - trace.pm1[:, k + 1]
+        dm2 = out.m2[:, k + 1] - trace.pm2[:, k + 1]
+        out.m1[:, k] = trace.m1[:, k] + g11 * dm1 + g12 * dm2
+        out.m2[:, k] = trace.m2[:, k] + g21 * dm1 + g22 * dm2
+        d11 = out.p11[:, k + 1] - trace.pp11[:, k + 1]
+        d12 = out.p12[:, k + 1] - trace.pp12[:, k + 1]
+        d22 = out.p22[:, k + 1] - trace.pp22[:, k + 1]
+        out.p11[:, k] = (trace.p11[:, k] + g11 * g11 * d11
+                         + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
+        out.p12[:, k] = (trace.p12[:, k] + g11 * g21 * d11
+                         + (g11 * g22 + g12 * g21) * d12
+                         + g12 * g22 * d22)
+        out.p22[:, k] = (trace.p22[:, k] + g21 * g21 * d11
+                         + 2.0 * g21 * g22 * d12 + g22 * g22 * d22)
+    return out
 
 
 class TestFilter:
@@ -170,6 +210,26 @@ class TestSmoother:
                                       params["a_wander"])
         np.testing.assert_array_equal(smoothed.m1[:, -1],
                                       trace.m1[:, -1])
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 300])
+    def test_hoisted_gains_match_per_sample_oracle(self, n_samples):
+        """Per-channel coefficients, and one channel whose wander
+        carries no noise so its predicted covariance is singular and
+        the diagonal fallback of the inverse is taken."""
+        _, z, params = simulate(n_channels=4, n_samples=n_samples)
+        a_signal = np.array([0.95, 0.8, 0.99, 0.95])
+        a_wander = np.array([0.99, 0.999, 0.9, 0.99])
+        q_wander = np.array([0.01, 0.0, 0.002, 0.05])
+        trace = kalman_filter_batch(
+            z, params["gain"], params["offset"], params["r"], a_signal,
+            params["q_signal"], a_wander, q_wander)
+        np.testing.assert_array_equal(trace.pp22[1], 0.0)
+        smoothed = rts_smoother_batch(trace, a_signal, a_wander)
+        expected = per_sample_rts(trace, a_signal, a_wander)
+        for name in ("m1", "m2", "p11", "p12", "p22"):
+            np.testing.assert_array_equal(
+                getattr(smoothed, name), getattr(expected, name),
+                err_msg=name)
 
     def test_singular_wander_block_is_handled(self):
         """q_wander = 0 keeps the wander covariance identically zero;

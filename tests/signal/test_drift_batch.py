@@ -70,6 +70,76 @@ class TestCorrectBatch:
             correct_linear_drift_batch(time_s, y, np.zeros(2))
 
 
+def per_sample_ou(n_samples, dt_s, tau_s, sigma, x0, shocks):
+    """The OU recursion stepped one sample at a time: the oracle that the
+    lfilter form of :func:`ou_process_batch` must match bit for bit."""
+    a = np.exp(-dt_s / np.broadcast_to(tau_s, x0.shape))
+    innovation_scale = np.broadcast_to(sigma, x0.shape) * np.sqrt(
+        1.0 - a ** 2)
+    values = np.empty((x0.size, n_samples))
+    state = x0
+    for k in range(n_samples):
+        state = a * state + innovation_scale * shocks[:, k]
+        values[:, k] = state
+    return values, values[:, -1].copy()
+
+
+def per_channel_shocks(seed, n_channels, n_samples):
+    return np.stack([rng.standard_normal(n_samples)
+                     for rng in spawn_generators(seed, n_channels)])
+
+
+class TestOuBitIdentity:
+    """``ou_process_batch`` equals the per-sample recursion exactly."""
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 500])
+    def test_heterogeneous_tau_with_frozen_channels(self, n_samples):
+        tau = np.array([30.0, np.inf, 3600.0, 30.0, np.inf, 7.5])
+        sigma = np.array([1.0, 2.0, 0.3, 4.0, 0.0, 1e-9])
+        x0 = np.array([0.5, -1.0, 2.0, 0.0, 3.0, -0.25])
+        values, state = ou_process_batch(
+            n_samples, 60.0, tau, sigma, x0, rngs=spawn_generators(3, 6))
+        expected, expected_state = per_sample_ou(
+            n_samples, 60.0, tau, sigma, x0,
+            per_channel_shocks(3, 6, n_samples))
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(state, expected_state)
+        np.testing.assert_array_equal(values[[1, 4]], x0[[1, 4], None]
+                                      * np.ones(n_samples))
+
+    @pytest.mark.parametrize("n_samples", [1, 300])
+    def test_zero_sigma(self, n_samples):
+        x0 = np.array([8.0, -2.0, 0.0])
+        values, state = ou_process_batch(
+            n_samples, 1.0, 2.0, 0.0, x0, rngs=spawn_generators(0, 3))
+        expected, expected_state = per_sample_ou(
+            n_samples, 1.0, 2.0, 0.0, x0, per_channel_shocks(0, 3, n_samples))
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(state, expected_state)
+
+    def test_single_sample_uniform_cohort(self):
+        x0 = np.linspace(-1.0, 1.0, 5)
+        values, state = ou_process_batch(
+            1, 300.0, 1800.0, 0.7, x0, rngs=spawn_generators(9, 5))
+        expected, expected_state = per_sample_ou(
+            1, 300.0, 1800.0, 0.7, x0, per_channel_shocks(9, 5, 1))
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(state, expected_state)
+
+    def test_shared_stream_path(self):
+        tau = np.array([10.0, 40.0, 10.0])
+        x0 = np.array([1.0, 0.0, -1.0])
+        repro.rng.set_global_seed(21)
+        values, state = ou_process_batch(200, 1.0, tau, 1.5, x0)
+        repro.rng.set_global_seed(21)
+        shocks = repro.rng.get_rng(None).standard_normal((3, 200))
+        repro.rng.set_global_seed(None)
+        expected, expected_state = per_sample_ou(200, 1.0, tau, 1.5, x0,
+                                                 shocks)
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(state, expected_state)
+
+
 class TestOuProcess:
     def test_chunk_invariance(self):
         """The monitor's streaming contract: chunk boundaries with
@@ -119,6 +189,8 @@ class TestOuProcess:
             ou_process_batch(5, -1.0, 1.0, 1.0, np.zeros(1))
         with pytest.raises(ValueError):
             ou_process_batch(5, 1.0, 0.0, 1.0, np.zeros(1))
+        with pytest.raises(ValueError):
+            ou_process_batch(5, 1.0, np.nan, 1.0, np.zeros(1))
         with pytest.raises(ValueError):
             ou_process_batch(5, 1.0, 1.0, -1.0, np.zeros(1))
         with pytest.raises(ValueError):
