@@ -44,6 +44,7 @@ from repro.engine.core.plan import (
     require_non_empty,
     require_non_negative,
     require_positive,
+    require_row_block,
     single_segment,
     spans_to_segments,
     uniform_segments,
@@ -99,6 +100,7 @@ __all__ = [
     "require_non_empty",
     "require_non_negative",
     "require_positive",
+    "require_row_block",
     "run_scalar",
     "run_workload",
     "single_segment",

@@ -60,6 +60,13 @@ def require_non_empty(name: str, value) -> None:
         raise ValueError(f"plan needs at least one {name}")
 
 
+def require_row_block(name: str, block, n_rows: int) -> None:
+    """Raise ``ValueError`` unless ``block`` is ``(n_rows, n_samples)``."""
+    if block.ndim != 2 or block.shape[0] != n_rows:
+        raise ValueError(f"{name} block must be ({n_rows}, n_samples), "
+                         f"got {block.shape}")
+
+
 @dataclass(frozen=True)
 class PlanBase:
     """Shared, validated base of every declarative engine plan.

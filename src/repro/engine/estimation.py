@@ -475,8 +475,6 @@ class EstimationKernels(KernelSet):
         return SimpleNamespace(
             monitor=_init_monitor_state(plan.monitor),
             model=monitor_observation_model(plan.monitor),
-            sensors=[channel.sensor
-                     for channel in plan.monitor.channels],
             trace=KalmanTrace(*(np.empty((n, t)) for _ in range(10))),
             carry=KalmanState.zeros(n),
         )
@@ -492,7 +490,7 @@ class EstimationKernels(KernelSet):
         _monitor_chunk(plan.monitor, state.monitor, start, stop)
         model = state.model
         measured = state.monitor.last_update["measured_current_a"]
-        censored = rail_censored_mask(state.sensors, measured)
+        censored = rail_censored_mask(state.monitor.wear.sensors, measured)
         r_chunk = np.where(censored, np.inf,
                            model.measurement_variance_a2[:, None])
         chunk = kalman_filter_batch(

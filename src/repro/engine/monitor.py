@@ -13,8 +13,8 @@ wear-time in ``(n_channels, chunk_samples)`` NumPy blocks, composing:
   matrix fouling via :class:`repro.core.longterm.DriftBudget`;
 * additive baseline drift and reference-electrode wander
   (:func:`repro.signal.drift.ou_process_batch`);
-* the existing instrument chain: the chain's input-referred noise floor,
-  TIA rail saturation and SAR-ADC quantization shape every reading;
+* the instrument chain: noise floor, TIA rails and SAR-ADC quantization
+  (sensor physics to here is the shared front end, :func:`sense_chunk`);
 * online recalibration scheduling — periodic reference samples
   (finger-stick protocol) trigger a one-point re-fit
   (:func:`repro.core.longterm.one_point_recalibration_batch`) whenever
@@ -69,6 +69,7 @@ from repro.engine.core import (
     require_non_empty,
     require_non_negative,
     require_positive,
+    require_row_block,
     require_snapshot,
     single_segment,
     snapshot_envelope,
@@ -77,8 +78,12 @@ from repro.enzymes.stability import EnzymeStability
 from repro.rng import spawn_generators
 from repro.signal.drift import ou_process_batch
 
-#: Generator streams spawned per channel (trajectory, wander, measurement).
-_STREAMS_PER_CHANNEL = 3
+#: Generator streams spawned per row (truth noise, wander, measurement).
+STREAMS_PER_ROW = 3
+
+#: Per-sample traces a wear result exports with ``include_traces``.
+WEAR_TRACES = ("time_h", "true_concentration_molar",
+               "estimated_concentration_molar", "measured_current_a")
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,56 @@ class MonitorChannel:
         return self.sensor.background_current_a
 
 
+class WearSchedule:
+    """Sample grid and reference-draw schedule of a wear plan.
+
+    Inherited by :class:`MonitorPlan` and
+    :class:`repro.engine.therapy.TherapyPlan`; a plan supplies
+    ``sample_period_s``, ``recalibration`` and ``n_samples``.
+    """
+
+    def validate_schedule(self) -> None:
+        """Reject an enabled reference interval shorter than a sample."""
+        if (self.recalibration.enabled
+                and self.recalibration.reference_interval_h * 3600.0
+                < self.sample_period_s):
+            raise ValueError(
+                "reference interval shorter than the sample period")
+
+    @property
+    def reference_every_samples(self) -> int:
+        """Reference-measurement cadence in samples (>= 1)."""
+        return max(1, int(round(
+            self.recalibration.reference_interval_h * 3600.0
+            / self.sample_period_s)))
+
+    @property
+    def n_reference_draws(self) -> int:
+        """Reference draws that actually fire within the wear horizon.
+
+        Zero when the policy is disabled or the reference interval is
+        longer than the wear time: such plans (e.g. a 6 h course with
+        12-hourly lab draws) are legal and run open-loop by design.
+        """
+        if not self.recalibration.enabled:
+            return 0
+        return self.n_samples // self.reference_every_samples
+
+    def sample_times_h(self, start: int, stop: int) -> np.ndarray:
+        """Wear times [h] of the samples in ``[start, stop)``.
+
+        Sample ``k`` is taken at ``(k + 1) * sample_period_s`` — the
+        first reading lands one period after the day-0 calibration (and
+        in a therapy course the last sample of every dose interval lands
+        on the next dose boundary, the trough readout); times depend
+        only on the absolute index (chunk-invariance).
+        """
+        return ((np.arange(start, stop) + 1)
+                * (self.sample_period_s / 3600.0))
+
+
 @dataclass(frozen=True)
-class MonitorPlan(PlanBase):
+class MonitorPlan(WearSchedule, PlanBase):
     """Declarative description of a cohort wear-time simulation.
 
     Attributes:
@@ -196,11 +249,7 @@ class MonitorPlan(PlanBase):
         require_in_open_unit_interval("spec_tolerance", self.spec_tolerance)
         if self.n_samples < 1:
             raise ValueError("horizon shorter than one sample period")
-        if (self.recalibration.enabled
-                and self.recalibration.reference_interval_h * 3600.0
-                < self.sample_period_s):
-            raise ValueError(
-                "reference interval shorter than the sample period")
+        self.validate_schedule()
 
     @property
     def n_channels(self) -> int:
@@ -212,37 +261,9 @@ class MonitorPlan(PlanBase):
         """Total readings per channel over the wear horizon."""
         return int(self.duration_h * 3600.0 // self.sample_period_s)
 
-    @property
-    def reference_every_samples(self) -> int:
-        """Reference-measurement cadence in samples (>= 1)."""
-        return max(1, int(round(
-            self.recalibration.reference_interval_h * 3600.0
-            / self.sample_period_s)))
-
-    @property
-    def n_reference_draws(self) -> int:
-        """Reference draws that actually fire within the wear horizon.
-
-        Zero when the policy is disabled — or when the reference
-        interval is longer than the wear time, in which case the plan
-        degrades to open-loop monitoring *by design*: short regimens
-        (e.g. a 6 h course with 12-hourly lab draws, the situation every
-        short ``run_therapy`` regimen hits) are legal, they just never
-        recalibrate.  Both engine paths branch on this explicitly.
-        """
-        if not self.recalibration.enabled:
-            return 0
-        return self.n_samples // self.reference_every_samples
-
-    def sample_times_h(self, start: int, stop: int) -> np.ndarray:
-        """Wear times [h] of the samples in ``[start, stop)``.
-
-        Sample ``k`` is taken at ``(k + 1) * sample_period_s`` — the
-        first reading lands one period after the day-0 calibration, and
-        times depend only on the absolute index (chunk-invariance).
-        """
-        return ((np.arange(start, stop) + 1)
-                * (self.sample_period_s / 3600.0))
+    def wear_params(self) -> "WearParams":
+        """Per-channel parameters of the shared sensing front end."""
+        return WearParams.from_rows(self.channels)
 
 
 @dataclass(frozen=True)
@@ -351,67 +372,70 @@ class MonitorResult:
         } for i, channel in enumerate(self.plan.channels)]
         data = {**self.summary_row(), "channels": channels}
         if include_traces and self.time_h is not None:
-            data["time_h"] = self.time_h.tolist()
-            data["true_concentration_molar"] = (
-                self.true_concentration_molar.tolist())
-            data["estimated_concentration_molar"] = (
-                self.estimated_concentration_molar.tolist())
-            data["measured_current_a"] = self.measured_current_a.tolist()
+            data.update({name: getattr(self, name).tolist()
+                         for name in WEAR_TRACES})
         return data
 
 
-@dataclass
-class _ChannelParams:
-    """Per-channel scalars gathered once so chunks evaluate as arrays."""
+@dataclass(frozen=True)
+class WearParams:
+    """Per-row parameters of the shared sensing front end.
 
+    One row per monitor channel or therapy patient, each array
+    ``(n_rows,)``: the sensor, its retention decay rate [1/h],
+    background [A] and linear baseline drift [A/h], the wander OU
+    (RMS [A], correlation time [s]), the per-reading noise sigma [A]
+    and the day-0 calibration (slope [A/M], intercept [A]).  Read by
+    :func:`sense_chunk`, the scalar references and the observation
+    model alike.
+    """
+
+    sensors: tuple[Biosensor, ...]
     decay_rate_per_hour: np.ndarray
     background_a: np.ndarray
     baseline_drift_a_per_hour: np.ndarray
     wander_sigma_a: np.ndarray
     wander_tau_s: np.ndarray
-    noise_sigma_molar: np.ndarray
-    noise_tau_s: np.ndarray
-    floor_molar: np.ndarray
     measurement_sigma_a: np.ndarray
     day0_slope: np.ndarray
     day0_intercept: np.ndarray
 
+    @classmethod
+    def from_rows(cls, rows) -> "WearParams":
+        """Gather the front-end parameters of each row.
 
-def _gather(plan: MonitorPlan) -> _ChannelParams:
-    """Collect the per-channel scalar parameters of a cohort."""
-    channels = plan.channels
-    return _ChannelParams(
-        decay_rate_per_hour=np.array(
-            [c.budget.decay_rate_per_hour for c in channels]),
-        background_a=np.array(
-            [c.sensor.background_current_a for c in channels]),
-        baseline_drift_a_per_hour=np.array(
-            [c.budget.matrix.baseline_drift_a_per_hour_per_m2
-             * c.sensor.area_m2 for c in channels]),
-        wander_sigma_a=np.array([c.wander_sigma_a for c in channels]),
-        wander_tau_s=np.array(
-            [c.wander_tau_h * 3600.0 for c in channels]),
-        noise_sigma_molar=np.array(
-            [c.trajectory.noise_sigma_molar for c in channels]),
-        noise_tau_s=np.array(
-            [c.trajectory.noise_tau_h * 3600.0 for c in channels]),
-        floor_molar=np.array(
-            [c.trajectory.floor_molar for c in channels]),
-        measurement_sigma_a=np.array(
-            [reading_noise_sigma_a(c.sensor) for c in channels]),
-        day0_slope=np.array(
-            [c.day0_slope_a_per_molar for c in channels]),
-        day0_intercept=np.array(
-            [c.day0_intercept_a for c in channels]),
-    )
+        A row exposes the front-end attributes of a
+        :class:`MonitorChannel`: ``sensor``, ``budget``,
+        ``wander_sigma_a``, ``wander_tau_h``, ``day0_slope_a_per_molar``
+        and ``day0_intercept_a``.
+        """
+        sensors = tuple(row.sensor for row in rows)
+        return cls(
+            sensors=sensors,
+            decay_rate_per_hour=np.array(
+                [row.budget.decay_rate_per_hour for row in rows]),
+            background_a=np.array(
+                [sensor.background_current_a for sensor in sensors]),
+            baseline_drift_a_per_hour=np.array(
+                [row.budget.matrix.baseline_drift_a_per_hour_per_m2
+                 * row.sensor.area_m2 for row in rows]),
+            wander_sigma_a=np.array([row.wander_sigma_a for row in rows]),
+            wander_tau_s=np.array(
+                [row.wander_tau_h * 3600.0 for row in rows]),
+            measurement_sigma_a=np.array(
+                [reading_noise_sigma_a(sensor) for sensor in sensors]),
+            day0_slope=np.array(
+                [row.day0_slope_a_per_molar for row in rows]),
+            day0_intercept=np.array([row.day0_intercept_a for row in rows]),
+        )
 
 
 def reading_noise_sigma_a(sensor: Biosensor) -> float:
     """Per-reading 1-sigma measurement noise of a deployed sensor [A].
 
     The acquisition chain's input-referred noise floor combined with the
-    sensor's repeatability — the sigma both streaming engines (monitor
-    and therapy) inject per digitized reading.
+    sensor's repeatability — the sigma the shared front end
+    (:func:`sense_chunk`) injects per digitized reading.
     """
     return float(np.hypot(sensor.chain.input_referred_noise_rms(),
                           sensor.repeatability_std_a))
@@ -425,8 +449,9 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
     chain's contribution per sample is its static transfer: TIA gain with
     rail saturation, then SAR-ADC quantization, referred back to input.
     (The chain's *noise* floor enters separately as part of the
-    per-reading measurement sigma.)  Shared by the monitor and therapy
-    engines — row ``i`` of ``currents`` goes through ``sensors[i]``.
+    per-reading measurement sigma.)  The last stage of
+    :func:`sense_chunk` — row ``i`` of ``currents`` goes through
+    ``sensors[i]``.
 
     Args:
         sensors: one deployed sensor per row (repeat an instance for a
@@ -435,7 +460,12 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
 
     Returns:
         Input-referred digitized readings [A], same shape.
+
+    Raises:
+        ValueError: when ``currents`` is not ``(len(sensors), n)``.
     """
+    currents = np.asarray(currents)
+    require_row_block("currents", currents, len(sensors))
     digitized = np.empty_like(currents)
     for i, sensor in enumerate(sensors):
         chain = sensor.chain
@@ -445,9 +475,81 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
     return digitized
 
 
-def _digitize_rows(plan: MonitorPlan, currents: np.ndarray) -> np.ndarray:
-    """Digitize a monitor chunk through the cohort's chains."""
-    return digitize_rows([c.sensor for c in plan.channels], currents)
+def init_wear_state(plan: WearSchedule, **workload) -> SimpleNamespace:
+    """Carry state of the shared front end plus the ``workload`` fields.
+
+    Each row owns three generator streams spawned from the plan seed in
+    one fixed order — truth noise, baseline wander, measurement noise.
+    The state also holds the day-0 calibration, both OU states, the
+    reference schedule, the trace buffers (when ``plan.keep_traces``)
+    and the rows grouped by sensor object, so :func:`sense_chunk` calls
+    each distinct sensor's response once per chunk.
+    """
+    wear = plan.wear_params()
+    n, n_samples = len(wear.sensors), plan.n_samples
+    rngs = spawn_generators(plan.seed, STREAMS_PER_ROW * n)
+    rows_by_sensor: dict[int, list[int]] = {}
+    for i, sensor in enumerate(wear.sensors):
+        rows_by_sensor.setdefault(id(sensor), []).append(i)
+    keep = plan.keep_traces
+    return SimpleNamespace(
+        wear=wear,
+        # One design reads the whole block as a view; several gather.
+        sensor_groups=((wear.sensors[0], slice(None)),)
+        if len(rows_by_sensor) == 1 else tuple(
+            (wear.sensors[rows[0]], np.array(rows))
+            for rows in rows_by_sensor.values()),
+        truth_rngs=rngs[0::STREAMS_PER_ROW],
+        wander_rngs=rngs[1::STREAMS_PER_ROW],
+        measurement_rngs=rngs[2::STREAMS_PER_ROW],
+        truth_state=np.zeros(n),
+        wander_state=np.zeros(n),
+        slopes=wear.day0_slope.copy(),
+        intercepts=wear.day0_intercept,
+        ref_every=plan.reference_every_samples,
+        # A schedule that cannot fire inside the horizon runs open-loop
+        # instead of dead segment-splitting arithmetic.
+        policy_active=plan.n_reference_draws > 0,
+        true_c=np.empty((n, n_samples)) if keep else None,
+        est_c=np.empty((n, n_samples)) if keep else None,
+        meas_i=np.empty((n, n_samples)) if keep else None,
+        **workload,
+    )
+
+
+def sense_chunk(plan: WearSchedule, state: SimpleNamespace, c: np.ndarray,
+                t_h: np.ndarray) -> np.ndarray:
+    """The shared front end: true concentrations -> digitized readings.
+
+    Turns ``c`` [mol/L], ``(n_rows, chunk)`` at wear times ``t_h`` [h],
+    into input-referred readings [A] of the same shape: drifted faradaic
+    response ``retention * f(c)``, plus background and linear baseline
+    drift, plus the baseline-wander OU, plus the chain noise floor, then
+    TIA rails and ADC (:func:`digitize_rows`).  With ``plan.add_noise``
+    off the wander and chain noise are left out.  Advances ``state``
+    (from :func:`init_wear_state`): its wander state and its wander and
+    measurement streams.
+    """
+    wear = state.wear
+    faradaic = np.empty_like(c)
+    for sensor, rows in state.sensor_groups:
+        faradaic[rows] = sensor.layer.steady_state_current(
+            c[rows], sensor.area_m2)
+    retention = np.exp(-wear.decay_rate_per_hour[:, None] * t_h[None, :])
+    baseline = (wear.background_a[:, None]
+                + wear.baseline_drift_a_per_hour[:, None] * t_h[None, :])
+    current = retention * faradaic + baseline
+    if plan.add_noise:
+        chunk = t_h.shape[0]
+        wander, state.wander_state = ou_process_batch(
+            chunk, plan.sample_period_s, wear.wander_tau_s,
+            wear.wander_sigma_a, state.wander_state,
+            rngs=state.wander_rngs)
+        shocks = np.stack([
+            rng.standard_normal(chunk) for rng in state.measurement_rngs])
+        current = (current + wander
+                   + wear.measurement_sigma_a[:, None] * shocks)
+    return digitize_rows(wear.sensors, current)
 
 
 def estimate_chunk_with_recalibration(
@@ -554,34 +656,22 @@ def run_monitor(plan: MonitorPlan) -> MonitorResult:
 
 
 def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
-    """Carry state threaded through the monitor chunks: generator
-    streams, live calibration, OU states and accuracy accumulators."""
-    params = _gather(plan)
-    n_channels, n_samples = plan.n_channels, plan.n_samples
-    rngs = spawn_generators(plan.seed, _STREAMS_PER_CHANNEL * n_channels)
-    keep = plan.keep_traces
-    return SimpleNamespace(
-        params=params,
-        trajectory_rngs=rngs[0::_STREAMS_PER_CHANNEL],
-        wander_rngs=rngs[1::_STREAMS_PER_CHANNEL],
-        measurement_rngs=rngs[2::_STREAMS_PER_CHANNEL],
-        slopes=params.day0_slope.copy(),
-        intercepts=params.day0_intercept,
-        trajectory_state=np.zeros(n_channels),
-        wander_state=np.zeros(n_channels),
-        ref_every=plan.reference_every_samples,
-        # The explicit zero-recalibration path: a reference schedule
-        # that cannot fire inside the horizon (interval > wear time)
-        # degrades to open-loop monitoring instead of dead
-        # segment-splitting arithmetic.
-        policy_active=plan.n_reference_draws > 0,
+    """Carry state threaded through the monitor chunks: the shared
+    front-end state plus the trajectory noise parameters and the
+    accuracy accumulators."""
+    channels = plan.channels
+    n_channels = plan.n_channels
+    return init_wear_state(
+        plan,
+        noise_sigma_molar=np.array(
+            [c.trajectory.noise_sigma_molar for c in channels]),
+        noise_tau_s=np.array(
+            [c.trajectory.noise_tau_h * 3600.0 for c in channels]),
+        floor_molar=np.array([c.trajectory.floor_molar for c in channels]),
         abs_rel_error_sum=np.zeros(n_channels),
         in_spec_count=np.zeros(n_channels),
         valid_count=np.zeros(n_channels),
         recal_times=[[] for _ in range(n_channels)],
-        true_c=np.empty((n_channels, n_samples)) if keep else None,
-        est_c=np.empty((n_channels, n_samples)) if keep else None,
-        meas_i=np.empty((n_channels, n_samples)) if keep else None,
         last_update=None,
     )
 
@@ -589,49 +679,23 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
 def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
                    start: int, stop: int) -> None:
     """Advance every channel by one ``(n_channels, chunk)`` block."""
-    params = state.params
     n_channels = plan.n_channels
     chunk = stop - start
     t_h = plan.sample_times_h(start, stop)
 
     # --- truth: physiological concentration per channel ------------
-    c_mean = np.stack([
+    c = np.stack([
         channel.trajectory.mean_molar(t_h)
         for channel in plan.channels])
     if plan.add_noise:
-        c_noise, state.trajectory_state = ou_process_batch(
-            chunk, plan.sample_period_s, params.noise_tau_s,
-            params.noise_sigma_molar, state.trajectory_state,
-            rngs=state.trajectory_rngs)
-    else:
-        c_noise = np.zeros((n_channels, chunk))
-    c = np.maximum(c_mean + c_noise, params.floor_molar[:, None])
+        c_noise, state.truth_state = ou_process_batch(
+            chunk, plan.sample_period_s, state.noise_tau_s,
+            state.noise_sigma_molar, state.truth_state,
+            rngs=state.truth_rngs)
+        c = c + c_noise
+    c = np.maximum(c, state.floor_molar[:, None])
 
-    # --- sensor physics: drifted faradaic response + baseline ------
-    faradaic = np.stack([
-        np.asarray(channel.sensor.layer.steady_state_current(
-            c[i], channel.sensor.area_m2), dtype=float)
-        for i, channel in enumerate(plan.channels)])
-    retention = np.exp(
-        -params.decay_rate_per_hour[:, None] * t_h[None, :])
-    baseline = (params.background_a[:, None]
-                + params.baseline_drift_a_per_hour[:, None]
-                * t_h[None, :])
-    if plan.add_noise:
-        wander, state.wander_state = ou_process_batch(
-            chunk, plan.sample_period_s, params.wander_tau_s,
-            params.wander_sigma_a, state.wander_state,
-            rngs=state.wander_rngs)
-    else:
-        wander = np.zeros((n_channels, chunk))
-    current = retention * faradaic + baseline + wander
-
-    # --- instrument chain: noise floor, rails, quantization --------
-    if plan.add_noise:
-        shocks = np.stack([
-            rng.standard_normal(chunk) for rng in state.measurement_rngs])
-        current = current + params.measurement_sigma_a[:, None] * shocks
-    measured = _digitize_rows(plan, current)
+    measured = sense_chunk(plan, state, c, t_h)
 
     # --- estimation + online recalibration, segment-wise -----------
     estimates, state.slopes, events = estimate_chunk_with_recalibration(
@@ -667,8 +731,8 @@ def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
 
 def _finalize_monitor(plan: MonitorPlan,
                       state: SimpleNamespace) -> MonitorResult:
-    """Assemble the :class:`MonitorResult` from the carry state."""
-    params = state.params
+    """Assemble the :class:`MonitorResult` from the carry state (or the
+    scalar reference's accumulators)."""
     n_samples = plan.n_samples
     recal_times = state.recal_times
     safe_n = np.maximum(state.valid_count, 1.0)
@@ -679,7 +743,7 @@ def _finalize_monitor(plan: MonitorPlan,
         n_recalibrations=np.array([len(times) for times in recal_times]),
         recalibration_times_h=tuple(tuple(times) for times in recal_times),
         final_retention=np.exp(
-            -params.decay_rate_per_hour
+            -state.wear.decay_rate_per_hour
             * float(plan.sample_times_h(n_samples - 1, n_samples)[0])),
         final_slope_a_per_molar=state.slopes,
         time_h=plan.sample_times_h(0, n_samples)
@@ -702,37 +766,38 @@ def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
     why the chunked engine exists: same physics, >= 5x the throughput
     (gated by the shared bench harness, ``benchmarks/bench_core.py``).
     """
-    params = _gather(plan)
+    wear = plan.wear_params()
     n_channels, n_samples = plan.n_channels, plan.n_samples
-    rngs = spawn_generators(plan.seed, _STREAMS_PER_CHANNEL * n_channels)
+    rngs = spawn_generators(plan.seed, STREAMS_PER_ROW * n_channels)
     dt_s = plan.sample_period_s
     ref_every = plan.reference_every_samples
     policy = plan.recalibration
     policy_active = plan.n_reference_draws > 0  # zero-recal path explicit
 
-    mard = np.zeros(n_channels)
-    time_in_spec = np.zeros(n_channels)
+    error_sums = np.zeros(n_channels)
+    in_spec_counts = np.zeros(n_channels)
+    valid_counts = np.zeros(n_channels)
     final_slopes = np.zeros(n_channels)
-    recal_times: list[tuple[float, ...]] = []
+    recal_times: list[list[float]] = []
     if plan.keep_traces:
         true_c = np.empty((n_channels, n_samples))
         est_c = np.empty((n_channels, n_samples))
         meas_i = np.empty((n_channels, n_samples))
 
     for i, channel in enumerate(plan.channels):
-        trajectory_rng = rngs[_STREAMS_PER_CHANNEL * i]
-        wander_rng = rngs[_STREAMS_PER_CHANNEL * i + 1]
-        measurement_rng = rngs[_STREAMS_PER_CHANNEL * i + 2]
+        trajectory_rng, wander_rng, measurement_rng = rngs[
+            STREAMS_PER_ROW * i:STREAMS_PER_ROW * (i + 1)]
         sensor = channel.sensor
         chain = sensor.chain
-        slope = float(params.day0_slope[i])
-        intercept = float(params.day0_intercept[i])
-        background = float(params.background_a[i])
-        noise_a = np.exp(-dt_s / params.noise_tau_s[i])
-        noise_scale = (params.noise_sigma_molar[i]
+        trajectory = channel.trajectory
+        slope = float(wear.day0_slope[i])
+        intercept = float(wear.day0_intercept[i])
+        background = float(wear.background_a[i])
+        noise_a = np.exp(-dt_s / (trajectory.noise_tau_h * 3600.0))
+        noise_scale = (trajectory.noise_sigma_molar
                        * np.sqrt(1.0 - noise_a ** 2))
-        wander_a = np.exp(-dt_s / params.wander_tau_s[i])
-        wander_scale = (params.wander_sigma_a[i]
+        wander_a = np.exp(-dt_s / wear.wander_tau_s[i])
+        wander_scale = (wear.wander_sigma_a[i]
                         * np.sqrt(1.0 - wander_a ** 2))
         trajectory_state = 0.0
         wander_state = 0.0
@@ -743,12 +808,12 @@ def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
 
         for k in range(n_samples):
             t_h = (k + 1) * dt_s / 3600.0
-            mean = channel.trajectory.mean_molar(t_h)
+            mean = trajectory.mean_molar(t_h)
             if plan.add_noise:
                 trajectory_state = (noise_a * trajectory_state
                                     + noise_scale
                                     * trajectory_rng.standard_normal())
-            c = max(mean + trajectory_state, channel.trajectory.floor_molar)
+            c = max(mean + trajectory_state, trajectory.floor_molar)
             faradaic = float(sensor.layer.steady_state_current(
                 c, sensor.area_m2))
             retention = channel.budget.sensitivity_retention(t_h)
@@ -761,7 +826,7 @@ def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
                                 * wander_rng.standard_normal())
             current = retention * faradaic + baseline + wander_state
             if plan.add_noise:
-                current += (params.measurement_sigma_a[i]
+                current += (wear.measurement_sigma_a[i]
                             * measurement_rng.standard_normal())
             volts = float(np.clip(current * chain.tia.gain_v_per_a,
                                   -chain.tia.rail_v, chain.tia.rail_v))
@@ -786,26 +851,18 @@ def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
                 est_c[i, k] = estimate
                 meas_i[i, k] = measured
 
-        mard[i] = error_sum / max(valid, 1)
-        time_in_spec[i] = in_spec / max(valid, 1)
+        error_sums[i], in_spec_counts[i], valid_counts[i] = (
+            error_sum, in_spec, valid)
         final_slopes[i] = slope
-        recal_times.append(tuple(times))
+        recal_times.append(times)
 
-    final_t_h = n_samples * dt_s / 3600.0
-    return MonitorResult(
-        plan=plan,
-        mard=mard,
-        time_in_spec=time_in_spec,
-        n_recalibrations=np.array([len(t) for t in recal_times]),
-        recalibration_times_h=tuple(recal_times),
-        final_retention=np.exp(-params.decay_rate_per_hour * final_t_h),
-        final_slope_a_per_molar=final_slopes,
-        time_h=plan.sample_times_h(0, n_samples)
-        if plan.keep_traces else None,
-        true_concentration_molar=true_c if plan.keep_traces else None,
-        estimated_concentration_molar=est_c if plan.keep_traces else None,
-        measured_current_a=meas_i if plan.keep_traces else None,
-    )
+    keep = plan.keep_traces
+    return _finalize_monitor(plan, SimpleNamespace(
+        wear=wear, abs_rel_error_sum=error_sums,
+        in_spec_count=in_spec_counts, valid_count=valid_counts,
+        recal_times=recal_times, slopes=final_slopes,
+        true_c=true_c if keep else None, est_c=est_c if keep else None,
+        meas_i=meas_i if keep else None))
 
 
 def cohort(sensor: Biosensor,
@@ -882,6 +939,20 @@ def glucose_cohort(n_patients: int = 8,
                   wander_sigma_a=wander_sigma_a)
 
 
+#: Monitor snapshot layout, ``(snapshot key, carry-state attribute)``:
+#: generator streams, carry arrays, and trace prefixes.
+_SNAPSHOT_STREAMS = (("trajectory", "truth_rngs"), ("wander", "wander_rngs"),
+                     ("measurement", "measurement_rngs"))
+_SNAPSHOT_ARRAYS = (
+    ("slopes", "slopes"), ("trajectory_state", "truth_state"),
+    ("wander_state", "wander_state"),
+    ("abs_rel_error_sum", "abs_rel_error_sum"),
+    ("in_spec_count", "in_spec_count"), ("valid_count", "valid_count"))
+_SNAPSHOT_TRACES = (("true_concentration_molar", "true_c"),
+                    ("estimated_concentration_molar", "est_c"),
+                    ("measured_current_a", "meas_i"))
+
+
 class MonitorKernels(KernelSet):
     """The monitoring workload as a kernel set on the execution core.
 
@@ -930,30 +1001,16 @@ class MonitorKernels(KernelSet):
                                      cursor)
         snapshot.update({
             "n_channels": plan.n_channels,
-            "rngs": {
-                "trajectory": [encode_rng(g)
-                               for g in state.trajectory_rngs],
-                "wander": [encode_rng(g) for g in state.wander_rngs],
-                "measurement": [encode_rng(g)
-                                for g in state.measurement_rngs],
-            },
-            "slopes": encode_array(state.slopes),
-            "trajectory_state": encode_array(state.trajectory_state),
-            "wander_state": encode_array(state.wander_state),
-            "abs_rel_error_sum": encode_array(state.abs_rel_error_sum),
-            "in_spec_count": encode_array(state.in_spec_count),
-            "valid_count": encode_array(state.valid_count),
+            "rngs": {key: [encode_rng(g) for g in getattr(state, attr)]
+                     for key, attr in _SNAPSHOT_STREAMS},
+            **{key: encode_array(getattr(state, attr))
+               for key, attr in _SNAPSHOT_ARRAYS},
             "recal_times": [list(times) for times in state.recal_times],
         })
         if plan.keep_traces:
             snapshot["traces"] = {
-                "true_concentration_molar": encode_array(
-                    state.true_c[:, :cursor]),
-                "estimated_concentration_molar": encode_array(
-                    state.est_c[:, :cursor]),
-                "measured_current_a": encode_array(
-                    state.meas_i[:, :cursor]),
-            }
+                key: encode_array(getattr(state, attr)[:, :cursor])
+                for key, attr in _SNAPSHOT_TRACES}
         return snapshot
 
     def restore_state(self, plan: MonitorPlan, snapshot):
@@ -976,30 +1033,17 @@ class MonitorKernels(KernelSet):
                 "plan keeps traces but the snapshot carries none "
                 "(exported with keep_traces=False)")
         state = _init_monitor_state(plan)
-        rngs = snapshot["rngs"]
-        state.trajectory_rngs = [decode_rng(s)
-                                 for s in rngs["trajectory"]]
-        state.wander_rngs = [decode_rng(s) for s in rngs["wander"]]
-        state.measurement_rngs = [decode_rng(s)
-                                  for s in rngs["measurement"]]
-        state.slopes = decode_array(snapshot["slopes"])
-        state.trajectory_state = decode_array(
-            snapshot["trajectory_state"])
-        state.wander_state = decode_array(snapshot["wander_state"])
-        state.abs_rel_error_sum = decode_array(
-            snapshot["abs_rel_error_sum"])
-        state.in_spec_count = decode_array(snapshot["in_spec_count"])
-        state.valid_count = decode_array(snapshot["valid_count"])
+        for key, attr in _SNAPSHOT_STREAMS:
+            setattr(state, attr,
+                    [decode_rng(s) for s in snapshot["rngs"][key]])
+        for key, attr in _SNAPSHOT_ARRAYS:
+            setattr(state, attr, decode_array(snapshot[key]))
         state.recal_times = [list(times)
                              for times in snapshot["recal_times"]]
         if plan.keep_traces and cursor > 0:
-            traces = snapshot["traces"]
-            state.true_c[:, :cursor] = decode_array(
-                traces["true_concentration_molar"])
-            state.est_c[:, :cursor] = decode_array(
-                traces["estimated_concentration_molar"])
-            state.meas_i[:, :cursor] = decode_array(
-                traces["measured_current_a"])
+            for key, attr in _SNAPSHOT_TRACES:
+                getattr(state, attr)[:, :cursor] = decode_array(
+                    snapshot["traces"][key])
         return state, cursor
 
     def stream_update(self, plan: MonitorPlan, state, start: int,

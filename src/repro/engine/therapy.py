@@ -5,9 +5,9 @@ promises: *personalized medicine*.  A cohort of virtual patients
 (:mod:`repro.pk.population`) is dosed on a shared regimen grid; between
 administrations their true drug level evolves by closed-form
 pharmacokinetic superposition (:mod:`repro.pk`), the deployed CYP sensor
-measures it through the full wear physics of the streaming monitor
-(drift, baseline wander, chain noise, rail/ADC quantization, optional
-online recalibration — :mod:`repro.engine.monitor` machinery), and at
+measures it through the monitor's shared wear front end (drift,
+wander, chain noise, rails/ADC — :func:`repro.engine.monitor.sense_chunk`)
+and optional online recalibration, and at
 every dose boundary a :mod:`repro.therapy` controller turns the readout
 history into the next dose, per patient.
 
@@ -63,15 +63,20 @@ from repro.engine.core import (
     uniform_segments,
 )
 from repro.engine.monitor import (
+    STREAMS_PER_ROW,
+    WEAR_TRACES,
     RecalibrationPolicy,
-    digitize_rows,
+    WearParams,
+    WearSchedule,
     estimate_chunk_with_recalibration,
-    reading_noise_sigma_a,
+    init_wear_state,
+    sense_chunk,
 )
 from repro.enzymes.stability import EnzymeStability
 from repro.inference.kalman import KalmanState, kalman_predict, kalman_update
 from repro.inference.observation import (
     observation_variance_a2,
+    rail_censor_level_a,
     response_linearization,
 )
 from repro.pk.dosing import concentration_from_doses
@@ -87,10 +92,6 @@ from repro.therapy.controllers import (
 )
 from repro.therapy.metrics import trough_abs_rel_error
 
-#: Generator streams spawned per patient (process, wander, measurement) —
-#: same layout as the monitor's per-channel streams.
-_STREAMS_PER_PATIENT = 3
-
 #: Dose boundaries must land on the sample grid within this relative
 #: tolerance for trough readouts to align with administrations.
 _GRID_ALIGNMENT_RTOL = 1e-9
@@ -105,7 +106,7 @@ def _default_budget() -> DriftBudget:
 
 
 @dataclass(frozen=True)
-class TherapyPlan(PlanBase):
+class TherapyPlan(WearSchedule, PlanBase):
     """Declarative description of one closed-loop therapy course.
 
     Attributes:
@@ -193,11 +194,7 @@ class TherapyPlan(PlanBase):
                 raise ValueError("infusion longer than the dose interval")
         elif self.infusion_duration_h != 0.0:
             raise ValueError("duration applies to infusions only")
-        if (self.recalibration.enabled
-                and self.recalibration.reference_interval_h * 3600.0
-                < self.sample_period_s):
-            raise ValueError(
-                "reference interval shorter than the sample period")
+        self.validate_schedule()
         require_non_negative("process_noise_sigma_molar",
                              self.process_noise_sigma_molar)
         require_positive("process_noise_tau_h", self.process_noise_tau_h)
@@ -275,26 +272,6 @@ class TherapyPlan(PlanBase):
             infusion_duration_h=self.infusion_duration_h)
 
     @property
-    def reference_every_samples(self) -> int:
-        """Reference lab-draw cadence in samples (>= 1)."""
-        return max(1, int(round(
-            self.recalibration.reference_interval_h * 3600.0
-            / self.sample_period_s)))
-
-    @property
-    def n_reference_draws(self) -> int:
-        """Reference draws firing within the course (0 = open loop).
-
-        The explicit zero-recalibration path of short regimens: a
-        one-day course with daily lab draws recalibrates once; a
-        half-day course never does, and both engine paths handle that
-        without special cases at the call site.
-        """
-        if not self.recalibration.enabled:
-            return 0
-        return self.n_samples // self.reference_every_samples
-
-    @property
     def trough_filter_step_sigma_molar(self) -> float:
         """Per-step random-walk sigma of the trough filter [mol/L].
 
@@ -307,16 +284,17 @@ class TherapyPlan(PlanBase):
             return self.filter_process_sigma_molar
         return 0.05 * self.window.target_trough_molar
 
-    def sample_times_h(self, start: int, stop: int) -> np.ndarray:
-        """Reading times [h] of samples ``[start, stop)``.
-
-        Sample ``k`` is taken at ``(k + 1) * sample_period_s`` (monitor
-        convention): the last sample of every interval lands exactly on
-        the next dose boundary — the trough readout — and times depend
-        only on the absolute index (chunk-invariance).
-        """
-        return ((np.arange(start, stop) + 1)
-                * (self.sample_period_s / 3600.0))
+    def wear_params(self) -> WearParams:
+        """Per-patient parameters of the shared sensing front end: every
+        patient wears a copy of one sensor under one drift budget."""
+        sensor = self.sensor
+        row = SimpleNamespace(
+            sensor=sensor, budget=self.budget,
+            wander_sigma_a=self.wander_sigma_a,
+            wander_tau_h=self.wander_tau_h,
+            day0_slope_a_per_molar=sensor.expected_slope_a_per_molar(),
+            day0_intercept_a=sensor.background_current_a)
+        return WearParams.from_rows([row] * self.n_patients)
 
 
 @dataclass(frozen=True)
@@ -462,44 +440,9 @@ class TherapyResult:
         } for i, patient in enumerate(self.plan.cohort.patients)]
         data = {**self.summary_row(), "patients": patients}
         if include_traces and self.time_h is not None:
-            data["time_h"] = self.time_h.tolist()
-            data["true_concentration_molar"] = (
-                self.true_concentration_molar.tolist())
-            data["estimated_concentration_molar"] = (
-                self.estimated_concentration_molar.tolist())
-            data["measured_current_a"] = self.measured_current_a.tolist()
+            data.update({name: getattr(self, name).tolist()
+                         for name in WEAR_TRACES})
         return data
-
-
-@dataclass
-class _CohortParams:
-    """Per-patient scalars gathered once so chunks evaluate as arrays."""
-
-    background_a: float
-    baseline_drift_a_per_hour: float
-    decay_rate_per_hour: float
-    measurement_sigma_a: float
-    day0_slope: float
-    day0_intercept: float
-
-
-def _gather(plan: TherapyPlan) -> _CohortParams:
-    """Collect the sensor-side scalars of a therapy cohort.
-
-    The cohort wears copies of one sensor design, so unlike the
-    monitor's per-channel arrays these stay scalars and broadcast.
-    """
-    sensor = plan.sensor
-    return _CohortParams(
-        background_a=sensor.background_current_a,
-        baseline_drift_a_per_hour=(
-            plan.budget.matrix.baseline_drift_a_per_hour_per_m2
-            * sensor.area_m2),
-        decay_rate_per_hour=plan.budget.decay_rate_per_hour,
-        measurement_sigma_a=reading_noise_sigma_a(sensor),
-        day0_slope=sensor.expected_slope_a_per_molar(),
-        day0_intercept=sensor.background_current_a,
-    )
 
 
 def _observation(plan: TherapyPlan, k: int, doses: np.ndarray,
@@ -521,64 +464,79 @@ def _observation(plan: TherapyPlan, k: int, doses: np.ndarray,
     )
 
 
-def _trough_filter_params(plan: TherapyPlan) -> tuple:
-    """Constants of the trough filter, derived once per run.
+@dataclass(frozen=True)
+class _TroughFilter:
+    """Constants of the online trough filter, derived once per run.
 
-    Returns ``(q_signal, a_wander, q_wander, r, censor_level_a)``: the
-    random-walk innovation variance of the drug state (PK slew
-    allowance plus the true process-noise innovation, so the filter's
-    dynamics dominate the simulator's), the wander AR(1) model exactly
-    as simulated, the per-reading measurement variance including the
-    quantization floor, and the rail-censoring threshold (readings at
-    or beyond it carry no amplitude information — same rule as
-    :func:`repro.inference.observation.rail_censored_mask`, hoisted out
-    of the per-sample loop because the cohort shares one chain design).
+    ``q_signal`` is the drug state's random-walk innovation variance
+    (PK slew allowance plus the true process-noise innovation);
+    ``a_wander`` / ``q_wander`` the wander AR(1) exactly as simulated;
+    ``r`` the per-reading variance including quantization; readings at
+    or beyond ``censor_level_a`` are rail-censored.  The sensing terms
+    are row 0 of the shared :class:`WearParams`: the cohort wears copies
+    of one sensor under one drift budget.
     """
-    dt_s = plan.sample_period_s
-    q_signal = plan.trough_filter_step_sigma_molar ** 2
-    a_wander = float(np.exp(-dt_s / (plan.wander_tau_h * 3600.0)))
-    if plan.add_noise:
-        a_process = float(np.exp(
-            -dt_s / (plan.process_noise_tau_h * 3600.0)))
-        q_signal += (plan.process_noise_sigma_molar ** 2
-                     * (1.0 - a_process ** 2))
-        q_wander = plan.wander_sigma_a ** 2 * (1.0 - a_wander ** 2)
-    else:
-        q_wander = 0.0
-    r = observation_variance_a2(plan.sensor, add_noise=plan.add_noise)
-    chain = plan.sensor.chain
-    censor_level_a = ((chain.tia.rail_v - 1.5 * chain.adc.lsb_v)
-                      / chain.tia.gain_v_per_a)
-    return q_signal, a_wander, q_wander, r, censor_level_a
 
+    sensor: Biosensor
+    q_signal: float
+    a_wander: float
+    q_wander: float
+    r: float
+    censor_level_a: float
+    decay_rate_per_hour: float
+    background_a: float
+    baseline_drift_a_per_hour: float
 
-def _trough_filter_step(plan: TherapyPlan, params: _CohortParams,
-                        state: KalmanState, measured: np.ndarray,
-                        t_h: float, q_signal: float, a_wander: float,
-                        q_wander: float, r: float,
-                        censor_level_a: float) -> KalmanState:
-    """Advance the trough filter by one reading (vectorized or 1-wide).
+    @classmethod
+    def for_plan(cls, plan: TherapyPlan,
+                 wear: WearParams) -> "_TroughFilter":
+        """The filter constants of ``plan`` with front end ``wear``."""
+        dt_s = plan.sample_period_s
+        q_signal = plan.trough_filter_step_sigma_molar ** 2
+        a_wander = float(np.exp(-dt_s / wear.wander_tau_s[0]))
+        if plan.add_noise:
+            a_process = float(np.exp(
+                -dt_s / (plan.process_noise_tau_h * 3600.0)))
+            q_signal += (plan.process_noise_sigma_molar ** 2
+                         * (1.0 - a_process ** 2))
+            q_wander = (float(wear.wander_sigma_a[0]) ** 2
+                        * (1.0 - a_wander ** 2))
+        else:
+            q_wander = 0.0
+        return cls(
+            sensor=plan.sensor,
+            q_signal=q_signal,
+            a_wander=a_wander,
+            q_wander=q_wander,
+            r=observation_variance_a2(plan.sensor, add_noise=plan.add_noise),
+            censor_level_a=rail_censor_level_a(plan.sensor),
+            decay_rate_per_hour=float(wear.decay_rate_per_hour[0]),
+            background_a=float(wear.background_a[0]),
+            baseline_drift_a_per_hour=float(
+                wear.baseline_drift_a_per_hour[0]),
+        )
 
-    One extended-Kalman step: random-walk predict, relinearize the
-    sensor's *actual* (saturating) response at the predicted drug
-    level (:func:`repro.inference.observation.response_linearization`
-    — the same definition the estimation engine uses), then update
-    against the digitized reading — with the same drifted-gain/baseline
-    observation terms the simulator applied, and rail-censored readings
-    skipped (infinite variance).  Called with the full cohort by
-    :func:`run_therapy` and with single-patient slices by the scalar
-    reference, so both paths share one arithmetic.
-    """
-    state = kalman_predict(state, 1.0, q_signal, a_wander, q_wander)
-    c_lin = np.maximum(state.m1, 0.0)
-    response, slope = response_linearization(plan.sensor, c_lin)
-    retention = np.exp(-params.decay_rate_per_hour * t_h)
-    baseline = (params.background_a
-                + params.baseline_drift_a_per_hour * t_h)
-    gain = retention * slope
-    offset = retention * (response - slope * c_lin) + baseline
-    r_k = np.where(np.abs(measured) >= censor_level_a, np.inf, r)
-    return kalman_update(state, measured, gain, offset, r_k)
+    def step(self, state: KalmanState, measured: np.ndarray,
+             t_h: float) -> KalmanState:
+        """Advance the filter by one reading (vectorized or 1-wide).
+
+        One extended-Kalman step: random-walk predict, relinearize the
+        sensor's actual response at the predicted level, update against
+        the reading with the front end's drifted gain and baseline,
+        skipping rail-censored readings.  The batch path passes the whole
+        cohort, the scalar reference single-patient slices.
+        """
+        state = kalman_predict(state, 1.0, self.q_signal, self.a_wander,
+                               self.q_wander)
+        c_lin = np.maximum(state.m1, 0.0)
+        response, slope = response_linearization(self.sensor, c_lin)
+        retention = np.exp(-self.decay_rate_per_hour * t_h)
+        baseline = self.background_a + self.baseline_drift_a_per_hour * t_h
+        gain = retention * slope
+        offset = retention * (response - slope * c_lin) + baseline
+        r_k = np.where(np.abs(measured) >= self.censor_level_a, np.inf,
+                       self.r)
+        return kalman_update(state, measured, gain, offset, r_k)
 
 
 def run_therapy(plan: TherapyPlan) -> TherapyResult:
@@ -605,28 +563,13 @@ def run_therapy(plan: TherapyPlan) -> TherapyResult:
 
 def _init_therapy_state(plan: TherapyPlan) -> SimpleNamespace:
     """Carry state threaded through the therapy intervals and chunks:
-    generator streams, live calibration, OU and filter states, the dose
-    history, and the window accumulators."""
-    params = _gather(plan)
+    the shared front-end state plus PK parameters, the trough filter,
+    the dose history, and the window accumulators."""
     n = plan.n_patients
-    n_samples = plan.n_samples
-    rngs = spawn_generators(plan.seed, _STREAMS_PER_PATIENT * n)
-    keep = plan.keep_traces
-    return SimpleNamespace(
-        params=params,
+    state = init_wear_state(
+        plan,
         pk=plan.cohort.params(),
-        sensors=[plan.sensor] * n,
-        process_rngs=rngs[0::_STREAMS_PER_PATIENT],
-        wander_rngs=rngs[1::_STREAMS_PER_PATIENT],
-        measurement_rngs=rngs[2::_STREAMS_PER_PATIENT],
-        slopes=np.full(n, params.day0_slope),
-        intercepts=np.full(n, params.day0_intercept),
-        process_state=np.zeros(n),
-        wander_state=np.zeros(n),
         process_tau_s=plan.process_noise_tau_h * 3600.0,
-        wander_tau_s=plan.wander_tau_h * 3600.0,
-        ref_every=plan.reference_every_samples,
-        policy_active=plan.n_reference_draws > 0,  # zero-recal explicit
         doses=np.zeros((n, plan.n_doses)),
         trough_true=np.zeros((n, plan.n_doses)),
         trough_est=np.zeros((n, plan.n_doses)),
@@ -634,18 +577,16 @@ def _init_therapy_state(plan: TherapyPlan) -> SimpleNamespace:
                     if plan.filter_troughs else None),
         filter_state=(KalmanState.zeros(n)
                       if plan.filter_troughs else None),
-        filter_params=(_trough_filter_params(plan)
-                       if plan.filter_troughs else None),
         dose_times=None,
         in_range_count=np.zeros(n),
         below_count=np.zeros(n),
         above_count=np.zeros(n),
         over_sum=np.zeros(n),
         n_recals=np.zeros(n, dtype=int),
-        true_c=np.empty((n, n_samples)) if keep else None,
-        est_c=np.empty((n, n_samples)) if keep else None,
-        meas_i=np.empty((n, n_samples)) if keep else None,
     )
+    state.trough_filter = (_TroughFilter.for_plan(plan, state.wear)
+                           if plan.filter_troughs else None)
+    return state
 
 
 def _begin_interval(plan: TherapyPlan, state: SimpleNamespace,
@@ -671,46 +612,22 @@ def _therapy_chunk(plan: TherapyPlan, state: SimpleNamespace,
                    segment: Segment, start: int, stop: int) -> None:
     """Advance the cohort by one ``(n_patients, chunk)`` block of
     interval ``segment.index`` (trough readout on the last chunk)."""
-    params = state.params
-    n = plan.n_patients
     k = segment.index
-    chunk = stop - start
     t_h = plan.sample_times_h(start, stop)
 
     # --- truth: PK superposition + physiological noise -------
-    c_pk = concentration_from_doses(
+    c = concentration_from_doses(
         t_h, state.dose_times, state.doses[:, :k + 1], state.pk,
         plan.route, plan.infusion_duration_h)
     if plan.add_noise:
-        c_noise, state.process_state = ou_process_batch(
-            chunk, plan.sample_period_s,
+        c_noise, state.truth_state = ou_process_batch(
+            stop - start, plan.sample_period_s,
             state.process_tau_s, plan.process_noise_sigma_molar,
-            state.process_state, rngs=state.process_rngs)
-    else:
-        c_noise = np.zeros((n, chunk))
-    c = np.maximum(c_pk + c_noise, 0.0)
+            state.truth_state, rngs=state.truth_rngs)
+        c = c + c_noise
+    c = np.maximum(c, 0.0)
 
-    # --- sensor physics: drifted response + baseline ---------
-    faradaic = np.asarray(plan.sensor.layer.steady_state_current(
-        c, plan.sensor.area_m2), dtype=float)
-    retention = np.exp(-params.decay_rate_per_hour * t_h)[None, :]
-    baseline = (params.background_a
-                + params.baseline_drift_a_per_hour * t_h)[None, :]
-    if plan.add_noise:
-        wander, state.wander_state = ou_process_batch(
-            chunk, plan.sample_period_s, state.wander_tau_s,
-            plan.wander_sigma_a, state.wander_state,
-            rngs=state.wander_rngs)
-    else:
-        wander = np.zeros((n, chunk))
-    current = retention * faradaic + baseline + wander
-
-    # --- instrument chain ------------------------------------
-    if plan.add_noise:
-        shocks = np.stack([
-            rng.standard_normal(chunk) for rng in state.measurement_rngs])
-        current = current + params.measurement_sigma_a * shocks
-    measured = digitize_rows(state.sensors, current)
+    measured = sense_chunk(plan, state, c, t_h)
 
     # --- estimation + online recalibration, segment-wise -----
     estimates, state.slopes, events = estimate_chunk_with_recalibration(
@@ -722,11 +639,9 @@ def _therapy_chunk(plan: TherapyPlan, state: SimpleNamespace,
 
     # --- online trough filter (optional) ----------------------
     if plan.filter_troughs:
-        q_f, a_wf, q_wf, r_f, censor_f = state.filter_params
-        for j in range(chunk):
-            state.filter_state = _trough_filter_step(
-                plan, params, state.filter_state, measured[:, j],
-                float(t_h[j]), q_f, a_wf, q_wf, r_f, censor_f)
+        for j in range(stop - start):
+            state.filter_state = state.trough_filter.step(
+                state.filter_state, measured[:, j], float(t_h[j]))
 
     # --- window accounting -----------------------------------
     state.in_range_count += np.sum(
@@ -753,7 +668,8 @@ def _therapy_chunk(plan: TherapyPlan, state: SimpleNamespace,
 
 def _finalize_therapy(plan: TherapyPlan,
                       state: SimpleNamespace) -> TherapyResult:
-    """Assemble the :class:`TherapyResult` from the carry state."""
+    """Assemble the :class:`TherapyResult` from the carry state (or the
+    scalar reference's accumulators)."""
     n_samples = plan.n_samples
     period_h = plan.sample_period_s / 3600.0
     target = plan.window.target_trough_molar
@@ -791,11 +707,11 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
     shared contract suite) — which is exactly why the chunked engine
     exists: same physics, >= 5x the throughput.
     """
-    params = _gather(plan)
+    wear = plan.wear_params()
     pk = plan.cohort.params()
     n, spi = plan.n_patients, plan.samples_per_interval
     n_samples = plan.n_samples
-    rngs = spawn_generators(plan.seed, _STREAMS_PER_PATIENT * n)
+    rngs = spawn_generators(plan.seed, STREAMS_PER_ROW * n)
     chain = plan.sensor.chain
     dt_s = plan.sample_period_s
     ref_every = plan.reference_every_samples
@@ -804,8 +720,6 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
     process_a = np.exp(-dt_s / (plan.process_noise_tau_h * 3600.0))
     process_scale = (plan.process_noise_sigma_molar
                      * np.sqrt(1.0 - process_a ** 2))
-    wander_a = np.exp(-dt_s / (plan.wander_tau_h * 3600.0))
-    wander_scale = plan.wander_sigma_a * np.sqrt(1.0 - wander_a ** 2)
 
     doses = np.zeros((n, plan.n_doses))
     trough_true = np.zeros((n, plan.n_doses))
@@ -813,7 +727,7 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
     trough_var = None
     if plan.filter_troughs:
         trough_var = np.zeros((n, plan.n_doses))
-        q_f, a_wf, q_wf, r_f, censor_f = _trough_filter_params(plan)
+        trough_filter = _TroughFilter.for_plan(plan, wear)
     in_range_count = np.zeros(n)
     below_count = np.zeros(n)
     above_count = np.zeros(n)
@@ -825,12 +739,18 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
         meas_i = np.empty((n, n_samples))
 
     for i in range(n):
-        process_rng = rngs[_STREAMS_PER_PATIENT * i]
-        wander_rng = rngs[_STREAMS_PER_PATIENT * i + 1]
-        measurement_rng = rngs[_STREAMS_PER_PATIENT * i + 2]
+        process_rng, wander_rng, measurement_rng = rngs[
+            STREAMS_PER_ROW * i:STREAMS_PER_ROW * (i + 1)]
         patient_pk = pk.patient(i)
-        slope = params.day0_slope
-        intercept = params.day0_intercept
+        slope = float(wear.day0_slope[i])
+        intercept = float(wear.day0_intercept[i])
+        decay = float(wear.decay_rate_per_hour[i])
+        background = float(wear.background_a[i])
+        drift = float(wear.baseline_drift_a_per_hour[i])
+        measurement_sigma = float(wear.measurement_sigma_a[i])
+        wander_a = np.exp(-dt_s / wear.wander_tau_s[i])
+        wander_scale = (wear.wander_sigma_a[i]
+                        * np.sqrt(1.0 - wander_a ** 2))
         process_state = 0.0
         wander_state = 0.0
         filter_state = (KalmanState.zeros(1) if plan.filter_troughs
@@ -864,17 +784,15 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
                 c = max(c_pk + process_state, 0.0)
                 faradaic = float(plan.sensor.layer.steady_state_current(
                     c, plan.sensor.area_m2))
-                retention = float(np.exp(
-                    -params.decay_rate_per_hour * t_h))
-                baseline = (params.background_a
-                            + params.baseline_drift_a_per_hour * t_h)
+                retention = float(np.exp(-decay * t_h))
+                baseline = background + drift * t_h
                 if plan.add_noise:
                     wander_state = (
                         wander_a * wander_state
                         + wander_scale * wander_rng.standard_normal())
                 current = retention * faradaic + baseline + wander_state
                 if plan.add_noise:
-                    current += (params.measurement_sigma_a
+                    current += (measurement_sigma
                                 * measurement_rng.standard_normal())
                 volts = float(np.clip(current * chain.tia.gain_v_per_a,
                                       -chain.tia.rail_v, chain.tia.rail_v))
@@ -882,10 +800,8 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
                                  / chain.tia.gain_v_per_a)
                 estimate = max(0.0, (measured - intercept) / slope)
                 if plan.filter_troughs:
-                    filter_state = _trough_filter_step(
-                        plan, params, filter_state,
-                        np.array([measured]), t_h,
-                        q_f, a_wf, q_wf, r_f, censor_f)
+                    filter_state = trough_filter.step(
+                        filter_state, np.array([measured]), t_h)
                 if policy_active and (j + 1) % ref_every == 0 and c > 0:
                     rel_error = abs(estimate - c) / c
                     if rel_error > policy.tolerance:
@@ -914,28 +830,14 @@ def _run_therapy_scalar(plan: TherapyPlan) -> TherapyResult:
                     else:
                         trough_est[i, k] = estimate
 
-    period_h = plan.sample_period_s / 3600.0
-    target = plan.window.target_trough_molar
-    skip = 1 if plan.n_doses > 1 else 0
-    return TherapyResult(
-        plan=plan,
-        doses_mol=doses,
-        trough_true_molar=trough_true,
-        trough_estimated_molar=trough_est,
-        time_in_range=in_range_count / n_samples,
-        fraction_below=below_count / n_samples,
-        fraction_above=above_count / n_samples,
-        trough_abs_rel_error=trough_abs_rel_error(
-            trough_true, target, skip_first=skip),
-        overdose_exposure_molar_h=over_sum * period_h,
-        n_recalibrations=n_recals,
-        trough_variance_molar2=trough_var,
-        time_h=plan.sample_times_h(0, n_samples)
-        if plan.keep_traces else None,
-        true_concentration_molar=true_c if plan.keep_traces else None,
-        estimated_concentration_molar=est_c if plan.keep_traces else None,
-        measured_current_a=meas_i if plan.keep_traces else None,
-    )
+    keep = plan.keep_traces
+    return _finalize_therapy(plan, SimpleNamespace(
+        doses=doses, trough_true=trough_true, trough_est=trough_est,
+        trough_var=trough_var, in_range_count=in_range_count,
+        below_count=below_count, above_count=above_count,
+        over_sum=over_sum, n_recals=n_recals,
+        true_c=true_c if keep else None, est_c=est_c if keep else None,
+        meas_i=meas_i if keep else None))
 
 
 class TherapyKernels(KernelSet):

@@ -72,7 +72,6 @@ from repro.inference.observation import (
     quantization_sigma_a,
     rail_censored_mask,
     response_linearization,
-    response_slope_a_per_molar,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "reconstruction_mard",
     "reconstruction_rmse",
     "response_linearization",
-    "response_slope_a_per_molar",
     "rts_smoother_batch",
     "rts_smoother_scalar",
 ]

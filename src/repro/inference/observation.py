@@ -38,6 +38,7 @@ import numpy as np
 from typing import Sequence
 
 from repro.core.sensor import Biosensor
+from repro.engine.core import require_row_block
 from repro.engine.monitor import MonitorPlan, reading_noise_sigma_a
 
 
@@ -67,6 +68,18 @@ def observation_variance_a2(sensor: Biosensor,
     return float(reading_noise_sigma_a(sensor) ** 2 + quant ** 2)
 
 
+def rail_censor_level_a(sensor: Biosensor) -> float:
+    """Smallest reading magnitude [A] that counts as rail-censored.
+
+    The TIA rail referred to input current, less a 1.5-LSB guard: the
+    one definition :func:`rail_censored_mask` and the therapy trough
+    filter share.
+    """
+    chain = sensor.chain
+    return ((chain.tia.rail_v - 1.5 * chain.adc.lsb_v)
+            / chain.tia.gain_v_per_a)
+
+
 def rail_censored_mask(sensors: "Sequence[Biosensor]",
                        measured_current_a: np.ndarray) -> np.ndarray:
     """Flag readings pinned at a TIA rail (censored, not measured).
@@ -89,17 +102,9 @@ def rail_censored_mask(sensors: "Sequence[Biosensor]",
         rail-censored.
     """
     measured = np.asarray(measured_current_a, dtype=float)
-    if measured.ndim != 2 or measured.shape[0] != len(sensors):
-        raise ValueError(
-            f"measured block must be ({len(sensors)}, n_samples), "
-            f"got {measured.shape}")
-    mask = np.empty(measured.shape, dtype=bool)
-    for i, sensor in enumerate(sensors):
-        chain = sensor.chain
-        rail_i = chain.tia.rail_v / chain.tia.gain_v_per_a
-        guard = 1.5 * chain.adc.lsb_v / chain.tia.gain_v_per_a
-        mask[i] = np.abs(measured[i]) >= rail_i - guard
-    return mask
+    require_row_block("measured", measured, len(sensors))
+    levels = np.array([rail_censor_level_a(sensor) for sensor in sensors])
+    return np.abs(measured) >= levels[:, None]
 
 
 def response_linearization(sensor: Biosensor,
@@ -134,17 +139,6 @@ def response_linearization(sensor: Biosensor,
         sensor.layer.steady_state_current(c + h, sensor.area_m2),
         dtype=float)
     return base, (bumped - base) / h
-
-
-def response_slope_a_per_molar(sensor: Biosensor,
-                               concentration_molar: np.ndarray
-                               ) -> np.ndarray:
-    """Local slope of the sensor's faradaic response [A/M].
-
-    Thin wrapper over :func:`response_linearization` for callers that
-    only need the slope.
-    """
-    return response_linearization(sensor, concentration_molar)[1]
 
 
 @dataclass(frozen=True)
@@ -223,48 +217,41 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     n, t = plan.n_channels, plan.n_samples
     time_h = plan.sample_times_h(0, t)
     dt_s = plan.sample_period_s
+    wear = plan.wear_params()
+    channels = plan.channels
     mean = np.empty((n, t))
     gain = np.empty((n, t))
     offset = np.empty((n, t))
-    r = np.empty(n)
-    a_signal = np.empty(n)
-    q_signal = np.empty(n)
-    a_wander = np.empty(n)
-    q_wander = np.empty(n)
-    floor = np.empty(n)
-    for i, channel in enumerate(plan.channels):
-        sensor = channel.sensor
-        mean[i] = np.asarray(channel.trajectory.mean_molar(time_h),
-                             dtype=float)
-        retention = np.exp(-channel.budget.decay_rate_per_hour * time_h)
+    for i, (channel, sensor) in enumerate(zip(channels, wear.sensors)):
+        mean[i] = channel.trajectory.mean_molar(time_h)
+        retention = np.exp(-wear.decay_rate_per_hour[i] * time_h)
         response, slope = response_linearization(sensor, mean[i])
         gain[i] = retention * slope
-        baseline = (sensor.background_current_a
-                    + channel.budget.matrix.baseline_drift_a_per_hour_per_m2
-                    * sensor.area_m2 * time_h)
-        offset[i] = retention * response + baseline
-        r[i] = observation_variance_a2(sensor, add_noise=plan.add_noise)
-        a_c = np.exp(-dt_s / (channel.trajectory.noise_tau_h * 3600.0))
-        a_w = np.exp(-dt_s / (channel.wander_tau_h * 3600.0))
-        a_signal[i] = a_c
-        a_wander[i] = a_w
-        if plan.add_noise:
-            q_signal[i] = (channel.trajectory.noise_sigma_molar ** 2
-                           * (1.0 - a_c ** 2))
-            q_wander[i] = channel.wander_sigma_a ** 2 * (1.0 - a_w ** 2)
-        else:
-            q_signal[i] = 0.0
-            q_wander[i] = 0.0
-        floor[i] = channel.trajectory.floor_molar
+        offset[i] = retention * response + (
+            wear.background_a[i] + wear.baseline_drift_a_per_hour[i] * time_h)
+    a_signal = np.exp(-dt_s / np.array(
+        [channel.trajectory.noise_tau_h * 3600.0 for channel in channels]))
+    a_wander = np.exp(-dt_s / wear.wander_tau_s)
+    if plan.add_noise:
+        noise_sigma = np.array(
+            [channel.trajectory.noise_sigma_molar for channel in channels])
+        q_signal = noise_sigma ** 2 * (1.0 - a_signal ** 2)
+        q_wander = wear.wander_sigma_a ** 2 * (1.0 - a_wander ** 2)
+    else:
+        q_signal = np.zeros(n)
+        q_wander = np.zeros(n)
     return MonitorObservationModel(
         time_h=time_h,
         mean_molar=mean,
         gain_a_per_molar=gain,
         offset_a=offset,
-        measurement_variance_a2=r,
+        measurement_variance_a2=np.array(
+            [observation_variance_a2(sensor, add_noise=plan.add_noise)
+             for sensor in wear.sensors]),
         a_signal=a_signal,
         q_signal=q_signal,
         a_wander=a_wander,
         q_wander=q_wander,
-        floor_molar=floor,
+        floor_molar=np.array(
+            [channel.trajectory.floor_molar for channel in channels]),
     )

@@ -8,15 +8,23 @@ import pytest
 from repro.analytes.physiological import ConcentrationTrajectory
 from repro.bio.matrix import BUFFER, SERUM
 from repro.core.longterm import DriftBudget
+from repro.core.registry import build_sensor, spec_by_id
+from repro.engine.estimation import EstimationPlan
 from repro.engine.monitor import (
     MonitorChannel,
     MonitorPlan,
     RecalibrationPolicy,
     cohort,
+    digitize_rows,
     glucose_cohort,
     run_monitor,
 )
-from repro.engine.core import run_scalar
+from repro.engine.core import (
+    assert_fields_match,
+    execute,
+    kernels_for,
+    run_scalar,
+)
 from repro.enzymes.stability import EnzymeStability
 
 WEEK_S = 7 * 24 * 3600.0
@@ -302,3 +310,83 @@ class TestCohortBuilders:
                 == default.sensor.expected_slope_a_per_molar())
         assert (default.day0_intercept_a
                 == default.sensor.background_current_a)
+
+
+class TestDigitizeRows:
+    def test_rejects_more_rows_than_sensors(self, channels):
+        with pytest.raises(ValueError,
+                           match=r"currents block must be \(1, n_samples\)"):
+            digitize_rows([channels[0].sensor], np.full((3, 4), 1e-7))
+
+    def test_rejects_fewer_rows_than_sensors(self, channels):
+        sensors = [c.sensor for c in channels]
+        with pytest.raises(ValueError, match="currents block"):
+            digitize_rows(sensors, np.full((1, 4), 1e-7))
+
+    def test_rejects_one_dimensional_block(self, channels):
+        with pytest.raises(ValueError, match="currents block"):
+            digitize_rows([channels[0].sensor], np.full(4, 1e-7))
+
+    def test_rows_go_through_their_own_chain(self, channels):
+        chain = channels[0].sensor.chain
+        currents = np.array([[1e-7, -2e-7], [3e-9, 0.0]])
+        digitized = digitize_rows([channels[0].sensor] * 2, currents)
+        rail_a = chain.tia.rail_v / chain.tia.gain_v_per_a
+        lsb_a = chain.adc.lsb_v / chain.tia.gain_v_per_a
+        assert digitized.shape == currents.shape
+        assert np.all(np.abs(digitized) <= rail_a + lsb_a)
+        assert np.all(np.abs(digitized - np.clip(currents, -rail_a, rail_a))
+                      <= lsb_a)
+
+
+def mixed_plan(**overrides) -> MonitorPlan:
+    """Two glucose and two lactate wearers: two sensor designs, one
+    cohort, an odd chunk size."""
+    lactate = build_sensor(spec_by_id("lactate/this-work"))
+    settings = dict(
+        channels=glucose_cohort(2) + cohort(lactate, "lactate", 2,
+                                            wander_sigma_a=1e-9),
+        duration_h=24.0, sample_period_s=900.0, chunk_samples=7, seed=13)
+    settings.update(overrides)
+    return MonitorPlan(**settings)
+
+
+class TestMixedSensorCohort:
+    """The shared front end groups rows by sensor object; each group
+    must read through its own design, on every path."""
+
+    @pytest.fixture(scope="class", params=["monitor", "estimation"])
+    def case(self, request):
+        plan = mixed_plan()
+        if request.param == "estimation":
+            plan = EstimationPlan(monitor=plan)
+        return kernels_for(request.param), plan
+
+    def test_batch_matches_scalar(self, case):
+        kernels, plan = case
+        assert_fields_match(
+            kernels.name, "mixed cohort, scalar",
+            kernels.contract_fields(execute(kernels, plan)),
+            kernels.contract_fields(kernels.run_scalar(plan)))
+
+    def test_chunk_invariance(self, case):
+        kernels, plan = case
+        reference = kernels.contract_fields(execute(kernels, plan))
+        for chunk in (1, 10**6):
+            rechunked = kernels.with_chunk_samples(plan, chunk)
+            assert_fields_match(
+                kernels.name, f"mixed cohort, chunk={chunk}", reference,
+                kernels.contract_fields(execute(kernels, rechunked)))
+
+    def test_rows_match_single_design_cohorts(self):
+        """Noiseless, each row reads exactly what it reads in a cohort
+        of its own design."""
+        mixed = mixed_plan(add_noise=False)
+        glucose = replace(mixed, channels=mixed.channels[:2])
+        lactate = replace(mixed, channels=mixed.channels[2:])
+        measured = run_monitor(mixed).measured_current_a
+        np.testing.assert_array_equal(
+            measured[:2], run_monitor(glucose).measured_current_a)
+        np.testing.assert_array_equal(
+            measured[2:], run_monitor(lactate).measured_current_a)
+        assert not np.allclose(measured[:2], measured[2:])

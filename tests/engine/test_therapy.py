@@ -320,3 +320,42 @@ class TestFilteredTroughs:
         filtered_err = np.abs(filtered.trough_estimated_molar
                               - filtered.trough_true_molar)
         assert float(np.mean(filtered_err)) < float(np.mean(raw_err))
+
+
+class TestRailCensoredTroughs:
+    """Readings pinned at the TIA rail carry no amplitude: the trough
+    filter must skip them (pure prediction) on both paths."""
+
+    @pytest.fixture(scope="class")
+    def railed(self, cohort):
+        sensor = TherapyPlan.for_drug(DRUG, cohort, bayes_controller(),
+                                      n_doses=1).sensor
+        chain = sensor.chain
+        # A background far beyond the rail-referred current pins every
+        # reading at the rail.
+        background = 10.0 * chain.tia.rail_v / chain.tia.gain_v_per_a
+        return short_plan(
+            cohort, n_doses=3, filter_troughs=True,
+            controller=FixedRegimenController(dose_mol=typical_dose_mol()),
+            sensor=replace(sensor, background_current_a=background))
+
+    @pytest.mark.parametrize("path", ["batch", "scalar"])
+    def test_filter_applies_no_measurement_update(self, railed, path):
+        result = (run_therapy(railed) if path == "batch"
+                  else run_scalar("therapy", railed))
+        sensor = railed.sensor
+        rail_a = sensor.chain.tia.rail_v / sensor.chain.tia.gain_v_per_a
+        assert np.all(result.measured_current_a >= 0.99 * rail_a)
+        # No update: the drug-state mean never leaves its zero prior and
+        # its variance is the random-walk prediction alone.
+        np.testing.assert_array_equal(result.trough_estimated_molar, 0.0)
+        steps = (np.arange(railed.n_doses) + 1) * railed.samples_per_interval
+        q_signal = (railed.trough_filter_step_sigma_molar ** 2
+                    + railed.process_noise_sigma_molar ** 2 * (1.0 - np.exp(
+                        -2.0 * railed.sample_period_s
+                        / (railed.process_noise_tau_h * 3600.0))))
+        np.testing.assert_allclose(
+            result.trough_variance_molar2,
+            np.broadcast_to(steps * q_signal, (railed.n_patients,
+                                               railed.n_doses)),
+            rtol=1e-12)

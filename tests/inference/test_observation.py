@@ -15,8 +15,9 @@ from repro.inference.observation import (
     monitor_observation_model,
     observation_variance_a2,
     quantization_sigma_a,
+    rail_censor_level_a,
     rail_censored_mask,
-    response_slope_a_per_molar,
+    response_linearization,
 )
 
 
@@ -56,14 +57,14 @@ class TestResponseSlope:
         km = sensor.layer.apparent_km
         slope0 = sensor.expected_slope_a_per_molar()
         c = np.array([0.0, 0.5 * km, km, 5.0 * km])
-        numeric = response_slope_a_per_molar(sensor, c)
+        numeric = response_linearization(sensor, c)[1]
         analytic = slope0 * (km / (km + c)) ** 2
         np.testing.assert_allclose(numeric, analytic, rtol=1e-4)
 
     def test_rejects_negative_points(self, plan):
         with pytest.raises(ValueError, match=">= 0"):
-            response_slope_a_per_molar(plan.channels[0].sensor,
-                                       np.array([-1e-3]))
+            response_linearization(plan.channels[0].sensor,
+                                   np.array([-1e-3]))[1]
 
 
 class TestModelConsistency:
@@ -140,6 +141,16 @@ class TestRailCensoring:
         # scenario the censoring exists for.
         assert np.any(mask)
         assert not np.all(mask)
+
+    def test_threshold_is_the_shared_level(self, plan):
+        """The mask censors exactly from ``rail_censor_level_a`` on —
+        the one threshold the therapy trough filter uses too."""
+        sensor = plan.channels[0].sensor
+        level = rail_censor_level_a(sensor)
+        below = np.nextafter(level, 0.0)
+        mask = rail_censored_mask(
+            [sensor], np.array([[level, -level, below, -below]]))
+        np.testing.assert_array_equal(mask, [[True, True, False, False]])
 
     def test_shape_mismatch_rejected(self, plan):
         with pytest.raises(ValueError, match="measured block"):
