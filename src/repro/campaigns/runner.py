@@ -35,11 +35,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ArtifactStore
+from repro.scenarios.runner import fork_context, run_isolated
 
 #: Environment knob: artificial per-shard delay in seconds.  Exists for
 #: crash drills — the kill/resume tests and the CI campaign smoke use
@@ -105,67 +105,6 @@ class CampaignReport:
             f"  store -> {self.store_path}")
 
 
-def _run_shard_scenario(scenario):
-    """Run one shard's scenario, capturing telemetry when enabled.
-
-    With the process recorder and metrics registry both disabled this
-    is exactly ``run_scenario(scenario)``.  With the recorder enabled,
-    the shard runs under its own private
-    :class:`~repro.telemetry.InMemoryRecorder` (so spans from
-    concurrent shards in one process never mix), whose spans are
-    replayed into the process recorder afterwards — the JSONL trace
-    named by ``REPRO_TELEMETRY_TRACE`` still sees everything.  With
-    metrics enabled (``REPRO_METRICS=1`` or ``REPRO_TELEMETRY=1``),
-    the shard likewise runs under a private
-    :class:`~repro.telemetry.MetricsRegistry`, whose snapshot is
-    merged back into the process registry and returned for
-    persistence in the store's telemetry table.
-
-    Returns:
-        ``(result, span_payload, metrics_snapshot)`` —
-        ``span_payload`` is ``{"summary": ...}``, the shard's per-span
-        statistics, ``metrics_snapshot`` the shard's registry snapshot
-        (each None when its layer is disabled).
-    """
-    from repro.scenarios.runner import run_scenario
-    from repro.telemetry import (
-        InMemoryRecorder,
-        MetricsRegistry,
-        get_metrics_registry,
-        get_recorder,
-        set_metrics_registry,
-        set_recorder,
-    )
-
-    parent = get_recorder()
-    parent_registry = get_metrics_registry()
-    if not parent.enabled and not parent_registry.enabled:
-        return run_scenario(scenario), None, None
-    shard_recorder = InMemoryRecorder() if parent.enabled else None
-    shard_registry = (MetricsRegistry()
-                      if parent_registry.enabled else None)
-    if shard_recorder is not None:
-        set_recorder(shard_recorder)
-    if shard_registry is not None:
-        set_metrics_registry(shard_registry)
-    try:
-        result = run_scenario(scenario)
-    finally:
-        if shard_recorder is not None:
-            set_recorder(parent)
-            for record in shard_recorder.spans:
-                parent.record_span(record)
-        if shard_registry is not None:
-            set_metrics_registry(parent_registry)
-            parent_registry.merge_snapshot(shard_registry.snapshot())
-    span_payload = metrics_snapshot = None
-    if shard_recorder is not None:
-        span_payload = {"summary": shard_recorder.summary()}
-    if shard_registry is not None:
-        metrics_snapshot = shard_registry.snapshot()
-    return result, span_payload, metrics_snapshot
-
-
 def execute_shard(store_path: "str | Path",
                   shard_index: int) -> tuple[int, str]:
     """Run one shard against the store at ``store_path``.
@@ -194,7 +133,13 @@ def execute_shard(store_path: "str | Path",
     exception's ``error_class`` — the grouping key of the report's
     per-error-class retry-budget table.
     """
-    from repro.telemetry import new_trace_id, trace_context
+    from repro.telemetry import (
+        get_metrics_registry,
+        get_recorder,
+        new_trace_id,
+        summarize_spans,
+        trace_context,
+    )
 
     worker = f"pid:{os.getpid()}"
     trace_id = new_trace_id()
@@ -207,11 +152,13 @@ def execute_shard(store_path: "str | Path",
     throttle = float(os.environ.get(THROTTLE_ENV, "0") or "0")
     if throttle > 0.0:
         time.sleep(throttle)
+    recorder, registry = get_recorder(), get_metrics_registry()
     start = time.perf_counter()
     try:
         with trace_context(trace_id):
-            result, span_payload, metrics_snapshot = \
-                _run_shard_scenario(scenario)
+            result, spans, metrics_snapshot = run_isolated(
+                scenario, spans=recorder.enabled,
+                metrics=registry.enabled)
             row = result.summary_row()
     except Exception as error:  # one shard's failure is campaign data
         elapsed = time.perf_counter() - start
@@ -228,14 +175,20 @@ def execute_shard(store_path: "str | Path",
         return shard_index, "failed"
     elapsed = time.perf_counter() - start
     _LOG.info("shard %d done in %.2f s", shard_index, elapsed)
+    # The shard's private telemetry rolls up into this process: spans
+    # reach any attached trace sink, metrics the process registry.
+    for record in spans or ():
+        recorder.record_span(record)
+    if metrics_snapshot is not None:
+        registry.merge_snapshot(metrics_snapshot)
     with ArtifactStore.open(store_path) as store:
         store.record_result(shard_index, row, elapsed_s=elapsed)
         store.record_event("done", shard_index, worker=worker,
                            duration_s=elapsed,
                            payload={"trace_id": trace_id})
-        if span_payload is not None:
+        if spans is not None:
             store.record_event("spans", shard_index, worker=worker,
-                               payload=span_payload)
+                               payload={"summary": summarize_spans(spans)})
         if metrics_snapshot is not None:
             store.record_event(
                 "metrics", shard_index, worker=worker,
@@ -251,14 +204,10 @@ def _dispatch(store_path: Path, indices: "tuple[int, ...]",
         for index in indices:
             execute_shard(store_path, index)
         return
-    # fork (where available) shares the already-imported numpy/scipy
-    # stack with the workers instead of re-importing it per process;
-    # the parent's store connections are all closed by this point,
-    # so no SQLite handle crosses the fork.
-    context = (get_context("fork")
-               if "fork" in get_all_start_methods() else None)
+    # The parent's store connections are all closed by this point, so
+    # no SQLite handle crosses the fork.
     with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=context) as pool:
+                             mp_context=fork_context()) as pool:
         futures = [pool.submit(execute_shard, str(store_path), index)
                    for index in indices]
         for future in as_completed(futures):

@@ -8,10 +8,16 @@ use per cell/channel/patient), assigns the derived seed to every
 scenario that does not carry an explicit one, and returns the
 materialized, fully replayable :class:`ScenarioRun` records — each of
 which can be serialized and re-run bit-identically on its own.
+
+:func:`run_isolated` and :func:`fork_context` are the pieces the two
+process-pool callers share — campaign shards and served jobs both run a
+scenario in a worker process under private telemetry and ship the
+spans and metrics back to the parent.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -113,3 +119,63 @@ def run_scenarios(scenarios: Iterable[Scenario],
             scenario=resolved,
             result=run_scenario(resolved, scalar=scalar)))
     return tuple(runs)
+
+
+def run_isolated(scenario: Scenario, spans: bool, metrics: bool):
+    """Run one scenario under a private recorder and metrics registry.
+
+    The process's active recorder and registry are swapped out for the
+    run and restored afterwards, so nothing the run records reaches
+    them: the caller decides where its spans and metrics go.  A
+    campaign shard replays them into its process and persists them; a
+    served job ships them from its worker process back to the server.
+    A run that raises keeps nothing: the exception propagates and its
+    telemetry is dropped.
+
+    Args:
+        scenario: the scenario to run.
+        spans: record spans into a private
+            :class:`~repro.telemetry.InMemoryRecorder` (else none).
+        metrics: meter into a private
+            :class:`~repro.telemetry.MetricsRegistry` (else none).
+
+    Returns:
+        ``(result, spans, metrics_snapshot)`` — the list of
+        :class:`~repro.telemetry.SpanRecord` and the registry
+        :meth:`~repro.telemetry.MetricsRegistry.snapshot`, each None
+        when its flag is off.
+    """
+    from repro.telemetry import (
+        NULL_METRICS,
+        NULL_RECORDER,
+        InMemoryRecorder,
+        MetricsRegistry,
+        get_metrics_registry,
+        get_recorder,
+        set_metrics_registry,
+        set_recorder,
+    )
+
+    recorder = InMemoryRecorder() if spans else NULL_RECORDER
+    registry = MetricsRegistry() if metrics else NULL_METRICS
+    parent, parent_registry = get_recorder(), get_metrics_registry()
+    set_recorder(recorder)
+    set_metrics_registry(registry)
+    try:
+        result = run_scenario(scenario)
+    finally:
+        set_recorder(parent)
+        set_metrics_registry(parent_registry)
+    return (result, recorder.spans if spans else None,
+            registry.snapshot() if metrics else None)
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or the default one.
+
+    Forked workers share the parent's already-imported numpy/scipy
+    stack and its registered workloads instead of re-importing them;
+    where ``fork`` is unavailable the platform default is used.
+    """
+    available = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if available else None)

@@ -13,8 +13,9 @@ like right now, one reading at a time.  Two layers:
   resume with bounded memory.
 * **Front door** (:mod:`repro.serve.server`) — a stdlib-only asyncio
   HTTP server (``python -m repro serve``): submit scenarios to a
-  bounded work queue, poll status, fetch results, and push readings to
-  live streams; health and throughput counters flow through
+  bounded work queue drained by forked worker processes, long-poll
+  their status, fetch results, and push readings to live streams;
+  health and throughput counters flow through
   :mod:`repro.telemetry`.  :mod:`repro.serve.client` is the matching
   stdlib client.
 

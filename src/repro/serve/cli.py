@@ -71,7 +71,7 @@ def add_serve_command(sub: "argparse._SubParsersAction") -> None:
                          help="job-queue bound; submissions beyond it "
                               "get 503 (default: 16)")
     serve_p.add_argument("--workers", type=int, default=2,
-                         help="concurrent job workers (default: 2)")
+                         help="job worker processes (default: 2)")
     serve_p.add_argument("--per-workload", type=int, default=2,
                          help="max concurrent jobs per workload "
                               "(default: 2)")

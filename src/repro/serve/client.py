@@ -125,9 +125,15 @@ class ServeClient:
         """``POST /scenarios`` — enqueue a scenario envelope."""
         return self._request("POST", "/scenarios", scenario)
 
-    def status(self, job_id: str) -> dict:
-        """``GET /scenarios/{id}`` — one job's lifecycle status."""
-        return self._request("GET", f"/scenarios/{job_id}")
+    def status(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """``GET /scenarios/{id}`` — one job's lifecycle status.
+
+        With ``wait_s > 0`` this is a long-poll: the server holds the
+        request until the job is done or failed, or ``wait_s`` elapses
+        (clamped to its ``MAX_WAIT_S``), then answers the same payload.
+        """
+        suffix = f"?wait={wait_s:.3f}" if wait_s > 0.0 else ""
+        return self._request("GET", f"/scenarios/{job_id}{suffix}")
 
     def result(self, job_id: str, traces: bool = False) -> dict:
         """``GET /scenarios/{id}/result`` — the replayable artifact."""
@@ -135,12 +141,17 @@ class ServeClient:
         return self._request("GET", f"/scenarios/{job_id}/result{suffix}")
 
     def wait_for_job(self, job_id: str,
-                     timeout_s: float = 300.0,
-                     poll_s: float = 0.1) -> dict:
-        """Poll a job until it is done (raises on failure/timeout)."""
+                     timeout_s: float = 300.0) -> dict:
+        """Long-poll a job until it is done (raises on failure/timeout).
+
+        Each :meth:`status` call waits at most half the socket timeout,
+        so a held request never outlives its connection.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
-            status = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            status = self.status(job_id, wait_s=max(
+                0.0, min(remaining, self.timeout_s / 2.0)))
             if status["status"] == "done":
                 return status
             if status["status"] == "failed":
@@ -149,7 +160,6 @@ class ServeClient:
                 raise TimeoutError(
                     f"job {job_id} still {status['status']} after "
                     f"{timeout_s} s")
-            time.sleep(poll_s)
 
     # -- streams ---------------------------------------------------------
 

@@ -5,11 +5,14 @@ A deliberately small server built on nothing but the standard library
 no web framework, matching the repo's no-new-dependencies rule).  It
 exposes the two serving modes of :mod:`repro.serve`:
 
-* **Jobs** — submit a scenario envelope (``POST /scenarios``), poll its
-  status (``GET /scenarios/{id}``), fetch the replayable result
+* **Jobs** — submit a scenario envelope (``POST /scenarios``), read
+  its status (``GET /scenarios/{id}``, or long-poll it with
+  ``?wait=<s>`` until the job finishes), fetch the replayable result
   artifact (``GET /scenarios/{id}/result``).  Jobs drain through a
   bounded work queue with a per-workload concurrency limit; a full
-  queue answers 503 instead of buffering without bound.
+  queue answers 503 instead of buffering without bound.  Each job runs
+  in a pre-forked worker process, so concurrent jobs compute in
+  parallel instead of taking turns on one interpreter lock.
 * **Streams** — open an incremental session for a scenario
   (``POST /streams``), push readings in blocks
   (``POST /streams/{id}/readings``), read back the filtered estimates
@@ -32,7 +35,9 @@ trace, its latency observation stamps it as the histogram exemplar,
 and a job inherits its submitting request's id — so a slow bucket in
 the histogram leads straight to one request's Perfetto timeline.
 The active :mod:`repro.telemetry` recorder receives ``serve.*``
-spans only; every count lives on the registry.
+spans, plus the engine spans each job worker ships back and the
+server replays; every count lives on the registry, into which each
+job's worker-side metrics snapshot is merged.
 
 Endpoint reference: ``docs/serving.md``.  Run it with
 ``python -m repro serve``; tests drive an in-process
@@ -45,9 +50,12 @@ import asyncio
 import contextvars
 import json
 import logging
+import math
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -68,6 +76,14 @@ _LOG = logging.getLogger("repro.serve.server")
 #: Largest request body the server will read [bytes]; larger requests
 #: are answered 413 before the body is consumed.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest a ``GET /scenarios/{id}?wait=<s>`` long-poll is held [s];
+#: larger waits are clamped to it.
+MAX_WAIT_S = 30.0
+
+#: Longest :meth:`ReproServer.stop` lets open requests finish [s]
+#: before cancelling them.
+_SHUTDOWN_GRACE_S = 1.0
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -104,6 +120,10 @@ class _Job:
     result: Any = None
     error: "str | None" = None
     trace_id: "str | None" = None   # inherited from the submit request
+    submitted_s: float = field(default_factory=time.perf_counter)
+    #: Set once the job is done or failed (and on server stop), waking
+    #: every long-poll waiting on it.
+    finished: asyncio.Event = field(default_factory=asyncio.Event)
 
     def describe(self) -> dict:
         """Status payload for ``GET /scenarios/{id}``."""
@@ -138,6 +158,52 @@ class _Stream:
         }
 
 
+def _init_job_worker() -> None:
+    """Job-process initializer: leave signal handling to the server.
+
+    A forked worker inherits the server's Python-level SIGINT/SIGTERM
+    handlers, which would turn a terminal Ctrl-C into a traceback in
+    every worker and make ``terminate()`` raise instead of exit.  The
+    server owns shutdown and terminates its workers itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _job_entry(scenario, trace_id: "str | None", spans: bool):
+    """Job-process entry: one scenario under the submit request's trace.
+
+    Returns ``(result, spans, metrics_snapshot)`` from
+    :func:`repro.scenarios.runner.run_isolated`; the server replays the
+    spans and merges the snapshot.
+    """
+    from repro.scenarios import runner
+
+    with trace_context(trace_id):
+        return runner.run_isolated(scenario, spans=spans, metrics=True)
+
+
+def _pool_processes(pool: ProcessPoolExecutor) -> list:
+    """The pool's worker processes.
+
+    ``ProcessPoolExecutor`` has no public handle on them before Python
+    3.14; they are needed to name a dead worker and to terminate the
+    pool on stop.
+    """
+    return list(pool._processes.values())
+
+
+def _dead_workers(processes) -> str:
+    """Name the (reaped) worker processes that died on their own."""
+    dead = [process for process in processes
+            if process.exitcode not in (None, 0, -signal.SIGTERM)]
+    return ", ".join(
+        f"pid {process.pid} "
+        + (f"killed by {signal.Signals(-process.exitcode).name}"
+           if process.exitcode < 0 else f"exit code {process.exitcode}")
+        for process in dead) or "unknown"
+
+
 def _jsonify(value):
     """Recursively convert numpy containers into JSON-clean values."""
     if isinstance(value, np.ndarray):
@@ -159,7 +225,9 @@ class ReproServer:
             port is readable as :attr:`port` after :meth:`start`).
         queue_size: bound of the job queue — submissions beyond it are
             answered 503 (backpressure, not unbounded buffering).
-        workers: concurrent job-executing tasks.
+        workers: job worker processes, forked once in :meth:`start`
+            (so a workload registered after that is not visible to
+            jobs); stream advances run on an in-process thread pool.
         per_workload: max jobs of any single workload running at once
             (a cohort-heavy estimation job cannot starve quick
             calibration runs).
@@ -205,6 +273,8 @@ class ReproServer:
         self._tasks: "list[asyncio.Task]" = []
         self._server: "asyncio.base_events.Server | None" = None
         self._pool: "ThreadPoolExecutor | None" = None
+        self._job_pool: "ProcessPoolExecutor | None" = None
+        self._handlers: "set[asyncio.Task]" = set()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -218,6 +288,8 @@ class ReproServer:
             self._previous_registry = set_metrics_registry(self.registry)
             self._installed_registry = True
         self._build_instruments()
+        # fork before the listener binds: workers inherit no socket
+        await self._fork_job_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_size)
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers + 1,
@@ -233,9 +305,22 @@ class ReproServer:
                   self.port, self.queue_size, self.workers)
 
     async def stop(self) -> None:
-        """Close the listener, cancel workers, release the pool."""
+        """Close the listener, answer open requests, end the workers.
+
+        Long-polls are woken and answered with the job's current
+        status; requests still open after a short grace are cancelled
+        (on Python >= 3.12 ``wait_closed`` waits for every handler).
+        Every job worker process is terminated and reaped.
+        """
         if self._server is not None:
             self._server.close()
+            for job in self._jobs.values():
+                job.finished.set()
+            if self._handlers:
+                __, pending = await asyncio.wait(
+                    self._handlers, timeout=_SHUTDOWN_GRACE_S)
+                for task in pending:
+                    task.cancel()
             await self._server.wait_closed()
         for task in self._tasks:
             task.cancel()
@@ -247,6 +332,12 @@ class ReproServer:
         self._tasks = []
         if self._pool is not None:
             self._pool.shutdown(wait=False)
+        if self._job_pool is not None:
+            for process in _pool_processes(self._job_pool):
+                process.terminate()
+            # the pool's manager sees the workers die and reaps them
+            self._job_pool.shutdown(wait=True, cancel_futures=True)
+            self._job_pool = None
         if self._installed_registry:
             set_metrics_registry(self._previous_registry)
             self._installed_registry = False
@@ -282,6 +373,14 @@ class ReproServer:
             "queue_depth": registry.gauge(
                 "repro_serve_queue_depth",
                 "Jobs waiting in the bounded work queue."),
+            "job_queue_seconds": registry.histogram(
+                "repro_serve_job_queue_seconds",
+                "Job time from submit to worker start, by workload.",
+                ("workload",)),
+            "job_run_seconds": registry.histogram(
+                "repro_serve_job_run_seconds",
+                "Job time from worker start to done or failed, by "
+                "workload.", ("workload",)),
             "streams_opened": registry.counter(
                 "repro_serve_streams_opened_total",
                 "Streams opened, by workload.", ("workload",)),
@@ -397,60 +496,115 @@ class ReproServer:
 
     # -- job execution ---------------------------------------------------
 
+    async def _fork_job_pool(self) -> None:
+        """Install a new job process pool with every worker forked.
+
+        The first submit makes a fork-context pool fork all ``workers``
+        processes at once, so no fork happens under traffic (except to
+        replace a pool a dead worker broke).  The new pool is installed
+        before the no-op round trip is awaited, so concurrent callers
+        see it at once.
+        """
+        from repro.scenarios.runner import fork_context
+
+        pool = ProcessPoolExecutor(max_workers=self.workers,
+                                   mp_context=fork_context(),
+                                   initializer=_init_job_worker)
+        ready = pool.submit(int)
+        self._job_pool = pool
+        await asyncio.wrap_future(ready)
+
+    async def _in_job_process(self, job: _Job, spans: bool):
+        """Run ``job`` in a worker process: ``(result, spans, snapshot)``.
+
+        A worker that dies (killed, crashed) breaks the whole pool:
+        every job running in it at that moment fails with an error
+        naming the dead worker, and a new pool is forked for the jobs
+        after it.  A job that finds the pool already broken waits for
+        the new one instead of failing.
+        """
+        while True:
+            pool = self._job_pool
+            try:
+                future = pool.submit(_job_entry, job.scenario,
+                                     job.trace_id, spans)
+            except BrokenProcessPool:
+                if self._job_pool is pool:
+                    await self._fork_job_pool()
+                continue
+            processes = _pool_processes(pool)
+            try:
+                return await asyncio.wrap_future(future)
+            except BrokenProcessPool:
+                # shutdown joins the manager, which reaps every worker,
+                # so their exit codes are final
+                await asyncio.to_thread(pool.shutdown)
+                if self._job_pool is pool:
+                    await self._fork_job_pool()
+                raise BrokenProcessPool(
+                    f"job worker died ({_dead_workers(processes)})"
+                ) from None
+
     async def _worker(self, index: int) -> None:
         """Drain the job queue under the per-workload concurrency cap."""
-        from repro.scenarios import run_scenario
-
-        loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
             semaphore = self._semaphores.setdefault(
                 job.scenario.workload,
                 asyncio.Semaphore(self.per_workload))
-            workload = job.scenario.workload
             async with semaphore:
-                job.status = "running"
-                recorder = get_recorder()
-                inflight = self._m["jobs_inflight"].labels(
-                    workload=workload)
-                inflight.inc()
-                try:
-                    # The job runs under its *submitting* request's
-                    # trace id, so its engine spans and histogram
-                    # exemplars correlate with the front-door request.
-                    # run_in_executor does not propagate contextvars;
-                    # copy_context().run carries the id into the pool.
-                    with trace_context(job.trace_id), \
-                            recorder.span("serve.job",
-                                          workload=workload,
-                                          job_id=job.job_id):
-                        context = contextvars.copy_context()
-                        try:
-                            job.result = await loop.run_in_executor(
-                                self._pool, context.run, run_scenario,
-                                job.scenario)
-                            job.status = "done"
-                            self._m["jobs"].labels(
-                                workload=workload, outcome="done").inc()
-                        except Exception as error:
-                            job.status = "failed"
-                            job.error = (f"{type(error).__name__}: "
-                                         f"{error}")
-                            self._m["jobs"].labels(
-                                workload=workload,
-                                outcome="failed").inc()
-                            _LOG.warning("job %s failed: %s",
-                                         job.job_id, job.error)
-                finally:
-                    inflight.dec()
-                    self._m["queue_depth"].set(self._queue.qsize())
+                await self._run_job(job)
             self._queue.task_done()
+
+    async def _run_job(self, job: _Job) -> None:
+        """Run one job in a worker process and settle its status.
+
+        The job runs under its *submitting* request's trace id, so its
+        engine spans and histogram exemplars correlate with the
+        front-door request; the worker's spans are replayed onto this
+        process's recorder and its metrics merged into the registry.
+        """
+        workload = job.scenario.workload
+        job.status = "running"
+        started = time.perf_counter()
+        recorder = get_recorder()
+        inflight = self._m["jobs_inflight"].labels(workload=workload)
+        inflight.inc()
+        try:
+            with trace_context(job.trace_id), \
+                    recorder.span("serve.job", workload=workload,
+                                  job_id=job.job_id):
+                self._m["job_queue_seconds"].labels(
+                    workload=workload).observe(started - job.submitted_s)
+                try:
+                    job.result, spans, snapshot = \
+                        await self._in_job_process(job, recorder.enabled)
+                except Exception as error:
+                    job.error = f"{type(error).__name__}: {error}"
+                else:
+                    for record in spans or ():
+                        recorder.record_span(record)
+                    self.registry.merge_snapshot(snapshot)
+                job.status = "failed" if job.error else "done"
+                self._m["jobs"].labels(workload=workload,
+                                       outcome=job.status).inc()
+                if job.error:
+                    _LOG.warning("job %s failed: %s", job.job_id,
+                                 job.error)
+                self._m["job_run_seconds"].labels(
+                    workload=workload).observe(
+                        time.perf_counter() - started)
+        finally:
+            inflight.dec()
+            self._m["queue_depth"].set(self._queue.qsize())
+            job.finished.set()
 
     # -- HTTP plumbing ---------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """Read one request, route it under a fresh trace id, respond."""
+        self._handlers.add(asyncio.current_task())
         try:
             try:
                 request = await self._read_request(reader)
@@ -488,6 +642,7 @@ class ReproServer:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._handlers.discard(asyncio.current_task())
             writer.close()
             try:
                 await writer.wait_closed()
@@ -595,7 +750,8 @@ class ReproServer:
                 raise _HttpError(405, "use POST /scenarios")
             return self._submit_job(self._scenario_from(body))
         if len(parts) >= 2 and parts[0] == "scenarios":
-            return self._route_job(method, parts[1], parts[2:], query)
+            return await self._route_job(method, parts[1], parts[2:],
+                                         query)
         if parts == ["streams"]:
             if method != "POST":
                 raise _HttpError(405, "use POST /streams")
@@ -632,13 +788,35 @@ class ReproServer:
         self._m["queue_depth"].set(self._queue.qsize())
         return 202, job.describe()
 
-    def _route_job(self, method: str, job_id: str, rest: "list[str]",
-                   query: dict):
+    @staticmethod
+    def _wait_s(query: dict) -> float:
+        """The ``?wait=`` long-poll seconds, clamped to the cap."""
+        raw = query.get("wait")
+        if raw is None:
+            return 0.0
+        try:
+            wait_s = float(raw)
+        except ValueError:
+            wait_s = math.nan
+        if not (math.isfinite(wait_s) and wait_s >= 0.0):
+            raise _HttpError(
+                400, f"wait must be a finite number of seconds >= 0, "
+                     f"got {raw!r}")
+        return min(wait_s, MAX_WAIT_S)
+
+    async def _route_job(self, method: str, job_id: str,
+                         rest: "list[str]", query: dict):
         job = self._jobs.get(job_id)
         if job is None:
             raise _HttpError(404, f"unknown job {job_id!r}")
         self._get_only(method)
         if not rest:
+            wait_s = self._wait_s(query)
+            if wait_s > 0.0 and not job.finished.is_set():
+                try:
+                    await asyncio.wait_for(job.finished.wait(), wait_s)
+                except asyncio.TimeoutError:
+                    pass
             return 200, job.describe()
         if rest == ["result"]:
             if job.status != "done":

@@ -143,6 +143,40 @@ class TestTraceCorrelation:
                      if span.name == "serve.job"]
         assert job_spans
         assert all(span.attrs.get("trace_id") for span in job_spans)
+        submit_traces = {span.attrs["trace_id"]
+                         for span in recorder.spans
+                         if span.name == "serve.request"
+                         and span.attrs["method"] == "POST"}
+        assert {span.attrs["trace_id"] for span in job_spans} \
+            == submit_traces
+        # the engine spans were recorded in the job worker process and
+        # replayed here under the same trace
+        executes = [span for span in recorder.spans
+                    if span.name == "core.execute"]
+        assert executes
+        assert {span.attrs["trace_id"] for span in executes} \
+            == submit_traces
+
+
+class TestJobTimings:
+    def test_queue_and_run_histograms(self, served):
+        client, registry, recorder = served
+        _run_one_job(client)
+        (job_span,) = [span for span in recorder.spans
+                       if span.name == "serve.job"]
+        for name in ("repro_serve_job_queue_seconds",
+                     "repro_serve_job_run_seconds"):
+            (series,) = [series for labels, series in registry.histogram(
+                name, labels=["workload"]).items()
+                if labels == {"workload": "monitor"}]
+            assert series.count == 1
+            assert series.exemplar["trace_id"] \
+                == job_span.attrs["trace_id"]
+        samples = parse_prometheus(client.metrics_prometheus())
+        counts = {sample["name"]: sample["value"] for sample in samples
+                  if sample["name"].endswith("_count")}
+        assert counts["repro_serve_job_queue_seconds_count"] == 1
+        assert counts["repro_serve_job_run_seconds_count"] == 1
 
 
 class TestLegacyJsonMetrics:

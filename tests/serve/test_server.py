@@ -6,11 +6,19 @@ loop on a background thread) and drives it through the stdlib
 fetched from a job and the result assembled by pushing readings through
 a stream are both byte-identical JSON to the batch runner's artifact
 for the same scenario.
+
+Jobs run in forked worker processes, so the test-only workloads below
+are registered before the server that runs them starts, and talk to
+the test through shared memory made at import.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import socket
 import threading
 import time
 
@@ -18,7 +26,9 @@ import pytest
 
 from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.scenarios.protocols import WORKLOADS, register_workload
+from repro.scenarios.runner import fork_context
 from repro.serve import ServeClient, ServeError, ServerThread
+from repro.serve import server as server_module
 
 MONITOR_SCENARIO = Scenario(
     workload="monitor", name="serve-wear", seed=11,
@@ -279,12 +289,39 @@ class _SleepyResult:
         return {"slept": 1}
 
 
+class _Release:
+    """A cross-process latch the forked job workers poll.
+
+    Shared memory made at import, before any pool forks.  Unlike a
+    ``multiprocessing.Event``, whose ``set()`` blocks forever once a
+    waiter has been killed, it survives the server terminating a
+    worker that waits on it.
+    """
+
+    def __init__(self) -> None:
+        self._flag = fork_context().RawValue("b", 0)
+
+    def set(self) -> None:
+        self._flag.value = 1
+
+    def clear(self) -> None:
+        self._flag.value = 0
+
+    def wait(self, timeout: float) -> bool:
+        deadline = time.monotonic() + timeout
+        while not self._flag.value:
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.005)
+        return True
+
+
 class _SleepyWorkload:
     """Blocks in run() until the test releases it (backpressure probe)."""
 
     name = "sleepy-serve-test"
     plan_type = dict
-    release = threading.Event()
+    release = _Release()
 
     def build_plan(self, spec, seed):
         return dict(spec)
@@ -307,9 +344,149 @@ class _SleepyWorkload:
         return {}
 
 
+_TEST_PID = os.getpid()
+
+
+class _KillerWorkload(_SleepyWorkload):
+    """SIGKILLs the job worker that runs it, recording its pid first."""
+
+    name = "killer-serve-test"
+    killed_pid = fork_context().RawValue("i", 0)
+
+    def run(self, plan):
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("refusing to kill the test process")
+        _KillerWorkload.killed_pid.value = os.getpid()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _scenario_of(workload) -> dict:
+    return Scenario(workload=workload.name, name="probe", seed=1,
+                    spec={}).to_dict()
+
+
+@pytest.fixture()
+def sleepy_server():
+    """A one-worker server with the (held) sleepy workload registered."""
+    _SleepyWorkload.release.clear()
+    register_workload(_SleepyWorkload())
+    thread = ServerThread(port=0, queue_size=4, workers=1).start()
+    try:
+        yield thread, ServeClient(thread.host, thread.port)
+    finally:
+        _SleepyWorkload.release.set()
+        thread.stop()
+        WORKLOADS.pop(_SleepyWorkload.name, None)
+
+
+def _raw_get(client: ServeClient, target: str) -> bytes:
+    """One raw request; the whole response, read to EOF (10 s cap)."""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=10) as sock:
+        sock.sendall(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    return response
+
+
+class TestLongPoll:
+    def test_one_status_call_waits_for_the_job(self, client):
+        job = client.submit(MONITOR_SCENARIO.to_dict())
+        assert client.status(job["job_id"], wait_s=30.0)["status"] \
+            == "done"
+
+    def test_wait_elapses_with_the_current_status(self, sleepy_server):
+        __, client = sleepy_server
+        job = client.submit(_scenario_of(_SleepyWorkload))
+        began = time.monotonic()
+        status = client.status(job["job_id"], wait_s=0.3)
+        assert time.monotonic() - began >= 0.3
+        assert status["status"] in ("queued", "running")
+        _SleepyWorkload.release.set()
+        assert client.status(job["job_id"], wait_s=30.0)["status"] \
+            == "done"
+
+    def test_wait_above_the_cap_is_clamped(self, sleepy_server,
+                                           monkeypatch):
+        __, client = sleepy_server
+        monkeypatch.setattr(server_module, "MAX_WAIT_S", 0.2)
+        job = client.submit(_scenario_of(_SleepyWorkload))
+        began = time.monotonic()
+        status = client.status(job["job_id"], wait_s=1e6)
+        assert time.monotonic() - began < 5.0
+        assert status["status"] in ("queued", "running")
+
+    @pytest.mark.parametrize(
+        "wait", ["abc", "-1", "-0.5", "nan", "NaN", "inf", "-inf",
+                 "1e999", "0x10", "1;2"])
+    def test_bad_wait_is_400(self, client, wait):
+        """4xx, never a 500 or a hang."""
+        job = client.submit(CALIBRATION_SCENARIO.to_dict())
+        response = _raw_get(client,
+                            f"/scenarios/{job['job_id']}?wait={wait}")
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"wait must be" in response
+
+    def test_unknown_job_with_wait_is_404(self, client):
+        response = _raw_get(client, "/scenarios/job-9999?wait=5")
+        assert response.startswith(b"HTTP/1.1 404 ")
+
+
+class TestShutdown:
+    def test_stop_answers_an_outstanding_long_poll(self, sleepy_server):
+        thread, client = sleepy_server
+        job = client.submit(_scenario_of(_SleepyWorkload))
+        answers: list = []
+        poller = threading.Thread(target=lambda: answers.append(
+            client.status(job["job_id"], wait_s=25.0)))
+        poller.start()
+        time.sleep(0.3)     # the long-poll is now held by the server
+        began = time.monotonic()
+        thread.stop()
+        assert time.monotonic() - began < 2.0
+        poller.join(timeout=5.0)
+        assert not poller.is_alive()
+        assert answers and answers[0]["status"] in ("queued", "running")
+
+    def test_no_worker_process_outlives_stop(self):
+        before = set(multiprocessing.active_children())
+        thread = ServerThread(port=0, workers=2).start()
+        client = ServeClient(thread.host, thread.port)
+        client.wait_for_job(
+            client.submit(MONITOR_SCENARIO.to_dict())["job_id"])
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        thread.stop()
+        assert not any(process.is_alive() for process in workers)
+        assert not workers & set(multiprocessing.active_children())
+
+    def test_killed_worker_fails_only_its_job(self):
+        register_workload(_KillerWorkload())
+        try:
+            with ServerThread(port=0, workers=1) as thread:
+                client = ServeClient(thread.host, thread.port)
+                job = client.submit(_scenario_of(_KillerWorkload))
+                with pytest.raises(ServeError) as excinfo:
+                    client.wait_for_job(job["job_id"], timeout_s=30.0)
+                killed = _KillerWorkload.killed_pid.value
+                assert killed not in (0, _TEST_PID)
+                assert f"pid {killed} killed by SIGKILL" \
+                    in str(excinfo.value)
+                # the rebuilt pool runs the next job
+                job = client.submit(MONITOR_SCENARIO.to_dict())
+                assert client.wait_for_job(job["job_id"])["status"] \
+                    == "done"
+                assert client.result(job["job_id"], traces=True) \
+                    == batch_artifact(MONITOR_SCENARIO)
+        finally:
+            WORKLOADS.pop(_KillerWorkload.name, None)
+
+
 class TestBackpressure:
     def test_full_queue_answers_503(self):
         """Submissions beyond queue_size bounce instead of buffering."""
+        _SleepyWorkload.release.clear()
         register_workload(_SleepyWorkload())
         scenario = Scenario(workload=_SleepyWorkload.name,
                             name="sleepy", seed=1, spec={}).to_dict()
