@@ -93,18 +93,17 @@ def _estimation_bench(plan):
     r = np.where(censored, np.inf,
                  model.measurement_variance_a2[:, None])
     z = monitor_result.measured_current_a
-    args = (model.gain_a_per_molar, model.offset_a, r,
-            model.a_signal, model.q_signal,
-            model.a_wander, model.q_wander)
+    dynamics = (model.a_signal, model.q_signal,
+                model.a_wander, model.q_wander)
+    args = (model.gain_a_per_molar, model.offset_a, r, *dynamics)
 
     def fast():
         trace = kalman_filter_batch(z, *args)
-        return rts_smoother_batch(trace, model.a_signal, model.a_wander)
+        return rts_smoother_batch(trace, *dynamics)
 
     def slow():
         trace = kalman_filter_scalar(z, *args)
-        return rts_smoother_scalar(trace, model.a_signal,
-                                   model.a_wander)
+        return rts_smoother_scalar(trace, *dynamics)
 
     extras = dict(n_channels=plan.n_channels, n_samples=plan.n_samples,
                   n_readings=plan.n_channels * plan.n_samples)

@@ -63,6 +63,8 @@ from repro.engine.core.snapshot import (
     encode_array,
     encode_rng,
     load_snapshot,
+    require_keys,
+    require_list,
     require_snapshot,
     save_snapshot,
     snapshot_envelope,
@@ -92,6 +94,8 @@ __all__ = [
     "measure_speedup",
     "register_kernels",
     "registered_workloads",
+    "require_keys",
+    "require_list",
     "require_snapshot",
     "save_snapshot",
     "snapshot_envelope",

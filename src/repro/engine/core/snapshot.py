@@ -25,14 +25,14 @@ Wire format:
   set's own ``snapshot_version`` and the suspension ``cursor``
   (samples completed); :func:`require_snapshot` validates all four.
 
+Restoring reads outside input, so every decoder here answers a
+malformed snapshot with ``ValueError`` and nothing else.
 :func:`save_snapshot` / :func:`load_snapshot` put snapshots on disk as
-``.json`` (human-readable, exact) or ``.npz`` (arrays stored natively —
-compact for large cursors).
+``.json`` (human-readable, exact).
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Any, Mapping
@@ -71,14 +71,32 @@ def encode_array(array: np.ndarray) -> dict:
     }
 
 
-def decode_array(data: Mapping[str, Any]) -> np.ndarray:
-    """Rebuild an array from :func:`encode_array` output."""
+def decode_array(data: Mapping[str, Any],
+                 shape: "tuple[int, ...] | None" = None) -> np.ndarray:
+    """Rebuild an array from :func:`encode_array` output.
+
+    Args:
+        data: the encoded mapping.
+        shape: the shape the caller expects (``None`` accepts any).
+
+    Raises:
+        ValueError: not an encoded array, data that does not fill the
+            declared shape, a non-numeric dtype, or a shape other than
+            ``shape``.
+    """
     if not (isinstance(data, Mapping) and data.get("__ndarray__")):
         raise ValueError(
             f"not an encoded array: {type(data).__name__}")
-    return np.asarray(data["data"],
-                      dtype=np.dtype(data["dtype"])).reshape(
-                          tuple(data["shape"]))
+    try:
+        array = np.asarray(data["data"], dtype=np.dtype(
+            data["dtype"])).reshape(tuple(data["shape"]))
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed encoded array: {error}") from None
+    if array.dtype.kind not in "biuf" or (
+            shape is not None and array.shape != tuple(shape)):
+        raise ValueError(f"encoded {array.dtype} array of shape "
+                         f"{array.shape}, expected numbers of shape {shape}")
+    return array
 
 
 def encode_rng(generator: np.random.Generator) -> dict:
@@ -97,17 +115,41 @@ def decode_rng(state: Mapping[str, Any]) -> np.random.Generator:
     """Rebuild a generator at the position :func:`encode_rng` captured.
 
     Raises:
-        ValueError: unknown bit-generator name (a snapshot from a NumPy
-            build this one does not have).
+        ValueError: not a mapping, an unknown bit-generator name (a
+            snapshot from a NumPy build this one does not have), or a
+            state the bit generator refuses.
     """
-    name = state.get("bit_generator")
+    name = state.get("bit_generator") if isinstance(state, Mapping) else None
+    kind = getattr(np.random, str(name), None)
+    if not (isinstance(kind, type)
+            and issubclass(kind, np.random.BitGenerator)):
+        raise ValueError(f"unknown bit generator {name!r} in rng snapshot")
+    bit_generator = kind()
     try:
-        bit_generator = getattr(np.random, name)()
-    except (TypeError, AttributeError):
-        raise ValueError(
-            f"unknown bit generator {name!r} in rng snapshot") from None
-    bit_generator.state = dict(state)
+        bit_generator.state = dict(state)
+    except (KeyError, OverflowError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed {name} rng state: {error}") from None
     return np.random.Generator(bit_generator)
+
+
+def require_keys(node: Any, keys, where: str) -> Mapping[str, Any]:
+    """``node``, if it is a mapping holding every key in ``keys``;
+    ``ValueError`` naming ``where`` and the missing keys otherwise."""
+    if not isinstance(node, Mapping):
+        raise ValueError(
+            f"{where} must be a mapping, got {type(node).__name__}")
+    missing = [key for key in keys if key not in node]
+    if missing:
+        raise ValueError(f"{where} is missing {missing}")
+    return node
+
+
+def require_list(node: Any, length: int, where: str) -> list:
+    """``node``, if it is a list of ``length`` entries; ``ValueError``
+    naming ``where`` otherwise."""
+    if not isinstance(node, list) or len(node) != length:
+        raise ValueError(f"{where} must be a list of {length} entries")
+    return node
 
 
 def snapshot_envelope(workload: str, snapshot_version: int,
@@ -148,12 +190,7 @@ def require_snapshot(snapshot: Mapping[str, Any], workload: str,
             version mismatch, or an out-of-range cursor — each named
             explicitly so a stale snapshot fails loudly.
     """
-    if not isinstance(snapshot, Mapping):
-        raise ValueError(
-            f"snapshot must be a mapping, got {type(snapshot).__name__}")
-    missing = [key for key in ENVELOPE_KEYS if key not in snapshot]
-    if missing:
-        raise ValueError(f"snapshot is missing {missing}")
+    require_keys(snapshot, ENVELOPE_KEYS, "snapshot")
     if snapshot["schema_version"] != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported snapshot schema_version "
@@ -169,81 +206,40 @@ def require_snapshot(snapshot: Mapping[str, Any], workload: str,
             f"{snapshot['snapshot_version']!r} (this build reads "
             f"version {snapshot_version})")
     cursor = snapshot["cursor"]
-    if not isinstance(cursor, int) or not 0 <= cursor <= n_samples:
+    if (not isinstance(cursor, int) or isinstance(cursor, bool)
+            or not 0 <= cursor <= n_samples):
         raise ValueError(
             f"snapshot cursor {cursor!r} outside [0, {n_samples}]")
     return cursor
 
 
-def _extract_arrays(node: Any, arrays: dict, prefix: str) -> Any:
-    """Replace encoded arrays with ``{"__npz__": key}`` placeholders."""
-    if isinstance(node, Mapping):
-        if node.get("__ndarray__"):
-            key = f"arr_{len(arrays)}"
-            arrays[key] = decode_array(node)
-            return {"__npz__": key}
-        return {key: _extract_arrays(value, arrays, f"{prefix}.{key}")
-                for key, value in node.items()}
-    if isinstance(node, list):
-        return [_extract_arrays(item, arrays, f"{prefix}[{i}]")
-                for i, item in enumerate(node)]
-    return node
-
-
-def _restore_arrays(node: Any, arrays: Mapping[str, np.ndarray]) -> Any:
-    """Inverse of :func:`_extract_arrays`: placeholders back to arrays."""
-    if isinstance(node, Mapping):
-        if "__npz__" in node:
-            return encode_array(arrays[node["__npz__"]])
-        return {key: _restore_arrays(value, arrays)
-                for key, value in node.items()}
-    if isinstance(node, list):
-        return [_restore_arrays(item, arrays) for item in node]
-    return node
-
-
 def save_snapshot(snapshot: Mapping[str, Any],
                   path: "str | Path") -> Path:
-    """Write a snapshot to disk and return the path.
+    """Write a snapshot verbatim to a ``.json`` file (exact float64
+    round trip, human-readable) and return the path.
 
-    ``.json`` targets get the snapshot verbatim (exact float64 round
-    trip, human-readable).  ``.npz`` targets store every encoded array
-    natively (binary, compact) next to a JSON skeleton — the format for
-    week-long cursors where a list-of-floats JSON would be bulky.
-
-    Args:
-        snapshot: a kernel set's ``export_state`` output.
-        path: target file; the suffix selects the format.
+    Raises:
+        ValueError: a suffix other than ``.json``.
     """
-    target = Path(path)
-    if target.suffix == ".npz":
-        arrays: dict[str, np.ndarray] = {}
-        skeleton = _extract_arrays(dict(snapshot), arrays, "snapshot")
-        buffer = io.BytesIO()
-        np.savez(buffer, __snapshot__=np.frombuffer(
-            json.dumps(skeleton, sort_keys=True).encode(),
-            dtype=np.uint8), **arrays)
-        target.write_bytes(buffer.getvalue())
-    else:
-        target.write_text(json.dumps(snapshot, indent=2,
-                                     sort_keys=True) + "\n")
+    target = _json_path(path)
+    target.write_text(json.dumps(snapshot, indent=2,
+                                 sort_keys=True) + "\n")
     return target
 
 
 def load_snapshot(path: "str | Path") -> dict:
     """Read a snapshot written by :func:`save_snapshot`.
 
-    Returns:
-        The snapshot dict, with ``.npz`` arrays re-encoded into the
-        JSON-safe :func:`encode_array` form so both formats restore
-        through one code path.
+    Raises:
+        ValueError: a suffix other than ``.json``.
     """
-    source = Path(path)
-    if source.suffix == ".npz":
-        with np.load(source) as archive:
-            skeleton = json.loads(
-                archive["__snapshot__"].tobytes().decode())
-            arrays = {key: archive[key] for key in archive.files
-                      if key != "__snapshot__"}
-        return _restore_arrays(skeleton, arrays)
-    return json.loads(source.read_text())
+    return json.loads(_json_path(path).read_text())
+
+
+def _json_path(path: "str | Path") -> Path:
+    """``path`` as a :class:`Path`, refusing any suffix but ``.json``."""
+    path = Path(path)
+    if path.suffix != ".json":
+        raise ValueError(
+            f"snapshot files are .json, got {path.suffix or 'no suffix'!r}")
+    return path

@@ -41,6 +41,7 @@ from repro.engine.core import (
     encode_array,
     execute,
     register_kernels,
+    require_keys,
     require_snapshot,
     single_segment,
     snapshot_envelope,
@@ -434,14 +435,14 @@ def _run_estimation_scalar(plan: EstimationPlan) -> EstimationResult:
         model.gain_a_per_molar, model.offset_a, r,
         model.a_signal, model.q_signal, model.a_wander, model.q_wander)
     smoothed = (rts_smoother_scalar(trace, model.a_signal,
-                                    model.a_wander)
+                                    model.q_signal, model.a_wander,
+                                    model.q_wander)
                 if plan.smooth else None)
     return _assemble(plan, monitor_result, model, trace, smoothed)
 
 
-#: Forward-pass trace fields carried chunk to chunk (and snapshotted).
-_TRACE_FIELDS = ("m1", "m2", "p11", "p12", "p22",
-                 "pm1", "pm2", "pp11", "pp12", "pp22")
+#: The five moments of a filter belief, and of each trace column.
+_MOMENTS = ("m1", "m2", "p11", "p12", "p22")
 
 
 class EstimationKernels(KernelSet):
@@ -450,8 +451,8 @@ class EstimationKernels(KernelSet):
     The wear simulation and the Kalman filter advance *together*, chunk
     by chunk: each chunk runs the wrapped monitor's physics over
     ``[start, stop)``, inverts the freshly digitized currents through
-    the observation model, and carries the filtered belief
-    (:meth:`KalmanState.from_trace`) into the next chunk — bit-identical
+    the observation model, and starts from the belief the previous chunk
+    ended in (:meth:`KalmanState.from_trace`) — bit-identical
     to one uninterrupted pass, which is what makes the workload
     suspendable (``export_state`` / ``restore_state``) and streamable
     (:class:`repro.serve.StreamSession`).  The smoother, inherently
@@ -461,7 +462,7 @@ class EstimationKernels(KernelSet):
     name = "estimation"
     plan_type = EstimationPlan
     floor_env = "INFERENCE_SPEEDUP_FLOOR"
-    snapshot_version = 1
+    snapshot_version = 2
 
     def compile(self, plan: EstimationPlan):
         """One segment chunked like the wrapped wear simulation."""
@@ -470,13 +471,11 @@ class EstimationKernels(KernelSet):
                               plan.monitor.chunk_samples)
 
     def init_state(self, plan: EstimationPlan) -> SimpleNamespace:
-        """Monitor carry state, observation model, and filter carry."""
-        n, t = plan.n_channels, plan.n_samples
+        """Monitor carry state, observation model, and filter trace."""
         return SimpleNamespace(
             monitor=_init_monitor_state(plan.monitor),
             model=monitor_observation_model(plan.monitor),
-            trace=KalmanTrace(*(np.empty((n, t)) for _ in range(10))),
-            carry=KalmanState.zeros(n),
+            trace=KalmanTrace.empty(plan.n_channels, plan.n_samples),
         )
 
     def run_chunk(self, plan: EstimationPlan, state, segment,
@@ -497,30 +496,33 @@ class EstimationKernels(KernelSet):
             measured, model.gain_a_per_molar[:, start:stop],
             model.offset_a[:, start:stop], r_chunk,
             model.a_signal, model.q_signal,
-            model.a_wander, model.q_wander, initial=state.carry)
-        for name in _TRACE_FIELDS:
+            model.a_wander, model.q_wander,
+            initial=(KalmanState.from_trace(state.trace, start - 1)
+                     if start else None))
+        for name in _MOMENTS:
             getattr(state.trace, name)[:, start:stop] = getattr(chunk,
                                                                name)
-        state.carry = KalmanState.from_trace(chunk)
 
     def finalize(self, plan: EstimationPlan, state) -> EstimationResult:
         """Smooth (optionally) and score the :class:`EstimationResult`."""
         monitor_result = _finalize_monitor(plan.monitor, state.monitor)
-        smoothed = (rts_smoother_batch(state.trace, state.model.a_signal,
-                                       state.model.a_wander)
+        model = state.model
+        smoothed = (rts_smoother_batch(state.trace, model.a_signal,
+                                       model.q_signal, model.a_wander,
+                                       model.q_wander)
                     if plan.smooth else None)
-        return _assemble(plan, monitor_result, state.model,
-                         state.trace, smoothed)
+        return _assemble(plan, monitor_result, model, state.trace, smoothed)
 
     def export_state(self, plan: EstimationPlan, state,
                      cursor: int) -> dict:
         """Serialize the estimation carry state after ``cursor`` samples.
 
-        Nests the wrapped monitor's own snapshot, the filtered belief
-        entering the next sample, and the forward-trace prefixes
-        ``[:, :cursor]`` (the smoother needs the full forward pass, so
-        an estimation snapshot grows with the cursor — unlike a
-        trace-free monitor snapshot).
+        Nests the wrapped monitor's own snapshot and the prefixes
+        ``[:, :cursor]`` of the five filtered moments (the last column
+        is the belief the next chunk starts from).  The smoother needs
+        the whole forward pass, so the snapshot grows with the cursor,
+        unlike a trace-free monitor one: ~200 KB after one day of a
+        four-wearer, 5-minute cohort.
         """
         snapshot = snapshot_envelope(self.name, self.snapshot_version,
                                      cursor)
@@ -528,11 +530,9 @@ class EstimationKernels(KernelSet):
             "n_channels": plan.n_channels,
             "monitor": MONITOR_KERNELS.export_state(
                 plan.monitor, state.monitor, cursor),
-            "kalman": {name: encode_array(getattr(state.carry, name))
-                       for name in ("m1", "m2", "p11", "p12", "p22")},
             "trace": {name: encode_array(
                 getattr(state.trace, name)[:, :cursor])
-                for name in _TRACE_FIELDS},
+                for name in _MOMENTS},
         })
         return snapshot
 
@@ -542,14 +542,19 @@ class EstimationKernels(KernelSet):
         Restores the wrapped monitor's carry state through its own
         kernel set, recomputes the observation model from the plan
         (snapshots never store derived physics), and refills the
-        forward-trace prefixes and filtered belief.
+        forward-trace prefixes.
         """
         cursor = require_snapshot(snapshot, self.name,
                                   self.snapshot_version, plan.n_samples)
-        if snapshot["n_channels"] != plan.n_channels:
+        n = plan.n_channels
+        require_keys(snapshot, ("n_channels", "monitor", "trace"),
+                     "estimation snapshot")
+        if snapshot["n_channels"] != n:
             raise ValueError(
                 f"snapshot holds {snapshot['n_channels']} channels, "
-                f"plan has {plan.n_channels}")
+                f"plan has {n}")
+        trace = require_keys(snapshot["trace"], _MOMENTS,
+                             "estimation snapshot trace")
         state = self.init_state(plan)
         monitor_state, monitor_cursor = MONITOR_KERNELS.restore_state(
             plan.monitor, snapshot["monitor"])
@@ -558,12 +563,9 @@ class EstimationKernels(KernelSet):
                 f"nested monitor snapshot is at sample {monitor_cursor},"
                 f" estimation snapshot at {cursor}")
         state.monitor = monitor_state
-        state.carry = KalmanState(
-            *(decode_array(snapshot["kalman"][name])
-              for name in ("m1", "m2", "p11", "p12", "p22")))
-        for name in _TRACE_FIELDS:
+        for name in _MOMENTS:
             getattr(state.trace, name)[:, :cursor] = decode_array(
-                snapshot["trace"][name])
+                trace[name], shape=(n, cursor))
         return state, cursor
 
     def stream_update(self, plan: EstimationPlan, state, start: int,

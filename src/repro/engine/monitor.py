@@ -66,6 +66,8 @@ from repro.engine.core import (
     register_kernels,
     require_at_least,
     require_in_open_unit_interval,
+    require_keys,
+    require_list,
     require_non_empty,
     require_non_negative,
     require_positive,
@@ -1024,26 +1026,40 @@ class MonitorKernels(KernelSet):
         """
         cursor = require_snapshot(snapshot, self.name,
                                   self.snapshot_version, plan.n_samples)
-        if snapshot["n_channels"] != plan.n_channels:
+        n = plan.n_channels
+        require_keys(snapshot, ("n_channels", "rngs", "recal_times",
+                                *(key for key, _ in _SNAPSHOT_ARRAYS)),
+                     "monitor snapshot")
+        if snapshot["n_channels"] != n:
             raise ValueError(
                 f"snapshot holds {snapshot['n_channels']} channels, "
-                f"plan has {plan.n_channels}")
+                f"plan has {n}")
         if plan.keep_traces and "traces" not in snapshot:
             raise ValueError(
                 "plan keeps traces but the snapshot carries none "
                 "(exported with keep_traces=False)")
         state = _init_monitor_state(plan)
+        rngs = require_keys(snapshot["rngs"],
+                            (key for key, _ in _SNAPSHOT_STREAMS),
+                            "monitor snapshot rngs")
         for key, attr in _SNAPSHOT_STREAMS:
-            setattr(state, attr,
-                    [decode_rng(s) for s in snapshot["rngs"][key]])
+            setattr(state, attr, [decode_rng(s) for s in require_list(
+                rngs[key], n, f"rngs.{key}")])
         for key, attr in _SNAPSHOT_ARRAYS:
-            setattr(state, attr, decode_array(snapshot[key]))
-        state.recal_times = [list(times)
-                             for times in snapshot["recal_times"]]
+            setattr(state, attr, decode_array(snapshot[key], shape=(n,)))
+        recal_times = require_list(snapshot["recal_times"], n,
+                                   "recal_times")
+        if not all(isinstance(times, list) and all(
+                type(t) is float for t in times) for times in recal_times):
+            raise ValueError("recal_times must be lists of float hours")
+        state.recal_times = [list(times) for times in recal_times]
         if plan.keep_traces and cursor > 0:
+            traces = require_keys(snapshot["traces"],
+                                  (key for key, _ in _SNAPSHOT_TRACES),
+                                  "monitor snapshot traces")
             for key, attr in _SNAPSHOT_TRACES:
                 getattr(state, attr)[:, :cursor] = decode_array(
-                    snapshot["traces"][key])
+                    traces[key], shape=(n, cursor))
         return state, cursor
 
     def stream_update(self, plan: MonitorPlan, state, start: int,

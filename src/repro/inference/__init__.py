@@ -57,7 +57,6 @@ from repro.inference.fusion import (
 from repro.inference.kalman import (
     KalmanState,
     KalmanTrace,
-    SmoothedTrace,
     kalman_filter_batch,
     kalman_filter_scalar,
     kalman_predict,
@@ -79,7 +78,6 @@ __all__ = [
     "KalmanState",
     "KalmanTrace",
     "MonitorObservationModel",
-    "SmoothedTrace",
     "credible_interval",
     "detection_delay_h",
     "fuse_redundant_channels",

@@ -26,10 +26,11 @@ so the filter is consistent-by-construction with the simulator.
 Execution model mirrors the engines: the recursion is inherently causal,
 so the batch path advances all channels one sample at a time as
 ``(n_channels,)`` array operations — one NumPy pass per sample instead
-of one Python iteration per (channel, sample) pair.  The smoother's
-gains need no recursion, so :func:`rts_smoother_batch` forms them for
-the whole time axis in one pass and loops only over the moment
-back-pass.  The scalar reference (:func:`kalman_filter_scalar` /
+of one Python iteration per (channel, sample) pair.  The filter
+stores only its posterior moments; the smoother's one-step predictions
+and gains need no recursion, so :func:`rts_smoother_batch` derives them
+from that trace for the whole time axis in one pass and loops only over
+the moment back-pass.  The scalar reference (:func:`kalman_filter_scalar` /
 :func:`rts_smoother_scalar`) replays the identical arithmetic with
 Python floats, channel by channel, and is gated bit-identical
 (<= 1e-9) by the execution-core contract suite
@@ -73,12 +74,6 @@ class KalmanState:
         if n_channels < 1:
             raise ValueError("need at least one channel")
         return cls(*(np.zeros(n_channels) for _ in range(5)))
-
-    def copy(self) -> "KalmanState":
-        """An independent copy (the recursions never mutate inputs)."""
-        return KalmanState(self.m1.copy(), self.m2.copy(),
-                           self.p11.copy(), self.p12.copy(),
-                           self.p22.copy())
 
     @classmethod
     def from_trace(cls, trace: "KalmanTrace",
@@ -173,17 +168,15 @@ def kalman_update(state: KalmanState,
 
 @dataclass
 class KalmanTrace:
-    """Per-sample filter output: filtered and predicted moments.
+    """Per-sample moments of a filter or smoother pass.
 
-    All arrays are ``(n_channels, n_samples)``.  The predicted moments
-    (``pm* / pp*``) are what the RTS smoother consumes on its backward
-    pass, so the forward pass stores both.
+    All arrays are ``(n_channels, n_samples)``.  The filter stores only
+    its posterior; the smoother derives the one-step predictions it
+    needs from it (:func:`_predictions`).
 
     Attributes:
-        m1 / m2: filtered posterior means.
-        p11 / p12 / p22: filtered posterior covariances.
-        pm1 / pm2: one-step-ahead predicted means.
-        pp11 / pp12 / pp22: one-step-ahead predicted covariances.
+        m1 / m2: posterior means (signal deviation, wander).
+        p11 / p12 / p22: posterior covariances.
     """
 
     m1: np.ndarray
@@ -191,37 +184,18 @@ class KalmanTrace:
     p11: np.ndarray
     p12: np.ndarray
     p22: np.ndarray
-    pm1: np.ndarray
-    pm2: np.ndarray
-    pp11: np.ndarray
-    pp12: np.ndarray
-    pp22: np.ndarray
 
-    @property
-    def n_channels(self) -> int:
-        """Cohort size of the trace."""
-        return self.m1.shape[0]
+    @classmethod
+    def empty(cls, n_channels: int, n_samples: int) -> "KalmanTrace":
+        """An uninitialized trace of the given shape."""
+        return cls(*(np.empty((n_channels, n_samples)) for _ in range(5)))
 
-    @property
-    def n_samples(self) -> int:
-        """Samples per channel in the trace."""
-        return self.m1.shape[1]
-
-
-@dataclass
-class SmoothedTrace:
-    """RTS-smoothed per-sample moments, ``(n_channels, n_samples)``.
-
-    Attributes:
-        m1 / m2: smoothed posterior means (signal deviation, wander).
-        p11 / p12 / p22: smoothed posterior covariances.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    p11: np.ndarray
-    p12: np.ndarray
-    p22: np.ndarray
+    def transposed(self) -> "KalmanTrace":
+        """The same moments with the axes swapped, C-contiguous (the
+        smoother works time-major: one contiguous row per step)."""
+        return KalmanTrace(*(np.ascontiguousarray(moment.T) for moment in
+                             (self.m1, self.m2, self.p11, self.p12,
+                              self.p22)))
 
 
 def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
@@ -240,6 +214,12 @@ def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
     r = np.broadcast_to(r, (n, t))
     if np.any(r < 0):
         raise ValueError("measurement variance must be >= 0")
+    return (z, gain, offset, r,
+            *_dynamics(n, a_signal, q_signal, a_wander, q_wander))
+
+
+def _dynamics(n, a_signal, q_signal, a_wander, q_wander):
+    """Broadcast the per-channel dynamics to ``(n,)``; check ``q >= 0``."""
     params = []
     for name, p in (("a_signal", a_signal), ("q_signal", q_signal),
                     ("a_wander", a_wander), ("q_wander", q_wander)):
@@ -247,7 +227,7 @@ def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
         if name.startswith("q") and np.any(p < 0):
             raise ValueError(f"{name} must be >= 0")
         params.append(p)
-    return z, gain, offset, r, *params
+    return params
 
 
 def kalman_filter_batch(z: np.ndarray,
@@ -274,15 +254,16 @@ def kalman_filter_batch(z: np.ndarray,
             (:meth:`KalmanState.zeros`).
 
     Returns:
-        The full :class:`KalmanTrace` (filtered + predicted moments).
+        The :class:`KalmanTrace` of filtered moments.
     """
     z, gain, offset, r, a_s, q_s, a_w, q_w = _prepare(
         z, gain, offset, r, a_signal, q_signal, a_wander, q_wander)
     n, t = z.shape
-    state = initial.copy() if initial is not None else KalmanState.zeros(n)
-    trace = KalmanTrace(*(np.empty((n, t)) for _ in range(10)))
+    state = initial if initial is not None else KalmanState.zeros(n)
+    trace = KalmanTrace.empty(n, t)
     # The hot loop inlines kalman_predict / kalman_update on reused
-    # buffers — same arithmetic, no per-sample object churn.  The
+    # buffers (copies: inputs are never mutated) — same arithmetic, no
+    # per-sample object churn.  The
     # composite transition factors are formed once (a * a is a single
     # deterministic product, so precomputing it changes nothing).
     m1, m2 = state.m1.copy(), state.m2.copy()
@@ -300,11 +281,6 @@ def kalman_filter_batch(z: np.ndarray,
             p12 *= a_sw
             p22 *= aa_w
             p22 += q_w
-            trace.pm1[:, k] = m1
-            trace.pm2[:, k] = m2
-            trace.pp11[:, k] = p11
-            trace.pp12[:, k] = p12
-            trace.pp22[:, k] = p22
             # Update.
             g = gain[:, k]
             u1 = g * p11 + p12
@@ -349,16 +325,11 @@ def kalman_filter_scalar(z: np.ndarray,
     z, gain, offset, r, a_s, q_s, a_w, q_w = _prepare(
         z, gain, offset, r, a_signal, q_signal, a_wander, q_wander)
     n, t = z.shape
-    trace = KalmanTrace(*(np.empty((n, t)) for _ in range(10)))
+    trace = KalmanTrace.empty(n, t)
+    start = initial if initial is not None else KalmanState.zeros(n)
     for i in range(n):
-        if initial is None:
-            m1 = m2 = p11 = p12 = p22 = 0.0
-        else:
-            m1 = float(initial.m1[i])
-            m2 = float(initial.m2[i])
-            p11 = float(initial.p11[i])
-            p12 = float(initial.p12[i])
-            p22 = float(initial.p22[i])
+        m1, m2, p11, p12, p22 = (float(moment[i]) for moment in (
+            start.m1, start.m2, start.p11, start.p12, start.p22))
         ai, qi = float(a_s[i]), float(q_s[i])
         aw, qw = float(a_w[i]), float(q_w[i])
         for k in range(t):
@@ -368,11 +339,6 @@ def kalman_filter_scalar(z: np.ndarray,
             p11 = ai * ai * p11 + qi
             p12 = ai * aw * p12
             p22 = aw * aw * p22 + qw
-            trace.pm1[i, k] = m1
-            trace.pm2[i, k] = m2
-            trace.pp11[i, k] = p11
-            trace.pp12[i, k] = p12
-            trace.pp22[i, k] = p22
             # Update.
             h = float(gain[i, k])
             u1 = h * p11 + p12
@@ -416,7 +382,26 @@ def _inverse_2x2(p11: np.ndarray, p12: np.ndarray, p22: np.ndarray):
     return i11, i12, i22
 
 
-def _smoother_gains(trace: KalmanTrace, a_s: np.ndarray, a_w: np.ndarray):
+def _predictions(filtered: KalmanTrace, a_s, q_s, a_w, q_w) -> KalmanTrace:
+    """One-step predictions from a time-major filtered trace.
+
+    The filter predicts in place on the posterior it just stored, so
+    forming each prediction from the posterior at ``k`` with the
+    filter's own expressions reproduces its predicted moments bit for
+    bit.  Row ``k`` of the returned time-major trace predicts sample
+    ``k + 1``.
+    """
+    return KalmanTrace(
+        m1=filtered.m1[:-1] * a_s,
+        m2=filtered.m2[:-1] * a_w,
+        p11=filtered.p11[:-1] * (a_s * a_s) + q_s,
+        p12=filtered.p12[:-1] * (a_s * a_w),
+        p22=filtered.p22[:-1] * (a_w * a_w) + q_w,
+    )
+
+
+def _smoother_gains(filtered: KalmanTrace, predicted: KalmanTrace,
+                    a_s: np.ndarray, a_w: np.ndarray):
     """RTS gains ``G[k] = P_f[k] A^T P_pred[k+1]^{-1}`` for every step.
 
     ``A = diag(a_s, a_w)``.  The gains depend on the forward trace alone,
@@ -424,97 +409,103 @@ def _smoother_gains(trace: KalmanTrace, a_s: np.ndarray, a_w: np.ndarray):
     is the same float expression a per-sample loop would evaluate.
 
     Returns:
-        ``(g11, g12, g21, g22)``, each of shape ``(n_channels,
-        n_samples - 1)``; column ``k`` smooths sample ``k``.
+        ``(g11, g12, g21, g22)``, each time-major with ``n_samples - 1``
+        rows; row ``k`` smooths sample ``k``.
     """
-    i11, i12, i22 = _inverse_2x2(
-        trace.pp11[:, 1:], trace.pp12[:, 1:], trace.pp22[:, 1:])
-    f11 = trace.p11[:, :-1] * a_s[:, None]
-    f12 = trace.p12[:, :-1] * a_w[:, None]
-    f21 = trace.p12[:, :-1] * a_s[:, None]
-    f22 = trace.p22[:, :-1] * a_w[:, None]
+    i11, i12, i22 = _inverse_2x2(predicted.p11, predicted.p12,
+                                 predicted.p22)
+    f11 = filtered.p11[:-1] * a_s
+    f12 = filtered.p12[:-1] * a_w
+    f21 = filtered.p12[:-1] * a_s
+    f22 = filtered.p22[:-1] * a_w
     return (f11 * i11 + f12 * i12, f11 * i12 + f12 * i22,
             f21 * i11 + f22 * i12, f21 * i12 + f22 * i22)
 
 
 def rts_smoother_batch(trace: KalmanTrace,
                        a_signal: "np.ndarray | float",
-                       a_wander: "np.ndarray | float") -> SmoothedTrace:
+                       q_signal: "np.ndarray | float",
+                       a_wander: "np.ndarray | float",
+                       q_wander: "np.ndarray | float") -> KalmanTrace:
     """Rauch-Tung-Striebel backward pass, vectorized by channel.
 
     Conditions every sample's belief on the *whole* record (the offline
     reconstruction the monitoring workload wants after a wear period),
     shrinking the posterior variance relative to the causal filter.
-    The gains ``G[k]`` come from the forward trace alone and are computed
-    for every sample at once; only the mean/covariance back-pass steps
-    through time.
+    The predictions and gains come from the forward trace alone and are
+    computed for every sample at once; only the mean/covariance
+    back-pass steps through time.
 
     Args:
         trace: forward-pass output of :func:`kalman_filter_batch`.
-        a_signal / a_wander: the same transition coefficients the filter
-            ran with (scalars broadcast).
+        a_signal / q_signal / a_wander / q_wander: the dynamics the
+            filter ran with, in the filter's order (scalars broadcast).
 
     Returns:
-        The :class:`SmoothedTrace` of smoothed moments.
+        The :class:`KalmanTrace` of smoothed moments.
     """
     n, t = trace.m1.shape
-    a_s = np.broadcast_to(np.asarray(a_signal, dtype=float), (n,))
-    a_w = np.broadcast_to(np.asarray(a_wander, dtype=float), (n,))
-    out = SmoothedTrace(*(np.empty((n, t)) for _ in range(5)))
-    out.m1[:, -1] = trace.m1[:, -1]
-    out.m2[:, -1] = trace.m2[:, -1]
-    out.p11[:, -1] = trace.p11[:, -1]
-    out.p12[:, -1] = trace.p12[:, -1]
-    out.p22[:, -1] = trace.p22[:, -1]
-    gain11, gain12, gain21, gain22 = _smoother_gains(trace, a_s, a_w)
+    a_s, q_s, a_w, q_w = _dynamics(n, a_signal, q_signal, a_wander,
+                                   q_wander)
+    f = trace.transposed()
+    predicted = _predictions(f, a_s, q_s, a_w, q_w)
+    gain11, gain12, gain21, gain22 = _smoother_gains(f, predicted,
+                                                     a_s, a_w)
+    out = trace.transposed()  # the last sample is already smoothed
     for k in range(t - 2, -1, -1):
-        g11 = gain11[:, k]
-        g12 = gain12[:, k]
-        g21 = gain21[:, k]
-        g22 = gain22[:, k]
-        dm1 = out.m1[:, k + 1] - trace.pm1[:, k + 1]
-        dm2 = out.m2[:, k + 1] - trace.pm2[:, k + 1]
-        out.m1[:, k] = trace.m1[:, k] + g11 * dm1 + g12 * dm2
-        out.m2[:, k] = trace.m2[:, k] + g21 * dm1 + g22 * dm2
-        d11 = out.p11[:, k + 1] - trace.pp11[:, k + 1]
-        d12 = out.p12[:, k + 1] - trace.pp12[:, k + 1]
-        d22 = out.p22[:, k + 1] - trace.pp22[:, k + 1]
-        out.p11[:, k] = (trace.p11[:, k] + g11 * g11 * d11
-                         + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
-        out.p12[:, k] = (trace.p12[:, k] + g11 * g21 * d11
-                         + (g11 * g22 + g12 * g21) * d12
-                         + g12 * g22 * d22)
-        out.p22[:, k] = (trace.p22[:, k] + g21 * g21 * d11
-                         + 2.0 * g21 * g22 * d12 + g22 * g22 * d22)
-    return out
+        g11 = gain11[k]
+        g12 = gain12[k]
+        g21 = gain21[k]
+        g22 = gain22[k]
+        dm1 = out.m1[k + 1] - predicted.m1[k]
+        dm2 = out.m2[k + 1] - predicted.m2[k]
+        out.m1[k] = f.m1[k] + g11 * dm1 + g12 * dm2
+        out.m2[k] = f.m2[k] + g21 * dm1 + g22 * dm2
+        d11 = out.p11[k + 1] - predicted.p11[k]
+        d12 = out.p12[k + 1] - predicted.p12[k]
+        d22 = out.p22[k + 1] - predicted.p22[k]
+        out.p11[k] = (f.p11[k] + g11 * g11 * d11
+                      + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
+        out.p12[k] = (f.p12[k] + g11 * g21 * d11
+                      + (g11 * g22 + g12 * g21) * d12 + g12 * g22 * d22)
+        out.p22[k] = (f.p22[k] + g21 * g21 * d11
+                      + 2.0 * g21 * g22 * d12 + g22 * g22 * d22)
+    return out.transposed()
 
 
 def rts_smoother_scalar(trace: KalmanTrace,
                         a_signal: "np.ndarray | float",
-                        a_wander: "np.ndarray | float") -> SmoothedTrace:
+                        q_signal: "np.ndarray | float",
+                        a_wander: "np.ndarray | float",
+                        q_wander: "np.ndarray | float") -> KalmanTrace:
     """Per-channel scalar reference of the RTS backward pass.
 
     Same float-by-float arithmetic discipline as
-    :func:`kalman_filter_scalar`; agrees with :func:`rts_smoother_batch`
-    to <= 1e-9 (gated in ``benchmarks/bench_core.py``).
+    :func:`kalman_filter_scalar`, deriving each prediction inline from
+    the previous sample's posterior; agrees with
+    :func:`rts_smoother_batch` to <= 1e-9 (gated in
+    ``benchmarks/bench_core.py``).
     """
     n, t = trace.m1.shape
-    a_s = np.broadcast_to(np.asarray(a_signal, dtype=float), (n,))
-    a_w = np.broadcast_to(np.asarray(a_wander, dtype=float), (n,))
-    out = SmoothedTrace(*(np.empty((n, t)) for _ in range(5)))
+    a_s, q_s, a_w, q_w = _dynamics(n, a_signal, q_signal, a_wander,
+                                   q_wander)
+    out = KalmanTrace.empty(n, t)
     for i in range(n):
-        ai, aw = float(a_s[i]), float(a_w[i])
-        m1 = float(trace.m1[i, -1])
-        m2 = float(trace.m2[i, -1])
-        p11 = float(trace.p11[i, -1])
-        p12 = float(trace.p12[i, -1])
-        p22 = float(trace.p22[i, -1])
+        ai, qi = float(a_s[i]), float(q_s[i])
+        aw, qw = float(a_w[i]), float(q_w[i])
+        m1, m2, p11, p12, p22 = (float(moment[i, -1]) for moment in (
+            trace.m1, trace.m2, trace.p11, trace.p12, trace.p22))
         out.m1[i, -1], out.m2[i, -1] = m1, m2
         out.p11[i, -1], out.p12[i, -1], out.p22[i, -1] = p11, p12, p22
         for k in range(t - 2, -1, -1):
-            pp11 = float(trace.pp11[i, k + 1])
-            pp12 = float(trace.pp12[i, k + 1])
-            pp22 = float(trace.pp22[i, k + 1])
+            fm1, fm2 = float(trace.m1[i, k]), float(trace.m2[i, k])
+            fp11 = float(trace.p11[i, k])
+            fp12 = float(trace.p12[i, k])
+            fp22 = float(trace.p22[i, k])
+            # The filter's prediction of sample k + 1.
+            pp11 = ai * ai * fp11 + qi
+            pp12 = ai * aw * fp12
+            pp22 = aw * aw * fp22 + qw
             det = pp11 * pp22 - pp12 * pp12
             if det > 0:
                 i11 = pp22 / det
@@ -524,26 +515,26 @@ def rts_smoother_scalar(trace: KalmanTrace,
                 i11 = 1.0 / pp11 if pp11 > 0 else 0.0
                 i12 = 0.0
                 i22 = 1.0 / pp22 if pp22 > 0 else 0.0
-            f11 = float(trace.p11[i, k]) * ai
-            f12 = float(trace.p12[i, k]) * aw
-            f21 = float(trace.p12[i, k]) * ai
-            f22 = float(trace.p22[i, k]) * aw
+            f11 = fp11 * ai
+            f12 = fp12 * aw
+            f21 = fp12 * ai
+            f22 = fp22 * aw
             g11 = f11 * i11 + f12 * i12
             g12 = f11 * i12 + f12 * i22
             g21 = f21 * i11 + f22 * i12
             g22 = f21 * i12 + f22 * i22
-            dm1 = m1 - float(trace.pm1[i, k + 1])
-            dm2 = m2 - float(trace.pm2[i, k + 1])
+            dm1 = m1 - ai * fm1
+            dm2 = m2 - aw * fm2
             d11 = p11 - pp11
             d12 = p12 - pp12
             d22 = p22 - pp22
-            m1 = float(trace.m1[i, k]) + g11 * dm1 + g12 * dm2
-            m2 = float(trace.m2[i, k]) + g21 * dm1 + g22 * dm2
-            p11 = (float(trace.p11[i, k]) + g11 * g11 * d11
+            m1 = fm1 + g11 * dm1 + g12 * dm2
+            m2 = fm2 + g21 * dm1 + g22 * dm2
+            p11 = (fp11 + g11 * g11 * d11
                    + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
-            p12 = (float(trace.p12[i, k]) + g11 * g21 * d11
+            p12 = (fp12 + g11 * g21 * d11
                    + (g11 * g22 + g12 * g21) * d12 + g12 * g22 * d22)
-            p22 = (float(trace.p22[i, k]) + g21 * g21 * d11
+            p22 = (fp22 + g21 * g21 * d11
                    + 2.0 * g21 * g22 * d12 + g22 * g22 * d22)
             out.m1[i, k], out.m2[i, k] = m1, m2
             out.p11[i, k], out.p12[i, k], out.p22[i, k] = p11, p12, p22

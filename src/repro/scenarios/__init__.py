@@ -1,17 +1,18 @@
 """Unified scenario API: one declarative front door for every workload.
 
-The engine grew three workload classes — batched calibration campaigns
-(:func:`repro.engine.run_batch`), streaming wear-time monitoring
-(:func:`repro.engine.run_monitor`) and closed-loop therapy
-(:func:`repro.engine.run_therapy`) — each with its own plan/run/result
+The engine grew four workload classes — calibration campaigns
+(:func:`repro.engine.run_batch`), wear-time monitoring
+(:func:`repro.engine.run_monitor`), closed-loop therapy
+(:func:`repro.engine.run_therapy`) and concentration estimation
+(:func:`repro.engine.run_estimation`) — each with its own plan/run/result
 triple.  This package puts one declarative, serializable surface in
 front of all of them:
 
 * a :class:`Workload` protocol plus the global :data:`WORKLOADS`
-  registry (the three engines register themselves at import);
+  registry (the four engines register themselves at import);
 * the :class:`Scenario` spec — plain JSON with catalog references and
-  explicit seeds, so any configured campaign, wear simulation or
-  therapy course is a *replayable artifact*
+  explicit seeds, so any configured campaign, wear simulation,
+  therapy course or reconstruction is a *replayable artifact*
   (``Scenario.from_dict(s.to_dict())`` reproduces results bit for bit);
 * :func:`run_scenario` / :func:`run_scenarios` dispatchers (the batch
   form fans a scenario list across workloads with per-scenario spawned

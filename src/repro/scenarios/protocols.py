@@ -3,19 +3,19 @@
 A *workload* is one engine entry point packaged behind a uniform
 surface: a name, the plan type it builds, a vectorized ``run`` path, a
 scalar equivalence reference ``run_scalar``, and a ``summarize`` that
-renders its result for humans.  The three engine workloads (calibration
-campaigns, streaming wear monitoring, closed-loop therapy) register
-themselves in the global :data:`WORKLOADS` registry at import time, so
-a :class:`~repro.scenarios.Scenario` names its workload by string and
+renders its result for humans.  The four engine workloads (calibration,
+monitoring, therapy, estimation) register themselves in the global
+:data:`WORKLOADS` registry at import time, so a
+:class:`~repro.scenarios.Scenario` names its workload by string and
 anything that iterates :func:`available_workloads` — the CLI, the batch
 dispatcher, the round-trip tests — picks new workloads up for free.
 
 Results flow back through :class:`ResultProtocol`, the shared export
 contract every engine result type (:class:`~repro.engine.BatchResult`,
-:class:`~repro.engine.MonitorResult`,
-:class:`~repro.engine.TherapyResult`) implements: a human ``summary()``,
-a flat JSON-able ``summary_row()`` for tabular sweeps, and a full
-``to_dict()`` artifact export.
+:class:`~repro.engine.MonitorResult`, :class:`~repro.engine.TherapyResult`,
+:class:`~repro.engine.EstimationResult`) implements: a human
+``summary()``, a flat JSON-able ``summary_row()`` for tabular sweeps,
+and a full ``to_dict()`` artifact export.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The built-in workloads: the three engines behind one surface.
+"""The built-in workloads: the four engines behind one surface.
 
 Each class here is a thin, stateless adapter that resolves a plain-JSON
 spec mapping into the corresponding engine plan — catalog ids become

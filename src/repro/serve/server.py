@@ -47,14 +47,13 @@ Endpoint reference: ``docs/serving.md``.  Run it with
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import logging
 import math
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
@@ -138,12 +137,11 @@ class _Job:
 
 @dataclass
 class _Stream:
-    """One open incremental session plus its serialization lock."""
+    """One open incremental session."""
 
     stream_id: str
     scenario: Any
     session: Any
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
     def describe(self) -> dict:
         """Status payload for ``GET /streams/{id}``."""
@@ -227,7 +225,7 @@ class ReproServer:
             answered 503 (backpressure, not unbounded buffering).
         workers: job worker processes, forked once in :meth:`start`
             (so a workload registered after that is not visible to
-            jobs); stream advances run on an in-process thread pool.
+            jobs); stream advances run on the event loop itself.
         per_workload: max jobs of any single workload running at once
             (a cohort-heavy estimation job cannot starve quick
             calibration runs).
@@ -272,7 +270,6 @@ class ReproServer:
         self._semaphores: "dict[str, asyncio.Semaphore]" = {}
         self._tasks: "list[asyncio.Task]" = []
         self._server: "asyncio.base_events.Server | None" = None
-        self._pool: "ThreadPoolExecutor | None" = None
         self._job_pool: "ProcessPoolExecutor | None" = None
         self._handlers: "set[asyncio.Task]" = set()
 
@@ -291,9 +288,6 @@ class ReproServer:
         # fork before the listener binds: workers inherit no socket
         await self._fork_job_pool()
         self._queue = asyncio.Queue(maxsize=self.queue_size)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers + 1,
-            thread_name_prefix="repro-serve")
         self._tasks = [asyncio.create_task(self._worker(i))
                        for i in range(self.workers)]
         self._tasks.append(asyncio.create_task(self._collector()))
@@ -330,8 +324,6 @@ class ReproServer:
             except asyncio.CancelledError:
                 pass
         self._tasks = []
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
         if self._job_pool is not None:
             for process in _pool_processes(self._job_pool):
                 process.terminate()
@@ -865,7 +857,7 @@ class ReproServer:
         if rest == ["readings"]:
             if method != "POST":
                 raise _HttpError(405, "use POST .../readings")
-            return await self._push_readings(stream, body)
+            return self._push_readings(stream, body)
         self._get_only(method)
         if rest == ["result"]:
             if not stream.session.done:
@@ -879,44 +871,38 @@ class ReproServer:
             traces = query.get("traces") in ("1", "true")
             return 200, run.to_dict(include_traces=traces)
         if rest == ["snapshot"]:
-            async with stream.lock:
-                return 200, stream.session.export_state()
+            return 200, stream.session.export_state()
         raise _HttpError(404,
                          f"no route for stream {stream_id}/{rest[0]}")
 
-    async def _push_readings(self, stream: _Stream, body: bytes):
+    def _push_readings(self, stream: _Stream, body: bytes):
         data = self._json_body(body)
         count = data.get("count")
         if count is not None and (not isinstance(count, int)
                                   or isinstance(count, bool)
                                   or count < 1):
             raise _HttpError(400, "count must be a positive integer")
-        loop = asyncio.get_running_loop()
-        async with stream.lock:
-            if stream.session.done:
-                raise _HttpError(
-                    409, f"stream {stream.stream_id} is exhausted")
-            recorder = get_recorder()
-            with recorder.span("serve.advance",
-                               stream_id=stream.stream_id,
-                               workload=stream.session.workload):
-                # carry the request's trace id into the pool thread
-                context = contextvars.copy_context()
-                update = await loop.run_in_executor(
-                    self._pool, context.run, stream.session.advance,
-                    count)
-            pushed = update.n_samples * stream.session.n_channels
-            self._m["readings"].labels(
-                workload=stream.session.workload).inc(pushed)
-            return 200, {
-                "stream_id": stream.stream_id,
-                "start": update.start,
-                "stop": update.stop,
-                "cursor": stream.session.cursor,
-                "done": stream.session.done,
-                "time_h": update.time_h,
-                "values": update.values,
-            }
+        if stream.session.done:
+            raise _HttpError(
+                409, f"stream {stream.stream_id} is exhausted")
+        # On the loop: a small advance costs less than a hop to a
+        # thread, and nothing else can touch the session meanwhile.
+        with get_recorder().span("serve.advance",
+                                 stream_id=stream.stream_id,
+                                 workload=stream.session.workload):
+            update = stream.session.advance(count)
+        pushed = update.n_samples * stream.session.n_channels
+        self._m["readings"].labels(
+            workload=stream.session.workload).inc(pushed)
+        return 200, {
+            "stream_id": stream.stream_id,
+            "start": update.start,
+            "stop": update.stop,
+            "cursor": stream.session.cursor,
+            "done": stream.session.done,
+            "time_h": update.time_h,
+            "values": update.values,
+        }
 
 
 async def _run_server(server: ReproServer) -> None:

@@ -231,9 +231,8 @@ class StreamSession:
         """Snapshot the session at its current cursor.
 
         The returned dict is JSON-serializable (and
-        :func:`repro.engine.core.save_snapshot` writes it as ``.json``
-        or ``.npz``); :meth:`restore` rebuilds an equivalent session
-        from it.
+        :func:`repro.engine.core.save_snapshot` writes it as a ``.json``
+        file); :meth:`restore` rebuilds an equivalent session from it.
         """
         return self._kernels.export_state(self._plan, self._state,
                                           self._cursor)
@@ -244,6 +243,8 @@ class StreamSession:
 
         The workload is read from the snapshot envelope; finishing the
         restored session matches an uninterrupted run bit-identically.
+        A malformed snapshot, or one that does not match the plan,
+        raises ``ValueError``.
         """
         if not isinstance(snapshot, dict) or "workload" not in snapshot:
             raise ValueError("snapshot must be an export_state() dict")

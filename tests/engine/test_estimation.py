@@ -102,6 +102,22 @@ class TestRunEstimation:
         np.testing.assert_array_equal(a.filtered_concentration_molar,
                                       b.filtered_concentration_molar)
 
+    @pytest.mark.parametrize("chunk", [1, 13, None])
+    def test_outputs_exact_across_chunk_sizes(self, plan, result, chunk):
+        """The filter carries its exact posterior between chunks and
+        the smoother derives its predictions from the stored trace, so
+        every reconstruction array is bit-identical at any chunking
+        (``None``: the whole horizon in one chunk)."""
+        rechunked = run_estimation(replace(plan, monitor=replace(
+            plan.monitor, chunk_samples=chunk or plan.n_samples)))
+        for name in ("filtered_concentration_molar",
+                     "filtered_std_molar",
+                     "smoothed_concentration_molar",
+                     "smoothed_std_molar"):
+            np.testing.assert_array_equal(getattr(rechunked, name),
+                                          getattr(result, name),
+                                          err_msg=name)
+
 
 class TestResultExports:
     def test_summary_mentions_coverage_and_channels(self, result):

@@ -5,8 +5,10 @@ import pytest
 
 from repro.inference.kalman import (
     KalmanState,
-    SmoothedTrace,
+    KalmanTrace,
+    _dynamics,
     _inverse_2x2,
+    _predictions,
     kalman_filter_batch,
     kalman_filter_scalar,
     kalman_predict,
@@ -48,19 +50,39 @@ def run_both(z, params):
     return kalman_filter_batch(z, *args), kalman_filter_scalar(z, *args)
 
 
-def per_sample_rts(trace, a_signal, a_wander):
-    """The RTS back-pass with the gains formed inside the time loop: the
-    oracle that :func:`rts_smoother_batch` must match bit for bit."""
+def dynamics(params):
+    """The filter's dynamics in its argument order."""
+    return (params["a_signal"], params["q_signal"],
+            params["a_wander"], params["q_wander"])
+
+
+def predictions(trace, *dynamics_args):
+    """The smoother's derived one-step predictions of samples 1..T-1,
+    ``(n_channels, n_samples - 1)``."""
+    return _predictions(trace.transposed(), *_dynamics(
+        trace.m1.shape[0], *dynamics_args)).transposed()
+
+
+def per_sample_rts(trace, a_signal, q_signal, a_wander, q_wander):
+    """The RTS back-pass with each prediction and gain formed inside the
+    time loop: the oracle that :func:`rts_smoother_batch` must match bit
+    for bit."""
     n, t = trace.m1.shape
-    a_s = np.broadcast_to(np.asarray(a_signal, dtype=float), (n,))
-    a_w = np.broadcast_to(np.asarray(a_wander, dtype=float), (n,))
-    out = SmoothedTrace(*(np.empty((n, t)) for _ in range(5)))
+    a_s, q_s, a_w, q_w = (
+        np.broadcast_to(np.asarray(p, dtype=float), (n,))
+        for p in (a_signal, q_signal, a_wander, q_wander))
+    out = KalmanTrace.empty(n, t)
     for name in ("m1", "m2", "p11", "p12", "p22"):
         getattr(out, name)[:, -1] = getattr(trace, name)[:, -1]
     for k in range(t - 2, -1, -1):
-        i11, i12, i22 = _inverse_2x2(
-            trace.pp11[:, k + 1], trace.pp12[:, k + 1],
-            trace.pp22[:, k + 1])
+        # The filter's prediction of sample k + 1, from its posterior
+        # at k.
+        pm1 = trace.m1[:, k] * a_s
+        pm2 = trace.m2[:, k] * a_w
+        pp11 = trace.p11[:, k] * (a_s * a_s) + q_s
+        pp12 = trace.p12[:, k] * (a_s * a_w)
+        pp22 = trace.p22[:, k] * (a_w * a_w) + q_w
+        i11, i12, i22 = _inverse_2x2(pp11, pp12, pp22)
         f11 = trace.p11[:, k] * a_s
         f12 = trace.p12[:, k] * a_w
         f21 = trace.p12[:, k] * a_s
@@ -69,13 +91,13 @@ def per_sample_rts(trace, a_signal, a_wander):
         g12 = f11 * i12 + f12 * i22
         g21 = f21 * i11 + f22 * i12
         g22 = f21 * i12 + f22 * i22
-        dm1 = out.m1[:, k + 1] - trace.pm1[:, k + 1]
-        dm2 = out.m2[:, k + 1] - trace.pm2[:, k + 1]
+        dm1 = out.m1[:, k + 1] - pm1
+        dm2 = out.m2[:, k + 1] - pm2
         out.m1[:, k] = trace.m1[:, k] + g11 * dm1 + g12 * dm2
         out.m2[:, k] = trace.m2[:, k] + g21 * dm1 + g22 * dm2
-        d11 = out.p11[:, k + 1] - trace.pp11[:, k + 1]
-        d12 = out.p12[:, k + 1] - trace.pp12[:, k + 1]
-        d22 = out.p22[:, k + 1] - trace.pp22[:, k + 1]
+        d11 = out.p11[:, k + 1] - pp11
+        d12 = out.p12[:, k + 1] - pp12
+        d22 = out.p22[:, k + 1] - pp22
         out.p11[:, k] = (trace.p11[:, k] + g11 * g11 * d11
                          + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
         out.p12[:, k] = (trace.p12[:, k] + g11 * g21 * d11
@@ -90,8 +112,7 @@ class TestFilter:
     def test_batch_matches_scalar_reference(self):
         _, z, params = simulate()
         batch, scalar = run_both(z, params)
-        for name in ("m1", "m2", "p11", "p12", "p22",
-                     "pm1", "pm2", "pp11", "pp12", "pp22"):
+        for name in ("m1", "m2", "p11", "p12", "p22"):
             np.testing.assert_allclose(
                 getattr(batch, name), getattr(scalar, name),
                 rtol=0.0, atol=1e-9, err_msg=name)
@@ -127,8 +148,31 @@ class TestFilter:
             z, params["gain"], params["offset"], r,
             params["a_signal"], params["q_signal"],
             params["a_wander"], params["q_wander"])
-        np.testing.assert_array_equal(trace.m1[:, 2], trace.pm1[:, 2])
-        np.testing.assert_array_equal(trace.p11[:, 2], trace.pp11[:, 2])
+        predicted = predictions(trace, *dynamics(params))
+        np.testing.assert_array_equal(trace.m1[:, 2], predicted.m1[:, 1])
+        np.testing.assert_array_equal(trace.p11[:, 2],
+                                      predicted.p11[:, 1])
+
+    def test_derived_predictions_are_the_filters_own(self):
+        """The smoother's derived prediction of sample k + 1 is exactly
+        the filter's: one censored step (r = inf, pure prediction) from
+        the posterior at k lands on it bit for bit."""
+        _, z, params = simulate(n_channels=3, n_samples=40)
+        a_signal = np.array([0.95, 0.8, 0.99])
+        q_wander = np.array([0.01, 0.0, 0.002])
+        args = (params["gain"], params["offset"], params["r"], a_signal,
+                params["q_signal"], params["a_wander"], q_wander)
+        trace = kalman_filter_batch(z, *args)
+        predicted = predictions(trace, *args[3:])
+        for k in range(z.shape[1] - 1):
+            step = kalman_filter_batch(
+                z[:, k + 1:k + 2], params["gain"][:, :1],
+                params["offset"][:, :1], np.inf, *args[3:],
+                initial=KalmanState.from_trace(trace, k))
+            for name in ("m1", "m2", "p11", "p12", "p22"):
+                np.testing.assert_array_equal(
+                    getattr(predicted, name)[:, k],
+                    getattr(step, name)[:, 0], err_msg=f"{name}@{k}")
 
     def test_zero_noise_model_stays_pinned(self):
         """With no process noise and an exact start the posterior stays
@@ -157,8 +201,11 @@ class TestFilter:
             z, params["gain"], params["offset"], params["r"],
             params["a_signal"], params["q_signal"],
             params["a_wander"], params["q_wander"], initial=start)
-        np.testing.assert_allclose(trace.pm1[:, 0],
-                                   params["a_signal"] * 5.0)
+        first = kalman_update(
+            kalman_predict(start, *dynamics(params)), z[:, 0],
+            params["gain"][:, 0], params["offset"][:, 0], params["r"])
+        np.testing.assert_allclose(trace.m1[:, 0], first.m1,
+                                   rtol=1e-12)
         assert np.all(start.m1 == 5.0)  # inputs never mutated
 
 
@@ -182,10 +229,8 @@ class TestSmoother:
     def test_batch_matches_scalar_reference(self):
         _, z, params = simulate()
         batch_trace, scalar_trace = run_both(z, params)
-        batch = rts_smoother_batch(batch_trace, params["a_signal"],
-                                   params["a_wander"])
-        scalar = rts_smoother_scalar(scalar_trace, params["a_signal"],
-                                     params["a_wander"])
+        batch = rts_smoother_batch(batch_trace, *dynamics(params))
+        scalar = rts_smoother_scalar(scalar_trace, *dynamics(params))
         for name in ("m1", "m2", "p11", "p12", "p22"):
             np.testing.assert_allclose(
                 getattr(batch, name), getattr(scalar, name),
@@ -194,8 +239,7 @@ class TestSmoother:
     def test_smoothing_reduces_variance_and_error(self):
         truth, z, params = simulate(n_channels=6, n_samples=1000)
         trace, _ = run_both(z, params)
-        smoothed = rts_smoother_batch(trace, params["a_signal"],
-                                      params["a_wander"])
+        smoothed = rts_smoother_batch(trace, *dynamics(params))
         interior = slice(10, -10)
         assert np.all(smoothed.p11[:, interior]
                       <= trace.p11[:, interior] + 1e-12)
@@ -206,8 +250,7 @@ class TestSmoother:
     def test_last_sample_equals_filter(self):
         _, z, params = simulate(n_samples=50)
         trace, _ = run_both(z, params)
-        smoothed = rts_smoother_batch(trace, params["a_signal"],
-                                      params["a_wander"])
+        smoothed = rts_smoother_batch(trace, *dynamics(params))
         np.testing.assert_array_equal(smoothed.m1[:, -1],
                                       trace.m1[:, -1])
 
@@ -223,13 +266,20 @@ class TestSmoother:
         trace = kalman_filter_batch(
             z, params["gain"], params["offset"], params["r"], a_signal,
             params["q_signal"], a_wander, q_wander)
-        np.testing.assert_array_equal(trace.pp22[1], 0.0)
-        smoothed = rts_smoother_batch(trace, a_signal, a_wander)
-        expected = per_sample_rts(trace, a_signal, a_wander)
+        # Channel 1's predicted wander variance is identically zero.
+        np.testing.assert_array_equal(
+            trace.p22[1] * (a_wander[1] * a_wander[1]) + q_wander[1], 0.0)
+        dyn = (a_signal, params["q_signal"], a_wander, q_wander)
+        smoothed = rts_smoother_batch(trace, *dyn)
+        expected = per_sample_rts(trace, *dyn)
+        scalar = rts_smoother_scalar(trace, *dyn)
         for name in ("m1", "m2", "p11", "p12", "p22"):
             np.testing.assert_array_equal(
                 getattr(smoothed, name), getattr(expected, name),
                 err_msg=name)
+            np.testing.assert_allclose(
+                getattr(scalar, name), getattr(expected, name),
+                rtol=0.0, atol=1e-9, err_msg=name)
 
     def test_singular_wander_block_is_handled(self):
         """q_wander = 0 keeps the wander covariance identically zero;
@@ -238,8 +288,7 @@ class TestSmoother:
         _, z, params = simulate(n_channels=2, n_samples=60,
                                 sigma_wander=0.0)
         trace, _ = run_both(z, params)
-        smoothed = rts_smoother_batch(trace, params["a_signal"],
-                                      params["a_wander"])
+        smoothed = rts_smoother_batch(trace, *dynamics(params))
         assert np.all(np.isfinite(smoothed.m1))
         assert np.all(np.isfinite(smoothed.p11))
         np.testing.assert_array_equal(smoothed.m2, 0.0)

@@ -122,6 +122,29 @@ class TestTraceCorrelation:
         trace_id = response.getheader("X-Trace-Id")
         assert trace_id and len(trace_id) == 16
 
+    def test_advance_span_carries_the_push_trace(self, served):
+        """A stream advance runs inside its push request, so its span
+        carries the push's ``X-Trace-Id``."""
+        client, __, recorder = served
+        stream = client.create_stream(SCENARIO.to_dict())
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=30)
+        try:
+            connection.request(
+                "POST", f"/streams/{stream['stream_id']}/readings",
+                body=json.dumps({"count": 6}),
+                headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        (advance,) = [span for span in recorder.spans
+                      if span.name == "serve.advance"]
+        assert advance.attrs["stream_id"] == stream["stream_id"]
+        assert advance.attrs["trace_id"] \
+            == response.getheader("X-Trace-Id")
+
     def test_exemplar_and_span_share_the_job_trace(self, served):
         client, registry, recorder = served
         _run_one_job(client)

@@ -1,7 +1,7 @@
 """Snapshot wire format: suspend at k, serialize, restore, finish.
 
 Covers the :mod:`repro.engine.core.snapshot` primitives (array / rng
-codecs, envelope validation, ``.json`` / ``.npz`` files) and the
+codecs, envelope validation, ``.json`` files) and the
 kernel-set snapshot surface end to end: a session suspended at an
 arbitrary cursor, serialized through real JSON text, restored in a
 fresh session, must finish bit-identical to an uninterrupted run.
@@ -75,7 +75,9 @@ class TestEnvelope:
     def test_wrong_workload_rejected(self):
         snapshot = snapshot_envelope("monitor", 1, 17)
         with pytest.raises(ValueError, match="belongs to workload"):
-            require_snapshot(snapshot, "estimation", 1, 36)
+            require_snapshot(snapshot, "estimation",
+                             kernels_for("estimation").snapshot_version,
+                             36)
 
     def test_wrong_snapshot_version_rejected(self):
         snapshot = snapshot_envelope("monitor", 2, 17)
@@ -88,7 +90,7 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="schema_version"):
             require_snapshot(snapshot, "monitor", 1, 36)
 
-    @pytest.mark.parametrize("cursor", [-1, 37, 1.5, "3"])
+    @pytest.mark.parametrize("cursor", [-1, 37, 1.5, "3", True])
     def test_out_of_range_cursor_rejected(self, cursor):
         snapshot = dict(snapshot_envelope("monitor", 1, 0),
                         cursor=cursor)
@@ -143,7 +145,7 @@ class TestSuspendResume:
                                                   rel=0.02)
 
 
-@pytest.mark.parametrize("suffix", [".json", ".npz"])
+@pytest.mark.parametrize("suffix", [".json"])
 @pytest.mark.parametrize("workload", STREAMABLE_WORKLOADS)
 class TestSnapshotFiles:
     def test_disk_round_trip_finishes_identically(self, workload,
@@ -162,6 +164,109 @@ class TestSnapshotFiles:
             workload, f"disk {suffix}",
             kernels.contract_fields(batch_result(workload)),
             kernels.contract_fields(resumed.result()))
+
+    def test_other_suffixes_rejected(self, workload, suffix, plan_for,
+                                     tmp_path):
+        session = StreamSession(workload, plan_for(workload))
+        session.advance(13)
+        snapshot = session.export_state()
+        for bad in ("snap.npz", "snap.txt", "snap"):
+            with pytest.raises(ValueError, match=r"\.json"):
+                save_snapshot(snapshot, tmp_path / bad)
+            with pytest.raises(ValueError, match=r"\.json"):
+                load_snapshot(tmp_path / bad)
+        assert not any(tmp_path.iterdir())
+
+
+def _drop(node, key):
+    del node[key]
+
+
+#: Malformed-snapshot mutations: ``(id, mutate(snapshot, monitor))``,
+#: where ``monitor`` is the monitor part (the snapshot itself for a
+#: monitor run, the nested ``"monitor"`` entry for an estimation run).
+MONITOR_MUTATIONS = [
+    ("short-rng-list", lambda s, m: m["rngs"].update(
+        wander=m["rngs"]["wander"][:-1])),
+    ("short-slopes", lambda s, m: m.update(
+        slopes=encode_array(np.ones(1)))),
+    ("bool-cursor", lambda s, m: s.update(cursor=True)),
+    ("object-dtype", lambda s, m: m["slopes"].update(dtype="object")),
+    ("bad-dtype", lambda s, m: m["slopes"].update(dtype="float99")),
+    ("short-data", lambda s, m: m["slopes"].update(data=[1.0])),
+    ("seed-sequence", lambda s, m: m["rngs"]["trajectory"][0].update(
+        bit_generator="SeedSequence")),
+    ("string-state", lambda s, m: m["rngs"]["measurement"][0].update(
+        state="x")),
+    ("rng-not-mapping", lambda s, m: m["rngs"]["wander"].__setitem__(
+        0, "PCG64")),
+    ("missing-wander", lambda s, m: _drop(m["rngs"], "wander")),
+    ("missing-slopes", lambda s, m: _drop(m, "slopes")),
+    ("missing-n-channels", lambda s, m: _drop(m, "n_channels")),
+    ("int-recal-times", lambda s, m: m.update(recal_times=5)),
+    ("string-recal-time", lambda s, m: m.update(
+        recal_times=[["6.0"], []])),
+    ("short-trace", lambda s, m: m["traces"].update(
+        measured_current_a=encode_array(np.zeros((2, 4))))),
+]
+
+ESTIMATION_MUTATIONS = [
+    ("missing-trace", lambda s, m: _drop(s, "trace")),
+    ("missing-trace-moment", lambda s, m: _drop(s["trace"], "p12")),
+    ("wide-trace", lambda s, m: s["trace"].update(
+        m1=encode_array(np.zeros((3, 5))))),
+    ("long-trace", lambda s, m: s["trace"].update(
+        p11=encode_array(np.zeros((2, 6))))),
+    ("trace-not-mapping", lambda s, m: s.update(trace=[])),
+]
+
+
+class TestMalformedSnapshots:
+    """Restore reads outside input: every malformed snapshot is a
+    ``ValueError``, never another exception and never a silent load."""
+
+    @staticmethod
+    def _snapshot(workload, plan):
+        session = StreamSession(workload, plan)
+        session.advance(5)
+        snapshot = json.loads(json.dumps(session.export_state()))
+        return snapshot, (snapshot["monitor"] if workload == "estimation"
+                          else snapshot)
+
+    @pytest.mark.parametrize(
+        "workload,mutate",
+        [pytest.param(workload, mutate, id=f"{workload}-{name}")
+         for workload in STREAMABLE_WORKLOADS
+         for name, mutate in MONITOR_MUTATIONS]
+        + [pytest.param("estimation", mutate, id=f"estimation-{name}")
+           for name, mutate in ESTIMATION_MUTATIONS])
+    def test_restore_raises_value_error(self, workload, mutate,
+                                        plan_for):
+        plan = plan_for(workload)
+        snapshot, monitor = self._snapshot(workload, plan)
+        StreamSession.restore(plan, snapshot)  # the unmutated one loads
+        mutate(snapshot, monitor)
+        with pytest.raises(ValueError):
+            StreamSession.restore(plan, snapshot)
+
+    def test_version_one_estimation_snapshot_rejected(self, plan_for):
+        """Version 1 also stored the predicted moments; this build
+        derives them and reads version 2 only."""
+        assert kernels_for("estimation").snapshot_version == 2
+        plan = plan_for("estimation")
+        snapshot, __ = self._snapshot("estimation", plan)
+        snapshot["snapshot_version"] = 1
+        with pytest.raises(ValueError, match="snapshot_version 1"):
+            StreamSession.restore(plan, snapshot)
+
+    def test_estimation_snapshot_holds_five_moments(self, plan_for):
+        """The filtered moments only: the smoother derives the
+        predictions, and the next chunk starts from the last column."""
+        snapshot, __ = self._snapshot("estimation",
+                                      plan_for("estimation"))
+        assert set(snapshot["trace"]) == {"m1", "m2", "p11", "p12",
+                                          "p22"}
+        assert "kalman" not in snapshot
 
 
 class TestTracelessMonitor:
