@@ -126,7 +126,7 @@ def execute_shard(store_path: "str | Path",
 
     Every shard runs under its own freshly minted trace id
     (:func:`repro.telemetry.trace_context`): the id rides on the
-    shard's spans and metric exemplars and is stamped into the
+    shard's spans, metric exemplars and log lines and is stamped into the
     ``done`` / ``failed`` / ``metrics`` telemetry payloads, so a slow
     or failing shard in ``campaign report`` can be chased into the
     Perfetto timeline.  ``failed`` payloads additionally carry the
@@ -148,33 +148,33 @@ def execute_shard(store_path: "str | Path",
         store.mark_running(shard_index)
         store.record_event("running", shard_index, worker=worker,
                            payload={"trace_id": trace_id})
-    _LOG.info("shard %d running on %s", shard_index, worker)
-    throttle = float(os.environ.get(THROTTLE_ENV, "0") or "0")
-    if throttle > 0.0:
-        time.sleep(throttle)
-    recorder, registry = get_recorder(), get_metrics_registry()
-    start = time.perf_counter()
-    try:
-        with trace_context(trace_id):
+    with trace_context(trace_id):  # also on the shard's log lines
+        _LOG.info("shard %d running on %s", shard_index, worker)
+        throttle = float(os.environ.get(THROTTLE_ENV, "0") or "0")
+        if throttle > 0.0:
+            time.sleep(throttle)
+        recorder, registry = get_recorder(), get_metrics_registry()
+        start = time.perf_counter()
+        try:
             result, spans, metrics_snapshot = run_isolated(
                 scenario, spans=recorder.enabled,
                 metrics=registry.enabled)
             row = result.summary_row()
-    except Exception as error:  # one shard's failure is campaign data
+        except Exception as error:  # one shard's failure is campaign data
+            elapsed = time.perf_counter() - start
+            message = f"{type(error).__name__}: {error}"
+            _LOG.warning("shard %d failed after %.2f s: %s",
+                         shard_index, elapsed, message)
+            with ArtifactStore.open(store_path) as store:
+                store.record_failure(shard_index, message)
+                store.record_event(
+                    "failed", shard_index, worker=worker,
+                    duration_s=elapsed,
+                    payload={"error_class": type(error).__name__,
+                             "trace_id": trace_id})
+            return shard_index, "failed"
         elapsed = time.perf_counter() - start
-        message = f"{type(error).__name__}: {error}"
-        _LOG.warning("shard %d failed after %.2f s: %s",
-                     shard_index, elapsed, message)
-        with ArtifactStore.open(store_path) as store:
-            store.record_failure(shard_index, message)
-            store.record_event(
-                "failed", shard_index, worker=worker,
-                duration_s=elapsed,
-                payload={"error_class": type(error).__name__,
-                         "trace_id": trace_id})
-        return shard_index, "failed"
-    elapsed = time.perf_counter() - start
-    _LOG.info("shard %d done in %.2f s", shard_index, elapsed)
+        _LOG.info("shard %d done in %.2f s", shard_index, elapsed)
     # The shard's private telemetry rolls up into this process: spans
     # reach any attached trace sink, metrics the process registry.
     for record in spans or ():

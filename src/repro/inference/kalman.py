@@ -24,16 +24,19 @@ these arrays straight from a :class:`~repro.engine.monitor.MonitorPlan`,
 so the filter is consistent-by-construction with the simulator.
 
 Execution model mirrors the engines: the recursion is inherently causal,
-so the batch path advances all channels one sample at a time as
-``(n_channels,)`` array operations — one NumPy pass per sample instead
-of one Python iteration per (channel, sample) pair.  The filter
-stores only its posterior moments; the smoother's one-step predictions
-and gains need no recursion, so :func:`rts_smoother_batch` derives them
-from that trace for the whole time axis in one pass and loops only over
-the moment back-pass.  The scalar reference (:func:`kalman_filter_scalar` /
-:func:`rts_smoother_scalar`) replays the identical arithmetic with
-Python floats, channel by channel, and is gated bit-identical
-(<= 1e-9) by the execution-core contract suite
+so the batch path advances all channels one sample at a time — a
+handful of NumPy calls per sample on one stacked ``(5, n_channels)``
+state ``[m1, m2, p11, p12, p22]`` instead of one Python iteration per
+(channel, sample) pair.  The filter stores only its posterior moments;
+the smoother's one-step predictions and gains need no recursion, so
+:func:`rts_smoother_batch` derives them from that trace for the whole
+time axis in one pass and folds them into one coefficient block per
+step, leaving three NumPy calls per back-step.  Both batch passes form
+every product and sum of the per-sample expressions in the same order,
+so they are bit-identical to per-sample loops.  The scalar reference
+(:func:`kalman_filter_scalar` / :func:`rts_smoother_scalar`) replays the
+identical arithmetic with Python floats, channel by channel, and is
+gated bit-identical (<= 1e-9) by the execution-core contract suite
 (``tests/engine/test_core_contract.py``) with a >= 5x speedup floor in
 ``benchmarks/bench_core.py``.
 """
@@ -191,11 +194,15 @@ class KalmanTrace:
         return cls(*(np.empty((n_channels, n_samples)) for _ in range(5)))
 
     def transposed(self) -> "KalmanTrace":
-        """The same moments with the axes swapped, C-contiguous (the
-        smoother works time-major: one contiguous row per step)."""
-        return KalmanTrace(*(np.ascontiguousarray(moment.T) for moment in
-                             (self.m1, self.m2, self.p11, self.p12,
-                              self.p22)))
+        """The same moments with the axes swapped, C-contiguous
+        (time-major: one contiguous row per step)."""
+        return KalmanTrace(*(np.ascontiguousarray(moment.T)
+                             for moment in _moments(self)))
+
+
+def _moments(belief: "KalmanState | KalmanTrace") -> tuple:
+    """The five moments in stacking order ``m1, m2, p11, p12, p22``."""
+    return belief.m1, belief.m2, belief.p11, belief.p12, belief.p22
 
 
 def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
@@ -260,47 +267,58 @@ def kalman_filter_batch(z: np.ndarray,
         z, gain, offset, r, a_signal, q_signal, a_wander, q_wander)
     n, t = z.shape
     state = initial if initial is not None else KalmanState.zeros(n)
-    trace = KalmanTrace.empty(n, t)
-    # The hot loop inlines kalman_predict / kalman_update on reused
-    # buffers (copies: inputs are never mutated) — same arithmetic, no
-    # per-sample object churn.  The
-    # composite transition factors are formed once (a * a is a single
-    # deterministic product, so precomputing it changes nothing).
-    m1, m2 = state.m1.copy(), state.m2.copy()
-    p11, p12, p22 = state.p11.copy(), state.p12.copy(), state.p22.copy()
-    aa_s = a_s * a_s
-    aa_w = a_w * a_w
-    a_sw = a_s * a_w
+    # The hot loop inlines kalman_predict / kalman_update on one stacked
+    # state x = [m1, m2, p11, p12, p22] (a copy: inputs are never
+    # mutated) and reused buffers: the same float expressions, a handful
+    # of NumPy calls per sample.  The composite transition factors are
+    # formed once (a * a is a single deterministic product, so
+    # precomputing it changes nothing), and the innovation variances go
+    # to p11 and p22 alone.
+    x = np.array(_moments(state), dtype=float)
+    transition = np.stack([a_s, a_w, a_s * a_s, a_s * a_w, a_w * a_w])
+    innovation = np.stack([q_s, q_w])
+    gain, offset, r, z = (np.ascontiguousarray(a.T)
+                          for a in (gain, offset, r, z))
+    m1, m2 = x[0], x[1]
+    means, variances, covariances = x[:2], x[2::2], x[2:]
+    p11_p12, p12_p22 = x[2:4], x[3:]
+    u = np.empty((2, n))                  # P H^T: rows u1, u2
+    u1, u2 = u
+    s = np.empty(n)                       # innovation variance
+    positive = np.empty(n, dtype=bool)
+    k = np.empty((2, n))                  # Kalman gains: rows k1, k2
+    k1, k2 = k
+    residual = np.empty(n)
+    dm = np.empty((2, n))
+    dp = np.empty((3, n))                 # k1 u1, k1 u2, k2 u2
+    dp_k1, dp_k2 = dp[:2], dp[2]
+    history = np.empty((t, 5, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(t):
+        for step in range(t):
+            g = gain[step]
             # Predict.
-            m1 *= a_s
-            m2 *= a_w
-            p11 *= aa_s
-            p11 += q_s
-            p12 *= a_sw
-            p22 *= aa_w
-            p22 += q_w
+            x *= transition
+            variances += innovation
             # Update.
-            g = gain[:, k]
-            u1 = g * p11 + p12
-            u2 = g * p12 + p22
-            s = g * u1 + u2 + r[:, k]
-            positive = s > 0
-            k1 = np.where(positive, u1 / s, 0.0)
-            k2 = np.where(positive, u2 / s, 0.0)
-            residual = z[:, k] - (offset[:, k] + g * m1 + m2)
-            m1 += k1 * residual
-            m2 += k2 * residual
-            p11 -= k1 * u1
-            p12 -= k1 * u2
-            p22 -= k2 * u2
-            trace.m1[:, k] = m1
-            trace.m2[:, k] = m2
-            trace.p11[:, k] = p11
-            trace.p12[:, k] = p12
-            trace.p22[:, k] = p22
-    return trace
+            np.multiply(p11_p12, g, out=u)
+            u += p12_p22
+            np.multiply(u1, g, out=s)
+            s += u2
+            s += r[step]
+            np.greater(s, 0.0, out=positive)
+            k.fill(0.0)
+            np.divide(u, s, out=k, where=positive)
+            np.multiply(m1, g, out=residual)
+            residual += offset[step]
+            residual += m2
+            np.subtract(z[step], residual, out=residual)
+            np.multiply(k, residual, out=dm)
+            means += dm
+            np.multiply(k1, u, out=dp_k1)
+            np.multiply(k2, u2, out=dp_k2)
+            covariances -= dp
+            history[step] = x
+    return KalmanTrace(*np.ascontiguousarray(history.transpose(1, 2, 0)))
 
 
 def kalman_filter_scalar(z: np.ndarray,
@@ -422,6 +440,38 @@ def _smoother_gains(filtered: KalmanTrace, predicted: KalmanTrace,
             f21 * i11 + f22 * i12, f21 * i12 + f22 * i22)
 
 
+def _back_pass_coefficients(filtered: np.ndarray, gains) -> np.ndarray:
+    """Each RTS back-step as a sum of six ``(5, n_channels)`` terms.
+
+    Block ``k`` (shape ``(6, 5, n)``) holds the filtered state at ``k``
+    in row 0 and, in rows 1-5, the coefficients that multiply the
+    prediction errors ``dm1, dm2, d11, d12, d22`` in each smoothed
+    moment, with zeros in the cross blocks.  Each coefficient is the
+    product the per-sample update forms, in the same association, so
+    scaling rows 1-5 by the errors and adding the six rows in order
+    evaluates exactly the per-sample expressions.
+
+    Args:
+        filtered: time-major stacked filtered moments ``(t, 5, n)``.
+        gains: ``(g11, g12, g21, g22)`` from :func:`_smoother_gains`.
+
+    Returns:
+        ``(t - 1, 6, 5, n)``; block ``k`` smooths sample ``k``.
+    """
+    g11, g12, g21, g22 = gains
+    blocks = np.zeros((filtered.shape[0] - 1, 6) + filtered.shape[1:])
+    blocks[:, 0] = filtered[:-1]
+    for term, moment, coefficient in (
+            (1, 0, g11), (2, 0, g12),
+            (1, 1, g21), (2, 1, g22),
+            (3, 2, g11 * g11), (4, 2, 2.0 * g11 * g12), (5, 2, g12 * g12),
+            (3, 3, g11 * g21), (4, 3, g11 * g22 + g12 * g21),
+            (5, 3, g12 * g22),
+            (3, 4, g21 * g21), (4, 4, 2.0 * g21 * g22), (5, 4, g22 * g22)):
+        blocks[:, term, moment] = coefficient
+    return blocks
+
+
 def rts_smoother_batch(trace: KalmanTrace,
                        a_signal: "np.ndarray | float",
                        q_signal: "np.ndarray | float",
@@ -433,8 +483,9 @@ def rts_smoother_batch(trace: KalmanTrace,
     reconstruction the monitoring workload wants after a wear period),
     shrinking the posterior variance relative to the causal filter.
     The predictions and gains come from the forward trace alone and are
-    computed for every sample at once; only the mean/covariance
-    back-pass steps through time.
+    computed for every sample at once (:func:`_back_pass_coefficients`);
+    only the mean/covariance back-pass steps through time, three NumPy
+    calls per step on the stacked ``(5, n_channels)`` moments.
 
     Args:
         trace: forward-pass output of :func:`kalman_filter_batch`.
@@ -447,30 +498,21 @@ def rts_smoother_batch(trace: KalmanTrace,
     n, t = trace.m1.shape
     a_s, q_s, a_w, q_w = _dynamics(n, a_signal, q_signal, a_wander,
                                    q_wander)
-    f = trace.transposed()
-    predicted = _predictions(f, a_s, q_s, a_w, q_w)
-    gain11, gain12, gain21, gain22 = _smoother_gains(f, predicted,
-                                                     a_s, a_w)
-    out = trace.transposed()  # the last sample is already smoothed
-    for k in range(t - 2, -1, -1):
-        g11 = gain11[k]
-        g12 = gain12[k]
-        g21 = gain21[k]
-        g22 = gain22[k]
-        dm1 = out.m1[k + 1] - predicted.m1[k]
-        dm2 = out.m2[k + 1] - predicted.m2[k]
-        out.m1[k] = f.m1[k] + g11 * dm1 + g12 * dm2
-        out.m2[k] = f.m2[k] + g21 * dm1 + g22 * dm2
-        d11 = out.p11[k + 1] - predicted.p11[k]
-        d12 = out.p12[k + 1] - predicted.p12[k]
-        d22 = out.p22[k + 1] - predicted.p22[k]
-        out.p11[k] = (f.p11[k] + g11 * g11 * d11
-                      + 2.0 * g11 * g12 * d12 + g12 * g12 * d22)
-        out.p12[k] = (f.p12[k] + g11 * g21 * d11
-                      + (g11 * g22 + g12 * g21) * d12 + g12 * g22 * d22)
-        out.p22[k] = (f.p22[k] + g21 * g21 * d11
-                      + 2.0 * g21 * g22 * d12 + g22 * g22 * d22)
-    return out.transposed()
+    # Time-major stacked moments: row k is the (5, n) state at sample k.
+    out = np.stack([moment.T for moment in _moments(trace)], axis=1)
+    filtered = KalmanTrace(*out.transpose(1, 0, 2))
+    predicted = _predictions(filtered, a_s, q_s, a_w, q_w)
+    coefficients = _back_pass_coefficients(
+        out, _smoother_gains(filtered, predicted, a_s, a_w))
+    predicted = np.stack(_moments(predicted), axis=1)
+    errors = np.empty((5, 1, n))   # dm1, dm2, d11, d12, d22
+    error_rows = errors[:, 0]
+    for k in range(t - 2, -1, -1):   # the last sample is already smoothed
+        terms = coefficients[k]
+        np.subtract(out[k + 1], predicted[k], out=error_rows)
+        terms[1:] *= errors
+        np.add.reduce(terms, axis=0, out=out[k])
+    return KalmanTrace(*np.ascontiguousarray(out.transpose(1, 2, 0)))
 
 
 def rts_smoother_scalar(trace: KalmanTrace,

@@ -45,7 +45,8 @@ def configure_logging(level_name: str | None = None,
     ``repro.campaigns.runner``), so one handler here covers them all
     and embedding applications that configure logging themselves are
     never fought over — the handler is only attached once, and only by
-    the CLI.
+    the CLI.  Its :class:`~repro.telemetry.TraceIdFilter` prints the
+    active trace id on every line (``-`` outside a trace).
 
     Args:
         level_name: explicit level (``--log-level``), wins over
@@ -64,12 +65,16 @@ def configure_logging(level_name: str | None = None,
         level = logging.INFO
     else:
         level = logging.WARNING
+    from repro.telemetry import TraceIdFilter
+
     logger = logging.getLogger("repro")
     logger.setLevel(level)
     if not logger.handlers:
         handler = logging.StreamHandler()
+        handler.addFilter(TraceIdFilter())
         handler.setFormatter(logging.Formatter(
-            "%(asctime)s %(name)s %(levelname)s: %(message)s"))
+            "%(asctime)s %(name)s %(levelname)s [%(trace_id)s]: "
+            "%(message)s"))
         logger.addHandler(handler)
         logger.propagate = False
     return level

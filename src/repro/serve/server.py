@@ -47,6 +47,7 @@ Endpoint reference: ``docs/serving.md``.  Run it with
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import logging
 import math
@@ -76,9 +77,21 @@ _LOG = logging.getLogger("repro.serve.server")
 #: are answered 413 before the body is consumed.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Longest request line or header line the server will read [bytes],
+#: the connection's stream buffer limit; a longer request line is
+#: answered 400, a longer header line 431.
+MAX_LINE_BYTES = 64 * 1024
+
+#: Most header lines one request may carry; more are answered 431.
+MAX_HEADERS = 100
+
 #: Longest a ``GET /scenarios/{id}?wait=<s>`` long-poll is held [s];
 #: larger waits are clamped to it.
 MAX_WAIT_S = 30.0
+
+#: Longest the server keeps reading (and discarding) a request it
+#: refused before closing the connection [s].
+_LINGER_S = 1.0
 
 #: Longest :meth:`ReproServer.stop` lets open requests finish [s]
 #: before cancelling them.
@@ -87,7 +100,8 @@ _SHUTDOWN_GRACE_S = 1.0
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
     404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-    413: "Payload Too Large", 500: "Internal Server Error",
+    413: "Payload Too Large", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -99,6 +113,35 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One request or header line; past :data:`MAX_LINE_BYTES` the
+    stream raises ``ValueError``, answered with ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(status, f"{what} longer than {MAX_LINE_BYTES} "
+                                 f"bytes") from None
+
+
+async def _discard_unread(reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+    """Half-close, then read what the client still sends, for at most
+    :data:`_LINGER_S`: closing on unread input resets the connection,
+    which can discard the error response before the client reads it."""
+    if writer.can_write_eof():
+        writer.write_eof()
+    try:
+        await asyncio.wait_for(_read_to_eof(reader), _LINGER_S)
+    except asyncio.TimeoutError:
+        pass
+
+
+async def _read_to_eof(reader: asyncio.StreamReader) -> None:
+    while await reader.read(MAX_LINE_BYTES):
+        pass
 
 
 @dataclass
@@ -293,7 +336,8 @@ class ReproServer:
         self._tasks.append(asyncio.create_task(self._collector()))
         self._collect_runtime()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         _LOG.info("serving on %s:%d (queue=%d workers=%d)", self.host,
                   self.port, self.queue_size, self.workers)
@@ -605,6 +649,7 @@ class ReproServer:
                 # line) still deserve a proper status response
                 await self._write_response(writer, error.status,
                                            {"error": error.message})
+                await _discard_unread(reader, writer)
                 return
             if request is None:
                 return
@@ -643,7 +688,7 @@ class ReproServer:
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one HTTP/1.1 request; None for an empty connection."""
-        line = await reader.readline()
+        line = await _read_line(reader, 400, "request line")
         if not line.strip():
             return None
         parts = line.decode("latin-1").split()
@@ -651,10 +696,12 @@ class ReproServer:
             raise _HttpError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: "dict[str, str]" = {}
-        while True:
-            raw = await reader.readline()
+        for count in itertools.count():
+            raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise _HttpError(431, f"more than {MAX_HEADERS} headers")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length") or "0"

@@ -103,6 +103,7 @@ from repro.telemetry.recorder import (
     Recorder,
     SpanRecord,
     TRACE_ENV,
+    TraceIdFilter,
     current_trace_id,
     get_recorder,
     new_trace_id,
@@ -135,6 +136,7 @@ __all__ = [
     "Recorder",
     "SpanRecord",
     "TRACE_ENV",
+    "TraceIdFilter",
     "complete_event",
     "current_trace_id",
     "exponential_buckets",

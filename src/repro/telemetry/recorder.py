@@ -32,7 +32,8 @@ campaign runner one per shard).  While a trace id is active, every
 completed span carries it in ``attrs["trace_id"]`` — so it lands in the
 JSONL trace and the Perfetto timeline — and every histogram observation
 in :mod:`repro.telemetry.metrics` stamps it as an exemplar, letting a
-slow bucket be chased back to one request's spans.
+slow bucket be chased back to one request's spans.  A
+:class:`TraceIdFilter` on a logging handler puts it on log lines too.
 
 **Thread-safety.**  The nesting-depth counter is thread-local (each
 serve worker thread nests independently), and the shipped recorders
@@ -45,6 +46,7 @@ tearing lines.
 from __future__ import annotations
 
 import contextvars
+import logging
 import os
 import threading
 import time
@@ -119,6 +121,21 @@ def trace_context(trace_id: "str | None" = None) -> Iterator[str]:
         yield trace_id
     finally:
         _TRACE_ID.reset(token)
+
+
+class TraceIdFilter(logging.Filter):
+    """Set ``record.trace_id`` to the active trace id (``"-"`` outside
+    any trace), for a ``%(trace_id)s`` field in a log format.
+
+    Attach it to a *handler*: a filter on a logger sees only records
+    logged through that logger itself, never those its child loggers
+    (``repro.serve.server``, ``repro.campaigns.runner``) propagate.
+    """
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        """Stamp ``record`` and let it through."""
+        record.trace_id = current_trace_id() or "-"
+        return True
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ class so retries group into per-error-class budgets, and
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.campaigns.report import (
 from repro.scenarios.cli import main as cli_main
 from repro.telemetry import (
     MetricsRegistry,
+    TraceIdFilter,
     set_metrics_registry,
     set_recorder,
 )
@@ -124,6 +126,33 @@ class TestMeteredCampaign:
         assert len(by_shard) == small_campaign.n_shards
         # one trace id per shard, shared by running and done
         assert all(len(ids) == 1 for ids in by_shard.values())
+
+    def test_shard_log_lines_carry_the_shard_trace_id(self, small_campaign,
+                                                      tmp_path, caplog):
+        """Each shard's running/done lines carry its lifecycle trace id
+        through :class:`TraceIdFilter` on a handler."""
+        store_path = tmp_path / "fleet.sqlite"
+        runner_log = logging.getLogger("repro.campaigns.runner")
+        trace_filter = TraceIdFilter()
+        caplog.handler.addFilter(trace_filter)
+        runner_log.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.INFO,
+                                 logger="repro.campaigns.runner"):
+                run_campaign(small_campaign, store_path, workers=1)
+        finally:
+            runner_log.removeHandler(caplog.handler)
+            caplog.handler.removeFilter(trace_filter)
+        with ArtifactStore.open(store_path) as store:
+            expected = {event["shard_index"]: {event["payload"]["trace_id"]}
+                        for event in store.telemetry_events()
+                        if event["event"] == "running"}
+        logged: dict = {}
+        for record in caplog.records:
+            words = record.getMessage().split()
+            if words[0] == "shard":
+                logged.setdefault(int(words[1]), set()).add(record.trace_id)
+        assert logged == expected
 
 
 class TestRetryBudgets:

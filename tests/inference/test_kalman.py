@@ -108,6 +108,21 @@ def per_sample_rts(trace, a_signal, q_signal, a_wander, q_wander):
     return out
 
 
+def per_sample_filter(z, gain, offset, r, dynamics_args, initial=None):
+    """The filter as a per-sample ``kalman_update(kalman_predict(...))``
+    loop: the oracle that :func:`kalman_filter_batch` must match bit for
+    bit."""
+    n, t = z.shape
+    state = initial if initial is not None else KalmanState.zeros(n)
+    out = KalmanTrace.empty(n, t)
+    for k in range(t):
+        state = kalman_update(kalman_predict(state, *dynamics_args),
+                              z[:, k], gain[:, k], offset[:, k], r[:, k])
+        for name in ("m1", "m2", "p11", "p12", "p22"):
+            getattr(out, name)[:, k] = getattr(state, name)
+    return out
+
+
 class TestFilter:
     def test_batch_matches_scalar_reference(self):
         _, z, params = simulate()
@@ -208,6 +223,47 @@ class TestFilter:
                                    rtol=1e-12)
         assert np.all(start.m1 == 5.0)  # inputs never mutated
 
+    @pytest.mark.parametrize("chunk", [1, 13, None])
+    def test_matches_per_sample_oracle_in_chunks(self, chunk):
+        """Censored runs (r = inf), a channel whose innovation variance
+        is exactly 0 (r = q = 0 from an exact start), a non-zero
+        initial belief, and chunks carried through
+        :meth:`KalmanState.from_trace` (``None``: the whole horizon)."""
+        _, z, params = simulate(n_channels=4, n_samples=60)
+        r = np.repeat(params["r"][:, None], z.shape[1], axis=1)
+        r[:, 20:26] = np.inf
+        r[1, 40:43] = np.inf
+        r[3] = 0.0
+        dyn = (np.array([0.95, 0.8, 0.99, 0.9]),
+               np.array([0.3, 0.1, 0.05, 0.0]),
+               np.array([0.99, 0.999, 0.9, 0.95]),
+               np.array([0.01, 0.0, 0.002, 0.0]))
+        start = KalmanState.zeros(4)
+        start.m1[:] = [5.0, -1.0, 0.5, 2.0]
+        start.m2[:] = [0.1, 0.2, -0.3, 0.4]
+        start.p11[:3] = [0.3, 0.5, 0.1]
+        start.p12[:3] = [0.05, -0.02, 0.0]
+        start.p22[:3] = [0.2, 0.1, 0.4]
+        expected = per_sample_filter(z, params["gain"], params["offset"],
+                                     r, dyn, initial=start)
+        # Channel 3 stays a point mass: every innovation variance is 0.
+        np.testing.assert_array_equal(expected.p11[3], 0.0)
+        np.testing.assert_array_equal(expected.p22[3], 0.0)
+        step = chunk or z.shape[1]
+        state, chunks = start, []
+        for first in range(0, z.shape[1], step):
+            block = slice(first, first + step)
+            trace = kalman_filter_batch(
+                z[:, block], params["gain"][:, block],
+                params["offset"][:, block], r[:, block], *dyn,
+                initial=state)
+            chunks.append(trace)
+            state = KalmanState.from_trace(trace)
+        for name in ("m1", "m2", "p11", "p12", "p22"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(c, name) for c in chunks], axis=1),
+                getattr(expected, name), err_msg=name)
+
 
 class TestPredictUpdate:
     def test_predict_propagates_covariance(self):
@@ -254,17 +310,32 @@ class TestSmoother:
         np.testing.assert_array_equal(smoothed.m1[:, -1],
                                       trace.m1[:, -1])
 
-    @pytest.mark.parametrize("n_samples", [1, 2, 300])
-    def test_hoisted_gains_match_per_sample_oracle(self, n_samples):
-        """Per-channel coefficients, and one channel whose wander
-        carries no noise so its predicted covariance is singular and
-        the diagonal fallback of the inverse is taken."""
-        _, z, params = simulate(n_channels=4, n_samples=n_samples)
-        a_signal = np.array([0.95, 0.8, 0.99, 0.95])
-        a_wander = np.array([0.99, 0.999, 0.9, 0.99])
-        q_wander = np.array([0.01, 0.0, 0.002, 0.05])
+    @pytest.mark.parametrize("n_channels, n_samples, drifting", [
+        pytest.param(4, 1, False, id="1"),
+        pytest.param(4, 2, False, id="2"),
+        pytest.param(4, 300, False, id="300"),
+        pytest.param(32, 864, True, id="32x864-drifting-censored"),
+    ])
+    def test_hoisted_gains_match_per_sample_oracle(self, n_channels,
+                                                   n_samples, drifting):
+        """Per-channel coefficients, and one channel in four whose
+        wander carries no noise so its predicted covariance is singular
+        and the diagonal fallback of the inverse is taken; the long
+        cohort adds a time-varying gain and censored (r = inf) runs."""
+        _, z, params = simulate(n_channels=n_channels, n_samples=n_samples)
+        a_signal = np.resize([0.95, 0.8, 0.99, 0.95], n_channels)
+        a_wander = np.resize([0.99, 0.999, 0.9, 0.99], n_channels)
+        q_wander = np.resize([0.01, 0.0, 0.002, 0.05], n_channels)
+        gain = params["gain"]
+        r = np.repeat(params["r"][:, None], n_samples, axis=1)
+        if drifting:
+            gain = gain * (1.0 + 0.3 * np.sin(
+                np.linspace(0.0, 6.0, n_samples)
+                + np.arange(n_channels)[:, None]))
+            r[:, 100:130] = np.inf
+            r[::3, 500:560] = np.inf
         trace = kalman_filter_batch(
-            z, params["gain"], params["offset"], params["r"], a_signal,
+            z, gain, params["offset"], r, a_signal,
             params["q_signal"], a_wander, q_wander)
         # Channel 1's predicted wander variance is identically zero.
         np.testing.assert_array_equal(

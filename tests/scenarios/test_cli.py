@@ -242,6 +242,21 @@ class TestLoggingFlags:
         assert main(["run", str(scenario_file)]) == 0
         assert logging.getLogger("repro").level == logging.WARNING
 
+    def test_console_lines_carry_the_trace_id(self):
+        import logging
+
+        from repro.scenarios.cli import configure_logging
+        from repro.telemetry import trace_context
+
+        configure_logging("info")
+        handler, = logging.getLogger("repro").handlers
+        record = logging.LogRecord("repro.serve.server", logging.INFO,
+                                   __file__, 1, "shard done", None, None)
+        with trace_context("0123456789abcdef"):
+            assert handler.filter(record)
+        assert handler.format(record).endswith(
+            "[0123456789abcdef]: shard done")
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_repro_wires_to_the_cli(self):

@@ -15,6 +15,7 @@ the test through shared memory made at import.
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -380,10 +381,16 @@ def sleepy_server():
 
 
 def _raw_get(client: ServeClient, target: str) -> bytes:
-    """One raw request; the whole response, read to EOF (10 s cap)."""
+    """One raw GET; the whole response, read to EOF (10 s cap)."""
+    return _raw_request(client, f"GET {target} HTTP/1.1\r\n\r\n".encode())
+
+
+def _raw_request(client: ServeClient, request: bytes) -> bytes:
+    """Send raw request bytes; the whole response, read to EOF (10 s
+    cap)."""
     with socket.create_connection((client.host, client.port),
                                   timeout=10) as sock:
-        sock.sendall(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        sock.sendall(request)
         response = b""
         while chunk := sock.recv(4096):
             response += chunk
@@ -523,6 +530,30 @@ class TestRequestLimits:
                 client._request("POST", "/scenarios",
                                 {"blob": "x" * 4096})
             assert excinfo.value.status == 413
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        pytest.param(b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n",
+                     400, id="long-request-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-Long: "
+                     + b"a" * 100_000 + b"\r\n\r\n",
+                     431, id="long-header-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\n"
+                     + b"X-Many: 1\r\n" * 20_000 + b"\r\n",
+                     431, id="too-many-headers"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\n"
+                     + b"X-Many: 1\r\n" * server_module.MAX_HEADERS
+                     + b"\r\n", 200, id="header-cap"),
+    ])
+    def test_oversized_request_head_is_answered(self, client, caplog,
+                                                request_bytes, status):
+        """Lines past the stream limit and too many headers get a
+        status response, not a dropped connection, and nothing is
+        logged as an unhandled error."""
+        with caplog.at_level(logging.ERROR):
+            response = _raw_request(client, request_bytes)
+            assert client.health()["status"] == "ok"
+        assert response.startswith(f"HTTP/1.1 {status} ".encode())
+        assert not caplog.records
 
     @pytest.mark.parametrize("length", [b"abc", b"-5"])
     def test_bad_content_length_is_400(self, client, length):

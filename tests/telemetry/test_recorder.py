@@ -7,6 +7,8 @@ an enabled recorder is exception-safe (spans record and re-raise,
 nesting depth unwinds).
 """
 
+import logging
+
 import pytest
 
 from repro.engine.core import kernels_for
@@ -15,11 +17,13 @@ from repro.telemetry import (
     NULL_RECORDER,
     InMemoryRecorder,
     NullRecorder,
+    TraceIdFilter,
     get_recorder,
     recorder_from_env,
     set_recorder,
     span,
     telemetry_env_enabled,
+    trace_context,
 )
 
 
@@ -155,3 +159,21 @@ class TestActiveRecorder:
             pass
         recorder.close()
         assert trace.is_file()
+
+
+class TestTraceIdOnLogRecords:
+    def test_handler_filter_stamps_child_logger_records(self, caplog):
+        """On the handler, the filter sees records a child logger
+        propagates, inside and outside a trace."""
+        trace_filter = TraceIdFilter()
+        caplog.handler.addFilter(trace_filter)
+        logger = logging.getLogger("trace_id_test.child")
+        try:
+            with caplog.at_level(logging.INFO, logger="trace_id_test"):
+                with trace_context("0123456789abcdef"):
+                    logger.info("inside")
+                logger.info("outside")
+        finally:
+            caplog.handler.removeFilter(trace_filter)
+        assert [(r.getMessage(), r.trace_id) for r in caplog.records] \
+            == [("inside", "0123456789abcdef"), ("outside", "-")]
