@@ -50,8 +50,10 @@ def main() -> None:
     scenario = Scenario.load(SCENARIO)
     print(f"scenario: [{scenario.workload}] {scenario.name}")
 
-    with ServerThread(port=0, queue_size=8, workers=2) as thread:
-        client = ServeClient(thread.host, thread.port)
+    # The client keeps one connection open for all of its requests;
+    # leaving the block closes it.
+    with ServerThread(port=0, queue_size=8, workers=2) as thread, \
+            ServeClient(thread.host, thread.port) as client:
         client.wait_until_healthy()
         rows = {row["name"]: row["streaming"]
                 for row in client.workloads()}

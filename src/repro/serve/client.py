@@ -11,16 +11,17 @@ Quickstart::
     from repro.serve import ServeClient, ServerThread
 
     with ServerThread() as thread:
-        client = ServeClient(thread.host, thread.port)
-        job = client.submit(scenario.to_dict())
-        client.wait_for_job(job["job_id"])
-        result = client.result(job["job_id"])
+        with ServeClient(thread.host, thread.port) as client:
+            job = client.submit(scenario.to_dict())
+            client.wait_for_job(job["job_id"])
+            result = client.result(job["job_id"])
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any
 
@@ -44,6 +45,11 @@ class ServeError(RuntimeError):
 class ServeClient:
     """Typed access to one running serve front door.
 
+    Each calling thread keeps one persistent HTTP/1.1 connection
+    (``http.client`` connections are not thread-safe), so one client
+    may be shared by many threads.  :meth:`close` ends them all; the
+    client is a context manager that does so on exit.
+
     Args:
         host / port: where the server listens.
         timeout_s: per-request socket timeout.
@@ -54,26 +60,74 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._connections: "list[http.client.HTTPConnection]" = []
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (its socket opens lazily)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s)
+            with self._lock:
+                self._local.connection = connection
+                self._connections.append(connection)
+        return connection
+
+    def _exchange(self, method: str, target: str,
+                  payload: "bytes | None" = None) -> bytes:
+        """One request/response cycle; the response body, or
+        :class:`ServeError` for a status of 400 or more.
+
+        A response that says ``Connection: close`` makes ``http.client``
+        drop the socket, and the next request opens a new one.
+        """
+        connection = self._connection()
+        reused = connection.sock is not None
+        headers = ({"Content-Type": "application/json"}
+                   if payload is not None else {})
+        try:
+            try:
+                connection.request(method, target, body=payload,
+                                   headers=headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # (RemoteDisconnected is a ConnectionResetError.)  The
+                # server closes a kept-alive connection only before it
+                # reads a byte of the next request, so this request was
+                # never applied: retry it once on a new connection.
+                if not reused:
+                    raise
+                connection.close()
+                return self._exchange(method, target, payload)
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.status >= 400:
+            raise ServeError(response.status, json.loads(body or b"{}"))
+        return body
 
     def _request(self, method: str, path: str,
                  body: "dict | None" = None) -> dict:
-        """One request/response cycle; raises :class:`ServeError`."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s)
-        try:
-            payload = (json.dumps(body).encode()
-                       if body is not None else None)
-            headers = ({"Content-Type": "application/json"}
-                       if payload is not None else {})
-            connection.request(method, path, body=payload,
-                               headers=headers)
-            response = connection.getresponse()
-            data = json.loads(response.read() or b"{}")
-            if response.status >= 400:
-                raise ServeError(response.status, data)
-            return data
-        finally:
-            connection.close()
+        """One JSON request/response; raises :class:`ServeError`."""
+        payload = json.dumps(body).encode() if body is not None else None
+        return json.loads(self._exchange(method, path, payload) or b"{}")
 
     # -- service ---------------------------------------------------------
 
@@ -95,18 +149,8 @@ class ServeClient:
         Returns the exposition body (format 0.0.4) as a string; feed
         it to :func:`repro.telemetry.parse_prometheus` to validate.
         """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s)
-        try:
-            connection.request("GET", "/metrics?format=prometheus")
-            response = connection.getresponse()
-            body = response.read()
-            if response.status >= 400:
-                raise ServeError(response.status,
-                                 json.loads(body or b"{}"))
-            return body.decode("utf-8")
-        finally:
-            connection.close()
+        return self._exchange(
+            "GET", "/metrics?format=prometheus").decode("utf-8")
 
     def wait_until_healthy(self, timeout_s: float = 30.0) -> dict:
         """Poll ``/healthz`` until the server answers (boot helper)."""

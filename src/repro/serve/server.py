@@ -93,14 +93,21 @@ MAX_WAIT_S = 30.0
 #: refused before closing the connection [s].
 _LINGER_S = 1.0
 
+#: Longest a connection may take to deliver one request [s], from when
+#: the server starts waiting for its request line until its body is
+#: read.  An idle kept-alive connection is closed at it; a request
+#: still incomplete at it is answered 408 and its connection closed.
+_READ_DEADLINE_S = 10.0
+
 #: Longest :meth:`ReproServer.stop` lets open requests finish [s]
 #: before cancelling them.
 _SHUTDOWN_GRACE_S = 1.0
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
-    404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-    413: "Payload Too Large", 431: "Request Header Fields Too Large",
+    404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout",
+    409: "Conflict", 413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -118,12 +125,20 @@ class _HttpError(Exception):
 async def _read_line(reader: asyncio.StreamReader, status: int,
                      what: str) -> bytes:
     """One request or header line; past :data:`MAX_LINE_BYTES` the
-    stream raises ``ValueError``, answered with ``status``."""
+    stream raises ``ValueError``, answered with ``status``.
+
+    A line the stream ended in the middle of raises
+    ``asyncio.IncompleteReadError``, as a cut body does; an empty
+    result means the stream ended before the line began.
+    """
     try:
-        return await reader.readline()
+        line = await reader.readline()
     except ValueError:
         raise _HttpError(status, f"{what} longer than {MAX_LINE_BYTES} "
                                  f"bytes") from None
+    if line and not line.endswith(b"\n"):
+        raise asyncio.IncompleteReadError(line, None)
+    return line
 
 
 async def _discard_unread(reader: asyncio.StreamReader,
@@ -315,6 +330,10 @@ class ReproServer:
         self._server: "asyncio.base_events.Server | None" = None
         self._job_pool: "ProcessPoolExecutor | None" = None
         self._handlers: "set[asyncio.Task]" = set()
+        #: Each connection handler waiting for a request, mapped to the
+        #: callback that ends its read (:meth:`_read_request_by_deadline`).
+        self._reading: "dict[asyncio.Task, Any]" = {}
+        self._stopping = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -345,13 +364,22 @@ class ReproServer:
     async def stop(self) -> None:
         """Close the listener, answer open requests, end the workers.
 
-        Long-polls are woken and answered with the job's current
-        status; requests still open after a short grace are cancelled
-        (on Python >= 3.12 ``wait_closed`` waits for every handler).
-        Every job worker process is terminated and reaped.
+        Connections waiting for a request are closed at once (one
+        partly received is answered 408); long-polls are woken and
+        answered with the job's current status, and every response from
+        here on closes its connection.  Requests still open after a
+        short grace are cancelled (on Python >= 3.12 ``wait_closed``
+        waits for every handler).  Every job worker process is
+        terminated and reaped.
         """
         if self._server is not None:
+            self._stopping = True
             self._server.close()
+            loop = asyncio.get_running_loop()
+            for expire in self._reading.values():
+                # a timer, like the deadline it brings forward (see
+                # _read_request_by_deadline)
+                loop.call_later(0.0, expire)
             for job in self._jobs.values():
                 job.finished.set()
             if self._handlers:
@@ -359,6 +387,8 @@ class ReproServer:
                     self._handlers, timeout=_SHUTDOWN_GRACE_S)
                 for task in pending:
                     task.cancel()
+                if pending:
+                    await asyncio.wait(pending)
             await self._server.wait_closed()
         for task in self._tasks:
             task.cancel()
@@ -390,6 +420,10 @@ class ReproServer:
         """Register the server's instrument families on the registry."""
         registry = self.registry
         self._m = {
+            "connections": registry.counter(
+                "repro_serve_connections_total",
+                "Connections accepted; requests_total over it is the "
+                "requests each connection carried."),
             "requests": registry.counter(
                 "repro_serve_requests_total",
                 "Requests served, by method, endpoint and status class.",
@@ -430,6 +464,10 @@ class ReproServer:
                 "repro_serve_readings_total",
                 "Readings (cells x samples) pushed into live streams, "
                 "by workload.", ("workload",)),
+            "advance_seconds": registry.histogram(
+                "repro_serve_stream_advance_seconds",
+                "Stream advance time inside a push, by workload.",
+                ("workload",)),
             "rss": registry.gauge(
                 "repro_process_resident_memory_bytes",
                 "Resident set size of the serving process."),
@@ -639,55 +677,90 @@ class ReproServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """Read one request, route it under a fresh trace id, respond."""
-        self._handlers.add(asyncio.current_task())
+        """Serve requests on one connection until it closes.
+
+        Each request is routed under a fresh trace id.  HTTP/1.1 keeps
+        the connection open unless the request says ``Connection:
+        close``; HTTP/1.0 closes it unless the request says
+        ``keep-alive``.  A refused request (400, 408, 413, 431) closes
+        it after the server has read what the client still sends.
+        """
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        self._m["connections"].inc()
         try:
-            try:
-                request = await self._read_request(reader)
-            except _HttpError as error:
-                # parse-stage failures (oversized body, bad request
-                # line) still deserve a proper status response
-                await self._write_response(writer, error.status,
-                                           {"error": error.message})
-                await _discard_unread(reader, writer)
-                return
-            if request is None:
-                return
-            method, path, query, body = request
-            with trace_context() as trace_id:
-                started = time.perf_counter()
-                recorder = get_recorder()
-                with recorder.span("serve.request", method=method,
-                                   path=path):
-                    try:
-                        status, payload = await self._route(
-                            method, path, query, body)
-                    except _HttpError as error:
-                        status = error.status
-                        payload = {"error": error.message}
-                    except Exception as error:  # pragma: no cover - guard
-                        status = 500
-                        payload = {
-                            "error": f"{type(error).__name__}: {error}"}
-                        _LOG.exception("unhandled error on %s %s",
-                                       method, path)
-                self._account_request(method, path, status,
-                                      time.perf_counter() - started)
-                await self._write_response(
-                    writer, status, payload,
-                    extra_headers={"X-Trace-Id": trace_id})
-        except (asyncio.IncompleteReadError, ConnectionError):
+            keep_alive = True
+            while keep_alive and not self._stopping:
+                try:
+                    request = await self._read_request_by_deadline(
+                        reader, writer)
+                except _HttpError as error:
+                    # parse-stage failures (oversized body, bad request
+                    # line, a stalled request) still deserve a proper
+                    # status response
+                    await self._write_response(
+                        writer, error.status, {"error": error.message},
+                        keep_alive=False)
+                    await _discard_unread(reader, writer)
+                    return
+                if request is None:
+                    return
+                method, path, query, body, keep_alive = request
+                await self._respond(writer, method, path, query, body,
+                                    keep_alive and not reader.at_eof())
+        except ConnectionError:
             pass
         finally:
-            self._handlers.discard(asyncio.current_task())
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
 
+    async def _read_request_by_deadline(self, reader: asyncio.StreamReader,
+                                        writer: asyncio.StreamWriter):
+        """:meth:`_read_request` within :data:`_READ_DEADLINE_S`.
+
+        The deadline is a timer on the loop, not a task per request:
+        when it fires it stops reading the socket and ends the stream,
+        so the reader sees what has arrived.  Nothing at all means an
+        idle connection (None: closed silently); part of a request is
+        answered 408.  A timer runs after the socket reads the loop
+        queued before it, so no byte reaches the ended stream.
+        :meth:`stop` brings every pending deadline forward to now.
+        """
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            writer.transport.pause_reading()
+            reader.feed_eof()
+
+        task = asyncio.current_task()
+        deadline = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, expire)
+        self._reading[task] = expire
+        try:
+            return await self._read_request(reader)
+        except asyncio.IncompleteReadError:
+            if expired:
+                raise _HttpError(
+                    408, f"request incomplete after {_READ_DEADLINE_S} s"
+                ) from None
+            return None     # the client left mid-request
+        finally:
+            deadline.cancel()
+            del self._reading[task]
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP/1.1 request; None for an empty connection."""
+        """Parse one HTTP/1.1 request; None for an ended connection.
+
+        Returns ``(method, path, query, body, keep_alive)``; a request
+        the stream ended in the middle of raises
+        ``asyncio.IncompleteReadError``.
+        """
         line = await _read_line(reader, 400, "request line")
         if not line.strip():
             return None
@@ -698,8 +771,10 @@ class ReproServer:
         headers: "dict[str, str]" = {}
         for count in itertools.count():
             raw = await _read_line(reader, 431, "header line")
-            if raw in (b"\r\n", b"\n", b""):
+            if raw in (b"\r\n", b"\n"):
                 break
+            if not raw:
+                raise asyncio.IncompleteReadError(raw, None)
             if count == MAX_HEADERS:
                 raise _HttpError(431, f"more than {MAX_HEADERS} headers")
             name, _, value = raw.decode("latin-1").partition(":")
@@ -713,13 +788,44 @@ class ReproServer:
                 413, f"body of {length} bytes exceeds the "
                      f"{self.max_body_bytes}-byte cap")
         body = await reader.readexactly(length) if length else b""
+        tokens = {token.strip() for token
+                  in headers.get("connection", "").lower().split(",")}
+        keep_alive = ("close" not in tokens
+                      if parts[2:] == ["HTTP/1.1"]
+                      else "keep-alive" in tokens)
         split = urlsplit(target)
         query = {key: values[-1]
                  for key, values in parse_qs(split.query).items()}
-        return method, split.path, query, body
+        return method, split.path, query, body, keep_alive
+
+    async def _respond(self, writer: asyncio.StreamWriter, method: str,
+                       path: str, query: dict, body: bytes,
+                       keep_alive: bool) -> None:
+        """Route one request under a fresh trace id and answer it."""
+        with trace_context() as trace_id:
+            started = time.perf_counter()
+            recorder = get_recorder()
+            with recorder.span("serve.request", method=method, path=path):
+                try:
+                    status, payload = await self._route(
+                        method, path, query, body)
+                except _HttpError as error:
+                    status = error.status
+                    payload = {"error": error.message}
+                except Exception as error:  # pragma: no cover - guard
+                    status = 500
+                    payload = {"error": f"{type(error).__name__}: {error}"}
+                    _LOG.exception("unhandled error on %s %s", method,
+                                   path)
+            self._account_request(method, path, status,
+                                  time.perf_counter() - started)
+            await self._write_response(
+                writer, status, payload,
+                keep_alive=keep_alive and not self._stopping,
+                extra_headers={"X-Trace-Id": trace_id})
 
     async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, payload,
+                              status: int, payload, keep_alive: bool,
                               extra_headers: "dict | None" = None
                               ) -> None:
         if isinstance(payload, _Text):
@@ -734,7 +840,8 @@ class ReproServer:
                 f"Content-Length: {len(body)}\r\n")
         for name, value in (extra_headers or {}).items():
             head += f"{name}: {value}\r\n"
-        head += "Connection: close\r\n\r\n"
+        head += ("Connection: keep-alive\r\n\r\n" if keep_alive
+                 else "Connection: close\r\n\r\n")
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
 
@@ -934,13 +1041,16 @@ class ReproServer:
                 409, f"stream {stream.stream_id} is exhausted")
         # On the loop: a small advance costs less than a hop to a
         # thread, and nothing else can touch the session meanwhile.
+        workload = stream.session.workload
         with get_recorder().span("serve.advance",
                                  stream_id=stream.stream_id,
-                                 workload=stream.session.workload):
+                                 workload=workload):
+            started = time.perf_counter()
             update = stream.session.advance(count)
+            self._m["advance_seconds"].labels(workload=workload).observe(
+                time.perf_counter() - started)
         pushed = update.n_samples * stream.session.n_channels
-        self._m["readings"].labels(
-            workload=stream.session.workload).inc(pushed)
+        self._m["readings"].labels(workload=workload).inc(pushed)
         return 200, {
             "stream_id": stream.stream_id,
             "start": update.start,

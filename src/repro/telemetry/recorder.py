@@ -109,7 +109,9 @@ def trace_context(trace_id: "str | None" = None) -> Iterator[str]:
     tasks and threads each see only their own id.  Note that
     ``loop.run_in_executor`` does **not** propagate context — wrap
     executor calls with ``contextvars.copy_context().run`` to carry the
-    id across (the serve front door does exactly this).
+    id across.  The serve front door needs neither: it advances
+    streams on the event loop, inside the request's context, and hands
+    a job's id to its worker process explicitly.
 
     Yields:
         The active trace id.

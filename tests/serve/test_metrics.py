@@ -42,8 +42,8 @@ def served():
     try:
         with ServerThread(port=0, queue_size=16, workers=2,
                           registry=registry) as thread:
-            yield ServeClient(thread.host, thread.port), \
-                registry, recorder
+            with ServeClient(thread.host, thread.port) as client:
+                yield client, registry, recorder
     finally:
         set_recorder(previous)
 
@@ -212,3 +212,39 @@ class TestLegacyJsonMetrics:
         assert any(key.startswith("requests.GET ")
                    for key in payload["counters"])
         assert payload["queue_depth"] == 0
+
+
+class TestConnectionsAndAdvance:
+    def test_calls_from_one_client_share_one_connection(self, served):
+        client, registry, __ = served
+        for __ in range(5):
+            client.health()
+        samples = parse_prometheus(client.metrics_prometheus())
+        values = {sample["name"]: sample["value"] for sample in samples
+                  if not sample["labels"]}
+        requests = sum(sample["value"] for sample in samples
+                       if sample["name"] == "repro_serve_requests_total")
+        assert values["repro_serve_connections_total"] == 1
+        assert requests == 5
+
+    def test_advance_histogram_carries_the_push_trace(self, served):
+        client, registry, recorder = served
+        stream = client.create_stream(SCENARIO.to_dict())
+        client.push_readings(stream["stream_id"], count=6)
+        (push,) = [span for span in recorder.spans
+                   if span.name == "serve.request"
+                   and span.attrs["path"].endswith("/readings")]
+        (series,) = [series for labels, series in registry.histogram(
+            "repro_serve_stream_advance_seconds",
+            labels=["workload"]).items()
+            if labels == {"workload": "monitor"}]
+        assert series.count == 1
+        assert series.exemplar["trace_id"] == push.attrs["trace_id"]
+        (advance,) = [span for span in recorder.spans
+                      if span.name == "serve.advance"]
+        assert series.sum <= advance.duration_s
+        samples = parse_prometheus(client.metrics_prometheus())
+        assert any(
+            sample["name"] == "repro_serve_stream_advance_seconds_count"
+            and sample["labels"] == {"workload": "monitor"}
+            and sample["value"] == 1 for sample in samples)

@@ -79,7 +79,8 @@ def max_difference(a, b) -> float:
 def client():
     """One shared server for the whole module, port auto-picked."""
     with ServerThread(port=0, queue_size=16, workers=2) as thread:
-        yield ServeClient(thread.host, thread.port)
+        with ServeClient(thread.host, thread.port) as client:
+            yield client
 
 
 class TestServiceEndpoints:
@@ -372,22 +373,26 @@ def sleepy_server():
     _SleepyWorkload.release.clear()
     register_workload(_SleepyWorkload())
     thread = ServerThread(port=0, queue_size=4, workers=1).start()
+    client = ServeClient(thread.host, thread.port)
     try:
-        yield thread, ServeClient(thread.host, thread.port)
+        yield thread, client
     finally:
         _SleepyWorkload.release.set()
         thread.stop()
+        client.close()
         WORKLOADS.pop(_SleepyWorkload.name, None)
 
 
 def _raw_get(client: ServeClient, target: str) -> bytes:
     """One raw GET; the whole response, read to EOF (10 s cap)."""
-    return _raw_request(client, f"GET {target} HTTP/1.1\r\n\r\n".encode())
+    return _raw_request(client, f"GET {target} HTTP/1.1\r\n"
+                                "Connection: close\r\n\r\n".encode())
 
 
 def _raw_request(client: ServeClient, request: bytes) -> bytes:
     """Send raw request bytes; the whole response, read to EOF (10 s
-    cap)."""
+    cap).  The server closes only after a request that asks it to
+    (``Connection: close``) or one it refuses."""
     with socket.create_connection((client.host, client.port),
                                   timeout=10) as sock:
         sock.sendall(request)
@@ -459,9 +464,9 @@ class TestShutdown:
     def test_no_worker_process_outlives_stop(self):
         before = set(multiprocessing.active_children())
         thread = ServerThread(port=0, workers=2).start()
-        client = ServeClient(thread.host, thread.port)
-        client.wait_for_job(
-            client.submit(MONITOR_SCENARIO.to_dict())["job_id"])
+        with ServeClient(thread.host, thread.port) as client:
+            client.wait_for_job(
+                client.submit(MONITOR_SCENARIO.to_dict())["job_id"])
         workers = set(multiprocessing.active_children()) - before
         assert len(workers) == 2
         thread.stop()
@@ -471,8 +476,8 @@ class TestShutdown:
     def test_killed_worker_fails_only_its_job(self):
         register_workload(_KillerWorkload())
         try:
-            with ServerThread(port=0, workers=1) as thread:
-                client = ServeClient(thread.host, thread.port)
+            with ServerThread(port=0, workers=1) as thread, \
+                    ServeClient(thread.host, thread.port) as client:
                 job = client.submit(_scenario_of(_KillerWorkload))
                 with pytest.raises(ServeError) as excinfo:
                     client.wait_for_job(job["job_id"], timeout_s=30.0)
@@ -499,8 +504,8 @@ class TestBackpressure:
                             name="sleepy", seed=1, spec={}).to_dict()
         try:
             with ServerThread(port=0, queue_size=1,
-                              workers=1) as thread:
-                client = ServeClient(thread.host, thread.port)
+                              workers=1) as thread, \
+                    ServeClient(thread.host, thread.port) as client:
                 first = client.submit(scenario)
                 # wait until the worker picked job 1 off the queue
                 deadline = time.monotonic() + 10.0
@@ -524,8 +529,8 @@ class TestBackpressure:
 
 class TestRequestLimits:
     def test_oversized_body_is_413(self):
-        with ServerThread(port=0, max_body_bytes=1024) as thread:
-            client = ServeClient(thread.host, thread.port)
+        with ServerThread(port=0, max_body_bytes=1024) as thread, \
+                ServeClient(thread.host, thread.port) as client:
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/scenarios",
                                 {"blob": "x" * 4096})
@@ -540,8 +545,8 @@ class TestRequestLimits:
         pytest.param(b"GET /healthz HTTP/1.1\r\n"
                      + b"X-Many: 1\r\n" * 20_000 + b"\r\n",
                      431, id="too-many-headers"),
-        pytest.param(b"GET /healthz HTTP/1.1\r\n"
-                     + b"X-Many: 1\r\n" * server_module.MAX_HEADERS
+        pytest.param(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                     + b"X-Many: 1\r\n" * (server_module.MAX_HEADERS - 1)
                      + b"\r\n", 200, id="header-cap"),
     ])
     def test_oversized_request_head_is_answered(self, client, caplog,
@@ -562,6 +567,7 @@ class TestRequestLimits:
         with socket.create_connection((client.host, client.port),
                                       timeout=10) as sock:
             sock.sendall(b"POST /scenarios HTTP/1.1\r\n"
+                         b"Connection: close\r\n"
                          b"Content-Length: " + length + b"\r\n\r\n{}")
             response = b""
             while chunk := sock.recv(4096):
@@ -583,3 +589,140 @@ class TestRequestLimits:
             assert b"invalid JSON" in response.read()
         finally:
             connection.close()
+
+
+#: The read deadline the protocol tests shrink the server's to [s].
+DEADLINE_S = 0.3
+
+
+@pytest.fixture()
+def short_deadline(monkeypatch):
+    """The server's read deadline cut to :data:`DEADLINE_S`."""
+    monkeypatch.setattr(server_module, "_READ_DEADLINE_S", DEADLINE_S)
+
+
+def _connect(client: ServeClient) -> socket.socket:
+    return socket.create_connection((client.host, client.port),
+                                    timeout=10)
+
+
+def _read_response(sock: socket.socket) -> "tuple[int, dict, bytes]":
+    """One response off a raw socket: status, headers, body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, f"connection closed mid-response: {data!r}"
+        data += chunk
+    head, __, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {name.strip().lower(): value.strip()
+               for name, __, value in (line.partition(":")
+                                       for line in lines)}
+    length = int(headers["content-length"])
+    while len(body) < length:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length, "bytes after the response body"
+    return int(status_line.split()[1]), headers, body
+
+
+def _closed(sock: socket.socket) -> bool:
+    """True if the next read of ``sock`` is the server's EOF."""
+    return sock.recv(4096) == b""
+
+
+class TestKeepAlive:
+    def test_two_requests_on_one_socket(self, client):
+        with _connect(client) as sock:
+            for __ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                status, headers, body = _read_response(sock)
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize("request_bytes", [
+        pytest.param(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+                     id="http11-close"),
+        pytest.param(b"GET /healthz HTTP/1.0\r\n\r\n", id="http10"),
+    ])
+    def test_close_is_answered_then_eof(self, client, request_bytes):
+        with _connect(client) as sock:
+            sock.sendall(request_bytes)
+            status, headers, __ = _read_response(sock)
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert _closed(sock)
+
+    def test_http10_keep_alive_is_honoured(self, client):
+        with _connect(client) as sock:
+            for __ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.0\r\n"
+                             b"Connection: keep-alive\r\n\r\n")
+                status, headers, __ = _read_response(sock)
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        pytest.param(b"NONSENSE\r\n\r\n", 400, id="bad-request-line"),
+        pytest.param(b"POST /scenarios HTTP/1.1\r\n"
+                     b"Content-Length: 999999999\r\n\r\n", 413,
+                     id="oversized-body"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\n"
+                     + b"X-Many: 1\r\n" * (server_module.MAX_HEADERS + 1)
+                     + b"\r\n", 431, id="too-many-headers"),
+    ])
+    def test_refusal_closes_a_kept_alive_connection(self, client,
+                                                    request_bytes, status):
+        with _connect(client) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(sock)[0] == 200
+            sock.sendall(request_bytes)
+            got, headers, __ = _read_response(sock)
+            sock.shutdown(socket.SHUT_WR)   # ends the server's linger
+            assert got == status
+            assert headers["connection"] == "close"
+            assert _closed(sock)
+
+
+class TestReadDeadline:
+    def test_idle_connection_closes_at_the_deadline(self, client,
+                                                    short_deadline):
+        began = time.monotonic()
+        with _connect(client) as sock:
+            assert _closed(sock)    # no status: just the EOF
+        assert DEADLINE_S <= time.monotonic() - began < DEADLINE_S + 5.0
+
+    def test_kept_alive_connection_closes_at_the_deadline(
+            self, client, short_deadline):
+        with _connect(client) as sock:
+            began = time.monotonic()
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(sock)[0] == 200
+            assert _closed(sock)
+        assert DEADLINE_S <= time.monotonic() - began < DEADLINE_S + 5.0
+
+    @pytest.mark.parametrize("partial", [
+        pytest.param(b"GET /heal", id="request-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-Probe: 1\r\n",
+                     id="no-blank-line"),
+        pytest.param(b"POST /scenarios HTTP/1.1\r\n"
+                     b"Content-Length: 100\r\n\r\n{\"workload\":",
+                     id="short-body"),
+    ])
+    def test_partial_request_is_408(self, client, short_deadline, caplog,
+                                    partial):
+        with caplog.at_level(logging.ERROR):
+            began = time.monotonic()
+            with _connect(client) as sock:
+                sock.sendall(partial)
+                status, headers, body = _read_response(sock)
+                elapsed = time.monotonic() - began
+                assert _closed(sock)
+            assert client.health()["status"] == "ok"
+        assert status == 408
+        assert headers["connection"] == "close"
+        assert b"incomplete" in body
+        assert DEADLINE_S <= elapsed < DEADLINE_S + 5.0
+        assert not caplog.records
