@@ -12,11 +12,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.registry import build_sensor, spec_by_id
-from repro.scenarios import (
-    Scenario,
-    calibration_results_from_batch,
-    run_scenario,
-)
+from repro.engine import calibration_results_from_batch
+from repro.scenarios import Scenario, run_scenario
 
 
 def main() -> None:

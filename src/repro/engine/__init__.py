@@ -72,6 +72,7 @@ from repro.engine.calibrate import (
     calibrate_panel,
     calibration_plan,
     calibration_result_from_batch,
+    calibration_results_from_batch,
     run_calibration_batch,
 )
 from repro.engine.monitor import (
@@ -136,5 +137,6 @@ __all__ = [
     "calibrate_panel",
     "calibration_plan",
     "calibration_result_from_batch",
+    "calibration_results_from_batch",
     "run_calibration_batch",
 ]

@@ -75,6 +75,32 @@ def calibration_result_from_batch(result: BatchResult,
     )
 
 
+def calibration_results_from_batch(
+        result: BatchResult) -> list[CalibrationResult]:
+    """Per-sensor Table-2 metrics of an engine-built calibration campaign.
+
+    Re-derives each sensor's :class:`CalibrationProtocol` from the plan
+    itself — the leading 0.0 group is the blanks, the rest the standard
+    staircase — so a campaign built by :func:`calibration_plan` yields
+    the usual :class:`CalibrationResult` rows without carrying protocol
+    objects through serialization.  Any other grid is a ``ValueError``.
+    """
+    results = []
+    for i in range(len(result.plan.sensors)):
+        grid = result.plan.concentrations_molar[i]
+        reps = result.plan.replicates_for(i)
+        if grid[0] != 0.0 or len(grid) < 4:
+            raise ValueError(
+                f"sensor {i}: not a calibration campaign (needs a "
+                "leading blank group and >= 3 standards)")
+        protocol = CalibrationProtocol(
+            concentrations_molar=grid[1:],
+            n_blanks=reps[0],
+            n_replicates=reps[1])
+        results.append(calibration_result_from_batch(result, i, protocol))
+    return results
+
+
 def run_calibration_batch(sensor: Biosensor,
                           protocol: CalibrationProtocol,
                           seed: int | None = None,

@@ -33,7 +33,7 @@ from repro.engine.core.contract import (
     check_deterministic_replay,
     check_scalar_equivalence,
 )
-from repro.engine.core.executor import execute
+from repro.engine.core.executor import execute, walk_segments
 from repro.engine.core.kernelset import Check, KernelSet
 from repro.engine.core.plan import (
     ExecutionPlan,
@@ -110,4 +110,5 @@ __all__ = [
     "single_segment",
     "spans_to_segments",
     "uniform_segments",
+    "walk_segments",
 ]

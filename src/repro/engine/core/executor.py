@@ -36,10 +36,10 @@ the metrics registry carries every number:
   door expose.
 
 When both are disabled — the default — :func:`execute` takes a branch
-that never touches telemetry at all, so the hot loop is byte-for-byte
-the uninstrumented one (gated to <= 3 % overhead in
-``benchmarks/bench_core.py``; the *enabled*-metrics path carries its
-own <= 3 % gate there too).
+that never touches telemetry at all: :func:`walk_segments`, the same
+walk a :class:`repro.serve.StreamSession` advances a live run through
+(gated to <= 3 % overhead in ``benchmarks/bench_core.py``; the
+*enabled*-metrics path carries its own <= 3 % gate there too).
 """
 
 from __future__ import annotations
@@ -83,15 +83,36 @@ def execute(kernels: KernelSet, plan):
         # no per-chunk telemetry calls or allocations of any kind.
         compiled = kernels.compile(plan)
         state = kernels.init_state(plan)
-        for segment in compiled.segments:
-            kernels.begin_segment(plan, state, segment)
-            for start in range(segment.start, segment.stop,
-                               compiled.chunk_samples):
-                stop = min(start + compiled.chunk_samples, segment.stop)
-                kernels.run_chunk(plan, state, segment, start, stop)
-            kernels.end_segment(plan, state, segment)
+        walk_segments(kernels, plan, state, compiled, 0,
+                      compiled.n_samples, compiled.chunk_samples)
         return kernels.finalize(plan, state)
     return _execute_instrumented(kernels, plan, recorder, registry)
+
+
+def walk_segments(kernels: KernelSet, plan, state, compiled, start: int,
+                  stop: int, chunk_samples: int, on_chunk=None) -> None:
+    """Advance ``state`` over samples ``[start, stop)`` of ``compiled``.
+
+    Chunks of at most ``chunk_samples`` never cross a segment boundary;
+    ``on_chunk(lo, hi)``, if given, runs after each one.  A
+    segment's begin/end hook fires when a chunk starts at its first
+    sample / ends at its last, so a walk resumed mid-segment does not
+    repeat it.
+    """
+    for segment in compiled.segments:
+        lo, hi = max(start, segment.start), min(stop, segment.stop)
+        if lo >= hi:
+            continue
+        if lo == segment.start:
+            kernels.begin_segment(plan, state, segment)
+        for chunk_start in range(lo, hi, chunk_samples):
+            chunk_stop = min(chunk_start + chunk_samples, hi)
+            kernels.run_chunk(plan, state, segment, chunk_start,
+                              chunk_stop)
+            if on_chunk is not None:
+                on_chunk(chunk_start, chunk_stop)
+        if hi == segment.stop:
+            kernels.end_segment(plan, state, segment)
 
 
 def _core_instruments(registry, workload: str):

@@ -193,7 +193,16 @@ class BatchResult:
             [group for groups in self.values_a for group in groups])
 
     def summary(self) -> str:
-        """Campaign-level summary plus one line per sensor."""
+        """One Table-2 row per sensor of a calibration campaign (a
+        leading blank group and >= 3 standards), else the campaign size
+        plus one signal line per sensor."""
+        from repro.engine.calibrate import calibration_results_from_batch
+
+        try:
+            return "\n".join(row.summary() for row
+                             in calibration_results_from_batch(self))
+        except ValueError:
+            pass
         plan = self.plan
         lines = [f"{len(plan.sensors)} sensors x {plan.n_cells} cells "
                  f"(seed {plan.seed})"]

@@ -8,8 +8,9 @@ The engine grew four workload classes — calibration campaigns
 triple.  This package puts one declarative, serializable surface in
 front of all of them:
 
-* a :class:`Workload` protocol plus the global :data:`WORKLOADS`
-  registry (the four engines register themselves at import);
+* a :class:`Workload` protocol — a spec decoder; execution stays with
+  the engine registry — plus the global :data:`WORKLOADS` registry
+  (the four engines register their decoders at import);
 * the :class:`Scenario` spec — plain JSON with catalog references and
   explicit seeds, so any configured campaign, wear simulation,
   therapy course or reconstruction is a *replayable artifact*
@@ -52,10 +53,10 @@ from repro.scenarios.workloads import (
     EstimationWorkload,
     MonitorWorkload,
     TherapyWorkload,
-    calibration_results_from_batch,
 )
 from repro.scenarios.runner import (
     ScenarioRun,
+    plan_for,
     run_scenario,
     run_scenarios,
     spawn_scenario_seeds,
@@ -73,7 +74,7 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "available_workloads",
-    "calibration_results_from_batch",
+    "plan_for",
     "register_workload",
     "run_scenario",
     "run_scenarios",

@@ -124,16 +124,13 @@ def workload_rows() -> list[dict]:
     rows = []
     for name in available_workloads():
         workload = workload_by_name(name)
+        kernels = kernels_for(name)
         doc = (type(workload).__doc__ or "").strip().splitlines()[0]
-        try:
-            streaming = kernels_for(name).snapshot_version is not None
-        except KeyError:
-            streaming = False
         rows.append({
             "name": name,
-            "plan_type": workload.plan_type.__name__,
+            "plan_type": kernels.plan_type.__name__,
             "doc": doc,
-            "streaming": streaming,
+            "streaming": kernels.snapshot_version is not None,
         })
     return rows
 

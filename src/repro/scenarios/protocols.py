@@ -1,11 +1,11 @@
 """Workload protocol and registry: the contract behind the front door.
 
-A *workload* is one engine entry point packaged behind a uniform
-surface: a name, the plan type it builds, a vectorized ``run`` path, a
-scalar equivalence reference ``run_scalar``, and a ``summarize`` that
-renders its result for humans.  The four engine workloads (calibration,
-monitoring, therapy, estimation) register themselves in the global
-:data:`WORKLOADS` registry at import time, so a
+A *workload* here is a spec decoder: a name and a ``build_plan`` that
+turns a JSON spec into the plan of the kernel set registered under the
+same name, which :func:`repro.engine.core.run_workload` runs.  The four
+engine workloads (calibration, monitoring, therapy, estimation)
+register their decoders in the global :data:`WORKLOADS` registry at
+import time, so a
 :class:`~repro.scenarios.Scenario` names its workload by string and
 anything that iterates :func:`available_workloads` — the CLI, the batch
 dispatcher, the round-trip tests — picks new workloads up for free.
@@ -47,32 +47,19 @@ class ResultProtocol(Protocol):
 
 @runtime_checkable
 class Workload(Protocol):
-    """One registered engine workload behind the scenario front door.
+    """One registered spec decoder behind the scenario front door.
 
-    Implementations carry two attributes — ``name`` (the registry key a
-    :class:`~repro.scenarios.Scenario` references) and ``plan_type``
-    (the engine plan dataclass ``build_plan`` produces) — plus the five
-    methods below.  They hold no per-run state: a workload is a pure
-    adapter from declarative spec mappings to engine calls.
+    Implementations carry a ``name`` — the registry key a
+    :class:`~repro.scenarios.Scenario` references, shared with the
+    kernel set that runs the plan — plus the three methods below.
+    They hold no per-run state: a workload is a pure decoder from
+    declarative spec mappings to engine plans.
     """
 
     name: str
-    plan_type: type
 
     def build_plan(self, spec: Mapping[str, Any], seed: int | None) -> Any:
         """Resolve a declarative spec mapping into an engine plan."""
-        ...
-
-    def run(self, plan: Any) -> ResultProtocol:
-        """Execute a plan on the vectorized engine path."""
-        ...
-
-    def run_scalar(self, plan: Any) -> ResultProtocol:
-        """Execute a plan on the scalar equivalence-reference path."""
-        ...
-
-    def summarize(self, result: ResultProtocol) -> str:
-        """Render a result of this workload for humans."""
         ...
 
     def describe(self) -> str:
@@ -96,17 +83,22 @@ def register_workload(workload: Workload,
     """Register a workload under its ``name`` and return it.
 
     Args:
-        workload: the implementation to expose.
+        workload: the decoder to expose; a kernel set must already be
+            registered under its name (else ``ValueError``).
         replace: allow overwriting an existing registration (off by
             default so two workloads cannot silently shadow each other).
 
     Returns:
         The registered workload (so calls can be chained/assigned).
     """
+    from repro.engine.core import registered_workloads
+
     name = workload.name
     if not replace and name in WORKLOADS:
         raise ValueError(f"workload {name!r} is already registered; "
                          f"pass replace=True to overwrite")
+    if name not in registered_workloads():
+        raise ValueError(f"workload {name!r} has no kernel set")
     WORKLOADS[name] = workload
     return workload
 

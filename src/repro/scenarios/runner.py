@@ -1,7 +1,8 @@
 """Scenario dispatch: run one scenario, or fan a list across workloads.
 
-:func:`run_scenario` is the single-call front door — resolve the
-workload, build the plan, execute.  :func:`run_scenarios` is the batch
+:func:`run_scenario` is the single-call front door — decode the spec
+into a plan (:func:`plan_for`), then execute it through the engine
+registry.  :func:`run_scenarios` is the batch
 form: it spawns one independent ``SeedSequence`` stream per scenario
 from a root seed (the same collision-resistant derivation the engines
 use per cell/channel/patient), assigns the derived seed to every
@@ -23,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.engine.core import run_scalar, run_workload
 from repro.scenarios.protocols import ResultProtocol, workload_by_name
 from repro.scenarios.spec import Scenario
 
@@ -59,10 +61,9 @@ class ScenarioRun:
     result: ResultProtocol
 
     def summary(self) -> str:
-        """The scenario name plus its workload-rendered outcome."""
-        workload = workload_by_name(self.scenario.workload)
+        """The scenario name plus the result's own summary."""
         return (f"[{self.scenario.workload}] {self.scenario.name}\n"
-                f"{workload.summarize(self.result)}")
+                f"{self.result.summary()}")
 
     def to_dict(self, include_traces: bool = False) -> dict:
         """Replayable artifact: the scenario envelope + result export."""
@@ -71,9 +72,19 @@ class ScenarioRun:
                     include_traces=include_traces)}
 
 
+def plan_for(scenario: Scenario):
+    """Decode a scenario's spec into its workload's engine plan; a
+    wrong-typed spec value raises ``ValueError`` like any bad spec."""
+    try:
+        return workload_by_name(scenario.workload).build_plan(
+            scenario.spec, scenario.seed)
+    except TypeError as error:
+        raise ValueError(f"{scenario.workload} spec: {error}") from error
+
+
 def run_scenario(scenario: Scenario,
                  scalar: bool = False) -> ResultProtocol:
-    """Execute one scenario through its registered workload.
+    """Execute one scenario through the engine registry.
 
     Args:
         scenario: the declarative run description.
@@ -84,9 +95,8 @@ def run_scenario(scenario: Scenario,
         The workload's engine result (a
         :class:`~repro.scenarios.ResultProtocol`).
     """
-    workload = workload_by_name(scenario.workload)
-    plan = workload.build_plan(scenario.spec, scenario.seed)
-    return workload.run_scalar(plan) if scalar else workload.run(plan)
+    run = run_scalar if scalar else run_workload
+    return run(scenario.workload, plan_for(scenario))
 
 
 def run_scenarios(scenarios: Iterable[Scenario],

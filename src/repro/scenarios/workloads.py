@@ -1,12 +1,13 @@
 """The built-in workloads: the four engines behind one surface.
 
-Each class here is a thin, stateless adapter that resolves a plain-JSON
+Each class here is a thin, stateless decoder that resolves a plain-JSON
 spec mapping into the corresponding engine plan — catalog ids become
 sensors (:func:`repro.core.registry.spec_by_id`), drug names become
 :class:`~repro.pk.drugs.DrugSpec` entries, controller kinds become
-:mod:`repro.therapy` controllers — and forwards ``run``/``run_scalar``
-to the *existing* engine entry points.  The engines stay the
-implementation; nothing re-implements physics here.
+:mod:`repro.therapy` controllers.  Running a plan is the engine
+registry's job (:func:`repro.engine.core.run_workload` /
+:func:`~repro.engine.core.run_scalar`); nothing here executes or
+re-implements physics.
 
 Spec validation is strict: unknown keys raise ``ValueError`` naming the
 allowed set, so a typo in a scenario file fails loudly instead of being
@@ -18,28 +19,13 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Mapping
 
-from repro.core.calibration import (
-    CalibrationProtocol,
-    CalibrationResult,
-    default_protocol_for_range,
-)
-from repro.engine.calibrate import calibration_plan, calibration_result_from_batch
-from repro.engine import core as engine_core
-from repro.engine.estimation import (
-    EstimationPlan,
-    EstimationResult,
-    run_estimation,
-)
-from repro.engine.monitor import (
-    MonitorPlan,
-    MonitorResult,
-    RecalibrationPolicy,
-    cohort,
-    run_monitor,
-)
-from repro.engine.plan import BatchPlan, BatchResult
-from repro.engine.runner import run_batch
-from repro.engine.therapy import TherapyPlan, TherapyResult, run_therapy
+from repro.core.calibration import default_protocol_for_range
+from repro.engine.calibrate import calibration_plan
+from repro.engine.core import kernels_for
+from repro.engine.estimation import EstimationPlan
+from repro.engine.monitor import MonitorPlan, RecalibrationPolicy, cohort
+from repro.engine.plan import BatchPlan
+from repro.engine.therapy import TherapyPlan
 from repro.pk.drugs import DrugSpec, drug_by_name
 from repro.pk.models import Route
 from repro.scenarios.protocols import Workload, register_workload
@@ -76,37 +62,11 @@ def _describe(workload: Workload, field_docs: str) -> str:
     """Assemble the shared ``describe()`` layout of a workload."""
     doc = (type(workload).__doc__ or "").strip().splitlines()[0]
     example = json.dumps(workload.example_spec(), indent=2)
+    plan_type = kernels_for(workload.name).plan_type.__name__
     return (f"{workload.name}: {doc}\n"
-            f"plan type: {workload.plan_type.__name__}\n\n"
+            f"plan type: {plan_type}\n\n"
             f"spec fields:\n{field_docs}\n"
             f"example spec:\n{example}")
-
-
-def calibration_results_from_batch(
-        result: BatchResult) -> list[CalibrationResult]:
-    """Per-sensor Table-2 metrics of an engine-built calibration campaign.
-
-    Re-derives each sensor's :class:`CalibrationProtocol` from the plan
-    itself — the leading 0.0 group is the blanks, the rest the standard
-    staircase — so a campaign produced by the calibration workload (or
-    by :func:`repro.engine.calibration_plan`) yields the usual
-    :class:`CalibrationResult` rows without carrying protocol objects
-    through serialization.
-    """
-    results = []
-    for i in range(len(result.plan.sensors)):
-        grid = result.plan.concentrations_molar[i]
-        reps = result.plan.replicates_for(i)
-        if grid[0] != 0.0 or len(grid) < 4:
-            raise ValueError(
-                f"sensor {i}: not a calibration campaign (needs a "
-                "leading blank group and >= 3 standards)")
-        protocol = CalibrationProtocol(
-            concentrations_molar=grid[1:],
-            n_blanks=reps[0],
-            n_replicates=reps[1])
-        results.append(calibration_result_from_batch(result, i, protocol))
-    return results
 
 
 class CalibrationWorkload:
@@ -126,7 +86,6 @@ class CalibrationWorkload:
     """
 
     name = "calibration"
-    plan_type = BatchPlan
 
     _ALLOWED = frozenset({"sensors", "upper_molar", "n_blanks",
                           "n_replicates", "add_noise", "step_duration_s"})
@@ -168,22 +127,6 @@ class CalibrationWorkload:
             add_noise=bool(spec.get("add_noise", True)),
             step_duration_s=float(spec.get("step_duration_s", 16.0)))
 
-    def run(self, plan: BatchPlan) -> BatchResult:
-        """Evaluate the campaign on the vectorized engine path."""
-        return run_batch(plan)
-
-    def run_scalar(self, plan: BatchPlan) -> BatchResult:
-        """Evaluate the campaign cell-by-cell (equivalence reference)."""
-        return engine_core.run_scalar("calibration", plan)
-
-    def summarize(self, result: BatchResult) -> str:
-        """Table-2 metrics per sensor (falls back to raw signal stats)."""
-        try:
-            rows = calibration_results_from_batch(result)
-        except ValueError:
-            return result.summary()
-        return "\n".join(row.summary() for row in rows)
-
     def example_spec(self) -> dict:
         """A one-sensor glucose calibration."""
         return {"sensors": ["glucose/this-work"],
@@ -219,7 +162,6 @@ class MonitorWorkload:
     """
 
     name = "monitor"
-    plan_type = MonitorPlan
 
     _ALLOWED = frozenset({"cohort", "duration_h", "sample_period_s",
                           "chunk_samples", "add_noise", "recalibration",
@@ -251,18 +193,6 @@ class MonitorWorkload:
         return MonitorPlan(channels=channels,
                            duration_h=float(spec["duration_h"]),
                            seed=seed, **kwargs)
-
-    def run(self, plan: MonitorPlan) -> MonitorResult:
-        """Stream the cohort on the chunked vectorized path."""
-        return run_monitor(plan)
-
-    def run_scalar(self, plan: MonitorPlan) -> MonitorResult:
-        """Stream the cohort day-by-day (equivalence reference)."""
-        return engine_core.run_scalar("monitor", plan)
-
-    def summarize(self, result: MonitorResult) -> str:
-        """Cohort MARD / time-in-spec summary."""
-        return result.summary()
 
     def example_spec(self) -> dict:
         """A two-day, four-patient glucose wear simulation."""
@@ -302,7 +232,6 @@ class EstimationWorkload:
     """
 
     name = "estimation"
-    plan_type = EstimationPlan
 
     _OWN = frozenset({"smooth", "interval_level"})
 
@@ -320,18 +249,6 @@ class EstimationWorkload:
             key: spec[key] for key in self._OWN if key in spec}
         return EstimationPlan(
             monitor=MONITOR.build_plan(monitor_spec, seed), **kwargs)
-
-    def run(self, plan: EstimationPlan) -> EstimationResult:
-        """Reconstruct the cohort on the vectorized filter path."""
-        return run_estimation(plan)
-
-    def run_scalar(self, plan: EstimationPlan) -> EstimationResult:
-        """Reconstruct channel by channel (equivalence reference)."""
-        return engine_core.run_scalar("estimation", plan)
-
-    def summarize(self, result: EstimationResult) -> str:
-        """Reconstruction accuracy + interval-coverage summary."""
-        return result.summary()
 
     def example_spec(self) -> dict:
         """A one-day, four-patient glucose reconstruction."""
@@ -448,7 +365,6 @@ class TherapyWorkload:
     """
 
     name = "therapy"
-    plan_type = TherapyPlan
 
     _ALLOWED = frozenset({
         "drug", "n_patients", "cohort_seed", "controller", "n_doses",
@@ -484,18 +400,6 @@ class TherapyWorkload:
             drug, cohort=treated,
             controller=_controller_from(drug, spec["controller"]),
             n_doses=int(spec["n_doses"]), seed=seed, **kwargs)
-
-    def run(self, plan: TherapyPlan) -> TherapyResult:
-        """Close the loop on the chunked vectorized path."""
-        return run_therapy(plan)
-
-    def run_scalar(self, plan: TherapyPlan) -> TherapyResult:
-        """Close the loop per patient (equivalence reference)."""
-        return engine_core.run_scalar("therapy", plan)
-
-    def summarize(self, result: TherapyResult) -> str:
-        """Window metrics plus the phenotype breakdown."""
-        return result.summary()
 
     def example_spec(self) -> dict:
         """A short Bayesian-dosed cyclosporine course."""

@@ -77,6 +77,10 @@ _LOG = logging.getLogger("repro.serve.server")
 #: are answered 413 before the body is consumed.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Period of the runtime collector task (RSS, GC counts, event-loop
+#: lag, queue depth) [s].
+COLLECT_INTERVAL_S = 5.0
+
 #: Longest request line or header line the server will read [bytes],
 #: the connection's stream buffer limit; a longer request line is
 #: answered 400, a longer header line 431.
@@ -287,7 +291,6 @@ class ReproServer:
         per_workload: max jobs of any single workload running at once
             (a cohort-heavy estimation job cannot starve quick
             calibration runs).
-        max_body_bytes: request-body size cap (413 beyond it).
         registry: the :class:`~repro.telemetry.MetricsRegistry` to
             meter into.  None (the default) adopts the process-active
             registry when it is enabled (``REPRO_METRICS=1``) and
@@ -295,28 +298,23 @@ class ReproServer:
             always meters itself — installing it process-wide for the
             server's lifetime so engine-core histograms from job runs
             land in the same scrape (restored on :meth:`stop`).
-        collect_interval_s: period of the runtime collector task (RSS,
-            GC counts, event-loop lag, queue depth).
+
+    Request bodies are capped at :data:`MAX_BODY_BYTES` (413 beyond
+    it); runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  queue_size: int = 16, workers: int = 2,
                  per_workload: int = 2,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 registry: "MetricsRegistry | None" = None,
-                 collect_interval_s: float = 5.0) -> None:
+                 registry: "MetricsRegistry | None" = None) -> None:
         if queue_size < 1 or workers < 1 or per_workload < 1:
             raise ValueError(
                 "queue_size, workers and per_workload must be >= 1")
-        if collect_interval_s <= 0.0:
-            raise ValueError("collect_interval_s must be > 0")
         self.host = host
         self.port = port
         self.queue_size = queue_size
         self.workers = workers
         self.per_workload = per_workload
-        self.max_body_bytes = max_body_bytes
-        self.collect_interval_s = collect_interval_s
         self.registry = registry
         self._installed_registry = False
         self._previous_registry: "MetricsRegistry | None" = None
@@ -563,8 +561,8 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         while True:
             before = loop.time()
-            await asyncio.sleep(self.collect_interval_s)
-            lag = max(0.0, loop.time() - before - self.collect_interval_s)
+            await asyncio.sleep(COLLECT_INTERVAL_S)
+            lag = max(0.0, loop.time() - before - COLLECT_INTERVAL_S)
             self._m["loop_lag"].set(lag)
             self._collect_runtime()
 
@@ -783,10 +781,10 @@ class ReproServer:
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
         length = int(raw_length)
-        if length > self.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds the "
-                     f"{self.max_body_bytes}-byte cap")
+                     f"{MAX_BODY_BYTES}-byte cap")
         body = await reader.readexactly(length) if length else b""
         tokens = {token.strip() for token
                   in headers.get("connection", "").lower().split(",")}
@@ -851,7 +849,7 @@ class ReproServer:
             return {}
         try:
             data = json.loads(body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:  # or not UTF-8
             raise _HttpError(400, f"invalid JSON body: {error}")
         if not isinstance(data, dict):
             raise _HttpError(400, "JSON body must be an object")
@@ -1031,6 +1029,10 @@ class ReproServer:
 
     def _push_readings(self, stream: _Stream, body: bytes):
         data = self._json_body(body)
+        unknown = sorted(set(data) - {"count"})
+        if unknown:
+            raise _HttpError(400, f"unknown keys {unknown}; a push body "
+                                  'is {"count": n} or {}')
         count = data.get("count")
         if count is not None and (not isinstance(count, int)
                                   or isinstance(count, bool)

@@ -43,7 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.core import kernels_for
+from repro.engine.core import kernels_for, walk_segments
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,6 @@ class StreamSession:
             self._state, self._cursor = kernels.restore_state(
                 plan, snapshot)
         self._result: Any = None
-        # Segments whose begin hook already ran (resume lands mid-
-        # segment: the hook belongs to the original [0, cursor) pass).
-        self._begun = {segment.index
-                       for segment in self._compiled.segments
-                       if segment.start < self._cursor}
 
     # -- introspection ---------------------------------------------------
 
@@ -158,9 +153,10 @@ class StreamSession:
         Args:
             samples: block size; ``None`` runs to the end of the
                 stream.  Any positive size is legal — chunk-size
-                invariance is the engines' contract — and a block is
-                internally split at segment boundaries so the kernel
-                hooks fire exactly as in the batch executor.
+                invariance is the engines' contract — and the block
+                advances through the batch executor's own segment walk
+                (:func:`repro.engine.core.walk_segments`), so the
+                kernel hooks fire exactly as in a batch run.
 
         Returns:
             The concatenated :class:`StreamUpdate` for the advanced
@@ -177,28 +173,23 @@ class StreamSession:
             samples = self.remaining
         if samples < 1:
             raise ValueError("advance needs at least one sample")
-        target = min(self._cursor + samples, self._compiled.n_samples)
         start = self._cursor
         times = []
         blocks: "dict[str, list[np.ndarray]]" = {}
-        while self._cursor < target:
-            segment = self._segment_at(self._cursor)
-            if segment.index not in self._begun:
-                self._kernels.begin_segment(self._plan, self._state,
-                                            segment)
-                self._begun.add(segment.index)
-            stop = min(target, segment.stop)
-            self._kernels.run_chunk(self._plan, self._state, segment,
-                                    self._cursor, stop)
+
+        def publish(lo: int, hi: int) -> None:
             update = dict(self._kernels.stream_update(
-                self._plan, self._state, self._cursor, stop))
+                self._plan, self._state, lo, hi))
             times.append(np.asarray(update.pop("time_h")))
             for name, block in update.items():
                 blocks.setdefault(name, []).append(block)
-            if stop == segment.stop:
-                self._kernels.end_segment(self._plan, self._state,
-                                          segment)
-            self._cursor = stop
+            self._cursor = hi
+
+        # The block is the chunk size: one chunk per segment it touches.
+        walk_segments(self._kernels, self._plan, self._state,
+                      self._compiled, start,
+                      min(start + samples, self._compiled.n_samples),
+                      samples, publish)
         return StreamUpdate(
             start=start,
             stop=self._cursor,
@@ -254,23 +245,15 @@ class StreamSession:
     def from_scenario(cls, scenario) -> "StreamSession":
         """Open a stream for a declarative scenario.
 
-        Resolves the scenario's spec through its registered workload
-        adapter (:func:`repro.scenarios.workload_by_name`) exactly as
-        the batch runner does, then streams the resulting plan.
+        Decodes the scenario's spec with
+        :func:`repro.scenarios.plan_for`, exactly as the batch runner
+        does, then streams the resulting plan.
 
         Raises:
-            ValueError: when the scenario's workload has no streaming
-                support.
+            KeyError: for an unknown workload or catalog reference.
+            ValueError: for a malformed spec, or a workload without
+                streaming support.
         """
-        from repro.scenarios import workload_by_name
+        from repro.scenarios import plan_for
 
-        workload = workload_by_name(scenario.workload)
-        plan = workload.build_plan(scenario.spec, scenario.seed)
-        return cls(scenario.workload, plan)
-
-    def _segment_at(self, cursor: int):
-        """The execution-plan segment containing sample ``cursor``."""
-        for segment in self._compiled.segments:
-            if segment.start <= cursor < segment.stop:
-                return segment
-        raise ValueError(f"no segment covers sample {cursor}")
+        return cls(scenario.workload, plan_for(scenario))

@@ -16,6 +16,8 @@ import pytest
 
 from repro.campaigns import ArtifactStore, CampaignSpec, run_campaign
 from repro.campaigns.runner import RETRY_BASE_ENV, _retry_backoff_s
+from repro.engine.core import KernelSet, register_kernels, single_segment
+from repro.engine.core import registry as kernel_registry
 from repro.scenarios import Scenario
 from repro.scenarios.protocols import WORKLOADS, register_workload
 
@@ -36,13 +38,15 @@ class _FlakyResult:
         return {"attempts": self.attempts}
 
 
-class _FlakyWorkload:
+class _FlakyWorkload(KernelSet):
     """Fails each shard's first ``fail_attempts`` runs, then succeeds.
 
     Attempt counts persist as marker files under the spec's
     ``marker_dir``, keyed by the shard seed — exactly the shape of an
     environmental failure (fails now, succeeds on retry) while staying
-    fully in-process.
+    fully in-process.  Both halves of a workload: the kernel set the
+    engine registry runs (one chunk) and the spec decoder the scenario
+    registry holds.
     """
 
     name = "flaky-retry-test"
@@ -53,20 +57,32 @@ class _FlakyWorkload:
                 "fail_attempts": spec.get("fail_attempts", 1),
                 "seed": seed}
 
-    def run(self, plan):
+    def compile(self, plan):
+        return single_segment(self.name, 1, 1, 1)
+
+    def init_state(self, plan):
+        return {}
+
+    def run_chunk(self, plan, state, segment, start, stop):
         marker = Path(plan["marker_dir"]) / f"seed-{plan['seed']}"
         attempts = int(marker.read_text()) if marker.exists() else 0
         marker.write_text(str(attempts + 1))
         if attempts < plan["fail_attempts"]:
             raise RuntimeError(
                 f"transient failure on attempt {attempts + 1}")
-        return _FlakyResult(attempts + 1)
+        state["attempts"] = attempts + 1
+
+    def finalize(self, plan, state):
+        return _FlakyResult(state["attempts"])
 
     def run_scalar(self, plan):
-        return self.run(plan)
+        raise NotImplementedError
 
-    def summarize(self, result):
-        return result.summary()
+    def contract_plan(self):
+        raise NotImplementedError
+
+    def contract_fields(self, result):
+        raise NotImplementedError
 
     def describe(self) -> str:
         return "test-only flaky workload"
@@ -79,9 +95,12 @@ class _FlakyWorkload:
 def flaky_workload(monkeypatch):
     """Register the flaky workload and retry instantly (no backoff)."""
     monkeypatch.setenv(RETRY_BASE_ENV, "0")
-    register_workload(_FlakyWorkload())
+    workload = _FlakyWorkload()
+    register_kernels(workload)
+    register_workload(workload)
     yield _FlakyWorkload.name
     WORKLOADS.pop(_FlakyWorkload.name, None)
+    kernel_registry._KERNEL_SETS.pop(_FlakyWorkload.name, None)
 
 
 def _flaky_spec(name, tmp_path, *, fail_attempts, max_retries,

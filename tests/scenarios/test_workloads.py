@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.engine import BatchPlan, EstimationPlan, MonitorPlan, TherapyPlan
+from repro.engine import (
+    BatchPlan,
+    EstimationPlan,
+    MonitorPlan,
+    TherapyPlan,
+    calibration_results_from_batch,
+)
+from repro.engine.core import kernels_for
 from repro.scenarios import (
     ResultProtocol,
     WORKLOADS,
     Workload,
     available_workloads,
-    calibration_results_from_batch,
     register_workload,
     run_scenario,
     workload_by_name,
@@ -31,11 +37,25 @@ class TestRegistry:
         for name in available_workloads():
             assert isinstance(workload_by_name(name), Workload)
 
-    def test_plan_types(self):
-        assert workload_by_name("calibration").plan_type is BatchPlan
-        assert workload_by_name("monitor").plan_type is MonitorPlan
-        assert workload_by_name("therapy").plan_type is TherapyPlan
-        assert workload_by_name("estimation").plan_type is EstimationPlan
+    def test_every_decoder_builds_its_kernel_sets_plan(self):
+        """A decoder only decodes: its name has a kernel set, and the
+        plan it builds is the one that kernel set runs."""
+        for name in available_workloads():
+            workload = workload_by_name(name)
+            plan = workload.build_plan(workload.example_spec(), seed=1)
+            assert type(plan) is kernels_for(name).plan_type
+        assert kernels_for("calibration").plan_type is BatchPlan
+        assert kernels_for("monitor").plan_type is MonitorPlan
+        assert kernels_for("therapy").plan_type is TherapyPlan
+        assert kernels_for("estimation").plan_type is EstimationPlan
+
+    def test_decoder_without_kernel_set_rejected(self):
+        class _Orphan:
+            name = "orphan-without-kernels"
+
+        with pytest.raises(ValueError, match="no kernel set"):
+            register_workload(_Orphan())
+        assert "orphan-without-kernels" not in WORKLOADS
 
     def test_unknown_workload_lists_registry(self):
         with pytest.raises(KeyError, match="registered"):
@@ -62,7 +82,7 @@ class TestRegistry:
         for name in available_workloads():
             workload = workload_by_name(name)
             plan = workload.build_plan(workload.example_spec(), seed=1)
-            assert isinstance(plan, workload.plan_type)
+            assert isinstance(plan, kernels_for(name).plan_type)
 
 
 class TestCalibrationWorkload:
@@ -119,7 +139,7 @@ class TestCalibrationWorkload:
         assert isinstance(result, ResultProtocol)
         rows = calibration_results_from_batch(result)
         assert len(rows) == 1
-        assert "uA mM^-1 cm^-2" in self.WORKLOAD.summarize(result)
+        assert "uA mM^-1 cm^-2" in result.summary()
 
     def test_results_from_batch_rejects_blankless_plans(self):
         from repro.engine import run_batch
@@ -209,7 +229,7 @@ class TestEstimationWorkload:
                             spec=self.SPEC)
         result = run_scenario(scenario)
         assert isinstance(result, ResultProtocol)
-        assert "coverage" in self.WORKLOAD.summarize(result)
+        assert "coverage" in result.summary()
 
 
 class TestTherapyWorkload:

@@ -107,9 +107,10 @@ class TestReconnect:
         assert client.metrics()["counters"]["readings.pushed"] == 5 * 2
         assert _connections(registry) == 2
 
-    def test_refused_request_drops_the_connection(self):
+    def test_refused_request_drops_the_connection(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)
         registry = MetricsRegistry()
-        with ServerThread(port=0, workers=1, max_body_bytes=1024,
+        with ServerThread(port=0, workers=1,
                           registry=registry) as thread:
             with ServeClient(thread.host, thread.port) as client:
                 client.health()

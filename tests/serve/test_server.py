@@ -25,6 +25,8 @@ import time
 
 import pytest
 
+from repro.engine.core import KernelSet, register_kernels, single_segment
+from repro.engine.core import registry as kernel_registry
 from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.scenarios.protocols import WORKLOADS, register_workload
 from repro.scenarios.runner import fork_context
@@ -234,6 +236,25 @@ class TestStreams:
             client.stream_status(stream["stream_id"])
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize("override", [
+        pytest.param({"cohort": 5}, id="cohort-int"),
+        pytest.param({"duration_h": [1]}, id="duration-list"),
+        pytest.param({"recalibration": 3}, id="recalibration-int"),
+        pytest.param({"cohort": {**ESTIMATION_SCENARIO.spec["cohort"],
+                                 "n_patients": None}},
+                     id="n-patients-null"),
+    ])
+    def test_wrong_typed_spec_is_400(self, client, override):
+        """A spec value of the wrong type is a malformed spec: a
+        ``ValueError`` naming the workload, and 400 on open."""
+        scenario = Scenario(workload="estimation", name="typed", seed=1,
+                            spec={**ESTIMATION_SCENARIO.spec, **override})
+        with pytest.raises(ValueError, match="estimation"):
+            run_scenario(scenario)
+        with pytest.raises(ServeError) as excinfo:
+            client.create_stream(scenario.to_dict())
+        assert excinfo.value.status == 400
+
 
 class TestMetrics:
     def test_counters_accumulate_per_endpoint_and_workload(self, client):
@@ -318,8 +339,10 @@ class _Release:
         return True
 
 
-class _SleepyWorkload:
-    """Blocks in run() until the test releases it (backpressure probe)."""
+class _SleepyWorkload(KernelSet):
+    """Blocks in its one chunk until the test releases it (backpressure
+    probe).  Both halves of a workload: the kernel set the engine
+    registry runs and the spec decoder the scenario registry holds."""
 
     name = "sleepy-serve-test"
     plan_type = dict
@@ -328,22 +351,45 @@ class _SleepyWorkload:
     def build_plan(self, spec, seed):
         return dict(spec)
 
-    def run(self, plan):
+    def compile(self, plan):
+        return single_segment(self.name, 1, 1, 1)
+
+    def init_state(self, plan):
+        return None
+
+    def run_chunk(self, plan, state, segment, start, stop):
         if not _SleepyWorkload.release.wait(timeout=30.0):
             raise TimeoutError("never released")
+
+    def finalize(self, plan, state):
         return _SleepyResult()
 
     def run_scalar(self, plan):
-        return self.run(plan)
+        raise NotImplementedError
 
-    def summarize(self, result):
-        return result.summary()
+    def contract_plan(self):
+        raise NotImplementedError
+
+    def contract_fields(self, result):
+        raise NotImplementedError
 
     def describe(self) -> str:
         return "test-only blocking workload"
 
     def example_spec(self) -> dict:
         return {}
+
+
+def _register(workload) -> None:
+    """Register a test workload in the engine and scenario registries."""
+    register_kernels(workload)
+    register_workload(workload)
+
+
+def _unregister(workload) -> None:
+    """Undo :func:`_register`."""
+    WORKLOADS.pop(workload.name, None)
+    kernel_registry._KERNEL_SETS.pop(workload.name, None)
 
 
 _TEST_PID = os.getpid()
@@ -355,7 +401,7 @@ class _KillerWorkload(_SleepyWorkload):
     name = "killer-serve-test"
     killed_pid = fork_context().RawValue("i", 0)
 
-    def run(self, plan):
+    def run_chunk(self, plan, state, segment, start, stop):
         if os.getpid() == _TEST_PID:
             raise RuntimeError("refusing to kill the test process")
         _KillerWorkload.killed_pid.value = os.getpid()
@@ -371,7 +417,7 @@ def _scenario_of(workload) -> dict:
 def sleepy_server():
     """A one-worker server with the (held) sleepy workload registered."""
     _SleepyWorkload.release.clear()
-    register_workload(_SleepyWorkload())
+    _register(_SleepyWorkload())
     thread = ServerThread(port=0, queue_size=4, workers=1).start()
     client = ServeClient(thread.host, thread.port)
     try:
@@ -380,7 +426,7 @@ def sleepy_server():
         _SleepyWorkload.release.set()
         thread.stop()
         client.close()
-        WORKLOADS.pop(_SleepyWorkload.name, None)
+        _unregister(_SleepyWorkload)
 
 
 def _raw_get(client: ServeClient, target: str) -> bytes:
@@ -474,7 +520,7 @@ class TestShutdown:
         assert not workers & set(multiprocessing.active_children())
 
     def test_killed_worker_fails_only_its_job(self):
-        register_workload(_KillerWorkload())
+        _register(_KillerWorkload())
         try:
             with ServerThread(port=0, workers=1) as thread, \
                     ServeClient(thread.host, thread.port) as client:
@@ -492,14 +538,14 @@ class TestShutdown:
                 assert client.result(job["job_id"], traces=True) \
                     == batch_artifact(MONITOR_SCENARIO)
         finally:
-            WORKLOADS.pop(_KillerWorkload.name, None)
+            _unregister(_KillerWorkload)
 
 
 class TestBackpressure:
     def test_full_queue_answers_503(self):
         """Submissions beyond queue_size bounce instead of buffering."""
         _SleepyWorkload.release.clear()
-        register_workload(_SleepyWorkload())
+        _register(_SleepyWorkload())
         scenario = Scenario(workload=_SleepyWorkload.name,
                             name="sleepy", seed=1, spec={}).to_dict()
         try:
@@ -524,12 +570,13 @@ class TestBackpressure:
                 client.wait_for_job(first["job_id"])
         finally:
             _SleepyWorkload.release.set()
-            WORKLOADS.pop(_SleepyWorkload.name, None)
+            _unregister(_SleepyWorkload)
 
 
 class TestRequestLimits:
-    def test_oversized_body_is_413(self):
-        with ServerThread(port=0, max_body_bytes=1024) as thread, \
+    def test_oversized_body_is_413(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)
+        with ServerThread(port=0) as thread, \
                 ServeClient(thread.host, thread.port) as client:
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/scenarios",
@@ -589,6 +636,44 @@ class TestRequestLimits:
             assert b"invalid JSON" in response.read()
         finally:
             connection.close()
+
+
+    def test_deeply_nested_body_is_400(self, client, caplog):
+        with caplog.at_level(logging.ERROR):
+            response = _raw_post(client, "/scenarios", b"[" * 100_000)
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"invalid JSON" in response
+        assert not caplog.records
+
+    def test_non_utf8_push_is_400(self, client, caplog):
+        stream_id = client.create_stream(
+            MONITOR_SCENARIO.to_dict())["stream_id"]
+        with caplog.at_level(logging.ERROR):
+            response = _raw_post(client, f"/streams/{stream_id}/readings",
+                                 b'{"count": "\xff"}')
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert not caplog.records
+        assert client.stream_status(stream_id)["cursor"] == 0
+        client.delete_stream(stream_id)
+
+    def test_push_with_an_unknown_key_is_400(self, client):
+        """A misspelt count must not run the whole stream."""
+        stream_id = client.create_stream(
+            MONITOR_SCENARIO.to_dict())["stream_id"]
+        response = _raw_post(client, f"/streams/{stream_id}/readings",
+                             b'{"Count": 12}')
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"Count" in response
+        assert client.stream_status(stream_id)["cursor"] == 0
+        client.delete_stream(stream_id)
+
+
+def _raw_post(client: ServeClient, target: str, body: bytes) -> bytes:
+    """One raw POST of ``body``; the whole response, read to EOF."""
+    return _raw_request(client, f"POST {target} HTTP/1.1\r\n"
+                                "Connection: close\r\n"
+                                f"Content-Length: {len(body)}\r\n\r\n"
+                                .encode() + body)
 
 
 #: The read deadline the protocol tests shrink the server's to [s].
