@@ -166,7 +166,11 @@ class ServeClient:
     # -- jobs ------------------------------------------------------------
 
     def submit(self, scenario: dict) -> dict:
-        """``POST /scenarios`` — enqueue a scenario envelope."""
+        """``POST /scenarios`` — enqueue a scenario envelope.
+
+        A spec that does not decode is refused with 400, a full queue
+        with 503; neither issues a job id.
+        """
         return self._request("POST", "/scenarios", scenario)
 
     def status(self, job_id: str, wait_s: float = 0.0) -> dict:
@@ -175,12 +179,22 @@ class ServeClient:
         With ``wait_s > 0`` this is a long-poll: the server holds the
         request until the job is done or failed, or ``wait_s`` elapses
         (clamped to its ``MAX_WAIT_S``), then answers the same payload.
+
+        A :class:`ServeError` with status 410 means the job finished
+        and was evicted (the server keeps only its last
+        ``MAX_FINISHED_JOBS`` finished jobs); 404 means no such job was
+        ever issued.
         """
         suffix = f"?wait={wait_s:.3f}" if wait_s > 0.0 else ""
         return self._request("GET", f"/scenarios/{job_id}{suffix}")
 
     def result(self, job_id: str, traces: bool = False) -> dict:
-        """``GET /scenarios/{id}/result`` — the replayable artifact."""
+        """``GET /scenarios/{id}/result`` — the replayable artifact.
+
+        Fetch it promptly: a :class:`ServeError` with status 410 means
+        the job was evicted after newer jobs finished, 409 that it is
+        not done.
+        """
         suffix = "?traces=1" if traces else ""
         return self._request("GET", f"/scenarios/{job_id}/result{suffix}")
 

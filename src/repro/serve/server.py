@@ -12,13 +12,16 @@ exposes the two serving modes of :mod:`repro.serve`:
   bounded work queue with a per-workload concurrency limit; a full
   queue answers 503 instead of buffering without bound.  Each job runs
   in a pre-forked worker process, so concurrent jobs compute in
-  parallel instead of taking turns on one interpreter lock.
+  parallel instead of taking turns on one interpreter lock.  Only the
+  last :data:`MAX_FINISHED_JOBS` finished jobs are kept; the id of an
+  older one answers 410 Gone.
 * **Streams** — open an incremental session for a scenario
   (``POST /streams``), push readings in blocks
   (``POST /streams/{id}/readings``), read back the filtered estimates
   as they are produced, snapshot (``GET /streams/{id}/snapshot``) and
   finally fetch the batch-identical result
-  (``GET /streams/{id}/result``).
+  (``GET /streams/{id}/result``).  At most :data:`MAX_STREAMS` are
+  open at once, and one left idle for :data:`_STREAM_IDLE_S` is closed.
 
 Observability is first-class.  The server meters itself through
 :mod:`repro.telemetry.metrics` instruments — per-endpoint request
@@ -47,6 +50,7 @@ Endpoint reference: ``docs/serving.md``.  Run it with
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import json
 import logging
@@ -76,6 +80,13 @@ _LOG = logging.getLogger("repro.serve.server")
 #: Largest request body the server will read [bytes]; larger requests
 #: are answered 413 before the body is consumed.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Finished (done or failed) jobs the server keeps for their status and
+#: result; past it the oldest is evicted, and its id answers 410.
+MAX_FINISHED_JOBS = 32
+
+#: Most streams open at once; opening another is answered 503.
+MAX_STREAMS = 64
 
 #: Period of the runtime collector task (RSS, GC counts, event-loop
 #: lag, queue depth) [s].
@@ -107,10 +118,14 @@ _READ_DEADLINE_S = 10.0
 #: before cancelling them.
 _SHUTDOWN_GRACE_S = 1.0
 
+#: Longest a stream may go without a request [s]; the collector task
+#: closes it after that, and its id answers 404 like a deleted one.
+_STREAM_IDLE_S = 600.0
+
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
     404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout",
-    409: "Conflict", 413: "Payload Too Large",
+    409: "Conflict", 410: "Gone", 413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -204,6 +219,8 @@ class _Stream:
     stream_id: str
     scenario: Any
     session: Any
+    #: When a request last named the stream (``time.monotonic``).
+    used_s: float = field(default_factory=time.monotonic)
 
     def describe(self) -> dict:
         """Status payload for ``GET /streams/{id}``."""
@@ -301,6 +318,10 @@ class ReproServer:
 
     Request bodies are capped at :data:`MAX_BODY_BYTES` (413 beyond
     it); runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
+    Only the last :data:`MAX_FINISHED_JOBS` finished jobs are kept
+    (an evicted one answers 410); at most :data:`MAX_STREAMS` streams
+    are open (503 beyond it), and one idle for :data:`_STREAM_IDLE_S`
+    is closed.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -320,8 +341,11 @@ class ReproServer:
         self._previous_registry: "MetricsRegistry | None" = None
         self._m: "dict[str, Any] | None" = None
         self._jobs: "dict[str, _Job]" = {}
+        #: Finished job ids, oldest first: the eviction order.
+        self._finished: "collections.deque[str]" = collections.deque()
         self._streams: "dict[str, _Stream]" = {}
-        self._counter = 0
+        #: Ids issued so far, per prefix (``job``, ``stream``).
+        self._issued: "collections.Counter[str]" = collections.Counter()
         self._queue: "asyncio.Queue[_Job] | None" = None
         self._semaphores: "dict[str, asyncio.Semaphore]" = {}
         self._tasks: "list[asyncio.Task]" = []
@@ -455,6 +479,13 @@ class ReproServer:
             "streams_closed": registry.counter(
                 "repro_serve_streams_closed_total",
                 "Streams explicitly closed."),
+            "streams_evicted": registry.counter(
+                "repro_serve_streams_evicted_total",
+                "Streams closed after going idle."),
+            "streams_rejected": registry.counter(
+                "repro_serve_streams_rejected_total",
+                "Stream opens refused because the stream cap was "
+                "reached."),
             "streams_open": registry.gauge(
                 "repro_serve_streams_open",
                 "Streams currently open."),
@@ -478,6 +509,9 @@ class ReproServer:
                 "Observed event-loop scheduling lag over the last "
                 "collector period."),
         }
+        # present in a scrape from the start, at 0
+        self._m["streams_evicted"].inc(0)
+        self._m["streams_rejected"].inc(0)
 
     @staticmethod
     def _endpoint_pattern(path: str) -> str:
@@ -498,8 +532,29 @@ class ReproServer:
             method=method, endpoint=endpoint).observe(elapsed_s)
 
     def _next_id(self, prefix: str) -> str:
-        self._counter += 1
-        return f"{prefix}-{self._counter:04d}"
+        self._issued[prefix] += 1
+        return f"{prefix}-{self._issued[prefix]:04d}"
+
+    def _was_issued(self, prefix: str, raw_id: str) -> bool:
+        """True if ``raw_id`` is exactly an id :meth:`_next_id` returned
+        for ``prefix``; no set of past ids is kept."""
+        issued = self._issued[prefix]
+        head, __, digits = raw_id.partition("-")
+        # the length check also keeps int() off a 64 KiB digit string
+        if (head != prefix or not (digits.isascii() and digits.isdigit())
+                or len(digits) > len(f"{issued:04d}")):
+            return False
+        number = int(digits)
+        return 1 <= number <= issued and digits == f"{number:04d}"
+
+    def _retire(self, job: _Job) -> None:
+        """Keep a finished job, evicting the oldest beyond
+        :data:`MAX_FINISHED_JOBS`."""
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            evicted = self._jobs.pop(self._finished.popleft())
+            self._m["jobs"].labels(workload=evicted.scenario.workload,
+                                   outcome="evicted").inc()
 
     def metrics(self) -> dict:
         """The ``GET /metrics`` JSON payload: counters plus live gauges.
@@ -524,9 +579,10 @@ class ReproServer:
             for labels, series in self._m["streams_opened"].items():
                 counters[f"streams.opened.{labels['workload']}"] = \
                     int(series.value)
-            closed = self._m["streams_closed"].value
-            if closed:
-                counters["streams.closed"] = int(closed)
+            for name in ("closed", "evicted", "rejected"):
+                value = self._m[f"streams_{name}"].value
+                if value:
+                    counters[f"streams.{name}"] = int(value)
             readings = sum(series.value for __, series
                            in self._m["readings"].items())
             if readings:
@@ -564,7 +620,19 @@ class ReproServer:
             await asyncio.sleep(COLLECT_INTERVAL_S)
             lag = max(0.0, loop.time() - before - COLLECT_INTERVAL_S)
             self._m["loop_lag"].set(lag)
+            self._evict_idle_streams()
             self._collect_runtime()
+
+    def _evict_idle_streams(self) -> None:
+        """Close every stream idle for longer than :data:`_STREAM_IDLE_S`."""
+        cutoff = time.monotonic() - _STREAM_IDLE_S
+        idle = [stream_id for stream_id, stream in self._streams.items()
+                if stream.used_s < cutoff]
+        for stream_id in idle:
+            del self._streams[stream_id]
+            self._m["streams_evicted"].inc()
+            _LOG.info("stream %s closed after %.0f s idle", stream_id,
+                      _STREAM_IDLE_S)
 
     # -- job execution ---------------------------------------------------
 
@@ -660,6 +728,7 @@ class ReproServer:
                 job.status = "failed" if job.error else "done"
                 self._m["jobs"].labels(workload=workload,
                                        outcome=job.status).inc()
+                self._retire(job)
                 if job.error:
                     _LOG.warning("job %s failed: %s", job.job_id,
                                  job.error)
@@ -914,18 +983,24 @@ class ReproServer:
     # -- job routes ------------------------------------------------------
 
     def _submit_job(self, scenario):
+        """Queue a scenario whose spec decodes; a refused one (400 or
+        503) is issued no job id."""
+        from repro.scenarios import plan_for
         from repro.telemetry import current_trace_id
 
-        job = _Job(job_id=self._next_id("job"), scenario=scenario,
-                   trace_id=current_trace_id())
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if self._queue.full():
             self._m["jobs"].labels(workload=scenario.workload,
                                    outcome="rejected").inc()
             raise _HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
+        try:
+            plan_for(scenario)
+        except (KeyError, ValueError) as error:
+            raise _HttpError(400, f"invalid scenario: {error}")
+        job = _Job(job_id=self._next_id("job"), scenario=scenario,
+                   trace_id=current_trace_id())
+        self._queue.put_nowait(job)
         self._jobs[job.job_id] = job
         self._m["jobs"].labels(workload=scenario.workload,
                                outcome="submitted").inc()
@@ -952,6 +1027,10 @@ class ReproServer:
                          rest: "list[str]", query: dict):
         job = self._jobs.get(job_id)
         if job is None:
+            if self._was_issued("job", job_id):
+                raise _HttpError(
+                    410, f"job {job_id} was evicted: only the last "
+                         f"{MAX_FINISHED_JOBS} finished jobs are kept")
             raise _HttpError(404, f"unknown job {job_id!r}")
         self._get_only(method)
         if not rest:
@@ -979,6 +1058,11 @@ class ReproServer:
     def _open_stream(self, scenario):
         from repro.serve.session import StreamSession
 
+        if len(self._streams) >= MAX_STREAMS:
+            self._m["streams_rejected"].inc()
+            raise _HttpError(
+                503, f"{MAX_STREAMS} streams open; close one or retry "
+                     f"later")
         try:
             session = StreamSession.from_scenario(scenario)
         except (KeyError, ValueError) as error:
@@ -997,6 +1081,7 @@ class ReproServer:
         stream = self._streams.get(stream_id)
         if stream is None:
             raise _HttpError(404, f"unknown stream {stream_id!r}")
+        stream.used_s = time.monotonic()
         if not rest:
             if method == "DELETE":
                 del self._streams[stream_id]

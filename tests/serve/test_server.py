@@ -14,6 +14,8 @@ the test through shared memory made at import.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import json
 import logging
 import multiprocessing
@@ -49,6 +51,17 @@ CALIBRATION_SCENARIO = Scenario(
     workload="calibration", name="serve-calib", seed=7,
     spec={"sensors": ["glucose/this-work"], "n_blanks": 2,
           "n_replicates": 2})
+
+
+#: Spec values of the wrong type, over ``ESTIMATION_SCENARIO.spec``.
+WRONG_TYPED_OVERRIDES = [
+    pytest.param({"cohort": 5}, id="cohort-int"),
+    pytest.param({"duration_h": [1]}, id="duration-list"),
+    pytest.param({"recalibration": 3}, id="recalibration-int"),
+    pytest.param({"cohort": {**ESTIMATION_SCENARIO.spec["cohort"],
+                             "n_patients": None}},
+                 id="n-patients-null"),
+]
 
 
 def batch_artifact(scenario: Scenario, traces: bool = True) -> dict:
@@ -140,20 +153,24 @@ class TestJobs:
             client.status("job-9999")
         assert excinfo.value.status == 404
 
-    def test_result_of_unfinished_job_is_409(self, client):
-        """A queued/failed job has no result to fetch."""
-        bad = Scenario(workload="monitor", name="bad", seed=1,
-                       spec={"cohort": {"sensor": "glucose/this-work",
-                                        "analyte": "glucose",
-                                        "n_patients": 1},
-                             "duration_h": -1.0})
-        job = client.submit(bad.to_dict())
-        with pytest.raises(ServeError) as excinfo:
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
+    def test_result_of_unfinished_job_is_409(self, sleepy_server):
+        """A queued/failed job has no result to fetch.  (A spec that
+        does not decode never becomes a job, so the failing job is one
+        whose run raises.)"""
+        __, client = sleepy_server
+        held = client.submit(_scenario_of(_SleepyWorkload))
+        failing = client.submit(_scenario_of(_FailingWorkload))
+        for job in (held, failing):
+            with pytest.raises(ServeError) as excinfo:
                 client.result(job["job_id"])
-                time.sleep(0.05)
+            assert excinfo.value.status == 409
+        _SleepyWorkload.release.set()
+        with pytest.raises(ServeError, match="fails on purpose"):
+            client.wait_for_job(failing["job_id"], timeout_s=30.0)
+        with pytest.raises(ServeError) as excinfo:
+            client.result(failing["job_id"])
         assert excinfo.value.status == 409
+        assert "failed" in str(excinfo.value)
 
 
 class TestStreams:
@@ -236,14 +253,7 @@ class TestStreams:
             client.stream_status(stream["stream_id"])
         assert excinfo.value.status == 404
 
-    @pytest.mark.parametrize("override", [
-        pytest.param({"cohort": 5}, id="cohort-int"),
-        pytest.param({"duration_h": [1]}, id="duration-list"),
-        pytest.param({"recalibration": 3}, id="recalibration-int"),
-        pytest.param({"cohort": {**ESTIMATION_SCENARIO.spec["cohort"],
-                                 "n_patients": None}},
-                     id="n-patients-null"),
-    ])
+    @pytest.mark.parametrize("override", WRONG_TYPED_OVERRIDES)
     def test_wrong_typed_spec_is_400(self, client, override):
         """A spec value of the wrong type is a malformed spec: a
         ``ValueError`` naming the workload, and 400 on open."""
@@ -254,6 +264,32 @@ class TestStreams:
         with pytest.raises(ServeError) as excinfo:
             client.create_stream(scenario.to_dict())
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("override", WRONG_TYPED_OVERRIDES + [
+        pytest.param({"duration_h": -1.0}, id="duration-negative"),
+        pytest.param({"cohort": {**ESTIMATION_SCENARIO.spec["cohort"],
+                                 "sensor": "glucose/nowhere"}},
+                     id="unknown-sensor"),
+    ])
+    def test_undecodable_spec_is_400_at_submit(self, client, override):
+        """A job spec that does not decode is refused at submit: 400,
+        no job id issued (the next id is still unknown, not evicted)
+        and no ``submitted`` count."""
+        scenario = Scenario(workload="estimation", name="typed", seed=1,
+                            spec={**ESTIMATION_SCENARIO.spec, **override})
+        last = client.submit(CALIBRATION_SCENARIO.to_dict())["job_id"]
+        submitted = client.metrics()["counters"].get(
+            "jobs.submitted.estimation", 0)
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(scenario.to_dict())
+        assert excinfo.value.status == 400
+        assert "invalid scenario" in str(excinfo.value)
+        next_id = f"job-{int(last.split('-')[1]) + 1:04d}"
+        with pytest.raises(ServeError) as excinfo:
+            client.status(next_id)
+        assert excinfo.value.status == 404
+        assert client.metrics()["counters"].get(
+            "jobs.submitted.estimation", 0) == submitted
 
 
 class TestMetrics:
@@ -380,6 +416,15 @@ class _SleepyWorkload(KernelSet):
         return {}
 
 
+class _FailingWorkload(_SleepyWorkload):
+    """Decodes any spec, then raises in its one chunk."""
+
+    name = "failing-serve-test"
+
+    def run_chunk(self, plan, state, segment, start, stop):
+        raise ValueError("fails on purpose")
+
+
 def _register(workload) -> None:
     """Register a test workload in the engine and scenario registries."""
     register_kernels(workload)
@@ -415,10 +460,20 @@ def _scenario_of(workload) -> dict:
 
 @pytest.fixture()
 def sleepy_server():
-    """A one-worker server with the (held) sleepy workload registered."""
+    """A one-worker server with the (held) sleepy workload and the
+    failing workload registered."""
+    with _test_workload_server(workers=1) as served:
+        yield served
+
+
+@contextlib.contextmanager
+def _test_workload_server(workers: int):
+    """A server and client with the sleepy (held until the test
+    releases it) and failing workloads registered before it starts."""
     _SleepyWorkload.release.clear()
     _register(_SleepyWorkload())
-    thread = ServerThread(port=0, queue_size=4, workers=1).start()
+    _register(_FailingWorkload())
+    thread = ServerThread(port=0, queue_size=4, workers=workers).start()
     client = ServeClient(thread.host, thread.port)
     try:
         yield thread, client
@@ -427,6 +482,7 @@ def sleepy_server():
         thread.stop()
         client.close()
         _unregister(_SleepyWorkload)
+        _unregister(_FailingWorkload)
 
 
 def _raw_get(client: ServeClient, target: str) -> bytes:
@@ -811,3 +867,146 @@ class TestReadDeadline:
         assert b"incomplete" in body
         assert DEADLINE_S <= elapsed < DEADLINE_S + 5.0
         assert not caplog.records
+
+
+@pytest.fixture()
+def retaining_server(monkeypatch):
+    """A two-worker server that keeps only two finished jobs, with the
+    sleepy and failing workloads registered."""
+    monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 2)
+    with _test_workload_server(workers=2) as served:
+        yield served
+
+
+def _finish(client: ServeClient, scenario: dict) -> str:
+    """Submit ``scenario`` and wait until it is done or failed."""
+    job_id = client.submit(scenario)["job_id"]
+    assert client.status(job_id, wait_s=30.0)["status"] in (
+        "done", "failed")
+    return job_id
+
+
+def _evicted_counts(client: ServeClient) -> "collections.Counter[str]":
+    """``jobs.evicted.<workload>`` counts, by workload.  (The registry
+    outlives one server when another is running: compare deltas.)"""
+    prefix = "jobs.evicted."
+    return collections.Counter({
+        key[len(prefix):]: value
+        for key, value in client.metrics()["counters"].items()
+        if key.startswith(prefix)})
+
+
+def _status_of(client: ServeClient, target: str) -> int:
+    """The status code of one GET (raw socket, read to EOF)."""
+    return int(_raw_get(client, target).split(b" ", 2)[1])
+
+
+class TestRetention:
+    def test_evicted_jobs_answer_410(self, retaining_server):
+        thread, client = retaining_server
+        failing = _scenario_of(_FailingWorkload)
+        calibration = CALIBRATION_SCENARIO.to_dict()
+        before = _evicted_counts(client)
+        ids = []
+        for scenario in (failing, failing, calibration, calibration,
+                         calibration):
+            ids.append(_finish(client, scenario))
+            assert len(thread.server._jobs) <= 2
+        for job_id in ids[:3]:
+            for target in (f"/scenarios/{job_id}",
+                           f"/scenarios/{job_id}/result",
+                           f"/scenarios/{job_id}?wait=5"):
+                assert _status_of(client, target) == 410, target
+        with pytest.raises(ServeError) as excinfo:
+            client.result(ids[0])
+        assert excinfo.value.status == 410
+        assert "evicted" in str(excinfo.value)
+        for job_id in ids[3:]:
+            assert client.status(job_id)["status"] == "done"
+            assert client.result(job_id) == batch_artifact(
+                CALIBRATION_SCENARIO, traces=False)
+        for target in ("/scenarios/job-9999", "/scenarios/job-9999?wait=5",
+                       "/scenarios/job-0", "/scenarios/job-1",
+                       "/scenarios/job-abc",
+                       "/scenarios/job-" + "9" * 5000):
+            assert _status_of(client, target) == 404, target
+        assert _evicted_counts(client) - before == collections.Counter(
+            {"failing-serve-test": 2, "calibration": 1})
+        assert client.metrics()["jobs"] == {
+            "queued": 0, "running": 0, "done": 2, "failed": 0}
+
+    def test_long_polled_job_is_never_evicted(self, retaining_server):
+        thread, client = retaining_server
+        before = _evicted_counts(client)
+        held = client.submit(_scenario_of(_SleepyWorkload))["job_id"]
+        answers: list = []
+        poller = threading.Thread(target=lambda: answers.append(
+            client.status(held, wait_s=25.0)))
+        poller.start()
+        try:
+            for __ in range(3):
+                _finish(client, CALIBRATION_SCENARIO.to_dict())
+                assert held in thread.server._jobs
+                assert len(thread.server._jobs) <= 2 + 1
+            assert not answers      # still held by the server
+        finally:
+            _SleepyWorkload.release.set()
+            poller.join(timeout=30.0)
+        assert answers[0]["status"] == "done"
+        assert client.result(held) is not None
+        assert _evicted_counts(client) - before == collections.Counter(
+            {"calibration": 2})
+
+    def test_stop_with_evicted_jobs_logs_no_error(self, retaining_server,
+                                                  caplog):
+        thread, client = retaining_server
+        for __ in range(4):
+            _finish(client, CALIBRATION_SCENARIO.to_dict())
+        with caplog.at_level(logging.ERROR):
+            thread.stop()
+        assert not caplog.records
+
+
+class TestStreamLimits:
+    def test_streams_beyond_the_cap_are_503(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_STREAMS", 2)
+        with ServerThread(port=0, workers=1) as thread, \
+                ServeClient(thread.host, thread.port) as client:
+            rejected = client.metrics()["counters"].get(
+                "streams.rejected", 0)
+            opened = [client.create_stream(MONITOR_SCENARIO.to_dict())
+                      for __ in range(2)]
+            with pytest.raises(ServeError) as excinfo:
+                client.create_stream(MONITOR_SCENARIO.to_dict())
+            assert excinfo.value.status == 503
+            client.delete_stream(opened[0]["stream_id"])
+            client.create_stream(MONITOR_SCENARIO.to_dict())
+            assert client.metrics()["counters"]["streams.rejected"] \
+                == rejected + 1
+
+    def test_idle_stream_is_closed(self, monkeypatch):
+        from repro.telemetry import parse_prometheus
+
+        monkeypatch.setattr(server_module, "_STREAM_IDLE_S", 0.3)
+        monkeypatch.setattr(server_module, "COLLECT_INTERVAL_S", 0.05)
+        with ServerThread(port=0, workers=1) as thread, \
+                ServeClient(thread.host, thread.port) as client:
+            evicted = client.metrics()["counters"].get(
+                "streams.evicted", 0)
+            idle = client.create_stream(MONITOR_SCENARIO.to_dict())
+            busy = client.create_stream(MONITOR_SCENARIO.to_dict())
+            deadline = time.monotonic() + 10.0
+            while client.metrics()["counters"].get(
+                    "streams.evicted", 0) == evicted:
+                assert time.monotonic() < deadline
+                client.stream_status(busy["stream_id"])
+                time.sleep(0.05)
+            with pytest.raises(ServeError) as excinfo:
+                client.stream_status(idle["stream_id"])
+            assert excinfo.value.status == 404
+            assert client.stream_status(busy["stream_id"])["cursor"] == 0
+            samples = parse_prometheus(client.metrics_prometheus())
+            assert [sample["value"] for sample in samples
+                    if sample["name"]
+                    == "repro_serve_streams_evicted_total"] \
+                == [evicted + 1]
