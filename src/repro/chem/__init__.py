@@ -1,9 +1,9 @@
 """Electrochemistry substrate: species, interfacial kinetics and transport.
 
 This package implements the textbook electrochemistry the paper's sensors
-rest on: Nernst equilibrium, Butler-Volmer interfacial kinetics, Cottrell
-transients, Randles-Sevcik voltammetric peaks, a finite-difference 1-D
-diffusion engine and a double-layer charging model.  The technique
+rest on: Butler-Volmer interfacial kinetics, Cottrell transients,
+Randles-Sevcik voltammetric peaks, a finite-difference 1-D diffusion
+engine and a double-layer charging model.  The technique
 simulators in :mod:`repro.techniques` are thin orchestration layers over
 these primitives.
 """
@@ -15,36 +15,22 @@ from repro.chem.species import (
     OXYGEN,
     CYP_HEME,
 )
-from repro.chem.nernst import (
-    nernst_potential,
-    surface_concentration_ratio,
-    equilibrium_surface_fractions,
-)
 from repro.chem.butler_volmer import (
-    butler_volmer_current_density,
-    exchange_current_density,
     rate_constants,
-    tafel_slope,
-    overpotential_for_current_density,
 )
 from repro.chem.cottrell import (
     cottrell_current,
     cottrell_charge,
-    diffusion_layer_thickness,
 )
 from repro.chem.randles_sevcik import (
     peak_current_reversible,
-    peak_current_irreversible,
     peak_separation_reversible,
-    scan_rate_for_peak_current,
 )
 from repro.chem.diffusion import DiffusionGrid1D, ElectrodeDiffusionSystem
 from repro.chem.doublelayer import DoubleLayer
 from repro.chem.impedance import (
     RandlesCircuit,
-    charge_transfer_resistance,
     binding_rct_shift,
-    binding_capacitance_shift,
 )
 
 __all__ = [
@@ -53,26 +39,14 @@ __all__ = [
     "HYDROGEN_PEROXIDE",
     "OXYGEN",
     "CYP_HEME",
-    "nernst_potential",
-    "surface_concentration_ratio",
-    "equilibrium_surface_fractions",
-    "butler_volmer_current_density",
-    "exchange_current_density",
     "rate_constants",
-    "tafel_slope",
-    "overpotential_for_current_density",
     "cottrell_current",
     "cottrell_charge",
-    "diffusion_layer_thickness",
     "peak_current_reversible",
-    "peak_current_irreversible",
     "peak_separation_reversible",
-    "scan_rate_for_peak_current",
     "DiffusionGrid1D",
     "ElectrodeDiffusionSystem",
     "DoubleLayer",
     "RandlesCircuit",
-    "charge_transfer_resistance",
     "binding_rct_shift",
-    "binding_capacitance_shift",
 ]

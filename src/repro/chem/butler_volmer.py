@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
-from repro.constants import FARADAY, STANDARD_TEMPERATURE, thermal_voltage
+from repro.constants import STANDARD_TEMPERATURE, thermal_voltage
 
 
 def rate_constants(potential: float,
@@ -43,73 +41,3 @@ def rate_constants(potential: float,
     exp_f = max(min(-alpha * nf * overpotential, 500.0), -500.0)
     exp_b = max(min((1.0 - alpha) * nf * overpotential, 500.0), -500.0)
     return k0 * math.exp(exp_f), k0 * math.exp(exp_b)
-
-
-def exchange_current_density(k0: float,
-                             n_electrons: int,
-                             conc_ox: float,
-                             conc_red: float,
-                             alpha: float = 0.5) -> float:
-    """Return the exchange current density j0 [A/m^2].
-
-    ``j0 = n F k0 C_O^(1-alpha) C_R^alpha`` with concentrations in mol/m^3.
-    """
-    if conc_ox < 0 or conc_red < 0:
-        raise ValueError("concentrations must be non-negative")
-    return (FARADAY * n_electrons * k0
-            * conc_ox ** (1.0 - alpha) * conc_red ** alpha)
-
-
-def butler_volmer_current_density(overpotential: float,
-                                  exchange_density: float,
-                                  alpha: float = 0.5,
-                                  n_electrons: int = 1,
-                                  temperature: float = STANDARD_TEMPERATURE,
-                                  ) -> float:
-    """Return the net anodic current density [A/m^2] at ``overpotential`` [V].
-
-    Sign convention: positive overpotential drives oxidation and produces a
-    positive (anodic) current density.
-
-    ``j = j0 [exp((1-alpha) nf eta) - exp(-alpha nf eta)]``
-    """
-    if exchange_density < 0:
-        raise ValueError(f"exchange density must be >= 0, got {exchange_density}")
-    nf = n_electrons / thermal_voltage(temperature)
-    exp_a = max(min((1.0 - alpha) * nf * overpotential, 500.0), -500.0)
-    exp_c = max(min(-alpha * nf * overpotential, 500.0), -500.0)
-    return exchange_density * (math.exp(exp_a) - math.exp(exp_c))
-
-
-def tafel_slope(alpha: float,
-                n_electrons: int = 1,
-                temperature: float = STANDARD_TEMPERATURE) -> float:
-    """Return the anodic Tafel slope [V/decade].
-
-    ``b = ln(10) RT / ((1-alpha) nF)`` — about 118 mV/decade for
-    alpha = 0.5, n = 1 at 25 C.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return math.log(10.0) * thermal_voltage(temperature) / ((1.0 - alpha) * n_electrons)
-
-
-def overpotential_for_current_density(target_density: float,
-                                      exchange_density: float,
-                                      alpha: float = 0.5,
-                                      n_electrons: int = 1,
-                                      temperature: float = STANDARD_TEMPERATURE,
-                                      ) -> float:
-    """Invert Butler-Volmer: overpotential [V] producing ``target_density``.
-
-    Solved numerically with Brent's method on a bracket of +-2 V, which is
-    far wider than any realistic aqueous window.
-    """
-    if exchange_density <= 0:
-        raise ValueError("exchange density must be > 0 to invert")
-
-    def residual(eta: float) -> float:
-        return butler_volmer_current_density(
-            eta, exchange_density, alpha, n_electrons, temperature) - target_density
-
-    return brentq(residual, -2.0, 2.0)

@@ -58,17 +58,3 @@ def cottrell_charge(time: float,
     conc_si = concentration_molar * 1e3
     return (2.0 * n_electrons * FARADAY * area_m2 * conc_si
             * math.sqrt(diffusion_m2_s * time / math.pi))
-
-
-def diffusion_layer_thickness(time: float, diffusion_m2_s: float) -> float:
-    """Return the diffusion-layer thickness sqrt(pi D t) [m] at ``time`` [s].
-
-    Used to size the simulation box of the finite-difference engine and to
-    reason about the miniaturization argument of the paper (smaller sensors
-    reach steady state faster).
-    """
-    if time < 0:
-        raise ValueError(f"time must be >= 0, got {time}")
-    if diffusion_m2_s <= 0:
-        raise ValueError(f"diffusion coefficient must be > 0, got {diffusion_m2_s}")
-    return math.sqrt(math.pi * diffusion_m2_s * time)

@@ -9,8 +9,8 @@ Randles equivalent circuit:
 
 with ``Zw`` the Warburg (diffusion) impedance.  Binding events modulate
 ``Rct`` (faradic sensors) or ``C_dl`` (capacitive sensors); the helpers
-here compute spectra, Nyquist geometry and the quantities those sensors
-report.
+here compute spectra, Nyquist geometry and the ``Rct`` shift a faradic
+sensor reports.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.constants import FARADAY, GAS_CONSTANT, STANDARD_TEMPERATURE
 
 
 @dataclass(frozen=True)
@@ -90,21 +88,6 @@ class RandlesCircuit:
         return self.charge_transfer_resistance_ohm
 
 
-def charge_transfer_resistance(exchange_current_a: float,
-                               n_electrons: int = 1,
-                               temperature_k: float = STANDARD_TEMPERATURE,
-                               ) -> float:
-    """Rct [ohm] from the exchange current: ``RT/(nF i0)``.
-
-    Links EIS to the Butler-Volmer kinetics: CNT rate enhancement raises
-    i0, shrinking the semicircle — the EIS signature of nanostructuring.
-    """
-    if exchange_current_a <= 0:
-        raise ValueError("exchange current must be > 0")
-    return (GAS_CONSTANT * temperature_k
-            / (n_electrons * FARADAY * exchange_current_a))
-
-
 def binding_rct_shift(baseline: RandlesCircuit,
                       surface_occupancy: float,
                       max_blocking: float = 0.95) -> RandlesCircuit:
@@ -125,25 +108,3 @@ def binding_rct_shift(baseline: RandlesCircuit,
         baseline,
         charge_transfer_resistance_ohm=(
             baseline.charge_transfer_resistance_ohm / blocked))
-
-
-def binding_capacitance_shift(baseline: RandlesCircuit,
-                              surface_occupancy: float,
-                              layer_capacitance_f: float) -> RandlesCircuit:
-    """Return the circuit after binding thins the interfacial capacitance.
-
-    A capacitive sensor (Tsouti et al. [50]): the bound layer adds a
-    series capacitance over the covered fraction, reducing the total:
-
-    ``C' = (1-theta) C + theta * (C * C_layer)/(C + C_layer)``
-    """
-    if not 0.0 <= surface_occupancy <= 1.0:
-        raise ValueError("occupancy must be in [0, 1]")
-    if layer_capacitance_f <= 0:
-        raise ValueError("layer capacitance must be > 0")
-    base = baseline.double_layer_capacitance_f
-    covered = base * layer_capacitance_f / (base + layer_capacitance_f)
-    new_capacitance = ((1.0 - surface_occupancy) * base
-                       + surface_occupancy * covered)
-    from dataclasses import replace
-    return replace(baseline, double_layer_capacitance_f=new_capacitance)

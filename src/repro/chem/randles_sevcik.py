@@ -35,28 +35,6 @@ def peak_current_reversible(n_electrons: int,
     return 0.4463 * n_electrons * FARADAY * area_m2 * conc_si * math.sqrt(inner)
 
 
-def peak_current_irreversible(n_electrons: int,
-                              alpha: float,
-                              area_m2: float,
-                              diffusion_m2_s: float,
-                              concentration_molar: float,
-                              scan_rate_v_s: float,
-                              temperature: float = STANDARD_TEMPERATURE) -> float:
-    """Return the totally irreversible peak current [A].
-
-    ``ip = 0.4958 n F A C sqrt(alpha n F v D / (R T))`` — note the extra
-    transfer-coefficient factor; an irreversible wave is lower and broader
-    than a reversible one at the same scan rate.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _validate(area_m2, diffusion_m2_s, concentration_molar, scan_rate_v_s)
-    conc_si = concentration_molar * 1e3
-    inner = (alpha * n_electrons * FARADAY * scan_rate_v_s * diffusion_m2_s
-             / (GAS_CONSTANT * temperature))
-    return 0.4958 * n_electrons * FARADAY * area_m2 * conc_si * math.sqrt(inner)
-
-
 def peak_separation_reversible(n_electrons: int,
                                temperature: float = STANDARD_TEMPERATURE) -> float:
     """Return the anodic-cathodic peak separation [V] of a reversible couple.
@@ -68,26 +46,6 @@ def peak_separation_reversible(n_electrons: int,
     if n_electrons < 1:
         raise ValueError(f"n_electrons must be >= 1, got {n_electrons}")
     return 2.218 * GAS_CONSTANT * temperature / (n_electrons * FARADAY)
-
-
-def scan_rate_for_peak_current(target_peak_a: float,
-                               n_electrons: int,
-                               area_m2: float,
-                               diffusion_m2_s: float,
-                               concentration_molar: float,
-                               temperature: float = STANDARD_TEMPERATURE) -> float:
-    """Invert the reversible peak law for the scan rate [V/s].
-
-    Useful when designing a measurement protocol that needs the peak to sit
-    within the front-end's dynamic range.
-    """
-    if target_peak_a <= 0:
-        raise ValueError(f"target peak must be > 0, got {target_peak_a}")
-    _validate(area_m2, diffusion_m2_s, concentration_molar, 1.0)
-    reference = peak_current_reversible(
-        n_electrons, area_m2, diffusion_m2_s, concentration_molar, 1.0,
-        temperature)
-    return (target_peak_a / reference) ** 2
 
 
 def _validate(area_m2: float, diffusion_m2_s: float,

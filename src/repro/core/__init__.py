@@ -37,17 +37,14 @@ from repro.core.longterm import (
     DriftBudget,
     one_point_recalibration,
     one_point_recalibration_batch,
-    drift_corrected_estimate,
-    drift_corrected_estimate_batch,
 )
 from repro.core.selectivity import (
     cross_reactivity_factor,
     selectivity_matrix,
     worst_cross_talk,
 )
-from repro.core.tables import render_table1, render_table2
+from repro.core.tables import render_table1
 from repro.core.validation import (
-    relative_error,
     within_factor,
     ranking_matches,
 )
@@ -75,14 +72,10 @@ __all__ = [
     "DriftBudget",
     "one_point_recalibration",
     "one_point_recalibration_batch",
-    "drift_corrected_estimate",
-    "drift_corrected_estimate_batch",
     "cross_reactivity_factor",
     "selectivity_matrix",
     "worst_cross_talk",
     "render_table1",
-    "render_table2",
-    "relative_error",
     "within_factor",
     "ranking_matches",
 ]

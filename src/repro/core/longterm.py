@@ -181,59 +181,3 @@ def one_point_recalibration(slope_a_per_molar: float,
             "reference measurement implies a non-positive slope; "
             "recalibration aborted")
     return float(new_slopes[0])
-
-
-def drift_corrected_estimate_batch(signals_a: np.ndarray,
-                                   slopes_a_per_molar: np.ndarray,
-                                   intercepts_a: np.ndarray | float,
-                                   retentions: np.ndarray,
-                                   ) -> np.ndarray:
-    """Drift-corrected concentration estimates over a cohort block.
-
-    Vectorized counterpart of :func:`drift_corrected_estimate`:
-    per-channel slopes/intercepts (column broadcast) against a
-    ``(n_channels, n_samples)`` block of signals and modeled retentions.
-    Negative estimates (blank noise) clip to zero.
-
-    Args:
-        signals_a: measured signals [A], ``(n_channels, n_samples)`` or
-            ``(n_channels,)``.
-        slopes_a_per_molar: calibrated slopes, ``(n_channels,)``.
-        intercepts_a: calibration intercepts (scalar broadcasts).
-        retentions: modeled sensitivity retention at each sample, shaped
-            like ``signals_a`` (or broadcastable to it), in (0, 1].
-
-    Returns:
-        Concentration estimates [mol/L], shaped like ``signals_a``.
-    """
-    signals = np.asarray(signals_a, dtype=float)
-    slopes = np.atleast_1d(np.asarray(slopes_a_per_molar, dtype=float))
-    retention = np.asarray(retentions, dtype=float)
-    if np.any(slopes <= 0):
-        raise ValueError("slopes must be > 0")
-    if np.any(retention <= 0) or np.any(retention > 1.0):
-        raise ValueError("retention must be in (0, 1]")
-    if signals.ndim == 2:
-        slopes = slopes[:, None]
-        intercepts = np.asarray(intercepts_a, dtype=float)
-        if intercepts.ndim == 1:
-            intercepts = intercepts[:, None]
-    else:
-        intercepts = np.asarray(intercepts_a, dtype=float)
-    return np.maximum(
-        0.0, (signals - intercepts) / (slopes * retention))
-
-
-def drift_corrected_estimate(signal_a: float,
-                             slope_a_per_molar: float,
-                             intercept_a: float,
-                             retention: float) -> float:
-    """Concentration estimate [mol/L] correcting for known drift.
-
-    When the retention model says the slope has decayed to ``retention``
-    of its calibrated value, dividing it out de-biases the estimate.
-    Thin scalar wrapper over :func:`drift_corrected_estimate_batch`.
-    """
-    return float(drift_corrected_estimate_batch(
-        np.array([signal_a]), np.array([slope_a_per_molar]),
-        np.array([intercept_a]), np.array([retention]))[0])

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.calibration import CalibrationResult
 from repro.core.registry import SensorSpec, TABLE1_SPECS
-from repro.units import micromolar_from_molar, millimolar_from_molar
 
 #: Technique names as printed in Table 1.
 _TECHNIQUE_NAMES = {"CA": "Chronoamperometry", "CV": "Cyclic voltammetry"}
@@ -32,41 +30,4 @@ def render_table1(specs: tuple[SensorSpec, ...] = TABLE1_SPECS) -> str:
              f"{'Target':<{width_target}}{'Probe':<{width_probe}}Technique"]
     for target, probe, technique in rows:
         lines.append(f"{target:<{width_target}}{probe:<{width_probe}}{technique}")
-    return "\n".join(lines)
-
-
-def format_table2_row(spec: SensorSpec,
-                      result: CalibrationResult | None = None) -> str:
-    """Format one Table 2 row, optionally with measured values appended."""
-    lod = ("-" if spec.paper_lod_um is None
-           else f"{spec.paper_lod_um:g} uM")
-    line = (f"{spec.label + ' ' + spec.reference:<34} "
-            f"{spec.paper_sensitivity:>8.3f} uA/mM/cm^2  "
-            f"{spec.paper_range_mm[0]:g} - {spec.paper_range_mm[1]:g} mM  "
-            f"LOD {lod}")
-    if result is not None:
-        low_mm = millimolar_from_molar(result.linear_range_molar[0])
-        high_mm = millimolar_from_molar(result.linear_range_molar[1])
-        line += (f"  || measured: {result.sensitivity_paper:.3f}, "
-                 f"{low_mm:.3g} - {high_mm:.3g} mM, "
-                 f"LOD {micromolar_from_molar(result.lod_molar):.2g} uM")
-    return line
-
-
-def render_table2(results: dict[str, tuple[SensorSpec, CalibrationResult]],
-                  title: str = "Table 2: Comparison of electrochemical "
-                               "enzyme-based biosensors.") -> str:
-    """Render (a group of) Table 2 with paper and measured values.
-
-    Args:
-        results: sensor_id -> (spec, calibration result); insertion order
-            is preserved.
-    """
-    lines = [title]
-    current_group = None
-    for spec, result in results.values():
-        if spec.group != current_group:
-            current_group = spec.group
-            lines.append(f"--- {current_group.upper()} ---")
-        lines.append(format_table2_row(spec, result))
     return "\n".join(lines)

@@ -8,13 +8,6 @@ helpers encode those checks for the benchmarks and integration tests.
 from __future__ import annotations
 
 
-def relative_error(measured: float, expected: float) -> float:
-    """Return |measured - expected| / |expected| (expected must be non-zero)."""
-    if expected == 0:
-        raise ValueError("expected value must be non-zero")
-    return abs(measured - expected) / abs(expected)
-
-
 def within_factor(measured: float, expected: float, factor: float) -> bool:
     """True when measured and expected agree within a multiplicative factor.
 
@@ -40,10 +33,3 @@ def ranking_matches(values_by_id: dict[str, float],
         raise ValueError("ids and expected order must contain the same keys")
     actual = sorted(values_by_id, key=values_by_id.__getitem__, reverse=True)
     return actual == expected_order
-
-
-def winner(values_by_id: dict[str, float]) -> str:
-    """Return the id with the largest value."""
-    if not values_by_id:
-        raise ValueError("empty comparison")
-    return max(values_by_id, key=values_by_id.__getitem__)

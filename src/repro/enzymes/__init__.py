@@ -11,12 +11,9 @@ tests and examples.
 
 from repro.enzymes.michaelis_menten import (
     michaelis_menten_rate,
-    linear_slope,
     fractional_deviation_from_linearity,
     linear_range_upper,
     km_for_linear_range,
-    apparent_km_mass_transport,
-    hill_rate,
 )
 from repro.enzymes.kinetics import ping_pong_rate, BatchReactor
 from repro.enzymes.catalog import (
@@ -47,12 +44,9 @@ from repro.enzymes.oxygen import (
 
 __all__ = [
     "michaelis_menten_rate",
-    "linear_slope",
     "fractional_deviation_from_linearity",
     "linear_range_upper",
     "km_for_linear_range",
-    "apparent_km_mass_transport",
-    "hill_rate",
     "ping_pong_rate",
     "BatchReactor",
     "Enzyme",

@@ -71,25 +71,3 @@ def apparent_parameters(vmax: float,
     if inhibitor.mode is InhibitionType.NONCOMPETITIVE:
         return vmax / factor, km_molar
     raise ValueError(f"unhandled inhibition mode {inhibitor.mode}")
-
-
-def degree_of_inhibition(vmax: float,
-                         km_molar: float,
-                         substrate_molar: float,
-                         inhibitor: Inhibitor,
-                         inhibitor_molar: float) -> float:
-    """Return the fractional rate loss (0..1) at a given substrate level.
-
-    ``1 - v_inhibited/v_free`` — 0 means no effect, 1 full suppression.
-    """
-    if substrate_molar < 0:
-        raise ValueError("substrate concentration must be >= 0")
-    if substrate_molar == 0.0:
-        return 0.0
-    free_rate = vmax * substrate_molar / (km_molar + substrate_molar)
-    if free_rate == 0.0:
-        return 0.0
-    vmax_app, km_app = apparent_parameters(
-        vmax, km_molar, inhibitor, inhibitor_molar)
-    inhibited_rate = vmax_app * substrate_molar / (km_app + substrate_molar)
-    return 1.0 - inhibited_rate / free_rate

@@ -32,16 +32,6 @@ def michaelis_menten_rate(concentration_molar: np.ndarray | float,
     return value
 
 
-def linear_slope(vmax: float, km_molar: float) -> float:
-    """Return the initial slope ``Vmax/Km`` of the Michaelis-Menten curve.
-
-    This is the sensitivity of an enzyme sensor operated in its linear
-    region (per unit of whatever ``vmax`` is expressed in).
-    """
-    _validate(vmax, km_molar)
-    return vmax / km_molar
-
-
 def fractional_deviation_from_linearity(concentration_molar: float,
                                         km_molar: float) -> float:
     """Return the relative shortfall of the MM rate vs. the linear extrapolation.
@@ -81,54 +71,6 @@ def km_for_linear_range(upper_molar: float, tolerance: float = 0.1) -> float:
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
     return upper_molar * (1.0 - tolerance) / tolerance
-
-
-def apparent_km_mass_transport(km_molar: float,
-                               max_flux_mol_m2_s: float,
-                               mass_transfer_m_s: float) -> float:
-    """Return the apparent Km including external mass-transport resistance.
-
-    When the enzymatic flux J depletes substrate at the film surface, the
-    local concentration is ``C_s = C_bulk - J/k_m``; to first order this
-    stretches the Michaelis constant:
-
-    ``Km_app = Km + J_max / k_m``
-
-    Mass-transport limitation therefore *widens* the linear range at the
-    cost of sensitivity — the trade-off the paper highlights for its
-    glutamate sensor (wide 0-2 mM range, low sensitivity, section 3.2.3).
-    """
-    if km_molar <= 0:
-        raise ValueError(f"Km must be > 0, got {km_molar}")
-    if max_flux_mol_m2_s < 0:
-        raise ValueError("max flux must be >= 0")
-    if mass_transfer_m_s <= 0:
-        raise ValueError("mass-transfer coefficient must be > 0")
-    # Flux/velocity ratio has units mol/m^3; convert to mol/L.
-    return km_molar + (max_flux_mol_m2_s / mass_transfer_m_s) * 1e-3
-
-
-def hill_rate(concentration_molar: np.ndarray | float,
-              vmax: float,
-              k_half_molar: float,
-              hill_coefficient: float) -> np.ndarray | float:
-    """Return the Hill-equation rate for cooperative binding.
-
-    ``v = Vmax C^h / (K^h + C^h)``.  With h = 1 this reduces exactly to
-    Michaelis-Menten; some CYP isoforms show mild cooperativity (h ~ 1.3)
-    which the extended drug-sensor models can enable.
-    """
-    _validate(vmax, k_half_molar)
-    if hill_coefficient <= 0:
-        raise ValueError(f"Hill coefficient must be > 0, got {hill_coefficient}")
-    conc = np.asarray(concentration_molar, dtype=float)
-    if np.any(conc < 0):
-        raise ValueError("concentrations must be >= 0")
-    powered = conc ** hill_coefficient
-    value = vmax * powered / (k_half_molar ** hill_coefficient + powered)
-    if np.isscalar(concentration_molar):
-        return float(value)
-    return value
 
 
 def _validate(vmax: float, km_molar: float) -> None:

@@ -16,10 +16,6 @@ concentration, and how sure are we?  This package is that inverse layer:
   with a bit-identical scalar reference (gated <= 1e-9 in
   ``tests/engine/test_core_contract.py`` and >= 5x slower in
   ``benchmarks/bench_core.py``);
-* :mod:`repro.inference.fusion` — redundant sensors on one analyte are
-  crosstalk-unmixed through the
-  :class:`~repro.instrument.multiplexer.ChannelMultiplexer` model and
-  stacked precision-weighted;
 * :mod:`repro.inference.evaluate` — RMSE / MARD against ground truth,
   empirical credible-interval coverage, and time-to-detection of
   therapeutic-window excursions.
@@ -47,13 +43,6 @@ from repro.inference.evaluate import (
     reconstruction_mard,
     reconstruction_rmse,
 )
-from repro.inference.fusion import (
-    FusedObservation,
-    fuse_redundant_channels,
-    mux_crosstalk_apply,
-    mux_crosstalk_unmix,
-    precision_weighted_stack,
-)
 from repro.inference.kalman import (
     KalmanState,
     KalmanTrace,
@@ -74,23 +63,18 @@ from repro.inference.observation import (
 )
 
 __all__ = [
-    "FusedObservation",
     "KalmanState",
     "KalmanTrace",
     "MonitorObservationModel",
     "credible_interval",
     "detection_delay_h",
-    "fuse_redundant_channels",
     "interval_coverage",
     "kalman_filter_batch",
     "kalman_filter_scalar",
     "kalman_predict",
     "kalman_update",
     "monitor_observation_model",
-    "mux_crosstalk_apply",
-    "mux_crosstalk_unmix",
     "observation_variance_a2",
-    "precision_weighted_stack",
     "quantization_sigma_a",
     "rail_censored_mask",
     "reconstruction_mard",

@@ -186,18 +186,6 @@ class MonitorObservationModel:
         """Samples per channel covered by the model."""
         return self.mean_molar.shape[1]
 
-    def wander_stationary_variance_a2(self) -> np.ndarray:
-        """Stationary variance of each channel's wander process [A^2].
-
-        ``q_w / (1 - a_w^2)`` — what the per-step innovation integrates
-        to at equilibrium; the conservative white-noise stand-in
-        :mod:`repro.inference.fusion` uses when stacking channels.
-        """
-        spread = 1.0 - self.a_wander ** 2
-        out = np.zeros_like(self.q_wander)
-        np.divide(self.q_wander, spread, out=out, where=spread > 0)
-        return out
-
 
 def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     """Build the filter's observation model from a monitor plan.

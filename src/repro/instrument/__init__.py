@@ -12,7 +12,6 @@ from this chain's noise floor.
 from repro.instrument.noise import (
     NoiseModel,
     thermal_current_noise_density,
-    shot_noise_density,
     flicker_corner_rms,
 )
 from repro.instrument.tia import TransimpedanceAmplifier
@@ -29,7 +28,6 @@ from repro.instrument.multiplexer import ChannelMultiplexer
 __all__ = [
     "NoiseModel",
     "thermal_current_noise_density",
-    "shot_noise_density",
     "flicker_corner_rms",
     "TransimpedanceAmplifier",
     "SarAdc",

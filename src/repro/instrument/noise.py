@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import BOLTZMANN, ELEMENTARY_CHARGE, STANDARD_TEMPERATURE
+from repro.constants import BOLTZMANN, STANDARD_TEMPERATURE
 from repro.rng import get_rng
 
 
@@ -38,13 +38,6 @@ def thermal_current_noise_density(resistance_ohm: float,
     if temperature_k <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature_k}")
     return math.sqrt(4.0 * BOLTZMANN * temperature_k / resistance_ohm)
-
-
-def shot_noise_density(current_a: float) -> float:
-    """Return the shot-noise density sqrt(2qI) [A/sqrt(Hz)] of a DC current."""
-    if current_a < 0:
-        raise ValueError(f"current must be >= 0, got {current_a}")
-    return math.sqrt(2.0 * ELEMENTARY_CHARGE * current_a)
 
 
 def flicker_corner_rms(white_density: float,

@@ -3,8 +3,7 @@
 Carbon nanotubes are the paper's central enabling technology: their
 ballistic conduction, fast heterogeneous electron transfer and enormous
 surface area are what lift the developed sensors above flat-electrode
-baselines.  This package models MWCNT films (and, for the classification
-scope, nanoparticles, nanowires and quantum dots) in terms of the three
+baselines.  This package models MWCNT films in terms of the three
 quantities the sensor model consumes: area enhancement, rate (k0)
 enhancement and enzyme-loading capacity.
 """
@@ -22,9 +21,6 @@ from repro.nano.dispersion import (
     medium_by_name,
 )
 from repro.nano.film import NanostructuredFilm
-from repro.nano.nanoparticles import GoldNanoparticle, NanoparticleFilm
-from repro.nano.nanowires import SiliconNanowireFET
-from repro.nano.quantum_dots import QuantumDot
 
 __all__ = [
     "CarbonNanotube",
@@ -40,8 +36,4 @@ __all__ = [
     "BARE",
     "medium_by_name",
     "NanostructuredFilm",
-    "GoldNanoparticle",
-    "NanoparticleFilm",
-    "SiliconNanowireFET",
-    "QuantumDot",
 ]

@@ -41,14 +41,17 @@ def _install_shutdown_handlers() -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the serving process until interrupted."""
     from repro.serve.server import ReproServer, _run_server
-    from repro.telemetry import telemetry_session
+    from repro.telemetry import get_metrics_registry, telemetry_session
 
     with telemetry_session(args.telemetry, args.trace_out,
-                           args.perfetto_out):
+                           args.perfetto_out) as recorder:
+        # meter into the session's registry, which it prints on exit
         server = ReproServer(host=args.host, port=args.port,
                              queue_size=args.queue_size,
                              workers=args.workers,
-                             per_workload=args.per_workload)
+                             per_workload=args.per_workload,
+                             registry=(get_metrics_registry()
+                                       if recorder is not None else None))
         _install_shutdown_handlers()
         try:
             asyncio.run(_run_server(server))

@@ -69,7 +69,6 @@ import numpy as np
 from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
-    get_metrics_registry,
     get_recorder,
     set_metrics_registry,
     trace_context,
@@ -121,6 +120,13 @@ _SHUTDOWN_GRACE_S = 1.0
 #: Longest a stream may go without a request [s]; the collector task
 #: closes it after that, and its id answers 404 like a deleted one.
 _STREAM_IDLE_S = 600.0
+
+#: Running servers whose registry is installed process-wide, oldest
+#: first, and the lock that guards it with the active registry: a
+#: server stopping under a later one hands that one the registry to
+#: restore, whatever order they stop in.
+_INSTALLED: "list[ReproServer]" = []
+_INSTALLED_LOCK = threading.Lock()
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -309,12 +315,11 @@ class ReproServer:
             (a cohort-heavy estimation job cannot starve quick
             calibration runs).
         registry: the :class:`~repro.telemetry.MetricsRegistry` to
-            meter into.  None (the default) adopts the process-active
-            registry when it is enabled (``REPRO_METRICS=1``) and
-            otherwise builds a private enabled one — the front door
-            always meters itself — installing it process-wide for the
-            server's lifetime so engine-core histograms from job runs
-            land in the same scrape (restored on :meth:`stop`).
+            meter into.  None (the default) builds a private enabled
+            one — the front door always meters itself.  It is installed
+            process-wide for the server's lifetime so engine-core
+            histograms from stream advances land in the same scrape
+            (restored on :meth:`stop`).
 
     Request bodies are capped at :data:`MAX_BODY_BYTES` (413 beyond
     it); runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
@@ -337,7 +342,8 @@ class ReproServer:
         self.workers = workers
         self.per_workload = per_workload
         self.registry = registry
-        self._installed_registry = False
+        #: The registry this server's install replaced (see
+        #: :data:`_INSTALLED`).
         self._previous_registry: "MetricsRegistry | None" = None
         self._m: "dict[str, Any] | None" = None
         self._jobs: "dict[str, _Job]" = {}
@@ -362,12 +368,10 @@ class ReproServer:
     async def start(self) -> None:
         """Bind the listener and start the worker + collector tasks."""
         if self.registry is None:
-            active = get_metrics_registry()
-            self.registry = (active if active.enabled
-                             else MetricsRegistry())
-        if get_metrics_registry() is not self.registry:
+            self.registry = MetricsRegistry()
+        with _INSTALLED_LOCK:
             self._previous_registry = set_metrics_registry(self.registry)
-            self._installed_registry = True
+            _INSTALLED.append(self)
         self._build_instruments()
         # fork before the listener binds: workers inherit no socket
         await self._fork_job_pool()
@@ -426,9 +430,15 @@ class ReproServer:
             # the pool's manager sees the workers die and reaps them
             self._job_pool.shutdown(wait=True, cancel_futures=True)
             self._job_pool = None
-        if self._installed_registry:
-            set_metrics_registry(self._previous_registry)
-            self._installed_registry = False
+        with _INSTALLED_LOCK:
+            if self in _INSTALLED:
+                index = _INSTALLED.index(self)
+                del _INSTALLED[index]
+                if index < len(_INSTALLED):
+                    _INSTALLED[index]._previous_registry = \
+                        self._previous_registry
+                else:
+                    set_metrics_registry(self._previous_registry)
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""

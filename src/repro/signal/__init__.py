@@ -8,7 +8,6 @@ handling (long-term monitoring).
 
 from repro.signal.smoothing import (
     moving_average,
-    exponential_smoothing,
     savitzky_golay,
 )
 from repro.signal.baseline import (
@@ -21,24 +20,13 @@ from repro.signal.steady_state import (
     SteadyStateResult,
     extract_steady_state,
     extract_steady_state_batch,
-    rise_time,
 )
 from repro.signal.drift import (
-    estimate_drift_rate,
-    estimate_drift_rate_batch,
-    correct_linear_drift,
-    correct_linear_drift_batch,
     ou_process_batch,
-)
-from repro.signal.eis_fitting import (
-    RandlesFit,
-    fit_randles,
-    measure_rct_from_spectrum,
 )
 
 __all__ = [
     "moving_average",
-    "exponential_smoothing",
     "savitzky_golay",
     "fit_polynomial_baseline",
     "subtract_baseline",
@@ -49,13 +37,5 @@ __all__ = [
     "SteadyStateResult",
     "extract_steady_state",
     "extract_steady_state_batch",
-    "rise_time",
-    "estimate_drift_rate",
-    "estimate_drift_rate_batch",
-    "correct_linear_drift",
-    "correct_linear_drift_batch",
     "ou_process_batch",
-    "RandlesFit",
-    "fit_randles",
-    "measure_rct_from_spectrum",
 ]

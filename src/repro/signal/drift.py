@@ -1,19 +1,13 @@
-"""Baseline drift: estimation, correction, and stochastic wander kernels.
+"""Baseline drift: the stochastic wander kernel.
 
 Long-term monitoring (the paper's chronic-patient scenario) accumulates
 baseline drift from reference-electrode wander, enzyme decay and electrode
-fouling.  Deterministic linear drift is estimated on blank segments and
-removed before quantification; the slow *random* component of the
-reference wander is modeled as an Ornstein-Uhlenbeck (OU) process.
+fouling.  The slow *random* component of the reference wander is modeled
+as an Ornstein-Uhlenbeck (OU) process, advanced by a batch kernel over
+``(n_channels, n_samples)`` arrays: what :mod:`repro.engine.monitor`
+consumes while streaming a cohort through wear-time.
 
-Every routine exists in two forms, following the engine convention:
-
-* a **batch kernel** operating on ``(n_channels, n_samples)`` arrays —
-  what :mod:`repro.engine.monitor` consumes while streaming a cohort
-  through wear-time;
-* a **scalar/1-D wrapper** preserving the historical API.
-
-The stochastic kernel honors the library's reproducibility contract: it
+The kernel honors the library's reproducibility contract: it
 only draws from explicitly passed generators (one per channel) or from
 the shared seedable stream of :mod:`repro.rng` — never from fresh OS
 entropy — so a run seeded via :func:`repro.rng.set_global_seed` replays
@@ -33,102 +27,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from repro.rng import get_rng
-
-
-def estimate_drift_rate_batch(time_s: np.ndarray,
-                              y: np.ndarray) -> np.ndarray:
-    """Least-squares linear drift rate per channel [units of y per second].
-
-    Args:
-        time_s: shared timestamps, shape ``(n_samples,)``.
-        y: traces, shape ``(n_channels, n_samples)``.
-
-    Returns:
-        Drift slopes, shape ``(n_channels,)``.
-    """
-    time_s = np.asarray(time_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if time_s.ndim != 1:
-        raise ValueError("time axis must be one-dimensional")
-    if y.ndim != 2 or y.shape[1] != time_s.size:
-        raise ValueError("traces must be (n_channels, n_samples) on the "
-                         "shared time grid")
-    if time_s.size < 2:
-        raise ValueError("need at least two samples")
-    if float(np.ptp(time_s)) == 0.0:
-        raise ValueError("time axis has zero span")
-    # Closed-form simple-regression slope, vectorized over channels.
-    t_centered = time_s - np.mean(time_s)
-    denominator = float(np.sum(t_centered ** 2))
-    return (y - np.mean(y, axis=1, keepdims=True)) @ t_centered / denominator
-
-
-def estimate_drift_rate(time_s: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares linear drift rate [units of y per second].
-
-    Thin single-channel wrapper over :func:`estimate_drift_rate_batch`.
-    """
-    time_s = np.asarray(time_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if time_s.shape != y.shape:
-        raise ValueError("time and trace must share one shape")
-    return float(estimate_drift_rate_batch(time_s, y[None, :])[0])
-
-
-def correct_linear_drift_batch(time_s: np.ndarray,
-                               y: np.ndarray,
-                               drift_rate_per_s: np.ndarray,
-                               anchor_time_s: float | None = None,
-                               ) -> np.ndarray:
-    """Remove per-channel linear drifts from a batch of traces.
-
-    Args:
-        time_s: shared timestamps, shape ``(n_samples,)``.
-        y: traces, shape ``(n_channels, n_samples)``.
-        drift_rate_per_s: one slope per channel, shape ``(n_channels,)``.
-        anchor_time_s: time at which the correction is zero (defaults to
-            the first sample, preserving the initial readings).
-
-    Returns:
-        Corrected traces, shape ``(n_channels, n_samples)``.
-    """
-    time_s = np.asarray(time_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rates = np.atleast_1d(np.asarray(drift_rate_per_s, dtype=float))
-    if time_s.ndim != 1:
-        raise ValueError("time axis must be one-dimensional")
-    if y.ndim != 2 or y.shape[1] != time_s.size:
-        raise ValueError("traces must be (n_channels, n_samples) on the "
-                         "shared time grid")
-    if rates.shape != (y.shape[0],):
-        raise ValueError(
-            f"need one drift rate per channel: {rates.shape} != "
-            f"({y.shape[0]},)")
-    anchor = float(time_s[0]) if anchor_time_s is None else anchor_time_s
-    return y - rates[:, None] * (time_s - anchor)[None, :]
-
-
-def correct_linear_drift(time_s: np.ndarray,
-                         y: np.ndarray,
-                         drift_rate_per_s: float,
-                         anchor_time_s: float | None = None) -> np.ndarray:
-    """Remove a known linear drift from a trace.
-
-    Thin single-channel wrapper over :func:`correct_linear_drift_batch`.
-
-    Args:
-        time_s: timestamps.
-        y: trace.
-        drift_rate_per_s: drift slope to remove.
-        anchor_time_s: time at which the correction is zero (defaults to the
-            first sample, preserving the initial reading).
-    """
-    time_s = np.asarray(time_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if time_s.shape != y.shape:
-        raise ValueError("time and trace must share one shape")
-    return correct_linear_drift_batch(
-        time_s, y[None, :], np.array([drift_rate_per_s]), anchor_time_s)[0]
 
 
 def ou_process_batch(n_samples: int,

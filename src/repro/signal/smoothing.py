@@ -30,22 +30,6 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def exponential_smoothing(x: np.ndarray, alpha: float) -> np.ndarray:
-    """First-order exponential smoother: y[k] = y[k-1] + alpha (x[k]-y[k-1])."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("input must be one-dimensional")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    from scipy.signal import lfilter
-
-    b = [alpha]
-    a = [1.0, -(1.0 - alpha)]
-    zi = [(1.0 - alpha) * x[0]]
-    y, __ = lfilter(b, a, x, zi=zi)
-    return y
-
-
 def savitzky_golay(x: np.ndarray, window: int, polyorder: int = 2) -> np.ndarray:
     """Savitzky-Golay smoothing (peak-shape preserving).
 

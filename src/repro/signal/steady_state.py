@@ -97,32 +97,3 @@ def extract_steady_state_batch(time_s: np.ndarray,
         raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
     n_tail = max(2, int(round(time_s.size * tail_fraction)))
     return np.mean(current_a[:, -n_tail:], axis=1)
-
-
-def rise_time(time_s: np.ndarray,
-              current_a: np.ndarray,
-              low: float = 0.1,
-              high: float = 0.9) -> float:
-    """Return the ``low``-to-``high`` rise time [s] of a step response.
-
-    Levels are fractions of the final plateau relative to the initial value.
-    Raises if the trace never crosses the thresholds (no step present).
-    """
-    time_s = np.asarray(time_s, dtype=float)
-    current_a = np.asarray(current_a, dtype=float)
-    if time_s.shape != current_a.shape or time_s.size < 4:
-        raise ValueError("need equal-length arrays with >= 4 samples")
-    if not 0.0 <= low < high <= 1.0:
-        raise ValueError(f"need 0 <= low < high <= 1, got {low}, {high}")
-
-    start = current_a[0]
-    plateau = extract_steady_state(time_s, current_a).value
-    swing = plateau - start
-    if swing == 0.0:
-        raise ValueError("trace has no step (zero swing)")
-    normalized = (current_a - start) / swing
-    above_low = np.flatnonzero(normalized >= low)
-    above_high = np.flatnonzero(normalized >= high)
-    if above_low.size == 0 or above_high.size == 0:
-        raise ValueError("trace never crosses the requested thresholds")
-    return float(time_s[above_high[0]] - time_s[above_low[0]])

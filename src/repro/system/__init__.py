@@ -22,7 +22,6 @@ from repro.system.composition import (
 )
 from repro.system.scaling import (
     scaled_area_mm2,
-    scaled_power_mw,
     best_node_for_block,
     homogeneous_vs_heterogeneous,
 )
@@ -32,7 +31,6 @@ from repro.system.nre import (
     mask_set_cost_usd,
     design_cost_usd,
     nre_cost_usd,
-    amortized_unit_cost_usd,
     platform_vs_custom_crossover,
 )
 
@@ -45,7 +43,6 @@ __all__ = [
     "PlatformDesign",
     "reference_biosensor_node",
     "scaled_area_mm2",
-    "scaled_power_mw",
     "best_node_for_block",
     "homogeneous_vs_heterogeneous",
     "StackLayer",
@@ -55,6 +52,5 @@ __all__ = [
     "mask_set_cost_usd",
     "design_cost_usd",
     "nre_cost_usd",
-    "amortized_unit_cost_usd",
     "platform_vs_custom_crossover",
 ]

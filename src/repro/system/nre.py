@@ -73,17 +73,6 @@ def nre_cost_usd(block_kinds: list[str],
     return design_cost_usd(block_kinds, reuse_discount) + mask_set_cost_usd(node_nm)
 
 
-def amortized_unit_cost_usd(nre_usd: float,
-                            volume_units: int,
-                            marginal_unit_cost_usd: float) -> float:
-    """Per-unit cost [USD] after amortizing NRE over a production volume."""
-    if nre_usd < 0 or marginal_unit_cost_usd < 0:
-        raise ValueError("costs must be >= 0")
-    if volume_units < 1:
-        raise ValueError(f"volume must be >= 1, got {volume_units}")
-    return marginal_unit_cost_usd + nre_usd / volume_units
-
-
 def platform_vs_custom_crossover(block_kinds: list[str],
                                  node_nm: float,
                                  platform_reuse_discount: float = 0.7,

@@ -37,18 +37,6 @@ def scaled_area_mm2(block: SystemBlock, node_nm: float) -> float:
     return block.area_mm2 * (node_nm / REFERENCE_NODE_NM) ** block.scaling_exponent
 
 
-def scaled_power_mw(block: SystemBlock, node_nm: float) -> float:
-    """Block power [mW] at ``node_nm``.
-
-    Digital power follows a milder (linear) scaling; analog power is
-    dominated by noise/bandwidth requirements and barely moves.
-    """
-    if node_nm <= 0:
-        raise ValueError(f"node must be > 0, got {node_nm}")
-    exponent = 1.0 if not block.is_analog else 0.2
-    return block.power_mw * (node_nm / REFERENCE_NODE_NM) ** exponent
-
-
 def silicon_cost_usd(area_mm2: float, node_nm: float) -> float:
     """Die cost [USD] of ``area_mm2`` at ``node_nm``."""
     if area_mm2 < 0:

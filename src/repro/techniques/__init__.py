@@ -1,36 +1,23 @@
 """Electrochemical measurement techniques (paper sections 2.3 and 3.1).
 
-Two techniques carry the paper's own results — chronoamperometry at +650 mV
+Two techniques carry the paper's own results: chronoamperometry at +650 mV
 for the oxidase metabolite sensors and cyclic voltammetry for the CYP drug
-sensors — with linear-sweep and differential-pulse voltammetry provided for
-the literature baselines and classification scope.
+sensors.
 """
 
 from repro.techniques.base import Measurement, Waveform
 from repro.techniques.waveform import (
     constant_potential,
-    linear_sweep_wave,
     cyclic_wave,
-    staircase_wave,
 )
 from repro.techniques.chronoamperometry import Chronoamperometry
 from repro.techniques.cyclic_voltammetry import CyclicVoltammetry
-from repro.techniques.linear_sweep import LinearSweepVoltammetry
-from repro.techniques.differential_pulse import (
-    DifferentialPulseVoltammetry,
-    dpv_solution_peak_current,
-)
 
 __all__ = [
     "Measurement",
     "Waveform",
     "constant_potential",
-    "linear_sweep_wave",
     "cyclic_wave",
-    "staircase_wave",
     "Chronoamperometry",
     "CyclicVoltammetry",
-    "LinearSweepVoltammetry",
-    "DifferentialPulseVoltammetry",
-    "dpv_solution_peak_current",
 ]

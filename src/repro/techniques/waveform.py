@@ -19,24 +19,6 @@ def constant_potential(potential_v: float,
                     sampling_rate_hz=sampling_rate_hz)
 
 
-def linear_sweep_wave(e_start_v: float,
-                      e_end_v: float,
-                      scan_rate_v_s: float,
-                      sampling_rate_hz: float) -> Waveform:
-    """Single linear sweep from ``e_start_v`` to ``e_end_v``."""
-    if scan_rate_v_s <= 0:
-        raise ValueError(f"scan rate must be > 0, got {scan_rate_v_s}")
-    if e_start_v == e_end_v:
-        raise ValueError("sweep needs distinct start and end potentials")
-    duration = abs(e_end_v - e_start_v) / scan_rate_v_s
-    _check(duration, sampling_rate_hz)
-    n = max(2, int(round(duration * sampling_rate_hz)))
-    time = np.arange(n) / sampling_rate_hz
-    potential = np.linspace(e_start_v, e_end_v, n)
-    return Waveform(time_s=time, potential_v=potential,
-                    sampling_rate_hz=sampling_rate_hz)
-
-
 def cyclic_wave(e_start_v: float,
                 e_vertex_v: float,
                 scan_rate_v_s: float,
@@ -60,21 +42,6 @@ def cyclic_wave(e_start_v: float,
     backward = np.linspace(e_vertex_v, e_start_v, n_half, endpoint=False)
     one_cycle = np.concatenate([forward, backward])
     potential = np.tile(one_cycle, n_cycles)
-    time = np.arange(potential.size) / sampling_rate_hz
-    return Waveform(time_s=time, potential_v=potential,
-                    sampling_rate_hz=sampling_rate_hz)
-
-
-def staircase_wave(levels_v: list[float],
-                   step_duration_s: float,
-                   sampling_rate_hz: float) -> Waveform:
-    """Piecewise-constant staircase through ``levels_v``."""
-    if not levels_v:
-        raise ValueError("need at least one level")
-    _check(step_duration_s, sampling_rate_hz)
-    n_step = max(2, int(round(step_duration_s * sampling_rate_hz)))
-    potential = np.concatenate(
-        [np.full(n_step, float(level)) for level in levels_v])
     time = np.arange(potential.size) / sampling_rate_hz
     return Waveform(time_s=time, potential_v=potential,
                     sampling_rate_hz=sampling_rate_hz)

@@ -19,10 +19,8 @@ from repro.therapy.controllers import (
     RegimenSpec,
 )
 from repro.therapy.metrics import (
-    auc_molar_h,
     fraction_above_window,
     fraction_below_window,
-    overdose_exposure,
     time_in_range,
     trough_abs_rel_error,
 )
@@ -34,10 +32,8 @@ __all__ = [
     "FixedRegimenController",
     "ProportionalTroughController",
     "RegimenSpec",
-    "auc_molar_h",
     "fraction_above_window",
     "fraction_below_window",
-    "overdose_exposure",
     "time_in_range",
     "trough_abs_rel_error",
 ]

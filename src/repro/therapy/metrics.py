@@ -2,10 +2,9 @@
 
 The closed-loop analogue of the monitor's MARD/time-in-spec pair: these
 kernels score a therapy course from the *true* concentration traces the
-engine simulated — time inside the window, trough-targeting error, and
-the toxic exposure integral above the window ceiling.  All of them are
-batch-shaped ``(n_patients, ...) -> (n_patients,)`` reductions, so a
-cohort scores in one array pass.
+engine simulated — time inside the window and trough-targeting error.
+All of them are batch-shaped ``(n_patients, ...) -> (n_patients,)``
+reductions, so a cohort scores in one array pass.
 """
 
 from __future__ import annotations
@@ -82,46 +81,3 @@ def trough_abs_rel_error(troughs_molar: np.ndarray,
     scored = troughs[:, skip_first:]
     return np.mean(np.abs(scored - target_trough_molar)
                    / target_trough_molar, axis=1)
-
-
-def overdose_exposure(concentration_molar: np.ndarray,
-                      sample_period_h: float,
-                      window: TherapeuticWindow) -> np.ndarray:
-    """Toxic exposure integral above the window ceiling, per patient.
-
-    ``integral max(C - high, 0) dt`` in [mol/L x h] — the cumulative
-    overshoot a toxicity-driven dose reduction tries to null, evaluated
-    as a rectangle sum on the engine's uniform sample grid.
-
-    Args:
-        concentration_molar: true levels, ``(n_patients, n_times)``.
-        sample_period_h: grid spacing [h], > 0.
-        window: the therapeutic window.
-
-    Returns:
-        Exposure above the ceiling, shape ``(n_patients,)``.
-    """
-    if sample_period_h <= 0:
-        raise ValueError("sample period must be > 0")
-    c = _as_cohort(concentration_molar)
-    return np.sum(np.maximum(c - window.high_molar, 0.0),
-                  axis=1) * sample_period_h
-
-
-def auc_molar_h(concentration_molar: np.ndarray,
-                sample_period_h: float) -> np.ndarray:
-    """Total exposure (area under the curve) per patient [mol/L x h].
-
-    Rectangle sum on the engine's uniform sample grid — the quantity
-    clearance scales inversely with, useful for exposure matching.
-
-    Args:
-        concentration_molar: true levels, ``(n_patients, n_times)``.
-        sample_period_h: grid spacing [h], > 0.
-
-    Returns:
-        AUC per patient, shape ``(n_patients,)``.
-    """
-    if sample_period_h <= 0:
-        raise ValueError("sample period must be > 0")
-    return np.sum(_as_cohort(concentration_molar), axis=1) * sample_period_h

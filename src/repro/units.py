@@ -37,56 +37,6 @@ def micromolar_from_molar(value_m: float) -> float:
     return value_m * 1e6
 
 
-def micromolar_from_millimolar(value_mm: float) -> float:
-    """Convert a concentration in mM to uM."""
-    return value_mm * 1e3
-
-
-def millimolar_from_micromolar(value_um: float) -> float:
-    """Convert a concentration in uM to mM."""
-    return value_um * 1e-3
-
-
-def mol_per_cubic_metre_from_molar(value_m: float) -> float:
-    """Convert mol/L to mol/m^3 (used by the diffusion solver)."""
-    return value_m * 1e3
-
-
-def molar_from_mol_per_cubic_metre(value: float) -> float:
-    """Convert mol/m^3 to mol/L."""
-    return value * 1e-3
-
-
-# ---------------------------------------------------------------------------
-# Current.  Internal unit: ampere (A).
-# ---------------------------------------------------------------------------
-
-
-def ampere_from_microampere(value_ua: float) -> float:
-    """Convert uA to A."""
-    return value_ua * 1e-6
-
-
-def ampere_from_nanoampere(value_na: float) -> float:
-    """Convert nA to A."""
-    return value_na * 1e-9
-
-
-def microampere_from_ampere(value_a: float) -> float:
-    """Convert A to uA."""
-    return value_a * 1e6
-
-
-def nanoampere_from_ampere(value_a: float) -> float:
-    """Convert A to nA."""
-    return value_a * 1e9
-
-
-def picoampere_from_ampere(value_a: float) -> float:
-    """Convert A to pA."""
-    return value_a * 1e12
-
-
 # ---------------------------------------------------------------------------
 # Area.  Internal unit: square metre (m^2).
 # ---------------------------------------------------------------------------
@@ -95,66 +45,6 @@ def picoampere_from_ampere(value_a: float) -> float:
 def square_metre_from_square_millimetre(value_mm2: float) -> float:
     """Convert mm^2 to m^2."""
     return value_mm2 * 1e-6
-
-
-def square_metre_from_square_centimetre(value_cm2: float) -> float:
-    """Convert cm^2 to m^2."""
-    return value_cm2 * 1e-4
-
-
-def square_centimetre_from_square_metre(value_m2: float) -> float:
-    """Convert m^2 to cm^2."""
-    return value_m2 * 1e4
-
-
-def square_millimetre_from_square_metre(value_m2: float) -> float:
-    """Convert m^2 to mm^2."""
-    return value_m2 * 1e6
-
-
-def square_centimetre_from_square_millimetre(value_mm2: float) -> float:
-    """Convert mm^2 to cm^2 (the paper quotes 13 mm^2 = 0.13 cm^2)."""
-    return value_mm2 * 1e-2
-
-
-# ---------------------------------------------------------------------------
-# Length.  Internal unit: metre (m).
-# ---------------------------------------------------------------------------
-
-
-def metre_from_micrometre(value_um: float) -> float:
-    """Convert um to m."""
-    return value_um * 1e-6
-
-
-def metre_from_nanometre(value_nm: float) -> float:
-    """Convert nm to m."""
-    return value_nm * 1e-9
-
-
-def micrometre_from_metre(value_m: float) -> float:
-    """Convert m to um."""
-    return value_m * 1e6
-
-
-def nanometre_from_metre(value_m: float) -> float:
-    """Convert m to nm."""
-    return value_m * 1e9
-
-
-# ---------------------------------------------------------------------------
-# Potential.  Internal unit: volt (V).
-# ---------------------------------------------------------------------------
-
-
-def volt_from_millivolt(value_mv: float) -> float:
-    """Convert mV to V (the paper's working potential is +650 mV)."""
-    return value_mv * 1e-3
-
-
-def millivolt_from_volt(value_v: float) -> float:
-    """Convert V to mV."""
-    return value_v * 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +84,3 @@ def sensitivity_paper_from_slope(slope_a_per_molar: float,
     if area_m2 <= 0:
         raise ValueError(f"area_m2 must be positive, got {area_m2}")
     return sensitivity_paper_from_si(slope_a_per_molar / area_m2)
-
-
-# ---------------------------------------------------------------------------
-# Time and frequency (trivial but explicit for symmetry).
-# ---------------------------------------------------------------------------
-
-
-def second_from_millisecond(value_ms: float) -> float:
-    """Convert ms to s."""
-    return value_ms * 1e-3
-
-
-def hertz_from_kilohertz(value_khz: float) -> float:
-    """Convert kHz to Hz."""
-    return value_khz * 1e3

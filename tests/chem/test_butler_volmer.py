@@ -1,21 +1,8 @@
 """Tests for repro.chem.butler_volmer."""
 
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.chem.butler_volmer import (
-    butler_volmer_current_density,
-    exchange_current_density,
-    overpotential_for_current_density,
-    rate_constants,
-    tafel_slope,
-)
-from repro.constants import FARADAY, thermal_voltage
-
-etas = st.floats(min_value=-0.4, max_value=0.4,
-                 allow_nan=False, allow_infinity=False)
+from repro.chem.butler_volmer import rate_constants
 
 
 class TestRateConstants:
@@ -41,86 +28,3 @@ class TestRateConstants:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             rate_constants(0.0, 0.0, 1e-5, 1.5, 1)
-
-
-class TestButlerVolmer:
-    def test_zero_current_at_equilibrium(self):
-        assert butler_volmer_current_density(0.0, 1.0) == pytest.approx(0.0)
-
-    def test_positive_overpotential_gives_anodic_current(self):
-        assert butler_volmer_current_density(0.1, 1.0) > 0
-
-    def test_negative_overpotential_gives_cathodic_current(self):
-        assert butler_volmer_current_density(-0.1, 1.0) < 0
-
-    def test_antisymmetric_for_symmetric_alpha(self):
-        forward = butler_volmer_current_density(0.08, 1.0, alpha=0.5)
-        backward = butler_volmer_current_density(-0.08, 1.0, alpha=0.5)
-        assert forward == pytest.approx(-backward, rel=1e-9)
-
-    def test_linear_regime_small_overpotential(self):
-        # j ~ j0 * eta / (RT/nF) for |eta| << RT/F.
-        eta = 1e-4
-        j = butler_volmer_current_density(eta, 1.0)
-        expected = eta / thermal_voltage()
-        assert j == pytest.approx(expected, rel=1e-2)
-
-    @given(etas)
-    def test_monotonic_in_overpotential(self, eta):
-        j1 = butler_volmer_current_density(eta, 1.0)
-        j2 = butler_volmer_current_density(eta + 0.01, 1.0)
-        assert j2 > j1
-
-
-class TestExchangeCurrent:
-    def test_symmetric_concentrations(self):
-        j0 = exchange_current_density(1e-5, 1, 1.0, 1.0)
-        assert j0 == pytest.approx(FARADAY * 1e-5)
-
-    def test_scales_with_k0(self):
-        base = exchange_current_density(1e-5, 1, 1.0, 1.0)
-        assert exchange_current_density(2e-5, 1, 1.0, 1.0) \
-            == pytest.approx(2 * base)
-
-    def test_rejects_negative_concentration(self):
-        with pytest.raises(ValueError):
-            exchange_current_density(1e-5, 1, -1.0, 1.0)
-
-
-class TestTafelAndInversion:
-    def test_tafel_slope_118mv_per_decade(self):
-        assert tafel_slope(0.5, 1) == pytest.approx(0.118, rel=2e-2)
-
-    def test_tafel_slope_decreases_with_n(self):
-        assert tafel_slope(0.5, 2) == pytest.approx(tafel_slope(0.5, 1) / 2)
-
-    @given(st.floats(min_value=-100.0, max_value=100.0).filter(
-        lambda x: abs(x) > 1e-3))
-    def test_inversion_roundtrip(self, target):
-        eta = overpotential_for_current_density(target, 1.0)
-        j = butler_volmer_current_density(eta, 1.0)
-        assert j == pytest.approx(target, rel=1e-6)
-
-    def test_inversion_rejects_zero_exchange_density(self):
-        with pytest.raises(ValueError):
-            overpotential_for_current_density(1.0, 0.0)
-
-    def test_tafel_region_matches_slope(self):
-        # At high overpotential, a decade of current costs one Tafel slope.
-        eta1 = overpotential_for_current_density(1e3, 1e-2)
-        eta2 = overpotential_for_current_density(1e4, 1e-2)
-        assert eta2 - eta1 == pytest.approx(
-            tafel_slope(0.5, 1), rel=5e-2)
-
-    def test_log_symmetry(self):
-        eta = overpotential_for_current_density(-50.0, 1.0)
-        assert eta == pytest.approx(
-            -overpotential_for_current_density(50.0, 1.0), rel=1e-9)
-
-    def test_exp_identity(self):
-        # Explicit form check at one point.
-        eta, j0 = 0.12, 3.0
-        f = 1.0 / thermal_voltage()
-        expected = j0 * (math.exp(0.5 * f * eta) - math.exp(-0.5 * f * eta))
-        assert butler_volmer_current_density(eta, j0) \
-            == pytest.approx(expected, rel=1e-12)

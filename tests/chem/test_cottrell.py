@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chem.cottrell import (
-    cottrell_charge,
-    cottrell_current,
-    diffusion_layer_thickness,
-)
+from repro.chem.cottrell import cottrell_charge, cottrell_current
 
 
 class TestCottrellCurrent:
@@ -68,19 +64,3 @@ class TestCottrellCharge:
         q1 = cottrell_charge(1.0, 1, 1e-6, 1e-3, 7e-10)
         q4 = cottrell_charge(4.0, 1, 1e-6, 1e-3, 7e-10)
         assert q4 == pytest.approx(2.0 * q1)
-
-
-class TestDiffusionLayer:
-    def test_sqrt_growth(self):
-        d1 = diffusion_layer_thickness(1.0, 7e-10)
-        d4 = diffusion_layer_thickness(4.0, 7e-10)
-        assert d4 == pytest.approx(2.0 * d1)
-
-    def test_typical_scale(self):
-        # ~47 um after one second for D = 7e-10 m^2/s.
-        assert diffusion_layer_thickness(1.0, 7e-10) \
-            == pytest.approx(46.9e-6, rel=1e-2)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            diffusion_layer_thickness(-1.0, 7e-10)

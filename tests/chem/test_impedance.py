@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chem.butler_volmer import exchange_current_density
-from repro.chem.impedance import (
-    RandlesCircuit,
-    binding_capacitance_shift,
-    binding_rct_shift,
-    charge_transfer_resistance,
-)
+from repro.chem.impedance import RandlesCircuit, binding_rct_shift
 
 
 @pytest.fixture()
@@ -57,22 +51,6 @@ class TestSpectrum:
             circuit.impedance(0.0)
 
 
-class TestKineticsLink:
-    def test_rct_from_exchange_current(self):
-        # RT/(nF i0): 1 uA exchange current -> ~25.7 kohm.
-        assert charge_transfer_resistance(1e-6) \
-            == pytest.approx(25_693.0, rel=1e-2)
-
-    def test_cnt_enhancement_shrinks_semicircle(self):
-        """The EIS signature of CNT modification: higher k0 -> larger i0
-        -> smaller Rct (paper section 2.4 electron-transfer claim)."""
-        area, conc_si = 1e-6, 1.0  # 1 mM in mol/m^3
-        bare_i0 = exchange_current_density(5e-6, 1, conc_si, conc_si) * area
-        cnt_i0 = exchange_current_density(4e-5, 1, conc_si, conc_si) * area
-        assert charge_transfer_resistance(cnt_i0) \
-            < charge_transfer_resistance(bare_i0) / 5.0
-
-
 class TestBindingResponses:
     def test_faradic_sensor_rct_grows_with_binding(self, circuit):
         bound = binding_rct_shift(circuit, surface_occupancy=0.5)
@@ -88,19 +66,6 @@ class TestBindingResponses:
         same = binding_rct_shift(circuit, 0.0)
         assert same.charge_transfer_resistance_ohm \
             == circuit.charge_transfer_resistance_ohm
-
-    def test_capacitive_sensor_capacitance_drops(self, circuit):
-        bound = binding_capacitance_shift(circuit, 0.5,
-                                          layer_capacitance_f=2e-7)
-        assert bound.double_layer_capacitance_f \
-            < circuit.double_layer_capacitance_f
-
-    def test_capacitive_full_coverage_series_limit(self, circuit):
-        layer_c = 2e-7
-        bound = binding_capacitance_shift(circuit, 1.0, layer_c)
-        base = circuit.double_layer_capacitance_f
-        expected = base * layer_c / (base + layer_c)
-        assert bound.double_layer_capacitance_f == pytest.approx(expected)
 
     def test_rejects_bad_occupancy(self, circuit):
         with pytest.raises(ValueError):

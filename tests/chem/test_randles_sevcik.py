@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.chem.randles_sevcik import (
-    peak_current_irreversible,
     peak_current_reversible,
     peak_separation_reversible,
-    scan_rate_for_peak_current,
 )
 
 rates = st.floats(min_value=1e-3, max_value=10.0,
@@ -46,22 +44,6 @@ class TestReversiblePeak:
             peak_current_reversible(1, 1e-5, 7e-10, 1e-3, 0.0)
 
 
-class TestIrreversiblePeak:
-    def test_lower_than_reversible(self):
-        reversible = peak_current_reversible(1, 1e-5, 7e-10, 1e-3, 0.1)
-        irreversible = peak_current_irreversible(1, 0.5, 1e-5, 7e-10, 1e-3, 0.1)
-        assert irreversible < reversible
-
-    def test_alpha_scaling(self):
-        low = peak_current_irreversible(1, 0.25, 1e-5, 7e-10, 1e-3, 0.1)
-        high = peak_current_irreversible(1, 0.5, 1e-5, 7e-10, 1e-3, 0.1)
-        assert high == pytest.approx(low * 2 ** 0.5, rel=1e-9)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            peak_current_irreversible(1, 0.0, 1e-5, 7e-10, 1e-3, 0.1)
-
-
 class TestPeakSeparation:
     def test_57mv_for_one_electron(self):
         assert peak_separation_reversible(1) == pytest.approx(0.057, abs=1e-3)
@@ -69,15 +51,3 @@ class TestPeakSeparation:
     def test_halves_for_two_electrons(self):
         assert peak_separation_reversible(2) \
             == pytest.approx(peak_separation_reversible(1) / 2)
-
-
-class TestScanRateInversion:
-    @given(st.floats(min_value=1e-9, max_value=1e-5))
-    def test_roundtrip(self, target_peak):
-        rate = scan_rate_for_peak_current(target_peak, 1, 1e-5, 7e-10, 1e-3)
-        recovered = peak_current_reversible(1, 1e-5, 7e-10, 1e-3, rate)
-        assert recovered == pytest.approx(target_peak, rel=1e-9)
-
-    def test_rejects_non_positive_target(self):
-        with pytest.raises(ValueError):
-            scan_rate_for_peak_current(0.0, 1, 1e-5, 7e-10, 1e-3)

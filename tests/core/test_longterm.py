@@ -6,8 +6,6 @@ import pytest
 from repro.bio.matrix import BUFFER, SERUM
 from repro.core.longterm import (
     DriftBudget,
-    drift_corrected_estimate,
-    drift_corrected_estimate_batch,
     one_point_recalibration,
     one_point_recalibration_batch,
 )
@@ -84,21 +82,6 @@ class TestRecalibration:
             one_point_recalibration(1e-4, 0.5e-3, measured_signal_a=0.0,
                                     intercept_a=1e-6)
 
-    def test_drift_corrected_estimate_debiases(self):
-        slope, retention, true_c = 1e-4, 0.8, 1e-3
-        signal = slope * retention * true_c
-        naive = signal / slope
-        corrected = drift_corrected_estimate(signal, slope, 0.0, retention)
-        assert naive < true_c
-        assert corrected == pytest.approx(true_c, rel=1e-9)
-
-    def test_correction_clips_negative(self):
-        assert drift_corrected_estimate(-1e-9, 1e-4, 0.0, 0.9) == 0.0
-
-    def test_rejects_bad_retention(self):
-        with pytest.raises(ValueError):
-            drift_corrected_estimate(1e-9, 1e-4, 0.0, 0.0)
-
 
 class TestBatchKernels:
     """Scalar-vs-batch equivalence: the scalar API is the contract, the
@@ -145,29 +128,3 @@ class TestBatchKernels:
         with pytest.raises(ValueError):
             one_point_recalibration_batch(
                 np.array([1e-4]), np.array([0.0]), np.array([1e-7]))
-
-    def test_drift_corrected_batch_matches_scalar(self):
-        signals = np.array([[1e-7, 2e-7], [3e-7, 4e-7]])
-        slopes = np.array([1e-4, 2e-4])
-        intercepts = np.array([0.0, 1e-9])
-        retentions = np.array([[1.0, 0.9], [0.8, 0.7]])
-        batch = drift_corrected_estimate_batch(
-            signals, slopes, intercepts, retentions)
-        for i in range(2):
-            for j in range(2):
-                assert batch[i, j] == pytest.approx(
-                    drift_corrected_estimate(
-                        float(signals[i, j]), float(slopes[i]),
-                        float(intercepts[i]), float(retentions[i, j])),
-                    rel=1e-12)
-
-    def test_drift_corrected_batch_clips_negative(self):
-        batch = drift_corrected_estimate_batch(
-            np.array([[-1e-9]]), np.array([1e-4]), 0.0, np.array([[0.9]]))
-        assert batch[0, 0] == 0.0
-
-    def test_drift_corrected_batch_rejects_bad_retention(self):
-        with pytest.raises(ValueError):
-            drift_corrected_estimate_batch(
-                np.array([[1e-9]]), np.array([1e-4]), 0.0,
-                np.array([[1.5]]))

@@ -7,7 +7,6 @@ from repro.enzymes.inhibition import (
     InhibitionType,
     Inhibitor,
     apparent_parameters,
-    degree_of_inhibition,
 )
 
 inhibitor_concs = st.floats(min_value=0.0, max_value=1e-3,
@@ -53,37 +52,6 @@ class TestApparentParameters:
         vmax, km = apparent_parameters(10.0, 1e-3, inhibitor, conc)
         free_slope = 10.0 / 1e-3
         assert vmax / km <= free_slope * (1.0 + 1e-9)
-
-
-class TestDegreeOfInhibition:
-    def test_zero_at_zero_substrate(self):
-        inhibitor = make_inhibitor(InhibitionType.COMPETITIVE)
-        assert degree_of_inhibition(10.0, 1e-3, 0.0, inhibitor, 1e-4) == 0.0
-
-    def test_bounded_in_unit_interval(self):
-        for mode in InhibitionType:
-            inhibitor = make_inhibitor(mode)
-            degree = degree_of_inhibition(10.0, 1e-3, 5e-4, inhibitor, 1e-4)
-            assert 0.0 <= degree <= 1.0
-
-    def test_competitive_relieved_by_substrate(self):
-        # Competitive inhibition washes out at saturating substrate.
-        inhibitor = make_inhibitor(InhibitionType.COMPETITIVE)
-        low = degree_of_inhibition(10.0, 1e-3, 1e-5, inhibitor, 1e-4)
-        high = degree_of_inhibition(10.0, 1e-3, 1e-1, inhibitor, 1e-4)
-        assert high < low
-
-    def test_noncompetitive_not_relieved_by_substrate(self):
-        inhibitor = make_inhibitor(InhibitionType.NONCOMPETITIVE)
-        low = degree_of_inhibition(10.0, 1e-3, 1e-5, inhibitor, 1e-4)
-        high = degree_of_inhibition(10.0, 1e-3, 1e-1, inhibitor, 1e-4)
-        assert high == pytest.approx(low, rel=1e-6)
-
-    def test_more_inhibitor_more_inhibition(self):
-        inhibitor = make_inhibitor(InhibitionType.NONCOMPETITIVE)
-        little = degree_of_inhibition(10.0, 1e-3, 1e-4, inhibitor, 1e-5)
-        lots = degree_of_inhibition(10.0, 1e-3, 1e-4, inhibitor, 1e-3)
-        assert lots > little
 
 
 class TestValidation:

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.enzymes.michaelis_menten import (
-    apparent_km_mass_transport,
     fractional_deviation_from_linearity,
-    hill_rate,
     km_for_linear_range,
     linear_range_upper,
-    linear_slope,
     michaelis_menten_rate,
 )
 
@@ -38,11 +35,6 @@ class TestRate:
         v1 = michaelis_menten_rate(min(c1, c2), 1.0, km)
         v2 = michaelis_menten_rate(max(c1, c2), 1.0, km)
         assert v2 >= v1
-
-    @given(kms, concs)
-    def test_rate_below_linear_extrapolation(self, km, conc):
-        rate = michaelis_menten_rate(conc, 1.0, km)
-        assert rate <= linear_slope(1.0, km) * conc + 1e-15
 
     def test_vectorized(self):
         rates = michaelis_menten_rate(np.array([0.0, 1e-3, 1.0]), 10.0, 1e-3)
@@ -76,37 +68,3 @@ class TestLinearRange:
     def test_registry_inversion_example(self):
         # Paper glucose range 0-1 mM -> Km_app = 9 mM at 10 % tolerance.
         assert km_for_linear_range(1e-3, 0.1) == pytest.approx(9e-3)
-
-
-class TestMassTransport:
-    def test_no_limitation_leaves_km(self):
-        assert apparent_km_mass_transport(1e-3, 0.0, 1e-5) \
-            == pytest.approx(1e-3)
-
-    def test_limitation_widens_km(self):
-        widened = apparent_km_mass_transport(1e-3, 1e-6, 1e-5)
-        assert widened > 1e-3
-
-    def test_slower_transport_widens_more(self):
-        slow = apparent_km_mass_transport(1e-3, 1e-6, 1e-6)
-        fast = apparent_km_mass_transport(1e-3, 1e-6, 1e-4)
-        assert slow > fast
-
-
-class TestHill:
-    def test_reduces_to_mm_at_h1(self):
-        conc = 3e-4
-        assert hill_rate(conc, 10.0, 1e-3, 1.0) \
-            == pytest.approx(michaelis_menten_rate(conc, 10.0, 1e-3))
-
-    def test_half_saturation_at_k(self):
-        assert hill_rate(1e-3, 10.0, 1e-3, 2.7) == pytest.approx(5.0)
-
-    def test_steeper_with_higher_h(self):
-        low_c = 1e-4
-        assert hill_rate(low_c, 1.0, 1e-3, 2.0) \
-            < hill_rate(low_c, 1.0, 1e-3, 1.0)
-
-    def test_rejects_bad_h(self):
-        with pytest.raises(ValueError):
-            hill_rate(1e-3, 1.0, 1e-3, 0.0)

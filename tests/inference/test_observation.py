@@ -122,11 +122,6 @@ class TestModelConsistency:
             / model.gain_a_per_molar[:, -1]
         assert np.all(day_apart > 1.0)
 
-    def test_wander_stationary_variance(self, plan, model):
-        sigma = np.array([c.wander_sigma_a for c in plan.channels])
-        np.testing.assert_allclose(
-            model.wander_stationary_variance_a2(), sigma ** 2, rtol=1e-9)
-
 
 class TestRailCensoring:
     def test_rail_pinned_readings_flagged(self, plan):

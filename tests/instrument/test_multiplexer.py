@@ -102,7 +102,7 @@ class TestValidation:
 
 
 class TestCrosstalkPaths:
-    """The leakage arithmetic the inference fusion layer rests on."""
+    """The leakage arithmetic of the multiplexed readout."""
 
     def test_missing_channels_default_to_zero_current(self, mux):
         # A sparse dict is legal: unlisted electrodes carry nothing.

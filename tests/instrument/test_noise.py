@@ -6,7 +6,6 @@ import pytest
 from repro.instrument.noise import (
     NoiseModel,
     flicker_corner_rms,
-    shot_noise_density,
     thermal_current_noise_density,
 )
 
@@ -21,18 +20,9 @@ class TestDensities:
         assert thermal_current_noise_density(1e8) \
             < thermal_current_noise_density(1e6)
 
-    def test_shot_noise_1na(self):
-        # sqrt(2qI) at 1 nA: ~17.9 fA/sqrt(Hz).
-        assert shot_noise_density(1e-9) == pytest.approx(17.9e-15, rel=2e-2)
-
-    def test_shot_noise_zero_current(self):
-        assert shot_noise_density(0.0) == 0.0
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             thermal_current_noise_density(0.0)
-        with pytest.raises(ValueError):
-            shot_noise_density(-1e-9)
 
 
 class TestFlickerRms:

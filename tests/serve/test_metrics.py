@@ -22,6 +22,7 @@ from repro.telemetry import (
     InMemoryRecorder,
     MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
+    get_metrics_registry,
     parse_prometheus,
     set_recorder,
 )
@@ -248,3 +249,27 @@ class TestConnectionsAndAdvance:
             sample["name"] == "repro_serve_stream_advance_seconds_count"
             and sample["labels"] == {"workload": "monitor"}
             and sample["value"] == 1 for sample in samples)
+
+
+class TestRegistryPerServer:
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["start-order", "reverse-order"])
+    def test_concurrent_servers_count_apart(self, reverse):
+        """Two servers at once each count only their own job, and the
+        process-active registry is restored whichever stops first."""
+        before = get_metrics_registry()
+        threads = []
+        try:
+            for __ in range(2):
+                threads.append(ServerThread(port=0, workers=1).start())
+            for thread in threads:
+                with ServeClient(thread.host, thread.port) as client:
+                    _run_one_job(client)
+            for thread in threads:
+                with ServeClient(thread.host, thread.port) as client:
+                    counters = client.metrics()["counters"]
+                assert counters["jobs.submitted.monitor"] == 1
+        finally:
+            for thread in reversed(threads) if reverse else threads:
+                thread.stop()
+        assert get_metrics_registry() is before

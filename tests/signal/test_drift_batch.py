@@ -4,70 +4,8 @@ import numpy as np
 import pytest
 
 import repro.rng
-from repro.signal.drift import (
-    correct_linear_drift,
-    correct_linear_drift_batch,
-    estimate_drift_rate,
-    estimate_drift_rate_batch,
-    ou_process_batch,
-)
+from repro.signal.drift import ou_process_batch
 from repro.rng import spawn_generators
-
-
-@pytest.fixture()
-def traces():
-    time_s = np.linspace(0.0, 100.0, 51)
-    rates = np.array([0.5, -0.2, 0.0])
-    offsets = np.array([1.0, 2.0, -3.0])
-    y = offsets[:, None] + rates[:, None] * time_s[None, :]
-    return time_s, y, rates
-
-
-class TestEstimateBatch:
-    def test_matches_scalar_per_channel(self, traces):
-        time_s, y, __ = traces
-        batch = estimate_drift_rate_batch(time_s, y)
-        scalar = np.array([estimate_drift_rate(time_s, row) for row in y])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-9)
-
-    def test_recovers_known_rates(self, traces):
-        time_s, y, rates = traces
-        np.testing.assert_allclose(
-            estimate_drift_rate_batch(time_s, y), rates, atol=1e-12)
-
-    def test_shape_validation(self, traces):
-        time_s, y, __ = traces
-        with pytest.raises(ValueError):
-            estimate_drift_rate_batch(time_s, y[:, :-1])
-        with pytest.raises(ValueError):
-            estimate_drift_rate_batch(time_s[:1], y[:, :1])
-        with pytest.raises(ValueError):
-            estimate_drift_rate_batch(np.zeros(51), y)
-
-
-class TestCorrectBatch:
-    def test_roundtrip_flattens(self, traces):
-        time_s, y, rates = traces
-        corrected = correct_linear_drift_batch(time_s, y, rates)
-        residual_rates = estimate_drift_rate_batch(time_s, corrected)
-        np.testing.assert_allclose(residual_rates, 0.0, atol=1e-12)
-
-    def test_matches_scalar_per_channel(self, traces):
-        time_s, y, rates = traces
-        batch = correct_linear_drift_batch(time_s, y, rates)
-        for i, row in enumerate(y):
-            np.testing.assert_array_equal(
-                batch[i], correct_linear_drift(time_s, row, rates[i]))
-
-    def test_anchor_preserved(self, traces):
-        time_s, y, rates = traces
-        corrected = correct_linear_drift_batch(time_s, y, rates)
-        np.testing.assert_allclose(corrected[:, 0], y[:, 0])
-
-    def test_rate_count_validation(self, traces):
-        time_s, y, __ = traces
-        with pytest.raises(ValueError):
-            correct_linear_drift_batch(time_s, y, np.zeros(2))
 
 
 def per_sample_ou(n_samples, dt_s, tau_s, sigma, x0, shocks):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.signal.drift import correct_linear_drift, estimate_drift_rate
 from repro.signal.peaks import find_peak_index, measure_peak
-from repro.signal.steady_state import extract_steady_state, rise_time
+from repro.signal.steady_state import extract_steady_state
 
 
 class TestPeakMeasurement:
@@ -75,39 +74,3 @@ class TestSteadyState:
         current = np.full_like(t, 1e-6) + rng.normal(0, 1e-9, t.size)
         result = extract_steady_state(t, current)
         assert result.std == pytest.approx(1e-9, rel=0.2)
-
-    def test_rise_time_of_first_order_step(self):
-        t = np.linspace(0.0, 20.0, 4000)
-        tau = 1.0
-        current = 1e-6 * (1 - np.exp(-t / tau))
-        # 10-90 rise time of a one-pole response: tau ln 9 ~ 2.197 tau.
-        assert rise_time(t, current) == pytest.approx(2.197 * tau, rel=2e-2)
-
-    def test_rise_time_rejects_flat_trace(self):
-        t = np.linspace(0.0, 10.0, 100)
-        with pytest.raises(ValueError, match="no step"):
-            rise_time(t, np.ones_like(t))
-
-
-class TestDrift:
-    def test_estimates_slope(self):
-        t = np.linspace(0.0, 100.0, 200)
-        y = 5e-9 * t + 1e-6
-        assert estimate_drift_rate(t, y) == pytest.approx(5e-9, rel=1e-9)
-
-    def test_correction_flattens_trace(self):
-        t = np.linspace(0.0, 100.0, 200)
-        y = 5e-9 * t + 1e-6
-        corrected = correct_linear_drift(t, y, 5e-9)
-        assert np.ptp(corrected) < 1e-15
-
-    def test_anchor_preserves_chosen_time(self):
-        t = np.linspace(0.0, 10.0, 100)
-        y = 2.0 * t
-        anchor = float(t[50])
-        corrected = correct_linear_drift(t, y, 2.0, anchor_time_s=anchor)
-        assert corrected[50] == pytest.approx(y[50], abs=1e-9)
-
-    def test_rejects_zero_span(self):
-        with pytest.raises(ValueError):
-            estimate_drift_rate(np.zeros(5), np.arange(5.0))

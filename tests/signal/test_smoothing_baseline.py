@@ -9,7 +9,6 @@ from repro.signal.baseline import (
     subtract_baseline,
 )
 from repro.signal.smoothing import (
-    exponential_smoothing,
     moving_average,
     savitzky_golay,
 )
@@ -35,21 +34,6 @@ class TestMovingAverage:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             moving_average(np.arange(10.0), 0)
-
-
-class TestExponentialSmoothing:
-    def test_alpha_one_is_identity(self):
-        x = np.arange(10.0)
-        assert np.allclose(exponential_smoothing(x, 1.0), x)
-
-    def test_tracks_step_asymptotically(self):
-        x = np.concatenate([np.zeros(10), np.ones(500)])
-        y = exponential_smoothing(x, 0.1)
-        assert y[-1] == pytest.approx(1.0, rel=1e-2)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            exponential_smoothing(np.arange(10.0), 0.0)
 
 
 class TestSavitzkyGolay:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.system.blocks import STANDARD_BLOCKS, block_by_name
 from repro.system.nre import (
-    amortized_unit_cost_usd,
     design_cost_usd,
     mask_set_cost_usd,
     nre_cost_usd,
@@ -14,7 +13,6 @@ from repro.system.scaling import (
     best_node_for_block,
     homogeneous_vs_heterogeneous,
     scaled_area_mm2,
-    scaled_power_mw,
 )
 from repro.system.stack3d import (
     StackLayer,
@@ -43,10 +41,6 @@ class TestScaling:
         dig_gain = (scaled_area_mm2(control, 180.0)
                     / scaled_area_mm2(control, 90.0))
         assert dig_gain > afe_gain
-
-    def test_analog_power_barely_scales(self):
-        afe = block_by_name("potentiostat + tia front-end")
-        assert scaled_power_mw(afe, 40.0) > 0.7 * scaled_power_mw(afe, 180.0)
 
     def test_digital_prefers_advanced_nodes(self):
         control = block_by_name("control mcu + dsp")
@@ -128,10 +122,6 @@ class TestNre:
         kinds = ["adc"]
         assert nre_cost_usd(kinds, 180.0) == pytest.approx(
             design_cost_usd(kinds) + mask_set_cost_usd(180.0))
-
-    def test_amortization(self):
-        assert amortized_unit_cost_usd(1e6, 100_000, 2.0) \
-            == pytest.approx(12.0)
 
     def test_platform_crossover_small(self):
         """The paper's NRE argument: a platform pays off after a handful

@@ -7,8 +7,6 @@ from repro.techniques.base import Measurement, Waveform
 from repro.techniques.waveform import (
     constant_potential,
     cyclic_wave,
-    linear_sweep_wave,
-    staircase_wave,
 )
 
 
@@ -24,29 +22,6 @@ class TestConstantPotential:
     def test_rejects_bad_duration(self):
         with pytest.raises(ValueError):
             constant_potential(0.65, 0.0, 20.0)
-
-
-class TestLinearSweep:
-    def test_endpoints(self):
-        wave = linear_sweep_wave(0.0, 0.5, 0.1, 100.0)
-        assert wave.potential_v[0] == pytest.approx(0.0)
-        assert wave.potential_v[-1] == pytest.approx(0.5)
-
-    def test_duration_from_scan_rate(self):
-        wave = linear_sweep_wave(0.0, 0.5, 0.1, 100.0)
-        assert wave.duration_s == pytest.approx(5.0, rel=1e-2)
-
-    def test_scan_rate_recovered(self):
-        wave = linear_sweep_wave(0.0, 0.5, 0.1, 100.0)
-        assert np.median(wave.scan_rate_v_s()) == pytest.approx(0.1, rel=2e-2)
-
-    def test_downward_sweep(self):
-        wave = linear_sweep_wave(0.1, -0.8, 0.1, 100.0)
-        assert np.all(np.diff(wave.potential_v) < 0)
-
-    def test_rejects_degenerate_window(self):
-        with pytest.raises(ValueError):
-            linear_sweep_wave(0.1, 0.1, 0.1, 100.0)
 
 
 class TestCyclicWave:
@@ -74,18 +49,6 @@ class TestCyclicWave:
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
             cyclic_wave(0.1, -0.8, 0.1, 100.0, n_cycles=0)
-
-
-class TestStaircase:
-    def test_level_sequence(self):
-        wave = staircase_wave([0.1, 0.2, 0.3], 1.0, 10.0)
-        assert wave.potential_v[0] == pytest.approx(0.1)
-        assert wave.potential_v[-1] == pytest.approx(0.3)
-        assert wave.n_samples == 30
-
-    def test_rejects_empty_levels(self):
-        with pytest.raises(ValueError):
-            staircase_wave([], 1.0, 10.0)
 
 
 class TestDataStructures:

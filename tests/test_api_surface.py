@@ -2,8 +2,8 @@
 
 Every name a subpackage re-exports must import and be functional at the
 advertised level — the contract a downstream user relies on.  Also covers
-the few public helpers not exercised elsewhere (table rendering with
-results, stack volume, platform helpers).
+the few public helpers not exercised elsewhere (stack volume, platform
+helpers).
 """
 
 import importlib
@@ -83,8 +83,7 @@ class TestDocstrings:
         "repro.campaigns.store", "repro.campaigns.runner",
         "repro.campaigns.cli", "repro.campaigns.report",
         "repro.inference", "repro.inference.observation",
-        "repro.inference.kalman", "repro.inference.fusion",
-        "repro.inference.evaluate",
+        "repro.inference.kalman", "repro.inference.evaluate",
         "repro.telemetry", "repro.telemetry.recorder",
         "repro.telemetry.aggregate", "repro.telemetry.sinks",
         "repro.telemetry.perfetto", "repro.telemetry.metrics",
@@ -111,25 +110,6 @@ class TestDocstrings:
                     and (callable(member) or isinstance(member, property))
                     and not (getattr(member, "__doc__", "") or "").strip())
         assert not missing, f"undocumented engine callables: {missing}"
-
-
-class TestRenderTable2WithResults:
-    def test_render_groups_and_measured_values(self, glucose_sensor):
-        from repro.core.calibration import (
-            default_protocol_for_range,
-            run_calibration,
-        )
-        from repro.core.registry import spec_by_id
-        from repro.core.tables import render_table2
-
-        spec = spec_by_id("glucose/this-work")
-        result = run_calibration(glucose_sensor,
-                                 default_protocol_for_range(1e-3),
-                                 np.random.default_rng(2))
-        text = render_table2({spec.sensor_id: (spec, result)})
-        assert "GLUCOSE" in text.upper()
-        assert "measured" in text
-        assert "55.5" in text
 
 
 class TestStackGeometry:

@@ -74,7 +74,6 @@ class TestSiteSkeleton:
                          "repro.campaigns.report",
                          "repro.inference", "repro.inference.kalman",
                          "repro.inference.observation",
-                         "repro.inference.fusion",
                          "repro.inference.evaluate",
                          "repro.telemetry", "repro.telemetry.recorder",
                          "repro.telemetry.aggregate",

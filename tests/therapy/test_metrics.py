@@ -5,10 +5,8 @@ import pytest
 
 from repro.pk.drugs import TherapeuticWindow
 from repro.therapy.metrics import (
-    auc_molar_h,
     fraction_above_window,
     fraction_below_window,
-    overdose_exposure,
     time_in_range,
     trough_abs_rel_error,
 )
@@ -66,29 +64,6 @@ class TestTroughError:
             trough_abs_rel_error(np.ones((1, 2)), 0.0)
         with pytest.raises(ValueError):
             trough_abs_rel_error(np.ones((1, 2)), 3e-6, skip_first=2)
-
-
-class TestExposure:
-    def test_overdose_exposure_rectangle_sum(self):
-        c = np.array([[9e-6, 10e-6, 5e-6]])
-        expected = ((9e-6 - 8e-6) + (10e-6 - 8e-6)) * 0.25
-        assert float(overdose_exposure(c, 0.25, WINDOW)[0]) \
-            == pytest.approx(expected)
-
-    def test_no_overdose_zero(self):
-        c = np.full((2, 10), 5e-6)
-        np.testing.assert_array_equal(
-            overdose_exposure(c, 0.25, WINDOW), np.zeros(2))
-
-    def test_auc(self):
-        c = np.full((1, 4), 2e-6)
-        assert float(auc_molar_h(c, 0.5)[0]) == pytest.approx(4e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            overdose_exposure(np.ones((1, 2)), 0.0, WINDOW)
-        with pytest.raises(ValueError):
-            auc_molar_h(np.ones((1, 2)), -1.0)
 
 
 class TestTherapeuticWindow:
