@@ -7,7 +7,11 @@ Two acceptance gates on the online serving subsystem, recorded in
   16-channel monitor cohort in hourly blocks must sustain at least
   ``SERVE_THROUGHPUT_FLOOR`` (default 1000) readings per second per
   channel-batch in steady state.  Streaming must stay cheap enough to
-  track a live fleet, not just replay one offline.
+  track a live fleet, not just replay one offline.  Next to it, the
+  live-push shape: an estimation stream of 4 wearers over a 30-day
+  horizon, advanced 12 readings at a time, must take in at least
+  ``SERVE_PUSH_FLOOR`` (default 10 000) readings per second (wearers x
+  samples), with its median advance recorded in ms.
 * **bounded memory** — the serialized snapshot of a suspended session
   must be the same size whether the stream has run for one hour or a
   month (traces excluded: carry state only).  This is what makes
@@ -18,9 +22,11 @@ Two acceptance gates on the online serving subsystem, recorded in
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from repro.engine.core import floor_from_env
+from repro.engine.estimation import EstimationPlan
 from repro.engine.monitor import (
     MonitorPlan,
     RecalibrationPolicy,
@@ -30,6 +36,9 @@ from repro.serve import StreamSession
 
 N_CHANNELS = 16
 BLOCK_SAMPLES = 60          # one hour of 1-min readings per advance
+PUSH_WEARERS = 4
+PUSH_SAMPLES = 12           # one hour of 5-min readings per push
+N_PUSHES = 300
 
 
 def _plan(duration_h: float, recalibrate: bool = True) -> MonitorPlan:
@@ -42,9 +51,33 @@ def _plan(duration_h: float, recalibrate: bool = True) -> MonitorPlan:
                                           enabled=recalibrate))
 
 
+def _push_cost() -> dict:
+    """Median advance and readings/s of 12-reading estimation pushes."""
+    session = StreamSession("estimation", EstimationPlan(
+        monitor=MonitorPlan(
+            channels=glucose_cohort(PUSH_WEARERS), duration_h=720.0,
+            sample_period_s=300.0, seed=2012,
+            recalibration=RecalibrationPolicy(reference_interval_h=6.0,
+                                              tolerance=0.08)),
+        smooth=False))
+    session.advance(PUSH_SAMPLES)           # warm caches off the clock
+    durations = []
+    for _ in range(N_PUSHES):
+        start = time.perf_counter()
+        session.advance(PUSH_SAMPLES)
+        durations.append(time.perf_counter() - start)
+    return {
+        "estimation_advance_p50_ms": round(
+            statistics.median(durations) * 1e3, 4),
+        "estimation_readings_per_s": round(
+            PUSH_WEARERS * PUSH_SAMPLES * N_PUSHES / sum(durations), 1),
+    }
+
+
 def test_streaming_throughput_floor(bench_json):
-    """Steady-state advance() must beat the readings/s floor."""
+    """Steady-state advance() must beat the readings/s floors."""
     floor = floor_from_env("SERVE_THROUGHPUT_FLOOR", 1000.0)
+    push_floor = floor_from_env("SERVE_PUSH_FLOOR", 10_000.0)
     session = StreamSession("monitor", _plan(duration_h=24.0))
     session.advance(BLOCK_SAMPLES)          # warm caches off the clock
     start = time.perf_counter()
@@ -60,12 +93,18 @@ def test_streaming_throughput_floor(bench_json):
         "elapsed_s": round(elapsed, 4),
         "readings_per_s": round(readings_per_s, 1),
         "floor_readings_per_s": floor,
+        **_push_cost(),
+        "estimation_floor_readings_per_s": push_floor,
     }
     path = bench_json("serve", **payload)
     print(f"\nserve stream: {readings_per_s:,.0f} readings/s per "
           f"channel-batch over {samples} samples "
-          f"(floor {floor:,.0f}) -> {path.name}")
+          f"(floor {floor:,.0f}); estimation push: "
+          f"{payload['estimation_advance_p50_ms']} ms p50, "
+          f"{payload['estimation_readings_per_s']:,.0f} readings/s "
+          f"(floor {push_floor:,.0f}) -> {path.name}")
     assert readings_per_s >= floor, payload
+    assert payload["estimation_readings_per_s"] >= push_floor, payload
 
 
 def test_snapshot_size_is_stream_length_independent(bench_json):

@@ -64,9 +64,9 @@ from repro.inference.evaluate import (
     reconstruction_rmse,
 )
 from repro.inference.kalman import (
+    KalmanDynamics,
     KalmanState,
     KalmanTrace,
-    kalman_filter_batch,
     kalman_filter_scalar,
     rts_smoother_batch,
     rts_smoother_scalar,
@@ -74,7 +74,6 @@ from repro.inference.kalman import (
 from repro.inference.observation import (
     MonitorObservationModel,
     monitor_observation_model,
-    rail_censored_mask,
 )
 
 
@@ -364,12 +363,7 @@ def _observation_inputs(plan: EstimationPlan,
     the clipped value masquerade as a measurement.
     """
     model = monitor_observation_model(plan.monitor)
-    censored = rail_censored_mask(
-        [channel.sensor for channel in plan.monitor.channels],
-        monitor_result.measured_current_a)
-    r = np.where(censored, np.inf,
-                 model.measurement_variance_a2[:, None])
-    return model, r
+    return model, model.reading_variance(monitor_result.measured_current_a)
 
 
 def _assemble(plan: EstimationPlan, monitor_result: MonitorResult,
@@ -471,10 +465,15 @@ class EstimationKernels(KernelSet):
                               plan.monitor.chunk_samples)
 
     def init_state(self, plan: EstimationPlan) -> SimpleNamespace:
-        """Monitor carry state, observation model, and filter trace."""
+        """Monitor carry state, observation model, filter dynamics and
+        filter trace."""
+        model = monitor_observation_model(plan.monitor)
         return SimpleNamespace(
             monitor=_init_monitor_state(plan.monitor),
-            model=monitor_observation_model(plan.monitor),
+            model=model,
+            dynamics=KalmanDynamics.prepare(
+                plan.n_channels, model.a_signal, model.q_signal,
+                model.a_wander, model.q_wander),
             trace=KalmanTrace.empty(plan.n_channels, plan.n_samples),
         )
 
@@ -482,21 +481,19 @@ class EstimationKernels(KernelSet):
                   start: int, stop: int) -> None:
         """Simulate and filter the cohort over samples ``[start, stop)``.
 
-        Rail-saturated readings carry no amplitude information: they
-        are censored per chunk (infinite variance -> pure prediction),
-        sample for sample the same mask the batch path applies.
+        The trajectory mean comes from the observation model, which
+        holds it for the whole horizon.  Rail-saturated readings carry
+        no amplitude information: they are censored per chunk (infinite
+        variance -> pure prediction), sample for sample the same mask
+        the batch path applies.
         """
-        _monitor_chunk(plan.monitor, state.monitor, start, stop)
         model = state.model
+        _monitor_chunk(plan.monitor, state.monitor, start, stop,
+                       model.mean_molar[:, start:stop])
         measured = state.monitor.last_update["measured_current_a"]
-        censored = rail_censored_mask(state.monitor.wear.sensors, measured)
-        r_chunk = np.where(censored, np.inf,
-                           model.measurement_variance_a2[:, None])
-        chunk = kalman_filter_batch(
+        chunk = state.dynamics.filter(
             measured, model.gain_a_per_molar[:, start:stop],
-            model.offset_a[:, start:stop], r_chunk,
-            model.a_signal, model.q_signal,
-            model.a_wander, model.q_wander,
+            model.offset_a[:, start:stop], model.reading_variance(measured),
             initial=(KalmanState.from_trace(state.trace, start - 1)
                      if start else None))
         for name in _MOMENTS:

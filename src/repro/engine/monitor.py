@@ -77,8 +77,8 @@ from repro.engine.core import (
     snapshot_envelope,
 )
 from repro.enzymes.stability import EnzymeStability
-from repro.rng import spawn_generators
-from repro.signal.drift import ou_process_batch
+from repro.rng import spawn_generators, standard_normal_rows
+from repro.signal.drift import OUDynamics
 
 #: Generator streams spawned per row (truth noise, wander, measurement).
 STREAMS_PER_ROW = 3
@@ -443,6 +443,71 @@ def reading_noise_sigma_a(sensor: Biosensor) -> float:
                           sensor.repeatability_std_a))
 
 
+@dataclass(frozen=True)
+class ChainGroup:
+    """The static transfer of one chain design and the rows wearing it.
+
+    Attributes:
+        rows: the rows, ``slice(None)`` when one design serves them all.
+        gain_v_per_a / rail_v: TIA transimpedance [V/A] and rail [V].
+        lsb_v / half_codes: ADC step [V] and half its code count.
+    """
+
+    rows: "slice | np.ndarray"
+    gain_v_per_a: float
+    rail_v: float
+    lsb_v: float
+    half_codes: int
+
+    def convert(self, currents: np.ndarray) -> np.ndarray:
+        """TIA gain and rails, then ADC codes, referred back to input.
+
+        The arithmetic of ``SarAdc.convert`` on the clipped TIA output,
+        on one reused buffer: large blocks make no block-sized
+        temporaries beyond the integer codes.
+        """
+        block = np.multiply(currents, self.gain_v_per_a)
+        np.clip(block, -self.rail_v, self.rail_v, out=block)
+        np.divide(block, self.lsb_v, out=block)
+        codes = np.round(block, out=block).astype(np.int64)
+        np.clip(codes, -self.half_codes, self.half_codes - 1, out=codes)
+        np.multiply(codes, self.lsb_v, out=block)
+        return np.divide(block, self.gain_v_per_a, out=block)
+
+
+def _row_groups(keys) -> tuple:
+    """``(key, rows)`` per distinct key, in order of first appearance.
+
+    One group reads the whole block as a view (``rows = slice(None)``);
+    several gather by index.
+    """
+    rows_by_key: dict = {}
+    for i, key in enumerate(keys):
+        rows_by_key.setdefault(key, []).append(i)
+    if len(rows_by_key) == 1:
+        return ((next(iter(rows_by_key)), slice(None)),)
+    return tuple((key, np.array(rows)) for key, rows in rows_by_key.items())
+
+
+def chain_groups(sensors: "list[Biosensor] | tuple[Biosensor, ...]"
+                 ) -> tuple[ChainGroup, ...]:
+    """Group rows by chain design: equal TIA gain, rail and ADC steps."""
+    return tuple(ChainGroup(rows, *design) for design, rows in _row_groups(
+        (s.chain.tia.gain_v_per_a, s.chain.tia.rail_v, s.chain.adc.lsb_v,
+         s.chain.adc.n_codes // 2) for s in sensors))
+
+
+def digitize_chains(groups: tuple[ChainGroup, ...],
+                    currents: np.ndarray) -> np.ndarray:
+    """Digitize ``currents`` once per chain design of ``groups``."""
+    if len(groups) == 1:
+        return groups[0].convert(currents)
+    digitized = np.empty_like(currents)
+    for group in groups:
+        digitized[group.rows] = group.convert(currents[group.rows])
+    return digitized
+
+
 def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
                   currents: np.ndarray) -> np.ndarray:
     """Push reading currents through each row's acquisition chain.
@@ -452,7 +517,8 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
     rail saturation, then SAR-ADC quantization, referred back to input.
     (The chain's *noise* floor enters separately as part of the
     per-reading measurement sigma.)  The last stage of
-    :func:`sense_chunk` — row ``i`` of ``currents`` goes through
+    :func:`sense_chunk`, which groups the rows by chain design once per
+    run (:func:`chain_groups`) — row ``i`` of ``currents`` goes through
     ``sensors[i]``.
 
     Args:
@@ -468,39 +534,41 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
     """
     currents = np.asarray(currents)
     require_row_block("currents", currents, len(sensors))
-    digitized = np.empty_like(currents)
-    for i, sensor in enumerate(sensors):
-        chain = sensor.chain
-        volts = np.clip(currents[i] * chain.tia.gain_v_per_a,
-                        -chain.tia.rail_v, chain.tia.rail_v)
-        digitized[i] = chain.adc.convert(volts) / chain.tia.gain_v_per_a
-    return digitized
+    return digitize_chains(chain_groups(sensors), currents)
 
 
-def init_wear_state(plan: WearSchedule, **workload) -> SimpleNamespace:
+def init_wear_state(plan: WearSchedule, truth_tau_s, truth_sigma,
+                    **workload) -> SimpleNamespace:
     """Carry state of the shared front end plus the ``workload`` fields.
 
     Each row owns three generator streams spawned from the plan seed in
     one fixed order — truth noise, baseline wander, measurement noise.
     The state also holds the day-0 calibration, both OU states, the
     reference schedule, the trace buffers (when ``plan.keep_traces``)
-    and the rows grouped by sensor object, so :func:`sense_chunk` calls
-    each distinct sensor's response once per chunk.
+    and every per-plan constant a chunk needs, formed and checked once:
+    the rows grouped by sensor object (so :func:`sense_chunk` calls each
+    distinct sensor's response once per chunk) and by chain design, and
+    with ``plan.add_noise`` the truth OU (correlation time
+    ``truth_tau_s`` [s], RMS ``truth_sigma``, scalars broadcast) and the
+    wander OU as :class:`~repro.signal.drift.OUDynamics`.
     """
     wear = plan.wear_params()
     n, n_samples = len(wear.sensors), plan.n_samples
+    dt_s = plan.sample_period_s
     rngs = spawn_generators(plan.seed, STREAMS_PER_ROW * n)
-    rows_by_sensor: dict[int, list[int]] = {}
-    for i, sensor in enumerate(wear.sensors):
-        rows_by_sensor.setdefault(id(sensor), []).append(i)
+    by_id = {id(sensor): sensor for sensor in wear.sensors}
     keep = plan.keep_traces
     return SimpleNamespace(
         wear=wear,
-        # One design reads the whole block as a view; several gather.
-        sensor_groups=((wear.sensors[0], slice(None)),)
-        if len(rows_by_sensor) == 1 else tuple(
-            (wear.sensors[rows[0]], np.array(rows))
-            for rows in rows_by_sensor.values()),
+        sensor_groups=tuple(
+            (by_id[key], rows)
+            for key, rows in _row_groups(map(id, wear.sensors))),
+        chains=chain_groups(wear.sensors),
+        truth_ou=OUDynamics.prepare(dt_s, truth_tau_s, truth_sigma, n)
+        if plan.add_noise else None,
+        wander_ou=OUDynamics.prepare(dt_s, wear.wander_tau_s,
+                                     wear.wander_sigma_a, n)
+        if plan.add_noise else None,
         truth_rngs=rngs[0::STREAMS_PER_ROW],
         wander_rngs=rngs[1::STREAMS_PER_ROW],
         measurement_rngs=rngs[2::STREAMS_PER_ROW],
@@ -527,7 +595,7 @@ def sense_chunk(plan: WearSchedule, state: SimpleNamespace, c: np.ndarray,
     into input-referred readings [A] of the same shape: drifted faradaic
     response ``retention * f(c)``, plus background and linear baseline
     drift, plus the baseline-wander OU, plus the chain noise floor, then
-    TIA rails and ADC (:func:`digitize_rows`).  With ``plan.add_noise``
+    TIA rails and ADC (:func:`digitize_chains`).  With ``plan.add_noise``
     off the wander and chain noise are left out.  Advances ``state``
     (from :func:`init_wear_state`): its wander state and its wander and
     measurement streams.
@@ -543,15 +611,13 @@ def sense_chunk(plan: WearSchedule, state: SimpleNamespace, c: np.ndarray,
     current = retention * faradaic + baseline
     if plan.add_noise:
         chunk = t_h.shape[0]
-        wander, state.wander_state = ou_process_batch(
-            chunk, plan.sample_period_s, wear.wander_tau_s,
-            wear.wander_sigma_a, state.wander_state,
-            rngs=state.wander_rngs)
-        shocks = np.stack([
-            rng.standard_normal(chunk) for rng in state.measurement_rngs])
-        current = (current + wander
-                   + wear.measurement_sigma_a[:, None] * shocks)
-    return digitize_rows(wear.sensors, current)
+        wander, state.wander_state = state.wander_ou.advance(
+            state.wander_state, standard_normal_rows(state.wander_rngs, chunk))
+        shocks = standard_normal_rows(state.measurement_rngs, chunk)
+        current += wander
+        shocks *= wear.measurement_sigma_a[:, None]
+        current += shocks
+    return digitize_chains(state.chains, current)
 
 
 def estimate_chunk_with_recalibration(
@@ -665,10 +731,8 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
     n_channels = plan.n_channels
     return init_wear_state(
         plan,
-        noise_sigma_molar=np.array(
-            [c.trajectory.noise_sigma_molar for c in channels]),
-        noise_tau_s=np.array(
-            [c.trajectory.noise_tau_h * 3600.0 for c in channels]),
+        np.array([c.trajectory.noise_tau_h * 3600.0 for c in channels]),
+        np.array([c.trajectory.noise_sigma_molar for c in channels]),
         floor_molar=np.array([c.trajectory.floor_molar for c in channels]),
         abs_rel_error_sum=np.zeros(n_channels),
         in_spec_count=np.zeros(n_channels),
@@ -678,24 +742,34 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
     )
 
 
+def _trajectory_mean(plan: MonitorPlan, start: int,
+                     stop: int) -> np.ndarray:
+    """Each channel's deterministic concentration over ``[start, stop)``."""
+    t_h = plan.sample_times_h(start, stop)
+    return np.stack([channel.trajectory.mean_molar(t_h)
+                     for channel in plan.channels])
+
+
 def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
-                   start: int, stop: int) -> None:
-    """Advance every channel by one ``(n_channels, chunk)`` block."""
+                   start: int, stop: int, mean: np.ndarray) -> None:
+    """Advance every channel by one ``(n_channels, chunk)`` block.
+
+    ``mean`` is the trajectory mean over the block (read, never
+    written): :func:`_trajectory_mean`, or a slice of an observation
+    model that already holds it.
+    """
     n_channels = plan.n_channels
     chunk = stop - start
     t_h = plan.sample_times_h(start, stop)
 
     # --- truth: physiological concentration per channel ------------
-    c = np.stack([
-        channel.trajectory.mean_molar(t_h)
-        for channel in plan.channels])
     if plan.add_noise:
-        c_noise, state.truth_state = ou_process_batch(
-            chunk, plan.sample_period_s, state.noise_tau_s,
-            state.noise_sigma_molar, state.truth_state,
-            rngs=state.truth_rngs)
-        c = c + c_noise
-    c = np.maximum(c, state.floor_molar[:, None])
+        c, state.truth_state = state.truth_ou.advance(
+            state.truth_state, standard_normal_rows(state.truth_rngs, chunk))
+        c += mean
+        np.maximum(c, state.floor_molar[:, None], out=c)
+    else:
+        c = np.maximum(mean, state.floor_molar[:, None])
 
     measured = sense_chunk(plan, state, c, t_h)
 
@@ -981,7 +1055,8 @@ class MonitorKernels(KernelSet):
     def run_chunk(self, plan: MonitorPlan, state, segment,
                   start: int, stop: int) -> None:
         """Advance the cohort across samples ``[start, stop)``."""
-        _monitor_chunk(plan, state, start, stop)
+        _monitor_chunk(plan, state, start, stop,
+                       _trajectory_mean(plan, start, stop))
 
     def finalize(self, plan: MonitorPlan, state) -> MonitorResult:
         """Assemble the :class:`MonitorResult`."""

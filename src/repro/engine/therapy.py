@@ -83,8 +83,7 @@ from repro.pk.dosing import concentration_from_doses
 from repro.pk.drugs import DrugSpec, TherapeuticWindow
 from repro.pk.models import Route
 from repro.pk.population import CYPPhenotype, PatientCohort
-from repro.rng import spawn_generators
-from repro.signal.drift import ou_process_batch
+from repro.rng import spawn_generators, standard_normal_rows
 from repro.therapy.controllers import (
     ControllerObservation,
     DosingController,
@@ -567,9 +566,9 @@ def _init_therapy_state(plan: TherapyPlan) -> SimpleNamespace:
     the dose history, and the window accumulators."""
     n = plan.n_patients
     state = init_wear_state(
-        plan,
+        plan, plan.process_noise_tau_h * 3600.0,
+        plan.process_noise_sigma_molar,
         pk=plan.cohort.params(),
-        process_tau_s=plan.process_noise_tau_h * 3600.0,
         doses=np.zeros((n, plan.n_doses)),
         trough_true=np.zeros((n, plan.n_doses)),
         trough_est=np.zeros((n, plan.n_doses)),
@@ -620,10 +619,9 @@ def _therapy_chunk(plan: TherapyPlan, state: SimpleNamespace,
         t_h, state.dose_times, state.doses[:, :k + 1], state.pk,
         plan.route, plan.infusion_duration_h)
     if plan.add_noise:
-        c_noise, state.truth_state = ou_process_batch(
-            stop - start, plan.sample_period_s,
-            state.process_tau_s, plan.process_noise_sigma_molar,
-            state.truth_state, rngs=state.truth_rngs)
+        c_noise, state.truth_state = state.truth_ou.advance(
+            state.truth_state,
+            standard_normal_rows(state.truth_rngs, stop - start))
         c = c + c_noise
     c = np.maximum(c, 0.0)
 

@@ -15,7 +15,7 @@ from repro.enzymes.michaelis_menten import (
     linear_range_upper,
     km_for_linear_range,
 )
-from repro.enzymes.kinetics import ping_pong_rate, BatchReactor
+from repro.enzymes.kinetics import ping_pong_rate
 from repro.enzymes.catalog import (
     Enzyme,
     EnzymeFamily,
@@ -48,7 +48,6 @@ __all__ = [
     "linear_range_upper",
     "km_for_linear_range",
     "ping_pong_rate",
-    "BatchReactor",
     "Enzyme",
     "EnzymeFamily",
     "GLUCOSE_OXIDASE",

@@ -1,21 +1,12 @@
-"""Time-domain enzyme kinetics: ping-pong mechanism and batch reactors.
+"""Enzyme kinetics: the ping-pong mechanism.
 
 Oxidases follow a ping-pong bi-bi mechanism with molecular oxygen as the
 second substrate; under oxygen-rich conditions this collapses to the
 Michaelis-Menten form used elsewhere, but the full expression lets the
 examples explore oxygen-limited regimes (relevant to implanted sensors).
-:class:`BatchReactor` integrates substrate consumption in a closed volume —
-the cell-culture monitoring scenario of the paper's motivating applications.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.integrate import solve_ivp
-
-from repro.enzymes.catalog import Enzyme
 
 
 def ping_pong_rate(substrate_molar: float,
@@ -42,81 +33,3 @@ def ping_pong_rate(substrate_molar: float,
     denominator = (1.0 + km_substrate_molar / substrate_molar
                    + km_oxygen_molar / oxygen_molar)
     return kcat_per_s * enzyme_molar / denominator
-
-
-@dataclass
-class BatchReactor:
-    """Closed, well-stirred volume in which an enzyme consumes its substrate.
-
-    Models the cell-culture-well scenario: metabolite produced/consumed by
-    cells, monitored over hours by the biosensor platform.
-
-    Attributes:
-        enzyme: catalytic parameters (kcat, Km).
-        enzyme_molar: enzyme concentration in the volume [mol/L].
-        production_molar_per_s: zeroth-order substrate source (e.g. cellular
-            lactate release); may be zero.
-    """
-
-    enzyme: Enzyme
-    enzyme_molar: float
-    production_molar_per_s: float = 0.0
-    _last_solution: object = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.enzyme_molar < 0:
-            raise ValueError("enzyme concentration must be >= 0")
-
-    def rate(self, substrate_molar: float) -> float:
-        """Net d[S]/dt [mol/(L s)] at ``substrate_molar``."""
-        if substrate_molar <= 0:
-            consumption = 0.0
-        else:
-            vmax = self.enzyme.kcat_per_s * self.enzyme_molar
-            consumption = (vmax * substrate_molar
-                           / (self.enzyme.km_molar + substrate_molar))
-        return self.production_molar_per_s - consumption
-
-    def simulate(self,
-                 initial_molar: float,
-                 duration_s: float,
-                 n_points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate the substrate concentration over ``duration_s`` seconds.
-
-        Returns ``(times_s, concentrations_molar)``; concentrations are
-        clipped at zero (the enzyme cannot drive them negative).
-        """
-        if initial_molar < 0:
-            raise ValueError("initial concentration must be >= 0")
-        if duration_s <= 0 or n_points < 2:
-            raise ValueError("need positive duration and >= 2 points")
-        times = np.linspace(0.0, duration_s, n_points)
-        solution = solve_ivp(
-            lambda _t, y: [self.rate(max(y[0], 0.0))],
-            (0.0, duration_s),
-            [initial_molar],
-            t_eval=times,
-            method="LSODA",
-            rtol=1e-8,
-            atol=1e-12,
-        )
-        if not solution.success:
-            raise RuntimeError(f"batch reactor integration failed: {solution.message}")
-        self._last_solution = solution
-        return times, np.clip(solution.y[0], 0.0, None)
-
-    def steady_state_molar(self) -> float:
-        """Return the steady-state substrate level when production > 0.
-
-        Setting production = consumption and solving the Michaelis-Menten
-        balance gives ``S* = Km p / (Vmax - p)``; if production meets or
-        exceeds Vmax the substrate grows without bound and ``inf`` is
-        returned.
-        """
-        vmax = self.enzyme.kcat_per_s * self.enzyme_molar
-        production = self.production_molar_per_s
-        if production <= 0:
-            return 0.0
-        if production >= vmax:
-            return float("inf")
-        return self.enzyme.km_molar * production / (vmax - production)

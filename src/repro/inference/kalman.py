@@ -207,6 +207,14 @@ def _moments(belief: "KalmanState | KalmanTrace") -> tuple:
 
 def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
     """Validate and broadcast every filter input to its canonical shape."""
+    z, gain, offset, r = _observations(z, gain, offset, r)
+    return (z, gain, offset, r,
+            *_dynamics(z.shape[0], a_signal, q_signal, a_wander, q_wander))
+
+
+def _observations(z, gain, offset, r):
+    """Validate and broadcast the measurements and observation model to
+    ``(n_channels, n_samples)``; check ``r >= 0``."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("measurements must be (n_channels, n_samples)")
@@ -221,8 +229,7 @@ def _prepare(z, gain, offset, r, a_signal, q_signal, a_wander, q_wander):
     r = np.broadcast_to(r, (n, t))
     if np.any(r < 0):
         raise ValueError("measurement variance must be >= 0")
-    return (z, gain, offset, r,
-            *_dynamics(n, a_signal, q_signal, a_wander, q_wander))
+    return z, gain, offset, r
 
 
 def _dynamics(n, a_signal, q_signal, a_wander, q_wander):
@@ -237,6 +244,96 @@ def _dynamics(n, a_signal, q_signal, a_wander, q_wander):
     return params
 
 
+@dataclass(frozen=True)
+class KalmanDynamics:
+    """The per-channel dynamics of the filter, broadcast and checked once.
+
+    A streaming engine prepares them with its observation model and
+    filters every chunk through :meth:`filter`; so does each
+    :func:`kalman_filter_batch` call.
+
+    Attributes:
+        transition: ``(5, n_channels)`` factors of the stacked moments
+            ``[m1, m2, p11, p12, p22]``: ``a_d, a_w, a_d a_d, a_d a_w,
+            a_w a_w`` (each a single deterministic product, so forming
+            it once changes nothing).
+        innovation: ``(2, n_channels)`` per-step variances ``q_d, q_w``
+            added to ``p11`` and ``p22``.
+    """
+
+    transition: np.ndarray
+    innovation: np.ndarray
+
+    @classmethod
+    def prepare(cls, n_channels: int, a_signal, q_signal, a_wander,
+                q_wander) -> "KalmanDynamics":
+        """Broadcast the dynamics to ``(n_channels,)``; check ``q >= 0``."""
+        a_s, q_s, a_w, q_w = _dynamics(n_channels, a_signal, q_signal,
+                                       a_wander, q_wander)
+        return cls(np.stack([a_s, a_w, a_s * a_s, a_s * a_w, a_w * a_w]),
+                   np.stack([q_s, q_w]))
+
+    def filter(self, z: np.ndarray, gain: np.ndarray, offset: np.ndarray,
+               r: np.ndarray,
+               initial: "KalmanState | None" = None) -> "KalmanTrace":
+        """Filter a block whose inputs are all ``(n_channels, n)``.
+
+        The inputs are taken as checked (:func:`kalman_filter_batch`
+        checks them; an engine builds them so): ``r >= 0``, ``n >= 1``.
+        """
+        n, t = z.shape
+        state = initial if initial is not None else KalmanState.zeros(n)
+        # The hot loop inlines kalman_predict / kalman_update on one
+        # stacked state x = [m1, m2, p11, p12, p22] (a copy: inputs are
+        # never mutated) and reused buffers: the same float expressions,
+        # a handful of NumPy calls per sample.  The innovation variances
+        # go to p11 and p22 alone.
+        x = np.array(_moments(state), dtype=float)
+        transition, innovation = self.transition, self.innovation
+        gain, offset, r, z = (np.ascontiguousarray(a.T)
+                              for a in (gain, offset, r, z))
+        m1, m2 = x[0], x[1]
+        means, variances, covariances = x[:2], x[2::2], x[2:]
+        p11_p12, p12_p22 = x[2:4], x[3:]
+        u = np.empty((2, n))                  # P H^T: rows u1, u2
+        u1, u2 = u
+        s = np.empty(n)                       # innovation variance
+        positive = np.empty(n, dtype=bool)
+        k = np.empty((2, n))                  # Kalman gains: rows k1, k2
+        k1, k2 = k
+        residual = np.empty(n)
+        dm = np.empty((2, n))
+        dp = np.empty((3, n))                 # k1 u1, k1 u2, k2 u2
+        dp_k1, dp_k2 = dp[:2], dp[2]
+        history = np.empty((t, 5, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for step in range(t):
+                g = gain[step]
+                # Predict.
+                x *= transition
+                variances += innovation
+                # Update.
+                np.multiply(p11_p12, g, out=u)
+                u += p12_p22
+                np.multiply(u1, g, out=s)
+                s += u2
+                s += r[step]
+                np.greater(s, 0.0, out=positive)
+                k.fill(0.0)
+                np.divide(u, s, out=k, where=positive)
+                np.multiply(m1, g, out=residual)
+                residual += offset[step]
+                residual += m2
+                np.subtract(z[step], residual, out=residual)
+                np.multiply(k, residual, out=dm)
+                means += dm
+                np.multiply(k1, u, out=dp_k1)
+                np.multiply(k2, u2, out=dp_k2)
+                covariances -= dp
+                history[step] = x
+        return KalmanTrace(*np.ascontiguousarray(history.transpose(1, 2, 0)))
+
+
 def kalman_filter_batch(z: np.ndarray,
                         gain: np.ndarray,
                         offset: np.ndarray,
@@ -247,6 +344,9 @@ def kalman_filter_batch(z: np.ndarray,
                         q_wander: "np.ndarray | float",
                         initial: KalmanState | None = None) -> KalmanTrace:
     """Run the filter over a whole cohort block, vectorized by channel.
+
+    Checks and broadcasts the inputs, prepares the
+    :class:`KalmanDynamics` and runs :meth:`KalmanDynamics.filter`.
 
     Args:
         z: measured currents [A], ``(n_channels, n_samples)``.
@@ -263,62 +363,10 @@ def kalman_filter_batch(z: np.ndarray,
     Returns:
         The :class:`KalmanTrace` of filtered moments.
     """
-    z, gain, offset, r, a_s, q_s, a_w, q_w = _prepare(
-        z, gain, offset, r, a_signal, q_signal, a_wander, q_wander)
-    n, t = z.shape
-    state = initial if initial is not None else KalmanState.zeros(n)
-    # The hot loop inlines kalman_predict / kalman_update on one stacked
-    # state x = [m1, m2, p11, p12, p22] (a copy: inputs are never
-    # mutated) and reused buffers: the same float expressions, a handful
-    # of NumPy calls per sample.  The composite transition factors are
-    # formed once (a * a is a single deterministic product, so
-    # precomputing it changes nothing), and the innovation variances go
-    # to p11 and p22 alone.
-    x = np.array(_moments(state), dtype=float)
-    transition = np.stack([a_s, a_w, a_s * a_s, a_s * a_w, a_w * a_w])
-    innovation = np.stack([q_s, q_w])
-    gain, offset, r, z = (np.ascontiguousarray(a.T)
-                          for a in (gain, offset, r, z))
-    m1, m2 = x[0], x[1]
-    means, variances, covariances = x[:2], x[2::2], x[2:]
-    p11_p12, p12_p22 = x[2:4], x[3:]
-    u = np.empty((2, n))                  # P H^T: rows u1, u2
-    u1, u2 = u
-    s = np.empty(n)                       # innovation variance
-    positive = np.empty(n, dtype=bool)
-    k = np.empty((2, n))                  # Kalman gains: rows k1, k2
-    k1, k2 = k
-    residual = np.empty(n)
-    dm = np.empty((2, n))
-    dp = np.empty((3, n))                 # k1 u1, k1 u2, k2 u2
-    dp_k1, dp_k2 = dp[:2], dp[2]
-    history = np.empty((t, 5, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(t):
-            g = gain[step]
-            # Predict.
-            x *= transition
-            variances += innovation
-            # Update.
-            np.multiply(p11_p12, g, out=u)
-            u += p12_p22
-            np.multiply(u1, g, out=s)
-            s += u2
-            s += r[step]
-            np.greater(s, 0.0, out=positive)
-            k.fill(0.0)
-            np.divide(u, s, out=k, where=positive)
-            np.multiply(m1, g, out=residual)
-            residual += offset[step]
-            residual += m2
-            np.subtract(z[step], residual, out=residual)
-            np.multiply(k, residual, out=dm)
-            means += dm
-            np.multiply(k1, u, out=dp_k1)
-            np.multiply(k2, u2, out=dp_k2)
-            covariances -= dp
-            history[step] = x
-    return KalmanTrace(*np.ascontiguousarray(history.transpose(1, 2, 0)))
+    z, gain, offset, r = _observations(z, gain, offset, r)
+    return KalmanDynamics.prepare(
+        z.shape[0], a_signal, q_signal, a_wander, q_wander).filter(
+            z, gain, offset, r, initial)
 
 
 def kalman_filter_scalar(z: np.ndarray,

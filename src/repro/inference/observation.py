@@ -103,8 +103,19 @@ def rail_censored_mask(sensors: "Sequence[Biosensor]",
     """
     measured = np.asarray(measured_current_a, dtype=float)
     require_row_block("measured", measured, len(sensors))
-    levels = np.array([rail_censor_level_a(sensor) for sensor in sensors])
-    return np.abs(measured) >= levels[:, None]
+    return _censored(rail_censor_levels(sensors), measured)
+
+
+def rail_censor_levels(sensors: "Sequence[Biosensor]") -> np.ndarray:
+    """Each row's :func:`rail_censor_level_a` [A], as an ``(n_rows, 1)``
+    column a ``(n_rows, n_samples)`` block compares against."""
+    return np.array([rail_censor_level_a(sensor) for sensor in sensors]
+                    )[:, None]
+
+
+def _censored(levels: np.ndarray, measured: np.ndarray) -> np.ndarray:
+    """Readings at or beyond their row's censor level."""
+    return np.abs(measured) >= levels
 
 
 def response_linearization(sensor: Biosensor,
@@ -159,6 +170,8 @@ class MonitorObservationModel:
             drift.
         measurement_variance_a2: per-reading noise variance [A^2]
             (chain floor + repeatability + quantization).
+        censor_level_a: each channel's rail-censor level [A],
+            ``(n_channels, 1)`` (:func:`rail_censor_levels`).
         a_signal / q_signal: AR(1) coefficient and per-step innovation
             variance of the physiological OU noise [mol/L units].
         a_wander / q_wander: same for the baseline-wander OU [A units].
@@ -170,6 +183,7 @@ class MonitorObservationModel:
     gain_a_per_molar: np.ndarray
     offset_a: np.ndarray
     measurement_variance_a2: np.ndarray
+    censor_level_a: np.ndarray
     a_signal: np.ndarray
     q_signal: np.ndarray
     a_wander: np.ndarray
@@ -185,6 +199,13 @@ class MonitorObservationModel:
     def n_samples(self) -> int:
         """Samples per channel covered by the model."""
         return self.mean_molar.shape[1]
+
+    def reading_variance(self, measured: np.ndarray) -> np.ndarray:
+        """Per-reading measurement variance of a ``(n_channels, n)``
+        block: the channel's variance, infinite where the reading is
+        rail-censored (no amplitude information: pure prediction)."""
+        return np.where(_censored(self.censor_level_a, measured), np.inf,
+                        self.measurement_variance_a2[:, None])
 
 
 def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
@@ -236,6 +257,7 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
         measurement_variance_a2=np.array(
             [observation_variance_a2(sensor, add_noise=plan.add_noise)
              for sensor in wear.sensors]),
+        censor_level_a=rail_censor_levels(wear.sensors),
         a_signal=a_signal,
         q_signal=q_signal,
         a_wander=a_wander,

@@ -3,7 +3,7 @@
 The paper argues that integrating the electronics with the biosensor is the
 route to better signal-to-noise ratio — "signals are weak while the noise is
 quite high".  This package models the full acquisition chain a CMOS
-front-end implements: potentiostat control loop, transimpedance amplifier,
+front-end implements: transimpedance amplifier,
 noise sources (thermal / shot / flicker), anti-alias filtering and a SAR
 ADC.  The limit of detection reported by the calibration pipeline emerges
 from this chain's noise floor.
@@ -17,7 +17,6 @@ from repro.instrument.noise import (
 from repro.instrument.tia import TransimpedanceAmplifier
 from repro.instrument.adc import SarAdc
 from repro.instrument.filters import AnalogLowPass
-from repro.instrument.potentiostat import Potentiostat
 from repro.instrument.chain import (
     AcquisitionChain,
     AcquiredTrace,
@@ -32,7 +31,6 @@ __all__ = [
     "TransimpedanceAmplifier",
     "SarAdc",
     "AnalogLowPass",
-    "Potentiostat",
     "AcquisitionChain",
     "AcquiredTrace",
     "BatchAcquiredTrace",

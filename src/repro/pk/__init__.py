@@ -27,7 +27,6 @@ from repro.pk.models import (
     OneCompartmentPK,
     PKParams,
     Route,
-    TwoCompartmentPK,
     one_compartment_bolus_batch,
     one_compartment_infusion_batch,
     one_compartment_oral_batch,
@@ -61,7 +60,6 @@ __all__ = [
     "OneCompartmentPK",
     "PKParams",
     "Route",
-    "TwoCompartmentPK",
     "one_compartment_bolus_batch",
     "one_compartment_infusion_batch",
     "one_compartment_oral_batch",

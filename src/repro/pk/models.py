@@ -13,8 +13,7 @@ kernels and a cohort of virtual patients evaluates as one
 ``(n_patients, n_times)`` NumPy pass — no ODE integrator, no time
 stepping, and therefore no step-size error to manage.  This follows the
 engine convention of PR 1/PR 2: **batch kernels** over parameter arrays
-first, thin scalar dataclasses (:class:`OneCompartmentPK`,
-:class:`TwoCompartmentPK`) on top.
+first, a thin scalar dataclass (:class:`OneCompartmentPK`) on top.
 
 Conventions (shared by the whole ``repro.pk`` package):
 
@@ -495,73 +494,6 @@ class OneCompartmentPK:
     def half_life_h(self) -> float:
         """Terminal half-life ``ln 2 / ke`` [h]."""
         return float(np.log(2.0) / self.elimination_rate_per_h)
-
-    def concentration(self, dt_h: np.ndarray | float, dose_mol: float,
-                      route: Route = Route.ORAL,
-                      duration_h: float = 0.0) -> np.ndarray | float:
-        """Concentration [mol/L] at ``dt_h`` after one dose.
-
-        Args:
-            dt_h: times since administration [h], scalar or array.
-            dose_mol: administered dose [mol].
-            route: administration route.
-            duration_h: infusion duration [h] (INFUSION route only).
-
-        Returns:
-            Concentrations shaped like ``dt_h`` (scalar in, scalar out).
-        """
-        response = dose_mol * self.params().unit_response(
-            np.atleast_1d(np.asarray(dt_h, dtype=float)),
-            route, duration_h)[0]
-        if np.isscalar(dt_h):
-            return float(response[0])
-        return response
-
-
-@dataclass(frozen=True)
-class TwoCompartmentPK:
-    """One patient's two-compartment model (scalar convenience wrapper).
-
-    Attributes:
-        clearance_l_per_h: elimination clearance from the central
-            compartment [L/h].
-        volume_central_l: central (sampled) volume V1 [L].
-        intercompartmental_l_per_h: distribution clearance Q [L/h].
-        volume_peripheral_l: peripheral volume V2 [L].
-        ka_per_h: first-order absorption rate [1/h].
-        bioavailability: absorbed oral fraction in (0, 1].
-    """
-
-    clearance_l_per_h: float
-    volume_central_l: float
-    intercompartmental_l_per_h: float
-    volume_peripheral_l: float
-    ka_per_h: float = 1.0
-    bioavailability: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.params()  # delegate validation
-
-    def params(self) -> PKParams:
-        """The equivalent length-1 :class:`PKParams`."""
-        return PKParams(
-            clearance_l_per_h=np.array([self.clearance_l_per_h]),
-            volume_l=np.array([self.volume_central_l]),
-            ka_per_h=np.array([self.ka_per_h]),
-            bioavailability=np.array([self.bioavailability]),
-            intercompartmental_l_per_h=np.array(
-                [self.intercompartmental_l_per_h]),
-            volume_peripheral_l=np.array([self.volume_peripheral_l]))
-
-    @property
-    def hybrid_rates_per_h(self) -> tuple[float, float]:
-        """The (alpha, beta) hybrid disposition rates [1/h]."""
-        alpha, beta, _, _ = _two_compartment_exponents(
-            np.array([self.clearance_l_per_h]),
-            np.array([self.volume_central_l]),
-            np.array([self.intercompartmental_l_per_h]),
-            np.array([self.volume_peripheral_l]))
-        return float(alpha[0, 0]), float(beta[0, 0])
 
     def concentration(self, dt_h: np.ndarray | float, dose_mol: float,
                       route: Route = Route.ORAL,

@@ -58,9 +58,6 @@ DEFAULT_CLEARANCE_MULTIPLIERS: Mapping[CYPPhenotype, float] = (
         CYPPhenotype.ULTRARAPID: 1.90,
     }))
 
-#: Fixed draw order per patient stream (phenotype, weight, three etas).
-_DRAWS_PER_PATIENT = 5
-
 
 @dataclass(frozen=True)
 class VirtualPatient:

@@ -83,3 +83,14 @@ def spawn_generators(seed: int | np.random.SeedSequence | None,
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(n)]
+
+
+def standard_normal_rows(rngs: "list[np.random.Generator]",
+                         n_samples: int) -> np.ndarray:
+    """``(len(rngs), n_samples)`` standard normals, row ``i`` from
+    ``rngs[i]`` — the same draws as stacking ``rng.standard_normal(n)``,
+    written straight into one block."""
+    shocks = np.empty((len(rngs), n_samples))
+    for rng, row in zip(rngs, shocks):
+        rng.standard_normal(out=row)
+    return shocks

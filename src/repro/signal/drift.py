@@ -18,15 +18,82 @@ trajectory.
 
 The OU recursion itself is a one-pole IIR filter, so it runs as one
 :func:`scipy.signal.lfilter` pass per distinct correlation time (a single
-pass for a uniform cohort) instead of a Python loop over samples.
+pass for a uniform cohort) instead of a Python loop over samples.  Its
+constants live in :class:`OUDynamics`, which a streaming engine prepares
+once per plan; :func:`ou_process_batch` prepares them per call.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.signal import lfilter
 
-from repro.rng import get_rng
+from repro.rng import get_rng, standard_normal_rows
+
+
+@dataclass(frozen=True)
+class OUDynamics:
+    """The per-channel constants of :func:`ou_process_batch`, checked once.
+
+    A streaming engine prepares them when it builds its carry state and
+    advances every chunk through :meth:`advance`, so a small chunk pays
+    for its samples, not for re-deriving the coefficients.
+
+    Attributes:
+        a: AR(1) coefficients ``exp(-dt/tau)``, ``(n_channels,)``.
+        innovation_scale: ``sigma * sqrt(1 - a^2)``, ``(n_channels,)``.
+        groups: ``(a, rows)`` per distinct coefficient; a uniform cohort
+            is one group over ``slice(None)``.
+    """
+
+    a: np.ndarray
+    innovation_scale: np.ndarray
+    groups: tuple
+
+    @classmethod
+    def prepare(cls, dt_s: float, tau_s: "np.ndarray | float",
+                sigma: "np.ndarray | float",
+                n_channels: int) -> "OUDynamics":
+        """Check the parameters and form the coefficients.
+
+        Args:
+            dt_s: sample period [s].
+            tau_s / sigma: as in :func:`ou_process_batch` (scalars
+                broadcast to ``n_channels``).
+        """
+        if dt_s <= 0:
+            raise ValueError("sample period must be > 0")
+        tau = np.broadcast_to(np.asarray(tau_s, dtype=float), (n_channels,))
+        sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n_channels,))
+        if not np.all(tau > 0):
+            raise ValueError("correlation time must be > 0")
+        if np.any(sig < 0):
+            raise ValueError("sigma must be >= 0")
+        a = np.exp(-dt_s / tau)
+        coefficients = np.unique(a)
+        groups = (((coefficients[0], slice(None)),) if coefficients.size == 1
+                  else tuple((c, a == c) for c in coefficients))
+        return cls(a, sig * np.sqrt(1.0 - a ** 2), groups)
+
+    def advance(self, x0: np.ndarray,
+                shocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run the recursion from ``x0`` over ``(n_channels, n)`` shocks.
+
+        Returns ``(values, state)`` as :func:`ou_process_batch` does.
+        """
+        drive = self.innovation_scale[:, None] * shocks
+        zi = (self.a * x0)[:, None]
+        if len(self.groups) == 1:
+            values = lfilter([1.0], [1.0, -self.groups[0][0]], drive,
+                             axis=1, zi=zi)[0]
+        else:
+            values = np.empty_like(drive)
+            for coefficient, rows in self.groups:
+                values[rows] = lfilter([1.0], [1.0, -coefficient],
+                                       drive[rows], axis=1, zi=zi[rows])[0]
+        return values, values[:, -1].copy()
 
 
 def ou_process_batch(n_samples: int,
@@ -83,37 +150,12 @@ def ou_process_batch(n_samples: int,
     n_channels = x0.size
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if dt_s <= 0:
-        raise ValueError("sample period must be > 0")
-    tau = np.broadcast_to(np.asarray(tau_s, dtype=float), (n_channels,))
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n_channels,))
-    if not np.all(tau > 0):
-        raise ValueError("correlation time must be > 0")
-    if np.any(sig < 0):
-        raise ValueError("sigma must be >= 0")
-
-    a = np.exp(-dt_s / tau)
-    innovation_scale = sig * np.sqrt(1.0 - a ** 2)
+    dynamics = OUDynamics.prepare(dt_s, tau_s, sigma, n_channels)
     if rngs is None:
-        shared = get_rng(None)
-        shocks = shared.standard_normal((n_channels, n_samples))
+        shocks = get_rng(None).standard_normal((n_channels, n_samples))
+    elif len(rngs) != n_channels:
+        raise ValueError(
+            f"need one generator per channel: {len(rngs)} != {n_channels}")
     else:
-        if len(rngs) != n_channels:
-            raise ValueError(
-                f"need one generator per channel: {len(rngs)} != "
-                f"{n_channels}")
-        shocks = np.stack([rng.standard_normal(n_samples) for rng in rngs])
-
-    drive = innovation_scale[:, None] * shocks
-    zi = (a * x0)[:, None]
-    coefficients = np.unique(a)
-    if coefficients.size == 1:
-        values = lfilter([1.0], [1.0, -coefficients[0]], drive, axis=1,
-                         zi=zi)[0]
-    else:
-        values = np.empty_like(drive)
-        for coefficient in coefficients:
-            rows = a == coefficient
-            values[rows] = lfilter([1.0], [1.0, -coefficient], drive[rows],
-                                   axis=1, zi=zi[rows])[0]
-    return values, values[:, -1].copy()
+        shocks = standard_normal_rows(rngs, n_samples)
+    return dynamics.advance(x0, shocks)

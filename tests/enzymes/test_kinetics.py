@@ -1,10 +1,8 @@
 """Tests for repro.enzymes.kinetics."""
 
-import numpy as np
 import pytest
 
-from repro.enzymes.catalog import GLUCOSE_OXIDASE, LACTATE_OXIDASE
-from repro.enzymes.kinetics import BatchReactor, ping_pong_rate
+from repro.enzymes.kinetics import ping_pong_rate
 from repro.enzymes.michaelis_menten import michaelis_menten_rate
 
 
@@ -28,57 +26,3 @@ class TestPingPong:
     def test_rejects_bad_km(self):
         with pytest.raises(ValueError):
             ping_pong_rate(1e-3, 1e-3, 700.0, 1e-9, 0.0, 0.2e-3)
-
-
-class TestBatchReactor:
-    def test_substrate_decays_monotonically(self):
-        reactor = BatchReactor(enzyme=GLUCOSE_OXIDASE, enzyme_molar=1e-8)
-        __, conc = reactor.simulate(5e-3, 600.0)
-        assert np.all(np.diff(conc) <= 1e-12)
-
-    def test_no_enzyme_means_no_consumption(self):
-        reactor = BatchReactor(enzyme=GLUCOSE_OXIDASE, enzyme_molar=0.0)
-        __, conc = reactor.simulate(1e-3, 100.0)
-        assert conc[-1] == pytest.approx(1e-3, rel=1e-9)
-
-    def test_production_only_grows_linearly(self):
-        reactor = BatchReactor(enzyme=GLUCOSE_OXIDASE, enzyme_molar=0.0,
-                               production_molar_per_s=1e-7)
-        times, conc = reactor.simulate(0.0, 100.0)
-        assert conc[-1] == pytest.approx(1e-7 * times[-1], rel=1e-6)
-
-    def test_concentration_never_negative(self):
-        reactor = BatchReactor(enzyme=LACTATE_OXIDASE, enzyme_molar=1e-6)
-        __, conc = reactor.simulate(1e-4, 3600.0)
-        assert np.all(conc >= 0.0)
-
-    def test_steady_state_balances_production(self):
-        reactor = BatchReactor(enzyme=LACTATE_OXIDASE, enzyme_molar=1e-8,
-                               production_molar_per_s=3e-7)
-        steady = reactor.steady_state_molar()
-        # At the steady state, consumption equals production.
-        vmax = LACTATE_OXIDASE.kcat_per_s * 1e-8
-        consumption = vmax * steady / (LACTATE_OXIDASE.km_molar + steady)
-        assert consumption == pytest.approx(3e-7, rel=1e-9)
-
-    def test_simulation_approaches_steady_state(self):
-        reactor = BatchReactor(enzyme=LACTATE_OXIDASE, enzyme_molar=1e-8,
-                               production_molar_per_s=3e-7)
-        steady = reactor.steady_state_molar()
-        __, conc = reactor.simulate(steady * 0.1, 36000.0, n_points=500)
-        assert conc[-1] == pytest.approx(steady, rel=5e-2)
-
-    def test_overdriven_reactor_reports_infinite_steady_state(self):
-        vmax = LACTATE_OXIDASE.kcat_per_s * 1e-9
-        reactor = BatchReactor(enzyme=LACTATE_OXIDASE, enzyme_molar=1e-9,
-                               production_molar_per_s=2 * vmax)
-        assert reactor.steady_state_molar() == float("inf")
-
-    def test_zero_production_steady_state_is_zero(self):
-        reactor = BatchReactor(enzyme=LACTATE_OXIDASE, enzyme_molar=1e-9)
-        assert reactor.steady_state_molar() == 0.0
-
-    def test_rejects_negative_initial(self):
-        reactor = BatchReactor(enzyme=GLUCOSE_OXIDASE, enzyme_molar=1e-9)
-        with pytest.raises(ValueError):
-            reactor.simulate(-1e-3, 100.0)

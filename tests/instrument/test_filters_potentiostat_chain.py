@@ -1,12 +1,10 @@
-"""Tests for filters, potentiostat and the acquisition chain."""
+"""Tests for filters and the acquisition chain."""
 
 import numpy as np
 import pytest
 
-from repro.electrodes.spe import screen_printed_electrode
 from repro.instrument.chain import AcquisitionChain
 from repro.instrument.filters import AnalogLowPass
-from repro.instrument.potentiostat import Potentiostat
 
 
 class TestAnalogLowPass:
@@ -45,41 +43,6 @@ class TestAnalogLowPass:
         lp = AnalogLowPass(cutoff_hz=60.0)
         with pytest.raises(ValueError, match="Nyquist"):
             lp.apply(np.zeros(100), 100.0)
-
-
-class TestPotentiostat:
-    def test_dac_quantization(self):
-        pstat = Potentiostat(dac_resolution_v=1e-3)
-        wave = pstat.program_waveform(np.array([0.6504]))
-        assert wave[0] == pytest.approx(0.650)
-
-    def test_ir_drop_reduces_effective_potential(self):
-        pstat = Potentiostat(ir_compensation=0.0)
-        cell = screen_printed_electrode(solution_resistance_ohm=1000.0)
-        effective = pstat.effective_potential(0.65, 1e-5, cell)
-        assert effective == pytest.approx(0.65 - 0.01)
-
-    def test_compensation_restores_potential(self):
-        uncompensated = Potentiostat(ir_compensation=0.0)
-        compensated = Potentiostat(ir_compensation=0.9)
-        cell = screen_printed_electrode(solution_resistance_ohm=1000.0)
-        assert compensated.effective_potential(0.65, 1e-5, cell) \
-            > uncompensated.effective_potential(0.65, 1e-5, cell)
-
-    def test_compliance_check(self):
-        pstat = Potentiostat(compliance_v=5.0)
-        cell = screen_printed_electrode(solution_resistance_ohm=1000.0)
-        assert pstat.within_compliance(1e-6, cell)
-        assert not pstat.within_compliance(10e-3, cell)
-
-    def test_max_current(self):
-        pstat = Potentiostat(compliance_v=5.0)
-        cell = screen_printed_electrode(solution_resistance_ohm=1000.0)
-        assert pstat.max_current_a(cell) == pytest.approx(4e-3)
-
-    def test_rejects_full_compensation(self):
-        with pytest.raises(ValueError):
-            Potentiostat(ir_compensation=1.0)
 
 
 class TestAcquisitionChain:

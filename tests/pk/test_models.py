@@ -7,7 +7,7 @@ from repro.pk.models import (
     OneCompartmentPK,
     PKParams,
     Route,
-    TwoCompartmentPK,
+    _two_compartment_exponents,
     one_compartment_bolus_batch,
     one_compartment_infusion_batch,
     one_compartment_oral_batch,
@@ -22,12 +22,23 @@ def one_cpt():
                             ka_per_h=1.2, bioavailability=0.6)
 
 
+#: One two-compartment patient: CL, V1, Q, V2, ka, F.
+TWO_CPT = (6.0, 30.0, 9.0, 60.0, 1.2, 0.6)
+
+
 @pytest.fixture()
 def two_cpt():
-    return TwoCompartmentPK(clearance_l_per_h=6.0, volume_central_l=30.0,
-                            intercompartmental_l_per_h=9.0,
-                            volume_peripheral_l=60.0,
-                            ka_per_h=1.2, bioavailability=0.6)
+    cl, v1, q, v2, ka, f = (np.array([value]) for value in TWO_CPT)
+    return PKParams(clearance_l_per_h=cl, volume_l=v1, ka_per_h=ka,
+                    bioavailability=f, intercompartmental_l_per_h=q,
+                    volume_peripheral_l=v2)
+
+
+def _concentration(model, t, dose_mol, route, duration_h=0.0):
+    """One dose's concentration [mol/L] for a scalar model or PKParams."""
+    if isinstance(model, PKParams):
+        return dose_mol * model.unit_response(t, route, duration_h)[0]
+    return model.concentration(t, dose_mol, route, duration_h)
 
 
 def _auc(c, t):
@@ -54,17 +65,17 @@ class TestMassBalance:
 
     def test_two_compartment_bolus(self, two_cpt):
         t = np.linspace(0.0, 600.0, 300001)
-        c = two_cpt.concentration(t, 1e-3, Route.IV_BOLUS)
+        c = _concentration(two_cpt, t, 1e-3, Route.IV_BOLUS)
         assert _auc(c, t) == pytest.approx(1e-3 / 6.0, rel=1e-4)
 
     def test_two_compartment_oral(self, two_cpt):
         t = np.linspace(0.0, 600.0, 300001)
-        c = two_cpt.concentration(t, 1e-3, Route.ORAL)
+        c = _concentration(two_cpt, t, 1e-3, Route.ORAL)
         assert _auc(c, t) == pytest.approx(0.6 * 1e-3 / 6.0, rel=1e-4)
 
     def test_two_compartment_infusion(self, two_cpt):
         t = np.linspace(0.0, 600.0, 300001)
-        c = two_cpt.concentration(t, 1e-3, Route.INFUSION, duration_h=3.0)
+        c = _concentration(two_cpt, t, 1e-3, Route.INFUSION, duration_h=3.0)
         assert _auc(c, t) == pytest.approx(1e-3 / 6.0, rel=1e-4)
 
 
@@ -74,7 +85,7 @@ class TestShapes:
         for model, route in ((one_cpt, Route.ORAL),
                              (one_cpt, Route.IV_BOLUS),
                              (two_cpt, Route.ORAL)):
-            c = model.concentration(t, 1e-3, route)
+            c = _concentration(model, t, 1e-3, route)
             assert c[0] == 0.0 and c[1] == 0.0
             assert c[3] > 0.0
 
@@ -123,11 +134,13 @@ class TestNumericalEdges:
         assert np.max(np.abs(exact - near)) / np.max(exact) < 1e-5
 
     def test_two_compartment_is_biexponential(self, two_cpt):
-        alpha, beta = two_cpt.hybrid_rates_per_h
+        alpha, beta, _, _ = _two_compartment_exponents(
+            *(np.array([value]) for value in TWO_CPT[:4]))
+        alpha, beta = float(alpha[0, 0]), float(beta[0, 0])
         assert alpha > beta > 0
         # Terminal slope matches beta.
         t = np.array([80.0, 90.0])
-        c = two_cpt.concentration(t, 1e-3, Route.IV_BOLUS)
+        c = _concentration(two_cpt, t, 1e-3, Route.IV_BOLUS)
         slope = -np.log(c[1] / c[0]) / 10.0
         assert slope == pytest.approx(beta, rel=1e-3)
 
@@ -168,7 +181,7 @@ class TestPKParams:
             one_cpt.params().unit_response(t, Route.IV_BOLUS)[0],
             one_compartment_bolus_batch(t, 6.0, 50.0))
         np.testing.assert_array_equal(
-            two_cpt.params().unit_response(t, Route.ORAL)[0],
+            two_cpt.unit_response(t, Route.ORAL)[0],
             two_compartment_oral_batch(t, 6.0, 30.0, 9.0, 60.0, 1.2, 0.6))
 
     def test_patient_slice(self, one_cpt):

@@ -92,6 +92,48 @@ class TestStreamingMatchesBatch:
         assert session.done
 
 
+class TestPushShapeIsBitIdentical:
+    """The live-stream shape: 4 wearers, 5-min readings, 6-hour
+    recalibration, pushed in 12-sample blocks against one batch run.
+    The stream crosses five reference draws and ends on a short block."""
+
+    def test_pushed_blocks_equal_batch_traces(self):
+        from repro.engine.core import run_workload
+        from repro.engine.estimation import EstimationPlan
+        from repro.engine.monitor import (
+            MonitorPlan,
+            RecalibrationPolicy,
+            glucose_cohort,
+        )
+
+        plan = EstimationPlan(monitor=MonitorPlan(
+            channels=glucose_cohort(4), duration_h=30.5,
+            sample_period_s=300.0, seed=23,
+            recalibration=RecalibrationPolicy(reference_interval_h=6.0,
+                                              tolerance=0.08)),
+            smooth=False)
+        session = StreamSession("estimation", plan)
+        blocks: dict = {}
+        while not session.done:
+            for name, block in session.advance(12).values.items():
+                blocks.setdefault(name, []).append(block)
+        batch = run_workload("estimation", plan)
+        assert np.sum(batch.monitor.n_recalibrations) > 0
+        expected = {
+            "true_concentration_molar": batch.true_concentration_molar,
+            "estimated_concentration_molar":
+                batch.monitor.estimated_concentration_molar,
+            "measured_current_a": batch.monitor.measured_current_a,
+            "filtered_concentration_molar":
+                batch.filtered_concentration_molar,
+            "filtered_std_molar": batch.filtered_std_molar,
+        }
+        assert set(blocks) == set(expected)
+        for name, trace in expected.items():
+            assert np.array_equal(np.concatenate(blocks[name], axis=1),
+                                  trace), name
+
+
 @pytest.mark.parametrize("workload", STREAMABLE_WORKLOADS)
 class TestSessionErrors:
     def test_advance_past_exhaustion_raises(self, workload, plan_for):

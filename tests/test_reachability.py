@@ -3,8 +3,9 @@
 A name is reached when ``examples/``, ``benchmarks/``, ``perfbench/`` or
 ``docs/`` names it, when library code outside any public definition
 names it, or when the body of a reached definition names it.  Its own
-body, ``__init__`` re-exports, ``__all__`` lists and ``tests/`` do not
-count, so code only its tests call is reported, with all it alone calls.
+body, module docstrings, ``__init__`` re-exports, ``__all__`` lists and
+``tests/`` do not count, so code only its tests call is reported, with
+all it alone calls.
 """
 
 import ast
@@ -30,10 +31,14 @@ ALLOWED = {
     "check_scalar_equivalence": CONTRACT,
     "check_deterministic_replay": CONTRACT,
     "cache_info": HOOK, "clear_caches": HOOK,
+    "read_jsonl": "reads JsonlSink traces back to check them",
 }
 
 
-def _is_export(node: ast.stmt, path: Path) -> bool:
+def _is_not_a_use(node: ast.stmt, path: Path) -> bool:
+    """A docstring, an ``__init__`` re-export or an ``__all__`` list."""
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+        return True
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return path.name == "__init__.py"
     return isinstance(node, ast.Assign) and any(
@@ -53,7 +58,7 @@ def unreached() -> list[str]:
             text = "\n".join(lines[first - 1:node.end_lineno])
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
                 bodies.setdefault(node.name, []).append(text)
-            elif not _is_export(node, path):
+            elif not _is_not_a_use(node, path):
                 roots.append(text)
     reached: set[str] = set()
     frontier = roots + [text for name in ALLOWED for text in bodies[name]]
