@@ -11,7 +11,11 @@ Two acceptance gates on the online serving subsystem, recorded in
   live-push shape: an estimation stream of 4 wearers over a 30-day
   horizon, advanced 12 readings at a time, must take in at least
   ``SERVE_PUSH_FLOOR`` (default 10 000) readings per second (wearers x
-  samples), with its median advance recorded in ms.
+  samples), with its median advance recorded in ms.  The same push
+  end to end — a :class:`~repro.serve.ServerThread` and a
+  :class:`~repro.serve.ServeClient`, 8 such streams pushed round-robin
+  — must sustain at least ``SERVE_HTTP_PUSH_FLOOR`` (default 50) pushes
+  per second, with its median round trip recorded in ms.
 * **bounded memory** — the serialized snapshot of a suspended session
   must be the same size whether the stream has run for one hour or a
   month (traces excluded: carry state only).  This is what makes
@@ -32,13 +36,16 @@ from repro.engine.monitor import (
     RecalibrationPolicy,
     glucose_cohort,
 )
-from repro.serve import StreamSession
+from repro.scenarios import Scenario
+from repro.serve import ServeClient, ServerThread, StreamSession
 
 N_CHANNELS = 16
 BLOCK_SAMPLES = 60          # one hour of 1-min readings per advance
 PUSH_WEARERS = 4
 PUSH_SAMPLES = 12           # one hour of 5-min readings per push
 N_PUSHES = 300
+HTTP_STREAMS = 8
+N_HTTP_PUSHES = 400
 
 
 def _plan(duration_h: float, recalibrate: bool = True) -> MonitorPlan:
@@ -74,10 +81,40 @@ def _push_cost() -> dict:
     }
 
 
+def _http_push_cost() -> dict:
+    """Median round trip and pushes/s of 12-reading pushes through the
+    front door, round-robin over 8 four-wearer estimation streams."""
+    spec = {"cohort": {"sensor": "glucose/this-work",
+                       "analyte": "glucose", "wander_sigma_a": 2e-9,
+                       "n_patients": PUSH_WEARERS},
+            "duration_h": 720.0, "sample_period_s": 300.0,
+            "smooth": False,
+            "recalibration": {"reference_interval_h": 6.0,
+                              "tolerance": 0.08}}
+    with ServerThread() as thread, \
+            ServeClient(thread.host, thread.port) as client:
+        ids = [client.create_stream(Scenario(
+            workload="estimation", name=f"push-{index}", spec=spec,
+            seed=2012 + index).to_dict())["stream_id"]
+            for index in range(HTTP_STREAMS)]
+        for stream_id in ids:               # warm caches off the clock
+            client.push_readings(stream_id, PUSH_SAMPLES)
+        durations = []
+        for index in range(N_HTTP_PUSHES):
+            start = time.perf_counter()
+            client.push_readings(ids[index % HTTP_STREAMS], PUSH_SAMPLES)
+            durations.append(time.perf_counter() - start)
+    return {
+        "push_rtt_p50_ms": round(statistics.median(durations) * 1e3, 4),
+        "pushes_per_s": round(N_HTTP_PUSHES / sum(durations), 1),
+    }
+
+
 def test_streaming_throughput_floor(bench_json):
     """Steady-state advance() must beat the readings/s floors."""
     floor = floor_from_env("SERVE_THROUGHPUT_FLOOR", 1000.0)
     push_floor = floor_from_env("SERVE_PUSH_FLOOR", 10_000.0)
+    http_floor = floor_from_env("SERVE_HTTP_PUSH_FLOOR", 50.0)
     session = StreamSession("monitor", _plan(duration_h=24.0))
     session.advance(BLOCK_SAMPLES)          # warm caches off the clock
     start = time.perf_counter()
@@ -95,6 +132,8 @@ def test_streaming_throughput_floor(bench_json):
         "floor_readings_per_s": floor,
         **_push_cost(),
         "estimation_floor_readings_per_s": push_floor,
+        **_http_push_cost(),
+        "floor_pushes_per_s": http_floor,
     }
     path = bench_json("serve", **payload)
     print(f"\nserve stream: {readings_per_s:,.0f} readings/s per "
@@ -102,9 +141,13 @@ def test_streaming_throughput_floor(bench_json):
           f"(floor {floor:,.0f}); estimation push: "
           f"{payload['estimation_advance_p50_ms']} ms p50, "
           f"{payload['estimation_readings_per_s']:,.0f} readings/s "
-          f"(floor {push_floor:,.0f}) -> {path.name}")
+          f"(floor {push_floor:,.0f}); over HTTP: "
+          f"{payload['push_rtt_p50_ms']} ms p50, "
+          f"{payload['pushes_per_s']:,.0f} pushes/s "
+          f"(floor {http_floor:,.0f}) -> {path.name}")
     assert readings_per_s >= floor, payload
     assert payload["estimation_readings_per_s"] >= push_floor, payload
+    assert payload["pushes_per_s"] >= http_floor, payload
 
 
 def test_snapshot_size_is_stream_length_independent(bench_json):

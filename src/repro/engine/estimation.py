@@ -491,14 +491,12 @@ class EstimationKernels(KernelSet):
         _monitor_chunk(plan.monitor, state.monitor, start, stop,
                        model.mean_molar[:, start:stop])
         measured = state.monitor.last_update["measured_current_a"]
-        chunk = state.dynamics.filter(
+        state.dynamics.filter(
             measured, model.gain_a_per_molar[:, start:stop],
             model.offset_a[:, start:stop], model.reading_variance(measured),
             initial=(KalmanState.from_trace(state.trace, start - 1)
-                     if start else None))
-        for name in _MOMENTS:
-            getattr(state.trace, name)[:, start:stop] = getattr(chunk,
-                                                               name)
+                     if start else None),
+            out=state.trace.columns(start, stop))
 
     def finalize(self, plan: EstimationPlan, state) -> EstimationResult:
         """Smooth (optionally) and score the :class:`EstimationResult`."""

@@ -23,17 +23,21 @@ the ADC quantization floor).  :mod:`repro.inference.observation` builds
 these arrays straight from a :class:`~repro.engine.monitor.MonitorPlan`,
 so the filter is consistent-by-construction with the simulator.
 
-Execution model mirrors the engines: the recursion is inherently causal,
-so the batch path advances all channels one sample at a time — a
+Execution model: the recursion is inherently causal, and
+:meth:`KalmanDynamics.filter` runs it one of two ways, chosen by channel
+count.  A large cohort advances all channels one sample at a time — a
 handful of NumPy calls per sample on one stacked ``(5, n_channels)``
-state ``[m1, m2, p11, p12, p22]`` instead of one Python iteration per
-(channel, sample) pair.  The filter stores only its posterior moments;
+state ``[m1, m2, p11, p12, p22]``; a small one (below
+:data:`STACKED_MIN_CHANNELS`) runs each channel's recursion in Python
+floats, which costs less than those calls when there are few channels
+to share them.  The filter stores only its posterior moments;
 the smoother's one-step predictions and gains need no recursion, so
 :func:`rts_smoother_batch` derives them from that trace for the whole
 time axis in one pass and folds them into one coefficient block per
 step, leaving three NumPy calls per back-step.  Both batch passes form
 every product and sum of the per-sample expressions in the same order,
-so they are bit-identical to per-sample loops.  The scalar reference
+so they are bit-identical to per-sample loops; so are the filter's two
+loops to each other.  The scalar reference
 (:func:`kalman_filter_scalar` / :func:`rts_smoother_scalar`) replays the
 identical arithmetic with Python floats, channel by channel, and is
 gated bit-identical (<= 1e-9) by the execution-core contract suite
@@ -81,22 +85,21 @@ class KalmanState:
     @classmethod
     def from_trace(cls, trace: "KalmanTrace",
                    index: int = -1) -> "KalmanState":
-        """The filtered belief at one sample of a trace.
+        """The filtered belief at one sample of a trace, as views.
 
         The chunk-carry constructor: feeding the state at a chunk's
         last sample back into :func:`kalman_filter_batch` as
         ``initial`` continues the recursion bit-identically to one
         uninterrupted pass — the property incremental serving
-        (:mod:`repro.serve`) is built on.
+        (:mod:`repro.serve`) is built on.  The filter reads its initial
+        belief before it writes a row, so a view into the trace it
+        fills is a safe ``initial``.
 
         Args:
             trace: a forward-pass :class:`KalmanTrace`.
-            index: sample index to extract (default: the last).
+            index: sample index to read (default: the last).
         """
-        return cls(trace.m1[:, index].copy(), trace.m2[:, index].copy(),
-                   trace.p11[:, index].copy(),
-                   trace.p12[:, index].copy(),
-                   trace.p22[:, index].copy())
+        return cls(*(moment[:, index] for moment in _moments(trace)))
 
 
 def kalman_predict(state: KalmanState,
@@ -193,6 +196,12 @@ class KalmanTrace:
         """An uninitialized trace of the given shape."""
         return cls(*(np.empty((n_channels, n_samples)) for _ in range(5)))
 
+    def columns(self, start: int, stop: int) -> "KalmanTrace":
+        """Views of samples ``[start, stop)``: writing them fills this
+        trace."""
+        return KalmanTrace(*(moment[:, start:stop]
+                             for moment in _moments(self)))
+
     def transposed(self) -> "KalmanTrace":
         """The same moments with the axes swapped, C-contiguous
         (time-major: one contiguous row per step)."""
@@ -244,6 +253,15 @@ def _dynamics(n, a_signal, q_signal, a_wander, q_wander):
     return params
 
 
+#: Channel count from which :meth:`KalmanDynamics.filter` takes the
+#: stacked loop; smaller cohorts take the per-channel loop.  The stacked
+#: loop pays ~20 NumPy calls per sample whatever the channel count, the
+#: per-channel loop a few Python float operations per (channel, sample);
+#: on a 2-vCPU host they cost the same at 16 to 20 channels, for blocks
+#: of 12 to 864 samples.
+STACKED_MIN_CHANNELS = 16
+
+
 @dataclass(frozen=True)
 class KalmanDynamics:
     """The per-channel dynamics of the filter, broadcast and checked once.
@@ -274,21 +292,107 @@ class KalmanDynamics:
                    np.stack([q_s, q_w]))
 
     def filter(self, z: np.ndarray, gain: np.ndarray, offset: np.ndarray,
-               r: np.ndarray,
-               initial: "KalmanState | None" = None) -> "KalmanTrace":
+               r: np.ndarray, initial: "KalmanState | None" = None,
+               out: "KalmanTrace | None" = None) -> "KalmanTrace":
         """Filter a block whose inputs are all ``(n_channels, n)``.
 
         The inputs are taken as checked (:func:`kalman_filter_batch`
         checks them; an engine builds them so): ``r >= 0``, ``n >= 1``.
+        Cohorts below :data:`STACKED_MIN_CHANNELS` channels take
+        :meth:`filter_channels`, larger ones :meth:`filter_stacked`;
+        both give the same bits.
+
+        Args:
+            initial: belief entering the first sample (default: the
+                zero state); never mutated.
+            out: the trace to fill, ``(n_channels, n)`` (default: a new
+                one); views, such as :meth:`KalmanTrace.columns` of a
+                longer trace, are filled in place.
+
+        Returns:
+            ``out``, filled with the filtered moments.
         """
         n, t = z.shape
-        state = initial if initial is not None else KalmanState.zeros(n)
-        # The hot loop inlines kalman_predict / kalman_update on one
-        # stacked state x = [m1, m2, p11, p12, p22] (a copy: inputs are
-        # never mutated) and reused buffers: the same float expressions,
-        # a handful of NumPy calls per sample.  The innovation variances
-        # go to p11 and p22 alone.
-        x = np.array(_moments(state), dtype=float)
+        if initial is None:
+            initial = KalmanState.zeros(n)
+        if out is None:
+            out = KalmanTrace.empty(n, t)
+        loop = (self.filter_channels if n < STACKED_MIN_CHANNELS
+                else self.filter_stacked)
+        loop(z, gain, offset, r, initial, out)
+        return out
+
+    def filter_channels(self, z: np.ndarray, gain: np.ndarray,
+                        offset: np.ndarray, r: np.ndarray,
+                        initial: KalmanState, out: KalmanTrace) -> None:
+        """The per-channel loop: each channel's recursion in Python
+        floats, its rows collected in lists and written into ``out``
+        once per moment.
+
+        Forms every product and sum of :meth:`filter_stacked` in the
+        same order, including a zero gain where the innovation variance
+        is not positive, so both give the same bits.  Its cost is per
+        (channel, sample), against the stacked loop's per sample, which
+        makes it the faster of the two for a small cohort.
+        """
+        rows = ([], [], [], [], [])
+        beliefs = zip(*(np.asarray(moment, dtype=float).tolist()
+                        for moment in _moments(initial)))
+        channels = zip(self.transition.T.tolist(),
+                       self.innovation.T.tolist(), beliefs, z.tolist(),
+                       gain.tolist(), offset.tolist(), r.tolist())
+        for (a_d, a_w, a_dd, a_dw, a_ww), (q_d, q_w), belief, readings, \
+                gains, offsets, variances in channels:
+            m1, m2, p11, p12, p22 = belief
+            row = ([], [], [], [], [])
+            m1_row, m2_row, p11_row, p12_row, p22_row = row
+            for zk, h, ok, rk in zip(readings, gains, offsets, variances):
+                # Predict.
+                m1 = m1 * a_d
+                m2 = m2 * a_w
+                p11 = p11 * a_dd + q_d
+                p12 = p12 * a_dw
+                p22 = p22 * a_ww + q_w
+                # Update.
+                u1 = p11 * h + p12
+                u2 = p12 * h + p22
+                s = u1 * h + u2 + rk
+                if s > 0.0:
+                    k1 = u1 / s
+                    k2 = u2 / s
+                else:
+                    k1 = k2 = 0.0
+                residual = zk - (m1 * h + ok + m2)
+                m1 = m1 + k1 * residual
+                m2 = m2 + k2 * residual
+                p11 = p11 - k1 * u1
+                p12 = p12 - k1 * u2
+                p22 = p22 - k2 * u2
+                m1_row.append(m1)
+                m2_row.append(m2)
+                p11_row.append(p11)
+                p12_row.append(p12)
+                p22_row.append(p22)
+            for moment_rows, channel_row in zip(rows, row):
+                moment_rows.append(channel_row)
+        for moment, moment_rows in zip(_moments(out), rows):
+            moment[...] = moment_rows
+
+    def filter_stacked(self, z: np.ndarray, gain: np.ndarray,
+                       offset: np.ndarray, r: np.ndarray,
+                       initial: KalmanState, out: KalmanTrace) -> None:
+        """The stacked loop: every channel advances one sample per step,
+        a handful of NumPy calls on one ``(5, n_channels)`` state.
+
+        Inlines :func:`kalman_predict` / :func:`kalman_update` on the
+        stacked state ``x = [m1, m2, p11, p12, p22]`` (a copy: inputs
+        are never mutated) and reused buffers: the same float
+        expressions.  The innovation variances go to ``p11`` and
+        ``p22`` alone.  Its cost per step barely depends on the channel
+        count, which makes it the faster of the two for a large cohort.
+        """
+        n, t = z.shape
+        x = np.array(_moments(initial), dtype=float)
         transition, innovation = self.transition, self.innovation
         gain, offset, r, z = (np.ascontiguousarray(a.T)
                               for a in (gain, offset, r, z))
@@ -331,7 +435,8 @@ class KalmanDynamics:
                 np.multiply(k2, u2, out=dp_k2)
                 covariances -= dp
                 history[step] = x
-        return KalmanTrace(*np.ascontiguousarray(history.transpose(1, 2, 0)))
+        for moment, rows in zip(_moments(out), history.transpose(1, 2, 0)):
+            moment[...] = rows
 
 
 def kalman_filter_batch(z: np.ndarray,

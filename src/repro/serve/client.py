@@ -1,10 +1,11 @@
 """A small stdlib client for the serve front door.
 
 Wraps the HTTP endpoints of :mod:`repro.serve.server` behind plain
-method calls (``http.client`` only — usable from tests, CI smoke jobs
-and examples without any dependency).  Every method returns the parsed
-JSON payload; non-2xx responses raise :class:`ServeError` carrying the
-status code and the server's error payload.
+method calls.  The client writes and parses the HTTP/1.1 subset the
+front door speaks on a plain socket (no ``http.client``, no dependency
+— usable from tests, CI smoke jobs and examples).  Every method returns
+the parsed JSON payload; non-2xx responses raise :class:`ServeError`
+carrying the status code and the server's error payload.
 
 Quickstart::
 
@@ -19,11 +20,18 @@ Quickstart::
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 from typing import Any
+
+#: Longest response head (status line plus headers) the client reads
+#: [bytes]; a longer one is a protocol error, not a reason to buffer.
+_MAX_HEAD_BYTES = 64 * 1024
+
+#: Bytes asked of the socket per read.
+_RECV_BYTES = 64 * 1024
 
 
 class ServeError(RuntimeError):
@@ -42,13 +50,92 @@ class ServeError(RuntimeError):
         self.payload = payload
 
 
+class _Connection:
+    """One thread's kept-alive socket to the server, opened lazily.
+
+    Speaks the HTTP/1.1 subset the front door writes: one response per
+    request, its body framed by ``Content-Length``.
+    """
+
+    def __init__(self, address: "tuple[str, int]",
+                 timeout_s: float) -> None:
+        self.address = address
+        self.timeout_s = timeout_s
+        self.sock: "socket.socket | None" = None
+        self.buffer = bytearray()   # the response read so far
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+    def send(self, request: bytes) -> None:
+        """Send one request and wait for the first bytes of its answer.
+
+        Raises ``ConnectionResetError`` if the server closes the
+        connection without answering.
+        """
+        if self.sock is None:
+            self.sock = socket.create_connection(self.address,
+                                                 self.timeout_s)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.sendall(request)
+        first = self.sock.recv(_RECV_BYTES)
+        if not first:
+            raise ConnectionResetError(
+                "server closed the connection without answering")
+        self.buffer[:] = first
+
+    def _receive(self, what: str) -> None:
+        """Append the next read to the buffer; EOF is an error."""
+        data = self.sock.recv(_RECV_BYTES)
+        if not data:
+            raise ConnectionError(f"server closed the connection in {what}")
+        self.buffer += data
+
+    def response(self) -> "tuple[int, bytes]":
+        """The status and body of the answer :meth:`send` began to read.
+
+        A response that says ``Connection: close`` drops the socket, and
+        the next request opens a new one.
+        """
+        buffer = self.buffer
+        searched = 0
+        while (end := buffer.find(b"\r\n\r\n", searched)) < 0:
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise ConnectionError(
+                    f"response head over {_MAX_HEAD_BYTES} bytes")
+            searched = max(len(buffer) - 3, 0)
+            self._receive("the response head")
+        status_line, *header_lines = (
+            buffer[:end].decode("latin-1").split("\r\n"))
+        version, _, rest = status_line.partition(" ")
+        code = rest[:3]
+        if not (version.startswith("HTTP/") and code.isdigit()):
+            raise ConnectionError(f"malformed status line {status_line!r}")
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "")
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionError(f"invalid Content-Length {length!r}")
+        stop = end + 4 + int(length)
+        while len(buffer) < stop:
+            self._receive(f"a {length}-byte body")
+        body = bytes(buffer[end + 4:stop])
+        buffer.clear()
+        if "close" in headers.get("connection", "").lower():
+            self.close()
+        return int(code), body
+
+
 class ServeClient:
     """Typed access to one running serve front door.
 
-    Each calling thread keeps one persistent HTTP/1.1 connection
-    (``http.client`` connections are not thread-safe), so one client
-    may be shared by many threads.  :meth:`close` ends them all; the
-    client is a context manager that does so on exit.
+    Each calling thread keeps one persistent HTTP/1.1 connection, so
+    one client may be shared by many threads.  :meth:`close` ends them
+    all; the client is a context manager that does so on exit.
 
     Args:
         host / port: where the server listens.
@@ -60,9 +147,10 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._host_header = f"Host: {host}:{port}\r\n"
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._connections: "list[http.client.HTTPConnection]" = []
+        self._connections: "list[_Connection]" = []
 
     def close(self) -> None:
         """Close every thread's connection; a later call reconnects."""
@@ -78,12 +166,12 @@ class ServeClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """The calling thread's connection (its socket opens lazily)."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s)
+            connection = _Connection((self.host, self.port),
+                                     self.timeout_s)
             with self._lock:
                 self._local.connection = connection
                 self._connections.append(connection)
@@ -92,35 +180,32 @@ class ServeClient:
     def _exchange(self, method: str, target: str,
                   payload: "bytes | None" = None) -> bytes:
         """One request/response cycle; the response body, or
-        :class:`ServeError` for a status of 400 or more.
-
-        A response that says ``Connection: close`` makes ``http.client``
-        drop the socket, and the next request opens a new one.
-        """
+        :class:`ServeError` for a status of 400 or more."""
+        head = f"{method} {target} HTTP/1.1\r\n{self._host_header}"
+        if payload is not None:
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(payload)}\r\n")
+        request = (head + "\r\n").encode("latin-1") + (payload or b"")
         connection = self._connection()
         reused = connection.sock is not None
-        headers = ({"Content-Type": "application/json"}
-                   if payload is not None else {})
         try:
             try:
-                connection.request(method, target, body=payload,
-                                   headers=headers)
-                response = connection.getresponse()
+                connection.send(request)
             except (ConnectionResetError, BrokenPipeError):
-                # (RemoteDisconnected is a ConnectionResetError.)  The
-                # server closes a kept-alive connection only before it
-                # reads a byte of the next request, so this request was
-                # never applied: retry it once on a new connection.
+                # The server closes a kept-alive connection only before
+                # it reads a byte of the next request, so a request that
+                # got no answer was never applied: retry it once on a
+                # new connection.
                 if not reused:
                     raise
                 connection.close()
                 return self._exchange(method, target, payload)
-            body = response.read()
+            status, body = connection.response()
         except BaseException:
             connection.close()
             raise
-        if response.status >= 400:
-            raise ServeError(response.status, json.loads(body or b"{}"))
+        if status >= 400:
+            raise ServeError(status, json.loads(body or b"{}"))
         return body
 
     def _request(self, method: str, path: str,
