@@ -446,7 +446,7 @@ class EstimationKernels(KernelSet):
     by chunk: each chunk runs the wrapped monitor's physics over
     ``[start, stop)``, inverts the freshly digitized currents through
     the observation model, and starts from the belief the previous chunk
-    ended in (:meth:`KalmanState.from_trace`) — bit-identical
+    ended in (its column of the filter trace) — bit-identical
     to one uninterrupted pass, which is what makes the workload
     suspendable (``export_state`` / ``restore_state``) and streamable
     (:class:`repro.serve.StreamSession`).  The smoother, inherently
@@ -485,7 +485,8 @@ class EstimationKernels(KernelSet):
         holds it for the whole horizon.  Rail-saturated readings carry
         no amplitude information: they are censored per chunk (infinite
         variance -> pure prediction), sample for sample the same mask
-        the batch path applies.
+        the batch path applies.  The entering belief is read as views of
+        the trace column before the chunk, which the filter never writes.
         """
         model = state.model
         _monitor_chunk(plan.monitor, state.monitor, start, stop,
@@ -494,7 +495,8 @@ class EstimationKernels(KernelSet):
         state.dynamics.filter(
             measured, model.gain_a_per_molar[:, start:stop],
             model.offset_a[:, start:stop], model.reading_variance(measured),
-            initial=(KalmanState.from_trace(state.trace, start - 1)
+            initial=(KalmanState(*(getattr(state.trace, name)[:, start - 1]
+                                   for name in _MOMENTS))
                      if start else None),
             out=state.trace.columns(start, stop))
 

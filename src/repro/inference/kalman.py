@@ -85,21 +85,22 @@ class KalmanState:
     @classmethod
     def from_trace(cls, trace: "KalmanTrace",
                    index: int = -1) -> "KalmanState":
-        """The filtered belief at one sample of a trace, as views.
+        """The filtered belief at one sample of a trace.
 
         The chunk-carry constructor: feeding the state at a chunk's
         last sample back into :func:`kalman_filter_batch` as
         ``initial`` continues the recursion bit-identically to one
         uninterrupted pass — the property incremental serving
-        (:mod:`repro.serve`) is built on.  The filter reads its initial
-        belief before it writes a row, so a view into the trace it
-        fills is a safe ``initial``.
+        (:mod:`repro.serve`) is built on.
 
         Args:
             trace: a forward-pass :class:`KalmanTrace`.
-            index: sample index to read (default: the last).
+            index: sample index to extract (default: the last).
         """
-        return cls(*(moment[:, index] for moment in _moments(trace)))
+        return cls(trace.m1[:, index].copy(), trace.m2[:, index].copy(),
+                   trace.p11[:, index].copy(),
+                   trace.p12[:, index].copy(),
+                   trace.p22[:, index].copy())
 
 
 def kalman_predict(state: KalmanState,

@@ -26,6 +26,12 @@ import threading
 import time
 from typing import Any
 
+from repro.serve.framing import (
+    connection_tokens,
+    content_length,
+    header_fields,
+)
+
 #: Longest response head (status line plus headers) the client reads
 #: [bytes]; a longer one is a protocol error, not a reason to buffer.
 _MAX_HEAD_BYTES = 64 * 1024
@@ -54,7 +60,7 @@ class _Connection:
     """One thread's kept-alive socket to the server, opened lazily.
 
     Speaks the HTTP/1.1 subset the front door writes: one response per
-    request, its body framed by ``Content-Length``.
+    request, its body framed by ``Content-Length`` (none: no body).
     """
 
     def __init__(self, address: "tuple[str, int]",
@@ -113,19 +119,17 @@ class _Connection:
         code = rest[:3]
         if not (version.startswith("HTTP/") and code.isdigit()):
             raise ConnectionError(f"malformed status line {status_line!r}")
-        headers = {}
-        for line in header_lines:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length", "")
-        if not (length.isascii() and length.isdigit()):
-            raise ConnectionError(f"invalid Content-Length {length!r}")
-        stop = end + 4 + int(length)
+        headers = header_fields(header_lines)
+        try:
+            length = content_length(headers)
+        except ValueError as error:
+            raise ConnectionError(str(error))
+        stop = end + 4 + length
         while len(buffer) < stop:
             self._receive(f"a {length}-byte body")
         body = bytes(buffer[end + 4:stop])
         buffer.clear()
-        if "close" in headers.get("connection", "").lower():
+        if "close" in connection_tokens(headers):
             self.close()
         return int(code), body
 

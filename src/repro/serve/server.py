@@ -66,6 +66,11 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
+from repro.serve.framing import (
+    connection_tokens,
+    content_length,
+    header_fields,
+)
 from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
@@ -845,7 +850,7 @@ class ReproServer:
         if len(parts) < 2:
             raise _HttpError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
-        headers: "dict[str, str]" = {}
+        lines: "list[str]" = []
         for count in itertools.count():
             raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n"):
@@ -854,19 +859,18 @@ class ReproServer:
                 raise asyncio.IncompleteReadError(raw, None)
             if count == MAX_HEADERS:
                 raise _HttpError(431, f"more than {MAX_HEADERS} headers")
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
-        length = int(raw_length)
+            lines.append(raw.decode("latin-1"))
+        headers = header_fields(lines)
+        try:
+            length = content_length(headers)
+        except ValueError as error:
+            raise _HttpError(400, str(error))
         if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds the "
                      f"{MAX_BODY_BYTES}-byte cap")
         body = await reader.readexactly(length) if length else b""
-        tokens = {token.strip() for token
-                  in headers.get("connection", "").lower().split(",")}
+        tokens = connection_tokens(headers)
         keep_alive = ("close" not in tokens
                       if parts[2:] == ["HTTP/1.1"]
                       else "keep-alive" in tokens)

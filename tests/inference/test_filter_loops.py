@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.core import execute
 from repro.engine.estimation import (
@@ -74,6 +74,7 @@ def _assert_same_bytes(actual: KalmanTrace, expected: KalmanTrace,
        seed=st.integers(0, 2 ** 32 - 1),
        censored=st.sampled_from([0.0, 0.1, 0.5]),
        noise_free=st.sampled_from([0.0, 0.3, 1.0]))
+@example(n=3, t=20, seed=5, censored=0.0, noise_free=1.0)
 def test_both_loops_match_the_scalar_reference(n, t, seed, censored,
                                                noise_free):
     observations, dynamics, initial = _cohort(n, t, seed, censored,
@@ -92,21 +93,10 @@ def test_both_loops_match_the_scalar_reference(n, t, seed, censored,
         assert getattr(initial, name).tobytes() == moment.tobytes()
 
 
-def test_noise_free_channel_stays_a_point_mass():
-    """Every innovation variance is 0 on a noise-free channel: both
-    loops take a zero gain and keep the exact prior."""
-    observations, dynamics, initial = _cohort(3, 20, 5, 0.0, 1.0)
-    prepared = KalmanDynamics.prepare(3, *dynamics)
-    for loop in (prepared.filter_channels, prepared.filter_stacked):
-        out = KalmanTrace.empty(3, 20)
-        loop(*observations, initial, out)
-        np.testing.assert_array_equal(out.p11, 0.0)
-        np.testing.assert_array_equal(out.p22, 0.0)
-
-
 def test_filter_fills_views_of_a_longer_trace():
     """``out`` may be :meth:`KalmanTrace.columns` of a longer trace,
-    and ``initial`` a view of the column before them."""
+    and ``initial`` views of the column before them, as an estimation
+    chunk passes them."""
     observations, dynamics, initial = _cohort(4, 30, 9, 0.1, 0.0)
     prepared = KalmanDynamics.prepare(4, *dynamics)
     whole = prepared.filter(*observations, initial)
@@ -114,7 +104,8 @@ def test_filter_fills_views_of_a_longer_trace():
     prepared.filter(*(a[:, :11] for a in observations), initial,
                     out=trace.columns(0, 11))
     prepared.filter(*(a[:, 11:] for a in observations),
-                    KalmanState.from_trace(trace, 10),
+                    KalmanState(*(getattr(trace, name)[:, 10]
+                                  for name in MOMENTS)),
                     out=trace.columns(11, 30))
     _assert_same_bytes(trace, whole, "chunked")
 

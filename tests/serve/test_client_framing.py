@@ -208,6 +208,19 @@ def test_eof_before_the_declared_body_is_an_error():
     assert server.accepted == 1
 
 
+def test_head_without_content_length_has_no_body():
+    def bodiless(server, conn):
+        server.read_request(conn)
+        conn.sendall(b"HTTP/1.1 204 No Content\r\n\r\n")
+        server.read_request(conn)
+        conn.sendall(_response(200, {"status": "ok"}))
+
+    with ScriptedServer(bodiless) as server, _client(server) as client:
+        assert client.health() == {}
+        assert client.health() == {"status": "ok"}
+    assert server.accepted == 1
+
+
 def test_read_timeout_is_honoured():
     def silent(server, conn):
         server.read_request(conn)
