@@ -74,11 +74,12 @@ class ScenarioRun:
 
 def plan_for(scenario: Scenario):
     """Decode a scenario's spec into its workload's engine plan; a
-    wrong-typed spec value raises ``ValueError`` like any bad spec."""
+    wrong-typed or overflowing spec value raises ``ValueError`` like
+    any bad spec."""
     try:
         return workload_by_name(scenario.workload).build_plan(
             scenario.spec, scenario.seed)
-    except TypeError as error:
+    except (TypeError, OverflowError) as error:
         raise ValueError(f"{scenario.workload} spec: {error}") from error
 
 

@@ -17,6 +17,7 @@ silently ignored.
 from __future__ import annotations
 
 import json
+from math import inf
 from typing import Any, Iterable, Mapping
 
 from repro.core.calibration import default_protocol_for_range
@@ -35,6 +36,22 @@ from repro.therapy.controllers import (
     FixedRegimenController,
     ProportionalTroughController,
 )
+
+
+#: Largest cohort a spec may ask for.  Decoding samples every patient
+#: up front (about 50 us each, on the server's event loop at submit and
+#: at stream open), so a larger ``n_patients`` is refused before that.
+MAX_COHORT = 1024
+
+
+def _count(key: str, value: Any, low: int = 1, high: float = inf) -> int:
+    """``value`` as a count: ``TypeError`` unless an ``int`` (not a
+    ``bool``), ``ValueError`` outside ``[low, high]``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{key} must be in [{low}, {high}], got {value}")
+    return value
 
 
 def _check_keys(spec: Mapping[str, Any], allowed: Iterable[str],
@@ -118,8 +135,9 @@ class CalibrationWorkload:
         protocols = [
             default_protocol_for_range(
                 u,
-                n_blanks=int(spec.get("n_blanks", 5)),
-                n_replicates=int(spec.get("n_replicates", 3)))
+                n_blanks=_count("n_blanks", spec.get("n_blanks", 5)),
+                n_replicates=_count("n_replicates",
+                                    spec.get("n_replicates", 3)))
             for u in uppers]
         return calibration_plan(
             [build_sensor(s) for s in sensor_specs], protocols,
@@ -182,9 +200,10 @@ class MonitorWorkload:
         cfg = dict(spec["cohort"])
         _check_keys(cfg, self._COHORT_ALLOWED,
                     {"sensor", "analyte", "n_patients"}, "monitor cohort")
+        n_patients = _count("n_patients", cfg.pop("n_patients"),
+                            high=MAX_COHORT)
         sensor = build_sensor(spec_by_id(cfg.pop("sensor")))
-        channels = cohort(sensor, cfg.pop("analyte"),
-                          int(cfg.pop("n_patients")), **cfg)
+        channels = cohort(sensor, cfg.pop("analyte"), n_patients, **cfg)
         kwargs: dict[str, Any] = {
             key: spec[key] for key in self._PASSTHROUGH if key in spec}
         if "recalibration" in spec:
@@ -387,8 +406,9 @@ class TherapyWorkload:
                     {"drug", "n_patients", "cohort_seed", "controller",
                      "n_doses"}, self.name)
         drug = drug_by_name(spec["drug"])
-        treated = drug.population.sample(int(spec["n_patients"]),
-                                         seed=int(spec["cohort_seed"]))
+        treated = drug.population.sample(
+            _count("n_patients", spec["n_patients"], high=MAX_COHORT),
+            seed=_count("cohort_seed", spec["cohort_seed"], low=0))
         kwargs: dict[str, Any] = {
             key: spec[key] for key in self._PASSTHROUGH if key in spec}
         if "route" in spec:
@@ -399,7 +419,8 @@ class TherapyWorkload:
         return TherapyPlan.for_drug(
             drug, cohort=treated,
             controller=_controller_from(drug, spec["controller"]),
-            n_doses=int(spec["n_doses"]), seed=seed, **kwargs)
+            n_doses=_count("n_doses", spec["n_doses"]), seed=seed,
+            **kwargs)
 
     def example_spec(self) -> dict:
         """A short Bayesian-dosed cyclosporine course."""

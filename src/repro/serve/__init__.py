@@ -12,12 +12,10 @@ like right now, one reading at a time.  Two layers:
   schema-versioned snapshots (:mod:`repro.engine.core.snapshot`) and
   resume with bounded memory.
 * **Front door** (:mod:`repro.serve.server`) — a stdlib-only asyncio
-  HTTP server (``python -m repro serve``): submit scenarios to a
-  bounded work queue drained by forked worker processes, long-poll
-  their status, fetch results, and push readings to live streams;
-  health and throughput counters flow through
-  :mod:`repro.telemetry`.  :mod:`repro.serve.client` is the matching
-  stdlib client.
+  HTTP server (``python -m repro serve``) for jobs run by forked worker
+  processes and for live streams, metered through
+  :mod:`repro.telemetry`; :mod:`repro.serve.client` is its client, and
+  :mod:`repro.serve.framing` the HTTP/1.1 subset both put on the wire.
 
 Guide: ``docs/serving.md``.  Gates: streaming-vs-batch identity in
 ``tests/serve/``, >= 1000 readings/s/channel steady-state throughput
@@ -25,7 +23,8 @@ and cursor-independent snapshot size in ``benchmarks/bench_serve.py``.
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import MAX_BODY_BYTES, ReproServer, ServerThread
+from repro.serve.framing import MAX_BODY_BYTES
+from repro.serve.server import ReproServer, ServerThread
 from repro.serve.session import StreamSession, StreamUpdate
 
 __all__ = [

@@ -40,7 +40,7 @@ def _install_shutdown_handlers() -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the serving process until interrupted."""
-    from repro.serve.server import ReproServer, _run_server
+    from repro.serve.server import ReproServer
     from repro.telemetry import get_metrics_registry, telemetry_session
 
     with telemetry_session(args.telemetry, args.trace_out,
@@ -54,7 +54,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                        if recorder is not None else None))
         _install_shutdown_handlers()
         try:
-            asyncio.run(_run_server(server))
+            asyncio.run(server.serve_forever())
         except KeyboardInterrupt:
             pass
     return 0

@@ -1,11 +1,10 @@
 """A small stdlib client for the serve front door.
 
 Wraps the HTTP endpoints of :mod:`repro.serve.server` behind plain
-method calls.  The client writes and parses the HTTP/1.1 subset the
-front door speaks on a plain socket (no ``http.client``, no dependency
-— usable from tests, CI smoke jobs and examples).  Every method returns
-the parsed JSON payload; non-2xx responses raise :class:`ServeError`
-carrying the status code and the server's error payload.
+method calls, framed by :mod:`repro.serve.framing` on a plain socket
+(no ``http.client``).  Every method returns the parsed JSON payload;
+non-2xx responses raise :class:`ServeError` carrying the status code
+and the server's error payload.
 
 Quickstart::
 
@@ -26,17 +25,10 @@ import threading
 import time
 from typing import Any
 
-from repro.serve.framing import (
-    connection_tokens,
-    content_length,
-    header_fields,
-)
+from repro.serve.framing import encode_request, parse_response_head
 
-#: Longest response head (status line plus headers) the client reads
-#: [bytes]; a longer one is a protocol error, not a reason to buffer.
-_MAX_HEAD_BYTES = 64 * 1024
-
-#: Bytes asked of the socket per read.
+#: Bytes asked of the socket per read, and the longest response head
+#: the client reads (a longer one is a protocol error).
 _RECV_BYTES = 64 * 1024
 
 
@@ -57,11 +49,7 @@ class ServeError(RuntimeError):
 
 
 class _Connection:
-    """One thread's kept-alive socket to the server, opened lazily.
-
-    Speaks the HTTP/1.1 subset the front door writes: one response per
-    request, its body framed by ``Content-Length`` (none: no body).
-    """
+    """One thread's kept-alive socket to the server, opened lazily."""
 
     def __init__(self, address: "tuple[str, int]",
                  timeout_s: float) -> None:
@@ -76,11 +64,8 @@ class _Connection:
             self.sock = None
 
     def send(self, request: bytes) -> None:
-        """Send one request and wait for the first bytes of its answer.
-
-        Raises ``ConnectionResetError`` if the server closes the
-        connection without answering.
-        """
+        """Send one request and wait for the first bytes of its answer;
+        ``ConnectionResetError`` if the server closes without one."""
         if self.sock is None:
             self.sock = socket.create_connection(self.address,
                                                  self.timeout_s)
@@ -108,30 +93,23 @@ class _Connection:
         buffer = self.buffer
         searched = 0
         while (end := buffer.find(b"\r\n\r\n", searched)) < 0:
-            if len(buffer) > _MAX_HEAD_BYTES:
+            if len(buffer) > _RECV_BYTES:
                 raise ConnectionError(
-                    f"response head over {_MAX_HEAD_BYTES} bytes")
+                    f"response head over {_RECV_BYTES} bytes")
             searched = max(len(buffer) - 3, 0)
             self._receive("the response head")
-        status_line, *header_lines = (
-            buffer[:end].decode("latin-1").split("\r\n"))
-        version, _, rest = status_line.partition(" ")
-        code = rest[:3]
-        if not (version.startswith("HTTP/") and code.isdigit()):
-            raise ConnectionError(f"malformed status line {status_line!r}")
-        headers = header_fields(header_lines)
         try:
-            length = content_length(headers)
+            status, length, close = parse_response_head(buffer[:end])
         except ValueError as error:
-            raise ConnectionError(str(error))
+            raise ConnectionError(str(error)) from None
         stop = end + 4 + length
         while len(buffer) < stop:
             self._receive(f"a {length}-byte body")
         body = bytes(buffer[end + 4:stop])
         buffer.clear()
-        if "close" in connection_tokens(headers):
+        if close:
             self.close()
-        return int(code), body
+        return status, body
 
 
 class ServeClient:
@@ -151,7 +129,7 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self._host_header = f"Host: {host}:{port}\r\n"
+        self._host = f"{host}:{port}"
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: "list[_Connection]" = []
@@ -185,11 +163,7 @@ class ServeClient:
                   payload: "bytes | None" = None) -> bytes:
         """One request/response cycle; the response body, or
         :class:`ServeError` for a status of 400 or more."""
-        head = f"{method} {target} HTTP/1.1\r\n{self._host_header}"
-        if payload is not None:
-            head += (f"Content-Type: application/json\r\n"
-                     f"Content-Length: {len(payload)}\r\n")
-        request = (head + "\r\n").encode("latin-1") + (payload or b"")
+        request = encode_request(method, target, self._host, payload)
         connection = self._connection()
         reused = connection.sock is not None
         try:
@@ -233,11 +207,9 @@ class ServeClient:
         return self._request("GET", "/metrics")
 
     def metrics_prometheus(self) -> str:
-        """``GET /metrics?format=prometheus`` — raw text exposition.
-
-        Returns the exposition body (format 0.0.4) as a string; feed
-        it to :func:`repro.telemetry.parse_prometheus` to validate.
-        """
+        """``GET /metrics?format=prometheus`` — the text exposition
+        (format 0.0.4; :func:`repro.telemetry.parse_prometheus` reads
+        it)."""
         return self._exchange(
             "GET", "/metrics?format=prometheus").decode("utf-8")
 
@@ -270,9 +242,8 @@ class ServeClient:
         (clamped to its ``MAX_WAIT_S``), then answers the same payload.
 
         A :class:`ServeError` with status 410 means the job finished
-        and was evicted (the server keeps only its last
-        ``MAX_FINISHED_JOBS`` finished jobs); 404 means no such job was
-        ever issued.
+        and was evicted (the server keeps its last ``MAX_FINISHED_JOBS``
+        finished jobs); 404 that no such job was ever issued.
         """
         suffix = f"?wait={wait_s:.3f}" if wait_s > 0.0 else ""
         return self._request("GET", f"/scenarios/{job_id}{suffix}")

@@ -1,46 +1,26 @@
 """The async front door: scenarios and live streams over HTTP.
 
-A deliberately small server built on nothing but the standard library
-(``asyncio.start_server`` plus a hand-rolled HTTP/1.1 request reader —
-no web framework, matching the repo's no-new-dependencies rule).  It
-exposes the two serving modes of :mod:`repro.serve`:
+A small server on nothing but the standard library
+(``asyncio.start_server`` plus the HTTP/1.1 subset of
+:mod:`repro.serve.framing`, no web framework) for the two serving
+modes of :mod:`repro.serve`:
 
-* **Jobs** — submit a scenario envelope (``POST /scenarios``), read
-  its status (``GET /scenarios/{id}``, or long-poll it with
-  ``?wait=<s>`` until the job finishes), fetch the replayable result
-  artifact (``GET /scenarios/{id}/result``).  Jobs drain through a
-  bounded work queue with a per-workload concurrency limit; a full
-  queue answers 503 instead of buffering without bound.  Each job runs
-  in a pre-forked worker process, so concurrent jobs compute in
-  parallel instead of taking turns on one interpreter lock.  Only the
-  last :data:`MAX_FINISHED_JOBS` finished jobs are kept; the id of an
-  older one answers 410 Gone.
-* **Streams** — open an incremental session for a scenario
-  (``POST /streams``), push readings in blocks
-  (``POST /streams/{id}/readings``), read back the filtered estimates
-  as they are produced, snapshot (``GET /streams/{id}/snapshot``) and
-  finally fetch the batch-identical result
-  (``GET /streams/{id}/result``).  At most :data:`MAX_STREAMS` are
-  open at once, and one left idle for :data:`_STREAM_IDLE_S` is closed.
+* **Jobs** — ``POST /scenarios`` queues a scenario on a bounded work
+  queue (503 when full) under a per-workload concurrency limit, and a
+  pre-forked worker process runs it; ``GET /scenarios/{id}`` reads its
+  status (``?wait=<s>`` long-polls it) and ``.../result`` its
+  replayable artifact.
+* **Streams** — ``POST /streams`` opens an incremental session,
+  ``POST /streams/{id}/readings`` advances it by a block of readings
+  and answers the filtered estimates, ``.../snapshot`` and
+  ``.../result`` read its resume point and batch-identical artifact.
 
-Observability is first-class.  The server meters itself through
-:mod:`repro.telemetry.metrics` instruments — per-endpoint request
-latency histograms, error counters by status class, per-workload
-in-flight gauges, queue depth, stream/readings throughput, plus
-periodic runtime collectors (RSS, GC counts, event-loop lag) — and
-exposes them two ways on ``GET /metrics``: the legacy JSON payload
-(counters derived from the same registry series) and Prometheus text
-exposition format 0.0.4 on ``GET /metrics?format=prometheus``.  Every
-request is assigned a ``trace_id`` at the front door
-(:func:`repro.telemetry.trace_context`, echoed back as an
-``X-Trace-Id`` header): the request's spans carry it into the JSONL
-trace, its latency observation stamps it as the histogram exemplar,
-and a job inherits its submitting request's id — so a slow bucket in
-the histogram leads straight to one request's Perfetto timeline.
-The active :mod:`repro.telemetry` recorder receives ``serve.*``
-spans, plus the engine spans each job worker ships back and the
-server replays; every count lives on the registry, into which each
-job's worker-side metrics snapshot is merged.
+The server meters itself on a :mod:`repro.telemetry.metrics`
+registry, exposed on ``GET /metrics`` as JSON or (``?format=prometheus``)
+Prometheus text.  Every request runs under a fresh trace id, echoed as
+an ``X-Trace-Id`` header and stamped on its spans and latency exemplar;
+a job inherits its submitting request's id, and its worker's spans and
+metrics are replayed onto the server's recorder and registry.
 
 Endpoint reference: ``docs/serving.md``.  Run it with
 ``python -m repro serve``; tests drive an in-process
@@ -51,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import itertools
 import json
 import logging
 import math
@@ -62,14 +41,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
-from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
 from repro.serve.framing import (
-    connection_tokens,
-    content_length,
-    header_fields,
+    MAX_LINE_BYTES,
+    HttpError,
+    discard_unread,
+    encode_response,
+    read_request,
 )
 from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
@@ -80,10 +60,6 @@ from repro.telemetry import (
 )
 
 _LOG = logging.getLogger("repro.serve.server")
-
-#: Largest request body the server will read [bytes]; larger requests
-#: are answered 413 before the body is consumed.
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Finished (done or failed) jobs the server keeps for their status and
 #: result; past it the oldest is evicted, and its id answers 410.
@@ -96,21 +72,9 @@ MAX_STREAMS = 64
 #: lag, queue depth) [s].
 COLLECT_INTERVAL_S = 5.0
 
-#: Longest request line or header line the server will read [bytes],
-#: the connection's stream buffer limit; a longer request line is
-#: answered 400, a longer header line 431.
-MAX_LINE_BYTES = 64 * 1024
-
-#: Most header lines one request may carry; more are answered 431.
-MAX_HEADERS = 100
-
 #: Longest a ``GET /scenarios/{id}?wait=<s>`` long-poll is held [s];
 #: larger waits are clamped to it.
 MAX_WAIT_S = 30.0
-
-#: Longest the server keeps reading (and discarding) a request it
-#: refused before closing the connection [s].
-_LINGER_S = 1.0
 
 #: Longest a connection may take to deliver one request [s], from when
 #: the server starts waiting for its request line until its body is
@@ -133,68 +97,12 @@ _STREAM_IDLE_S = 600.0
 _INSTALLED: "list[ReproServer]" = []
 _INSTALLED_LOCK = threading.Lock()
 
-_STATUS_TEXT = {
-    200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
-    404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout",
-    409: "Conflict", 410: "Gone", 413: "Payload Too Large",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-class _HttpError(Exception):
-    """Routing-level failure carrying an HTTP status and message."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-async def _read_line(reader: asyncio.StreamReader, status: int,
-                     what: str) -> bytes:
-    """One request or header line; past :data:`MAX_LINE_BYTES` the
-    stream raises ``ValueError``, answered with ``status``.
-
-    A line the stream ended in the middle of raises
-    ``asyncio.IncompleteReadError``, as a cut body does; an empty
-    result means the stream ended before the line began.
-    """
-    try:
-        line = await reader.readline()
-    except ValueError:
-        raise _HttpError(status, f"{what} longer than {MAX_LINE_BYTES} "
-                                 f"bytes") from None
-    if line and not line.endswith(b"\n"):
-        raise asyncio.IncompleteReadError(line, None)
-    return line
-
-
-async def _discard_unread(reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-    """Half-close, then read what the client still sends, for at most
-    :data:`_LINGER_S`: closing on unread input resets the connection,
-    which can discard the error response before the client reads it."""
-    if writer.can_write_eof():
-        writer.write_eof()
-    try:
-        await asyncio.wait_for(_read_to_eof(reader), _LINGER_S)
-    except asyncio.TimeoutError:
-        pass
-
-
-async def _read_to_eof(reader: asyncio.StreamReader) -> None:
-    while await reader.read(MAX_LINE_BYTES):
-        pass
-
-
 @dataclass
 class _Text:
     """A non-JSON response body carrying its own content type."""
 
     text: str
-    content_type: str = "text/plain; charset=utf-8"
+    content_type: str
 
 
 @dataclass
@@ -247,13 +155,10 @@ class _Stream:
 
 
 def _init_job_worker() -> None:
-    """Job-process initializer: leave signal handling to the server.
-
-    A forked worker inherits the server's Python-level SIGINT/SIGTERM
-    handlers, which would turn a terminal Ctrl-C into a traceback in
-    every worker and make ``terminate()`` raise instead of exit.  The
-    server owns shutdown and terminates its workers itself.
-    """
+    """Job-process initializer: leave signal handling to the server,
+    which terminates its workers itself (inherited SIGINT/SIGTERM
+    handlers would turn a Ctrl-C into a traceback in every worker and
+    make ``terminate()`` raise instead of exit)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
@@ -272,12 +177,8 @@ def _job_entry(scenario, trace_id: "str | None", spans: bool):
 
 
 def _pool_processes(pool: ProcessPoolExecutor) -> list:
-    """The pool's worker processes.
-
-    ``ProcessPoolExecutor`` has no public handle on them before Python
-    3.14; they are needed to name a dead worker and to terminate the
-    pool on stop.
-    """
+    """The pool's worker processes (no public handle before Python
+    3.14), to name a dead worker and to terminate the pool on stop."""
     return list(pool._processes.values())
 
 
@@ -292,17 +193,30 @@ def _dead_workers(processes) -> str:
         for process in dead) or "unknown"
 
 
-def _jsonify(value):
-    """Recursively convert numpy containers into JSON-clean values."""
-    if isinstance(value, np.ndarray):
+def _json_default(value):
+    """NumPy arrays and scalars as JSON values (``json.dumps`` hook)."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _artifact(scenario, result, query: dict) -> dict:
+    """A run's replayable artifact, with traces under ``?traces=1``."""
+    from repro.scenarios import ScenarioRun
+
+    return ScenarioRun(scenario=scenario, result=result).to_dict(
+        include_traces=query.get("traces") in ("1", "true"))
+
+
+def _encode(status: int, payload, keep_alive: bool,
+            headers: "dict[str, str] | None" = None) -> bytes:
+    """The response carrying ``payload``: JSON, or a :class:`_Text`."""
+    if isinstance(payload, _Text):
+        return encode_response(status, payload.text.encode("utf-8"),
+                               payload.content_type, keep_alive, headers)
+    body = json.dumps(payload, default=_json_default).encode()
+    return encode_response(status, body, "application/json", keep_alive,
+                           headers)
 
 
 class ReproServer:
@@ -326,8 +240,8 @@ class ReproServer:
             histograms from stream advances land in the same scrape
             (restored on :meth:`stop`).
 
-    Request bodies are capped at :data:`MAX_BODY_BYTES` (413 beyond
-    it); runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
+    Requests are bounded by the :mod:`repro.serve.framing` limits;
+    runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
     Only the last :data:`MAX_FINISHED_JOBS` finished jobs are kept
     (an evicted one answers 410); at most :data:`MAX_STREAMS` streams
     are open (503 beyond it), and one idle for :data:`_STREAM_IDLE_S`
@@ -446,10 +360,14 @@ class ReproServer:
                     set_metrics_registry(self._previous_registry)
 
     async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
+        """Start, serve until cancelled, then stop (the CLI entry)."""
+        await self.start()
+        try:
+            await self._server.serve_forever()
+        except asyncio.CancelledError:
+            pass
+        finally:
+            await self.stop()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -761,11 +679,11 @@ class ReproServer:
                                  writer: asyncio.StreamWriter) -> None:
         """Serve requests on one connection until it closes.
 
-        Each request is routed under a fresh trace id.  HTTP/1.1 keeps
-        the connection open unless the request says ``Connection:
-        close``; HTTP/1.0 closes it unless the request says
-        ``keep-alive``.  A refused request (400, 408, 413, 431) closes
-        it after the server has read what the client still sends.
+        Each request is routed under a fresh trace id; the connection
+        stays open while requests ask to keep it alive (the HTTP/1.0
+        and 1.1 rules of :mod:`repro.serve.framing`).  A refused request
+        (400, 408, 413, 431, 501) closes it after the server has read
+        what the client still sends.
         """
         task = asyncio.current_task()
         self._handlers.add(task)
@@ -776,20 +694,19 @@ class ReproServer:
                 try:
                     request = await self._read_request_by_deadline(
                         reader, writer)
-                except _HttpError as error:
-                    # parse-stage failures (oversized body, bad request
-                    # line, a stalled request) still deserve a proper
-                    # status response
-                    await self._write_response(
-                        writer, error.status, {"error": error.message},
-                        keep_alive=False)
-                    await _discard_unread(reader, writer)
+                except HttpError as error:
+                    writer.write(_encode(error.status,
+                                         {"error": str(error)},
+                                         keep_alive=False))
+                    await writer.drain()
+                    await discard_unread(reader, writer)
                     return
                 if request is None:
                     return
-                method, path, query, body, keep_alive = request
-                await self._respond(writer, method, path, query, body,
-                                    keep_alive and not reader.at_eof())
+                head, body = request
+                keep_alive = head.keep_alive and not reader.at_eof()
+                await self._respond(writer, head.method, head.path,
+                                    head.query, body, keep_alive)
         except ConnectionError:
             pass
         finally:
@@ -802,7 +719,8 @@ class ReproServer:
 
     async def _read_request_by_deadline(self, reader: asyncio.StreamReader,
                                         writer: asyncio.StreamWriter):
-        """:meth:`_read_request` within :data:`_READ_DEADLINE_S`.
+        """:func:`~repro.serve.framing.read_request` within
+        :data:`_READ_DEADLINE_S`.
 
         The deadline is a timer on the loop, not a task per request:
         when it fires it stops reading the socket and ends the stream,
@@ -825,59 +743,16 @@ class ReproServer:
             _READ_DEADLINE_S, expire)
         self._reading[task] = expire
         try:
-            return await self._read_request(reader)
+            return await read_request(reader)
         except asyncio.IncompleteReadError:
             if expired:
-                raise _HttpError(
+                raise HttpError(
                     408, f"request incomplete after {_READ_DEADLINE_S} s"
                 ) from None
             return None     # the client left mid-request
         finally:
             deadline.cancel()
             del self._reading[task]
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP/1.1 request; None for an ended connection.
-
-        Returns ``(method, path, query, body, keep_alive)``; a request
-        the stream ended in the middle of raises
-        ``asyncio.IncompleteReadError``.
-        """
-        line = await _read_line(reader, 400, "request line")
-        if not line.strip():
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise _HttpError(400, "malformed request line")
-        method, target = parts[0].upper(), parts[1]
-        lines: "list[str]" = []
-        for count in itertools.count():
-            raw = await _read_line(reader, 431, "header line")
-            if raw in (b"\r\n", b"\n"):
-                break
-            if not raw:
-                raise asyncio.IncompleteReadError(raw, None)
-            if count == MAX_HEADERS:
-                raise _HttpError(431, f"more than {MAX_HEADERS} headers")
-            lines.append(raw.decode("latin-1"))
-        headers = header_fields(lines)
-        try:
-            length = content_length(headers)
-        except ValueError as error:
-            raise _HttpError(400, str(error))
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(
-                413, f"body of {length} bytes exceeds the "
-                     f"{MAX_BODY_BYTES}-byte cap")
-        body = await reader.readexactly(length) if length else b""
-        tokens = connection_tokens(headers)
-        keep_alive = ("close" not in tokens
-                      if parts[2:] == ["HTTP/1.1"]
-                      else "keep-alive" in tokens)
-        split = urlsplit(target)
-        query = {key: values[-1]
-                 for key, values in parse_qs(split.query).items()}
-        return method, split.path, query, body, keep_alive
 
     async def _respond(self, writer: asyncio.StreamWriter, method: str,
                        path: str, query: dict, body: bytes,
@@ -890,9 +765,9 @@ class ReproServer:
                 try:
                     status, payload = await self._route(
                         method, path, query, body)
-                except _HttpError as error:
+                except HttpError as error:
                     status = error.status
-                    payload = {"error": error.message}
+                    payload = {"error": str(error)}
                 except Exception as error:  # pragma: no cover - guard
                     status = 500
                     payload = {"error": f"{type(error).__name__}: {error}"}
@@ -900,31 +775,10 @@ class ReproServer:
                                    path)
             self._account_request(method, path, status,
                                   time.perf_counter() - started)
-            await self._write_response(
-                writer, status, payload,
-                keep_alive=keep_alive and not self._stopping,
-                extra_headers={"X-Trace-Id": trace_id})
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              status: int, payload, keep_alive: bool,
-                              extra_headers: "dict | None" = None
-                              ) -> None:
-        if isinstance(payload, _Text):
-            body = payload.text.encode("utf-8")
-            content_type = payload.content_type
-        else:
-            body = json.dumps(_jsonify(payload)).encode()
-            content_type = "application/json"
-        text = _STATUS_TEXT.get(status, "Unknown")
-        head = (f"HTTP/1.1 {status} {text}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n")
-        for name, value in (extra_headers or {}).items():
-            head += f"{name}: {value}\r\n"
-        head += ("Connection: keep-alive\r\n\r\n" if keep_alive
-                 else "Connection: close\r\n\r\n")
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+            writer.write(_encode(status, payload,
+                                 keep_alive and not self._stopping,
+                                 {"X-Trace-Id": trace_id}))
+            await writer.drain()
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
@@ -933,9 +787,9 @@ class ReproServer:
         try:
             data = json.loads(body)
         except (ValueError, RecursionError) as error:  # or not UTF-8
-            raise _HttpError(400, f"invalid JSON body: {error}")
+            raise HttpError(400, f"invalid JSON body: {error}")
         if not isinstance(data, dict):
-            raise _HttpError(400, "JSON body must be an object")
+            raise HttpError(400, "JSON body must be an object")
         return data
 
     def _scenario_from(self, body: bytes):
@@ -944,7 +798,7 @@ class ReproServer:
         try:
             return Scenario.from_dict(self._json_body(body))
         except (KeyError, ValueError) as error:
-            raise _HttpError(400, f"invalid scenario: {error}")
+            raise HttpError(400, f"invalid scenario: {error}")
 
     # -- routing ---------------------------------------------------------
 
@@ -968,30 +822,30 @@ class ReproServer:
                 return 200, _Text(self.registry.render_prometheus(),
                                   PROMETHEUS_CONTENT_TYPE)
             if exposition not in (None, "json"):
-                raise _HttpError(
+                raise HttpError(
                     400, f"unknown format {exposition!r} "
                          "(use 'json' or 'prometheus')")
             return 200, self.metrics()
         if parts == ["scenarios"]:
             if method != "POST":
-                raise _HttpError(405, "use POST /scenarios")
+                raise HttpError(405, "use POST /scenarios")
             return self._submit_job(self._scenario_from(body))
         if len(parts) >= 2 and parts[0] == "scenarios":
             return await self._route_job(method, parts[1], parts[2:],
                                          query)
         if parts == ["streams"]:
             if method != "POST":
-                raise _HttpError(405, "use POST /streams")
+                raise HttpError(405, "use POST /streams")
             return self._open_stream(self._scenario_from(body))
         if len(parts) >= 2 and parts[0] == "streams":
             return await self._route_stream(method, parts[1],
                                             parts[2:], query, body)
-        raise _HttpError(404, f"no route for {path!r}")
+        raise HttpError(404, f"no route for {path!r}")
 
     @staticmethod
     def _get_only(method: str):
         if method != "GET":
-            raise _HttpError(405, "read-only endpoint: use GET")
+            raise HttpError(405, "read-only endpoint: use GET")
         return None
 
     # -- job routes ------------------------------------------------------
@@ -1005,13 +859,13 @@ class ReproServer:
         if self._queue.full():
             self._m["jobs"].labels(workload=scenario.workload,
                                    outcome="rejected").inc()
-            raise _HttpError(
+            raise HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
         try:
             plan_for(scenario)
         except (KeyError, ValueError) as error:
-            raise _HttpError(400, f"invalid scenario: {error}")
+            raise HttpError(400, f"invalid scenario: {error}")
         job = _Job(job_id=self._next_id("job"), scenario=scenario,
                    trace_id=current_trace_id())
         self._queue.put_nowait(job)
@@ -1024,15 +878,13 @@ class ReproServer:
     @staticmethod
     def _wait_s(query: dict) -> float:
         """The ``?wait=`` long-poll seconds, clamped to the cap."""
-        raw = query.get("wait")
-        if raw is None:
-            return 0.0
+        raw = query.get("wait", "0")
         try:
             wait_s = float(raw)
         except ValueError:
             wait_s = math.nan
         if not (math.isfinite(wait_s) and wait_s >= 0.0):
-            raise _HttpError(
+            raise HttpError(
                 400, f"wait must be a finite number of seconds >= 0, "
                      f"got {raw!r}")
         return min(wait_s, MAX_WAIT_S)
@@ -1042,10 +894,10 @@ class ReproServer:
         job = self._jobs.get(job_id)
         if job is None:
             if self._was_issued("job", job_id):
-                raise _HttpError(
+                raise HttpError(
                     410, f"job {job_id} was evicted: only the last "
                          f"{MAX_FINISHED_JOBS} finished jobs are kept")
-            raise _HttpError(404, f"unknown job {job_id!r}")
+            raise HttpError(404, f"unknown job {job_id!r}")
         self._get_only(method)
         if not rest:
             wait_s = self._wait_s(query)
@@ -1057,15 +909,11 @@ class ReproServer:
             return 200, job.describe()
         if rest == ["result"]:
             if job.status != "done":
-                raise _HttpError(
+                raise HttpError(
                     409, f"job {job_id} is {job.status}"
                          + (f": {job.error}" if job.error else ""))
-            from repro.scenarios import ScenarioRun
-
-            run = ScenarioRun(scenario=job.scenario, result=job.result)
-            traces = query.get("traces") in ("1", "true")
-            return 200, run.to_dict(include_traces=traces)
-        raise _HttpError(404, f"no route for job {job_id}/{rest[0]}")
+            return 200, _artifact(job.scenario, job.result, query)
+        raise HttpError(404, f"no route for job {job_id}/{rest[0]}")
 
     # -- stream routes ---------------------------------------------------
 
@@ -1074,13 +922,13 @@ class ReproServer:
 
         if len(self._streams) >= MAX_STREAMS:
             self._m["streams_rejected"].inc()
-            raise _HttpError(
+            raise HttpError(
                 503, f"{MAX_STREAMS} streams open; close one or retry "
                      f"later")
         try:
             session = StreamSession.from_scenario(scenario)
         except (KeyError, ValueError) as error:
-            raise _HttpError(400, str(error))
+            raise HttpError(400, str(error))
         stream = _Stream(stream_id=self._next_id("stream"),
                          scenario=scenario, session=session)
         self._streams[stream.stream_id] = stream
@@ -1094,7 +942,7 @@ class ReproServer:
                             body: bytes):
         stream = self._streams.get(stream_id)
         if stream is None:
-            raise _HttpError(404, f"unknown stream {stream_id!r}")
+            raise HttpError(404, f"unknown stream {stream_id!r}")
         stream.used_s = time.monotonic()
         if not rest:
             if method == "DELETE":
@@ -1107,38 +955,33 @@ class ReproServer:
             return 200, stream.describe()
         if rest == ["readings"]:
             if method != "POST":
-                raise _HttpError(405, "use POST .../readings")
+                raise HttpError(405, "use POST .../readings")
             return self._push_readings(stream, body)
         self._get_only(method)
         if rest == ["result"]:
             if not stream.session.done:
-                raise _HttpError(
+                raise HttpError(
                     409, f"stream {stream_id} has "
                          f"{stream.session.remaining} samples left")
-            from repro.scenarios import ScenarioRun
-
-            run = ScenarioRun(scenario=stream.scenario,
-                              result=stream.session.result())
-            traces = query.get("traces") in ("1", "true")
-            return 200, run.to_dict(include_traces=traces)
+            return 200, _artifact(stream.scenario,
+                                  stream.session.result(), query)
         if rest == ["snapshot"]:
             return 200, stream.session.export_state()
-        raise _HttpError(404,
-                         f"no route for stream {stream_id}/{rest[0]}")
+        raise HttpError(404, f"no route for stream {stream_id}/{rest[0]}")
 
     def _push_readings(self, stream: _Stream, body: bytes):
         data = self._json_body(body)
         unknown = sorted(set(data) - {"count"})
         if unknown:
-            raise _HttpError(400, f"unknown keys {unknown}; a push body "
-                                  'is {"count": n} or {}')
+            raise HttpError(400, f"unknown keys {unknown}; a push body "
+                                 'is {"count": n} or {}')
         count = data.get("count")
         if count is not None and (not isinstance(count, int)
                                   or isinstance(count, bool)
                                   or count < 1):
-            raise _HttpError(400, "count must be a positive integer")
+            raise HttpError(400, "count must be a positive integer")
         if stream.session.done:
-            raise _HttpError(
+            raise HttpError(
                 409, f"stream {stream.stream_id} is exhausted")
         # On the loop: a small advance costs less than a hop to a
         # thread, and nothing else can touch the session meanwhile.
@@ -1163,17 +1006,6 @@ class ReproServer:
         }
 
 
-async def _run_server(server: ReproServer) -> None:
-    """Start and serve until interrupted (the CLI entry)."""
-    await server.start()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()
-
-
 class ServerThread:
     """A :class:`ReproServer` on a background thread (tests, examples).
 
@@ -1184,6 +1016,7 @@ class ServerThread:
 
     def __init__(self, **kwargs: Any) -> None:
         self.server = ReproServer(**kwargs)
+        self.host = self.server.host
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._thread: "threading.Thread | None" = None
         self._started = threading.Event()
@@ -1192,11 +1025,6 @@ class ServerThread:
     def port(self) -> int:
         """The bound port (valid after :meth:`start`)."""
         return self.server.port
-
-    @property
-    def host(self) -> str:
-        """The bind host."""
-        return self.server.host
 
     def start(self) -> "ServerThread":
         """Boot the loop thread and wait for the listener to bind."""

@@ -1,5 +1,9 @@
 """Workload registry + the three built-in spec-to-plan adapters."""
 
+import json
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,11 @@ from repro.scenarios import (
     run_scenario,
     workload_by_name,
     Scenario,
+    plan_for,
 )
+from repro.scenarios.workloads import MAX_COHORT
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 from repro.therapy import (
     BayesianTroughController,
     FixedRegimenController,
@@ -336,6 +344,59 @@ class TestTherapyWorkload:
         spec = self.spec({"kind": "fixed", "dose_mg": 200.0})
         spec["route"] = "iv_bolus"
         assert self.WORKLOAD.build_plan(spec, seed=0).route is Route.IV_BOLUS
+
+
+def _with(path: str, leaf: str, value) -> Scenario:
+    """The checked-in example at ``path`` with one spec leaf replaced
+    (``leaf`` is a dotted path under ``spec``)."""
+    scenario = Scenario.load(EXAMPLES / path)
+    spec = json.loads(json.dumps(scenario.spec))
+    *parents, key = leaf.split(".")
+    node = spec
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    return Scenario(workload=scenario.workload, name=scenario.name,
+                    seed=scenario.seed, spec=spec)
+
+
+#: Every count the built-in decoders read, with the example it sits in.
+COUNTS = [("calibration_panel.json", "n_blanks"),
+          ("calibration_panel.json", "n_replicates"),
+          ("glucose_week.json", "cohort.n_patients"),
+          ("estimation_glucose_day.json", "cohort.n_patients"),
+          ("cyclosporine_course.json", "n_patients"),
+          ("cyclosporine_course.json", "n_doses"),
+          ("cyclosporine_course.json", "cohort_seed")]
+
+
+class TestStrictDecoding:
+    """Counts are ints (not bools, floats or strings) in range, and a
+    value too large to decode is a ``ValueError``, never an
+    ``OverflowError`` or a long stall."""
+
+    @pytest.mark.parametrize("path, leaf", COUNTS)
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None, 1e308])
+    def test_a_count_of_another_type_is_refused(self, path, leaf, value):
+        with pytest.raises(ValueError, match=leaf.split(".")[-1]):
+            plan_for(_with(path, leaf, value))
+
+    @pytest.mark.parametrize("path, leaf", [
+        ("glucose_week.json", "cohort.n_patients"),
+        ("estimation_glucose_day.json", "cohort.n_patients"),
+        ("cyclosporine_course.json", "n_patients")])
+    def test_cohort_is_bounded_before_sampling(self, path, leaf):
+        plan_for(_with(path, leaf, MAX_COHORT))
+        for value in (MAX_COHORT + 1, 50_000, 10**308):
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match=str(MAX_COHORT)):
+                plan_for(_with(path, leaf, value))
+            assert time.perf_counter() - began < 0.5
+
+    @pytest.mark.parametrize("leaf", ["dose_interval_h", "sample_period_s"])
+    def test_an_overflowing_period_is_a_value_error(self, leaf):
+        with pytest.raises(ValueError):
+            plan_for(_with("cyclosporine_course.json", leaf, 1e308))
 
 
 class TestResultProtocol:

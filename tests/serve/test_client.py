@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.serve import ServeClient, ServeError, ServerThread
+from repro.serve import framing
 from repro.serve import server as server_module
 from repro.telemetry import MetricsRegistry
 
@@ -108,7 +109,7 @@ class TestReconnect:
         assert _connections(registry) == 2
 
     def test_refused_request_drops_the_connection(self, monkeypatch):
-        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)
+        monkeypatch.setattr(framing, "MAX_BODY_BYTES", 1024)
         registry = MetricsRegistry()
         with ServerThread(port=0, workers=1,
                           registry=registry) as thread:

@@ -33,6 +33,7 @@ from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.scenarios.protocols import WORKLOADS, register_workload
 from repro.scenarios.runner import fork_context
 from repro.serve import ServeClient, ServeError, ServerThread
+from repro.serve import framing
 from repro.serve import server as server_module
 
 MONITOR_SCENARIO = Scenario(
@@ -290,6 +291,29 @@ class TestStreams:
         assert excinfo.value.status == 404
         assert client.metrics()["counters"].get(
             "jobs.submitted.estimation", 0) == submitted
+
+    @pytest.mark.parametrize("override", [
+        pytest.param({"n_patients": 1e308}, id="n-patients-1e308"),
+        pytest.param({"dose_interval_h": 1e308}, id="dose-interval-1e308"),
+        pytest.param({"n_patients": 10**6}, id="cohort-over-the-cap"),
+    ])
+    def test_overflowing_therapy_spec_is_400_at_submit(self, client, caplog,
+                                                       override):
+        """Values too large to decode are refused like any bad spec,
+        quickly and with nothing logged as an unhandled error."""
+        scenario = Scenario(
+            workload="therapy", name="overflow", seed=1,
+            spec={"drug": "cyclosporine", "n_patients": 4,
+                  "cohort_seed": 7, "controller": {"kind": "bayesian"},
+                  "n_doses": 2, **override})
+        with caplog.at_level(logging.ERROR):
+            began = time.monotonic()
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(scenario.to_dict())
+            elapsed = time.monotonic() - began
+        assert excinfo.value.status == 400
+        assert elapsed < 2.0
+        assert not caplog.records
 
 
 class TestMetrics:
@@ -631,7 +655,7 @@ class TestBackpressure:
 
 class TestRequestLimits:
     def test_oversized_body_is_413(self, monkeypatch):
-        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)
+        monkeypatch.setattr(framing, "MAX_BODY_BYTES", 1024)
         with ServerThread(port=0) as thread, \
                 ServeClient(thread.host, thread.port) as client:
             with pytest.raises(ServeError) as excinfo:
@@ -649,7 +673,7 @@ class TestRequestLimits:
                      + b"X-Many: 1\r\n" * 20_000 + b"\r\n",
                      431, id="too-many-headers"),
         pytest.param(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
-                     + b"X-Many: 1\r\n" * (server_module.MAX_HEADERS - 1)
+                     + b"X-Many: 1\r\n" * (framing.MAX_HEADERS - 1)
                      + b"\r\n", 200, id="header-cap"),
     ])
     def test_oversized_request_head_is_answered(self, client, caplog,
@@ -722,6 +746,36 @@ class TestRequestLimits:
         assert b"Count" in response
         assert client.stream_status(stream_id)["cursor"] == 0
         client.delete_stream(stream_id)
+
+    @pytest.mark.parametrize("length", [b"", b"Content-Length: 13\r\n"],
+                             ids=["chunked", "chunked-with-length"])
+    def test_chunked_push_is_501_and_runs_nothing(self, client, length):
+        """A chunked body is refused, not read as an empty push (which
+        would run the whole stream) followed by its chunks as a second
+        request."""
+        stream_id = client.create_stream(
+            MONITOR_SCENARIO.to_dict())["stream_id"]
+        with _connect(client) as sock:
+            sock.sendall(f"POST /streams/{stream_id}/readings HTTP/1.1\r\n"
+                         "Transfer-Encoding: chunked\r\n".encode()
+                         + length + b"\r\nd\r\n{\"count\": 12}\r\n0\r\n\r\n")
+            status, headers, body = _read_response(sock)
+            sock.shutdown(socket.SHUT_WR)   # ends the server's linger
+            assert _closed(sock)
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert b"Transfer-Encoding" in body
+        assert client.stream_status(stream_id)["cursor"] == 0
+        client.delete_stream(stream_id)
+
+    def test_unparsable_target_is_400(self, client, caplog):
+        """A target ``urlsplit`` refuses is answered, not dropped."""
+        with caplog.at_level(logging.ERROR):
+            response = _raw_request(client, b"GET //[ HTTP/1.1\r\n"
+                                            b"Connection: close\r\n\r\n")
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"IPv6" in response
+        assert not caplog.records
 
 
 def _raw_post(client: ServeClient, target: str, body: bytes) -> bytes:
@@ -811,7 +865,7 @@ class TestKeepAlive:
                      b"Content-Length: 999999999\r\n\r\n", 413,
                      id="oversized-body"),
         pytest.param(b"GET /healthz HTTP/1.1\r\n"
-                     + b"X-Many: 1\r\n" * (server_module.MAX_HEADERS + 1)
+                     + b"X-Many: 1\r\n" * (framing.MAX_HEADERS + 1)
                      + b"\r\n", 431, id="too-many-headers"),
     ])
     def test_refusal_closes_a_kept_alive_connection(self, client,
