@@ -15,7 +15,10 @@ requeues interrupted shards and skips finished ones; ``export`` writes
 the deterministic manifest+rows JSON (stdout without ``--out``);
 ``report`` renders the telemetry table — per-shard duration
 percentiles, throughput, worker utilization, slowest spans — and can
-write the shard timeline as a Perfetto trace.  The subcommands are
+write the shard timeline as a Perfetto trace.  ``status``, ``export``
+and ``report`` only read, through an ordinary read-write handle: the
+last connection to close removes the WAL files, so a finished store
+stays one file whichever command touched it last.  The subcommands are
 registered onto the main ``python -m repro`` parser by
 :func:`add_campaign_commands`.
 """
@@ -65,7 +68,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from repro.campaigns.store import ArtifactStore
 
     try:
-        with ArtifactStore.open(args.store, readonly=True) as store:
+        with ArtifactStore.open(args.store) as store:
             print(store.status_summary())
     except _USAGE_ERRORS as error:
         print(error)
@@ -78,7 +81,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.campaigns.store import ArtifactStore
 
     try:
-        with ArtifactStore.open(args.store, readonly=True) as store:
+        with ArtifactStore.open(args.store) as store:
             text = store.export_json()
     except _USAGE_ERRORS as error:
         print(error)
@@ -103,7 +106,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.campaigns.store import ArtifactStore
 
     try:
-        with ArtifactStore.open(args.store, readonly=True) as store:
+        with ArtifactStore.open(args.store) as store:
             if args.json:
                 print(json.dumps(report_payload(store), indent=2,
                                  sort_keys=True))

@@ -7,8 +7,8 @@ reopens a store — typically one whose run was killed — requeues the
 shards the dead run never finished and drives the rest.  Both return a
 :class:`CampaignReport`.
 
-The execution unit is :func:`execute_shard`: open the store, mark the
-shard ``running``, run its resolved scenario through the registered
+The execution unit is :func:`execute_shard`: mark the shard
+``running``, run its resolved scenario through the registered
 workload (:func:`repro.scenarios.run_scenario` — so all four engine
 workloads, and any later-registered one, shard identically), record
 its ``summary_row()``.  Crucially the *worker writes its own row*:
@@ -21,20 +21,30 @@ killed-and-resumed campaign export byte-identical to an uninterrupted
 one (the resume guarantee, gated in ``tests/campaigns/test_resume.py``
 and ``benchmarks/bench_campaign.py``).
 
-``workers > 1`` fans shards across a ``ProcessPoolExecutor`` (each
-worker opens its own SQLite connection; WAL serializes the writes);
-``workers=1`` runs the same :func:`execute_shard` loop in-process — one
-code path, one crash model.
+``workers > 1`` fans shards across a ``ProcessPoolExecutor``: each
+worker opens one SQLite connection after the fork and writes every
+shard it runs through it (WAL serializes the writes); ``workers=1``
+runs the same :func:`execute_shard` loop in-process on one connection
+for the batch — one code path, one crash model.  Holding the
+connection changes no transaction: every write still commits on its
+own.  It saves the store bookkeeping a close does when it is the last
+connection (checkpoint the WAL, fsync, delete it) and the next open
+redoes.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import random
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 from pathlib import Path
 
 from repro.campaigns.spec import CampaignSpec
@@ -59,6 +69,12 @@ DEFAULT_RETRY_BASE_S = 0.5
 #: console by the CLI's ``--log-level`` / ``-v`` flags) — never bare
 #: prints, so library embedders keep control of the output stream.
 _LOG = logging.getLogger("repro.campaigns.runner")
+
+#: The store connection this process holds across shards: a pool
+#: worker's for its whole life, the in-process batch's for the batch.
+#: None outside a dispatch, so a direct :func:`execute_shard` call
+#: opens and closes its own.
+_held: "ArtifactStore | None" = None
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,14 @@ def execute_shard(store_path: "str | Path",
 
     The worker entry point, also used verbatim by the in-process path:
     marks the shard ``running``, runs its stored scenario, records the
-    ``summary_row()`` (or the failure).  Opens its own store connection
-    and holds write transactions only for the status flips, never
-    across the engine run.  Every lifecycle transition also lands in
-    the store's telemetry table (``running`` / ``done`` / ``failed``
-    with the worker's pid and the shard duration), which is what
-    ``python -m repro campaign {status,report}`` read back.
+    ``summary_row()`` (or the failure).  Inside a dispatch it writes
+    through the connection its process holds; called directly, it
+    opens one for the shard and closes it after.  It holds write
+    transactions only for the status flips, never across the engine
+    run: each write commits on its own.  Every lifecycle transition
+    also lands in the store's telemetry table (``running`` / ``done``
+    / ``failed`` with the worker's pid and the shard duration), which
+    is what ``python -m repro campaign {status,report}`` read back.
 
     Returns:
         ``(shard_index, final_status)`` with status ``"done"`` or
@@ -133,6 +151,14 @@ def execute_shard(store_path: "str | Path",
     exception's ``error_class`` — the grouping key of the report's
     per-error-class retry-budget table.
     """
+    if _held is not None and _held.path == Path(store_path):
+        return _run_shard(_held, shard_index)
+    with ArtifactStore.open(store_path) as store:
+        return _run_shard(store, shard_index)
+
+
+def _run_shard(store: ArtifactStore, shard_index: int) -> tuple[int, str]:
+    """:func:`execute_shard` on an open store."""
     from repro.telemetry import (
         get_metrics_registry,
         get_recorder,
@@ -143,11 +169,10 @@ def execute_shard(store_path: "str | Path",
 
     worker = f"pid:{os.getpid()}"
     trace_id = new_trace_id()
-    with ArtifactStore.open(store_path) as store:
-        scenario = store.shard_scenario(shard_index)
-        store.mark_running(shard_index)
-        store.record_event("running", shard_index, worker=worker,
-                           payload={"trace_id": trace_id})
+    scenario = store.shard_scenario(shard_index)
+    store.mark_running(shard_index)
+    store.record_event("running", shard_index, worker=worker,
+                       payload={"trace_id": trace_id})
     with trace_context(trace_id):  # also on the shard's log lines
         _LOG.info("shard %d running on %s", shard_index, worker)
         throttle = float(os.environ.get(THROTTLE_ENV, "0") or "0")
@@ -165,13 +190,12 @@ def execute_shard(store_path: "str | Path",
             message = f"{type(error).__name__}: {error}"
             _LOG.warning("shard %d failed after %.2f s: %s",
                          shard_index, elapsed, message)
-            with ArtifactStore.open(store_path) as store:
-                store.record_failure(shard_index, message)
-                store.record_event(
-                    "failed", shard_index, worker=worker,
-                    duration_s=elapsed,
-                    payload={"error_class": type(error).__name__,
-                             "trace_id": trace_id})
+            store.record_failure(shard_index, message)
+            store.record_event(
+                "failed", shard_index, worker=worker,
+                duration_s=elapsed,
+                payload={"error_class": type(error).__name__,
+                         "trace_id": trace_id})
             return shard_index, "failed"
         elapsed = time.perf_counter() - start
         _LOG.info("shard %d done in %.2f s", shard_index, elapsed)
@@ -181,33 +205,100 @@ def execute_shard(store_path: "str | Path",
         recorder.record_span(record)
     if metrics_snapshot is not None:
         registry.merge_snapshot(metrics_snapshot)
-    with ArtifactStore.open(store_path) as store:
-        store.record_result(shard_index, row, elapsed_s=elapsed)
-        store.record_event("done", shard_index, worker=worker,
-                           duration_s=elapsed,
-                           payload={"trace_id": trace_id})
-        if spans is not None:
-            store.record_event("spans", shard_index, worker=worker,
-                               payload={"summary": summarize_spans(spans)})
-        if metrics_snapshot is not None:
-            store.record_event(
-                "metrics", shard_index, worker=worker,
-                payload={"trace_id": trace_id,
-                         "snapshot": metrics_snapshot})
+    store.record_result(shard_index, row, elapsed_s=elapsed)
+    store.record_event("done", shard_index, worker=worker,
+                       duration_s=elapsed,
+                       payload={"trace_id": trace_id})
+    if spans is not None:
+        store.record_event("spans", shard_index, worker=worker,
+                           payload={"summary": summarize_spans(spans)})
+    if metrics_snapshot is not None:
+        store.record_event(
+            "metrics", shard_index, worker=worker,
+            payload={"trace_id": trace_id,
+                     "snapshot": metrics_snapshot})
     return shard_index, "done"
+
+
+@contextmanager
+def _holding(store_path: Path):
+    """Hold one store connection in this process for a batch."""
+    global _held
+    store = _held = ArtifactStore.open(store_path)
+    try:
+        yield
+    finally:
+        _held = None
+        store.close()
+
+
+def _hold_worker_store(store_path: str) -> None:
+    """Pool initializer: open this worker's one store connection.
+
+    Runs after the fork, so no SQLite handle crosses it.  The
+    connection is closed when the worker exits: after the pool's
+    shutdown, or once its parent has died (:func:`_exit_with_parent`).
+    """
+    global _held
+    _held = ArtifactStore.open(store_path)
+    Finalize(_held, _held.close, exitpriority=0)
+    _exit_with_parent()
+
+
+def _exit_with_parent() -> None:
+    """Make this pool worker exit once its parent process is gone.
+
+    A worker whose parent was killed would wait for work forever,
+    holding its connection and with it the WAL file.  A daemon thread
+    waits on the parent's sentinel, then sends the main thread
+    ``SIGTERM``, whose handler (:func:`_close_and_exit`) closes the
+    connection and exits.  A shard cut short this way rolls back any
+    write in progress and stays ``running`` for resume to re-run, as
+    if the worker had been killed.
+    """
+    parent = multiprocessing.parent_process()
+    signal.signal(signal.SIGTERM, _close_and_exit)
+    main = threading.main_thread().ident
+
+    def watch() -> None:
+        parent.join()
+        signal.pthread_kill(main, signal.SIGTERM)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()
+
+
+def _close_and_exit(signum: int, frame) -> None:
+    """``SIGTERM`` in a pool worker: close the held connection, exit.
+
+    ``os._exit`` rather than ``SystemExit``, which the pool's worker
+    loop would catch as the running shard's exception and carry on.
+    """
+    _held.close()
+    os._exit(128 + signum)
 
 
 def _dispatch(store_path: Path, indices: "tuple[int, ...]",
               workers: int) -> None:
-    """Fan one batch of shard indices across the workers."""
+    """Fan one batch of shard indices across the workers.
+
+    Each worker process, or this process when the batch runs
+    in-process, writes every shard it runs through one store
+    connection.
+    """
+    if not indices:
+        return
     if workers == 1 or len(indices) <= 1:
-        for index in indices:
-            execute_shard(store_path, index)
+        with _holding(store_path):
+            for index in indices:
+                execute_shard(store_path, index)
         return
     # The parent's store connections are all closed by this point, so
     # no SQLite handle crosses the fork.
     with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=fork_context()) as pool:
+                             mp_context=fork_context(),
+                             initializer=_hold_worker_store,
+                             initargs=(str(store_path),)) as pool:
         futures = [pool.submit(execute_shard, str(store_path), index)
                    for index in indices]
         for future in as_completed(futures):

@@ -178,7 +178,11 @@ class ArtifactStore:
         Args:
             path: the SQLite file written by :meth:`create`.
             readonly: open with SQLite's read-only URI mode — safe for
-                polling status while another process writes.
+                polling status while another process writes.  Such a
+                handle creates the ``-wal`` and ``-shm`` files when
+                they are missing and cannot remove them on close, so
+                the command line's read commands use a read-write
+                handle that only reads.
 
         Raises:
             FileNotFoundError: no store at ``path``.

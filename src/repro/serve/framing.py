@@ -54,17 +54,29 @@ class RequestHead(NamedTuple):
 def _fields(lines: Iterable[str]) -> "tuple[dict[str, str], int, set]":
     """Header lines as ``{lowercased name: value}`` (the last of a
     repeated name wins), the body length they declare (0: none) and the
-    ``Connection`` tokens; ``ValueError`` for a non-digit length."""
+    ``Connection`` tokens.
+
+    ``ValueError`` for a non-digit length, and for repeated
+    ``Content-Length`` lines whose values differ (RFC 9112 section
+    6.3): a peer that read the first of them would frame the body
+    differently.  Repeats of one value are accepted.
+    """
     headers = {}
+    lengths = set()
     for line in lines:
         name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = headers.get("content-length") or "0"
-    if not (length.isascii() and length.isdigit()):
-        raise ValueError(f"invalid Content-Length {length!r}")
+        name, value = name.strip().lower(), value.strip()
+        headers[name] = value
+        if name == "content-length":
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"invalid Content-Length {value!r}")
+            lengths.add(int(value))
+    if len(lengths) > 1:
+        raise ValueError(
+            f"conflicting Content-Length values {sorted(lengths)}")
     tokens = {token.strip() for token
               in headers.get("connection", "").lower().split(",")}
-    return headers, int(length), tokens
+    return headers, lengths.pop() if lengths else 0, tokens
 
 
 def _line_too_long(index: int) -> HttpError:

@@ -60,7 +60,7 @@ def load_snapshot(source: Path) -> dict:
         from repro.campaigns.report import merged_metrics
         from repro.campaigns.store import ArtifactStore
 
-        with ArtifactStore.open(source, readonly=True) as store:
+        with ArtifactStore.open(source) as store:
             merged = merged_metrics(store.telemetry_events())
         if merged is None:
             raise ValueError(

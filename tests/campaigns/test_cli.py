@@ -79,6 +79,14 @@ class TestStatusExportResume:
         assert len(payload["shards"]) == 8
         assert all(row["status"] == "done" for row in payload["shards"])
 
+    @pytest.mark.parametrize("command", ["status", "export", "report"])
+    def test_read_commands_leave_the_store_one_file(self, finished_store,
+                                                     capsys, command):
+        assert main(["campaign", command, str(finished_store)]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in finished_store.parent.glob(
+            f"{finished_store.name}*")) == [finished_store.name]
+
     def test_resume_finished_store_is_no_op(self, finished_store,
                                             capsys):
         assert main(["campaign", "resume", str(finished_store)]) == 0

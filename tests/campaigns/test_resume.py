@@ -52,10 +52,13 @@ def _export(store_path: Path) -> str:
 
 def kill_campaign_mid_run(spec_file: Path, store_path: Path,
                           workers: int, min_done: int = 2,
-                          timeout_s: float = 90.0) -> dict:
-    """Start a campaign subprocess and SIGKILL its process group once
-    at least ``min_done`` shards are on disk.  Returns the post-kill
-    counts (asserting the campaign really was interrupted)."""
+                          timeout_s: float = 90.0,
+                          group: bool = True) -> dict:
+    """Start a campaign subprocess and SIGKILL its process group (or,
+    with ``group=False``, the campaign process alone, orphaning its
+    pool workers) once at least ``min_done`` shards are on disk.
+    Returns the post-kill counts (asserting the campaign really was
+    interrupted)."""
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "run",
          str(spec_file), "--store", str(store_path),
@@ -82,7 +85,10 @@ def kill_campaign_mid_run(spec_file: Path, store_path: Path,
         # Kill the whole group: the runner parent AND its pool workers
         # die instantly, exactly like a machine crash.
         try:
-            os.killpg(process.pid, signal.SIGKILL)
+            if group:
+                os.killpg(process.pid, signal.SIGKILL)
+            else:
+                process.kill()
         except ProcessLookupError:
             pass  # already gone (only on the fail paths above)
         process.wait()
@@ -121,6 +127,55 @@ class TestKillResume:
         report = resume_campaign(store_path, workers=2)
         assert report.counts["done"] == small_campaign.n_shards
         assert _export(store_path) == reference_export
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` still runs (a zombie does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+def _worker_pids(store_path: Path) -> "set[int]":
+    """Pids of every process that ran a shard, from the telemetry."""
+    with ArtifactStore.open(store_path, readonly=True) as store:
+        return {int(event["worker"].removeprefix("pid:"))
+                for event in store.telemetry_events()
+                if event["event"] == "running"}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_campaign_process_is_killed(
+            self, small_campaign, reference_export, tmp_path):
+        """``kill -9`` of the campaign process alone leaves its pool
+        workers orphaned.  Each holds a store connection, so each must
+        notice, close it and exit; then resume and export leave no WAL
+        files and the export is byte-identical."""
+        spec_file = small_campaign.save(tmp_path / "fleet.json")
+        store_path = tmp_path / "orphaned.sqlite"
+        kill_campaign_mid_run(spec_file, store_path, workers=2,
+                              group=False)
+        workers = _worker_pids(store_path)
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10.0
+        try:
+            while any(map(_running, workers)):
+                assert time.monotonic() < deadline, \
+                    "orphaned pool workers did not exit"
+                time.sleep(0.02)
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+        report = resume_campaign(store_path, workers=2)
+        assert report.counts["done"] == small_campaign.n_shards
+        assert _export(store_path) == reference_export
+        assert not Path(f"{store_path}-wal").exists()
+        assert not Path(f"{store_path}-shm").exists()
 
 
 class TestResumeSemantics:

@@ -3,10 +3,12 @@
 :func:`repro.serve.framing.parse_request_head` is a pure function of
 bytes, so Hypothesis drives thousands of generated heads through it per
 run: odd methods, targets and versions, runs of whitespace, repeated,
-malformed and oversized ``Content-Length`` values, ``Transfer-Encoding``,
-bare-LF line ends, over-long lines and too many headers.  Each must
-parse to a request or raise :class:`HttpError` with a 4xx status or
-501, never another exception.  Well-formed heads must parse to what
+malformed, oversized and conflicting ``Content-Length`` values,
+``Transfer-Encoding``, bare-LF line ends, over-long lines and too many
+headers.  Each must parse to a request or raise :class:`HttpError` with
+a 4xx status or 501, never another exception; heads whose
+``Content-Length`` lines disagree must all be refused, on the request
+and the response side.  Well-formed heads must parse to what
 they say, every request :class:`ServeClient` writes must parse back to
 the method, target and body length it was given, and every response
 the server encodes must read back through the client's response path.
@@ -122,6 +124,10 @@ def test_any_head_parses_or_is_refused_with_a_status(head):
             assert error.status in (400, 431)
         return
     assert not _header_values(head, "transfer-encoding")
+    lengths = {int(value)
+               for value in _header_values(head, "content-length")}
+    assert len(lengths) <= 1
+    assert request.length == (lengths.pop() if lengths else 0)
     assert 0 <= request.length <= framing.MAX_BODY_BYTES
     assert request.method == request.method.upper()
     assert isinstance(request.keep_alive, bool)
@@ -134,6 +140,63 @@ NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1,
                 max_size=10)
 TOKENS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-._~",
                  min_size=1, max_size=12)
+
+
+@st.composite
+def conflicting_length_heads(draw) -> "tuple[bytes, bytes]":
+    """A request head and a response head that each carry two or more
+    ``Content-Length`` lines with at least two different values, spread
+    among other header lines."""
+    first = draw(st.integers(0, 2 * framing.MAX_BODY_BYTES))
+    second = draw(st.integers(0, 2 * framing.MAX_BODY_BYTES).filter(
+        lambda n: n != first))
+    values = [first, second] + draw(st.lists(
+        st.sampled_from([first, second]), max_size=3))
+    values = draw(st.permutations(values))
+    names = st.sampled_from(["Content-Length", "content-length",
+                             " CONTENT-LENGTH "])
+    zeros = st.sampled_from(["", "0", "00"])
+    lines = [f"{draw(names)}:{draw(st.sampled_from(['', ' ']))}"
+             f"{draw(zeros)}{value}" for value in values]
+    others = draw(st.lists(st.tuples(NAMES, TOKENS), max_size=4))
+    for name, value in others:
+        assume(name not in ("content-length", "transfer-encoding"))
+        lines.insert(draw(st.integers(0, len(lines))), f"{name}: {value}")
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    request = "".join(line + end for line in
+                      ["POST /scenarios HTTP/1.1"] + lines)
+    response = "\r\n".join(["HTTP/1.1 200 OK"] + lines)
+    return request.encode("latin-1"), response.encode("latin-1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads=conflicting_length_heads())
+@example(heads=(b"POST /scenarios HTTP/1.1\r\nContent-Length: 5\r\n"
+                b"Content-Length: 50\r\n",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
+                b"Content-Length: 50"))
+def test_conflicting_content_lengths_are_refused(heads):
+    """Repeated ``Content-Length`` lines that disagree frame no body:
+    the server refuses the request with 400 and the client the
+    response, whichever value comes first."""
+    request, response = heads
+    with pytest.raises(HttpError) as excinfo:
+        parse_request_head(request)
+    assert excinfo.value.status == 400
+    assert "conflicting Content-Length" in str(excinfo.value)
+    with pytest.raises(ValueError, match="conflicting Content-Length"):
+        framing.parse_response_head(response)
+
+
+@pytest.mark.parametrize("values", [["7", "7"], ["7", "007", "7"],
+                                    ["0", "00"]])
+def test_repeats_of_one_content_length_parse(values):
+    lines = "".join(f"Content-Length: {value}\r\n" for value in values)
+    head = f"POST /scenarios HTTP/1.1\r\n{lines}".encode()
+    assert parse_request_head(head).length == int(values[0])
+    assert framing.parse_response_head(
+        f"HTTP/1.1 200 OK\r\n{lines}".rstrip().encode())[1] \
+        == int(values[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,6 +341,7 @@ def test_every_response_the_server_encodes_reads_back(
 @pytest.mark.parametrize("head", [
     b"ICY 200 OK", b"HTTP/1.1 2x0 Odd", b"HTTP/1.1 \xb2\xb2\xb2 Odd",
     b"HTTP/1.1 200 OK\r\nContent-Length: -1",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 50",
 ])
 def test_a_malformed_response_head_is_a_value_error(head):
     with pytest.raises(ValueError):

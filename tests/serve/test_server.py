@@ -702,6 +702,24 @@ class TestRequestLimits:
         assert response.startswith(b"HTTP/1.1 400 ")
         assert b"invalid Content-Length" in response
 
+    def test_conflicting_content_lengths_are_400(self, client, caplog):
+        """Two ``Content-Length`` lines that disagree frame no body, so
+        the push is refused before it runs (RFC 9112 section 6.3)."""
+        stream_id = client.create_stream(
+            MONITOR_SCENARIO.to_dict())["stream_id"]
+        body = b'{"count": 1}'.ljust(50)
+        with caplog.at_level(logging.ERROR):
+            response = _raw_request(
+                client, f"POST /streams/{stream_id}/readings HTTP/1.1\r\n"
+                        "Connection: close\r\n"
+                        f"Content-Length: 12\r\n"
+                        f"Content-Length: {len(body)}\r\n\r\n"
+                        .encode() + body)
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"conflicting Content-Length" in response
+        assert not caplog.records
+        assert client.stream_status(stream_id)["cursor"] == 0
+
     def test_malformed_json_is_400(self, client):
         import http.client as http_client
 
