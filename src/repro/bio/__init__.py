@@ -12,7 +12,6 @@ from repro.bio.interference import (
     ASCORBATE,
     URATE,
     PARACETAMOL,
-    total_interference_current,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "ASCORBATE",
     "URATE",
     "PARACETAMOL",
-    "total_interference_current",
 ]

@@ -88,12 +88,3 @@ PARACETAMOL = Interferent(
     rate_m_s=1.0e-6,
     nafion_rejection=0.2,  # neutral molecule: Nafion barely helps
 )
-
-
-def total_interference_current(interferents: list[Interferent],
-                               area_m2: float,
-                               potential_v: float,
-                               nafion_film: bool = False) -> float:
-    """Sum of the interference currents [A] of ``interferents``."""
-    return sum(i.current_a(area_m2, potential_v, nafion_film=nafion_film)
-               for i in interferents)

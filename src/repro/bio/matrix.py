@@ -18,7 +18,6 @@ from repro.bio.interference import (
     PARACETAMOL,
     URATE,
     Interferent,
-    total_interference_current,
 )
 
 
@@ -47,14 +46,6 @@ class SampleMatrix:
             raise ValueError("fouling rate must be >= 0")
         if self.oxygen_molar < 0:
             raise ValueError("oxygen level must be >= 0")
-
-    def interference_current_a(self,
-                               area_m2: float,
-                               potential_v: float,
-                               nafion_film: bool = False) -> float:
-        """Total interferent current [A] for this matrix."""
-        return total_interference_current(
-            list(self.interferents), area_m2, potential_v, nafion_film)
 
     def sensitivity_retention_batch(self,
                                     elapsed_hours: "np.ndarray",

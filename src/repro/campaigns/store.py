@@ -453,15 +453,18 @@ class ArtifactStore:
 
         The rate behind ``campaign status``'s throughput and ETA
         columns: terminal events (``done``/``failed``) per second of
-        wall time between the first and the last one.  None until two
-        terminal events exist (no meaningful rate yet).
+        wall time from the first ``running`` event to the last terminal
+        one, so N shards that finish together T seconds after the
+        campaign started read N/T.  None until a shard has finished.
         """
-        walls = [row["wall_s"] for row in self._conn.execute(
-            "SELECT wall_s FROM telemetry "
-            "WHERE event IN ('done', 'failed') ORDER BY wall_s")]
-        if len(walls) < 2 or walls[-1] <= walls[0]:
+        start, finished, last = self._conn.execute(
+            "SELECT MIN(CASE WHEN event = 'running' THEN wall_s END), "
+            "SUM(event IN ('done', 'failed')), "
+            "MAX(CASE WHEN event IN ('done', 'failed') THEN wall_s END) "
+            "FROM telemetry").fetchone()
+        if not finished or start is None or last <= start:
             return None
-        return (len(walls) - 1) / (walls[-1] - walls[0])
+        return finished / (last - start)
 
     # -- export --------------------------------------------------------
 
@@ -540,6 +543,5 @@ class ArtifactStore:
                 lines.append(f"  eta: {remaining / rate:.0f} s "
                              f"({remaining} shards remaining)")
         elif remaining:
-            lines.append("  throughput: n/a (fewer than two finished "
-                         "shards)")
+            lines.append("  throughput: n/a (no finished shards)")
         return "\n".join(lines)

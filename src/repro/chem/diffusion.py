@@ -178,24 +178,6 @@ class DiffusionGrid1D:
         gradient = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * self.dx)
         return self.diffusion * gradient
 
-    @property
-    def profile_molar(self) -> np.ndarray:
-        """Concentration profile [mol/L], surface first."""
-        return self._conc / 1e3
-
-    @property
-    def positions_m(self) -> np.ndarray:
-        """Node positions [m] measured from the electrode surface."""
-        return np.arange(self.n_nodes) * self.dx
-
-    def total_amount_per_area(self) -> float:
-        """Return the integral of C over the box [mol/m^2] (trapezoidal).
-
-        With no-flux boundaries on both ends this is conserved — the property
-        test for the solver.
-        """
-        return float(np.trapezoid(self._conc, dx=self.dx))
-
 
 class ElectrodeDiffusionSystem:
     """Two-species explicit diffusion with a Butler-Volmer electrode boundary.
@@ -279,22 +261,3 @@ class ElectrodeDiffusionSystem:
         for i, potential in enumerate(potentials):
             currents[i] = self.step(float(potential))
         return currents
-
-    @property
-    def profile_ox_molar(self) -> np.ndarray:
-        """Oxidized-form concentration profile [mol/L], surface first."""
-        return self._c_ox / 1e3
-
-    @property
-    def profile_red_molar(self) -> np.ndarray:
-        """Reduced-form concentration profile [mol/L], surface first."""
-        return self._c_red / 1e3
-
-    def total_amount_per_area(self) -> float:
-        """Return integral of (C_O + C_R) over the box [mol/m^2].
-
-        The electrode converts O into R one-for-one, so with equal diffusion
-        coefficients the sum behaves as an inert diffusing species — used by
-        the conservation property test.
-        """
-        return float(np.trapezoid(self._c_ox + self._c_red, dx=self.dx))

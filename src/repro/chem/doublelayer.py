@@ -10,7 +10,6 @@ area — the same property that boosts the faradaic signal (paper section 2.4)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +47,6 @@ class DoubleLayer:
         """Return the RC charging time constant [s]."""
         return self.series_resistance * self.capacitance(area_m2)
 
-    def sweep_current(self, scan_rate_v_s: float, area_m2: float) -> float:
-        """Return the steady capacitive current [A] during a linear sweep.
-
-        ``i_c = C_dl * A * dE/dt`` — sign follows the sweep direction.
-        """
-        return self.capacitance(area_m2) * scan_rate_v_s
-
     def step_transient(self,
                        time: np.ndarray,
                        step_volt: float,
@@ -72,41 +64,3 @@ class DoubleLayer:
             return np.zeros_like(time)
         tau = self.time_constant(area_m2)
         return (step_volt / self.series_resistance) * np.exp(-time / tau)
-
-    def sweep_transient(self,
-                        time: np.ndarray,
-                        scan_rate_v_s: float,
-                        area_m2: float) -> np.ndarray:
-        """Return the capacitive current [A] after a sweep starts at t = 0.
-
-        The current rises exponentially to ``C A v`` with the RC time
-        constant: ``i(t) = C A v (1 - exp(-t/tau))`` (tau -> 0 gives the
-        ideal rectangular background).
-        """
-        time = np.asarray(time, dtype=float)
-        if np.any(time < 0):
-            raise ValueError("time values must be >= 0")
-        plateau = self.sweep_current(scan_rate_v_s, area_m2)
-        tau = self.time_constant(area_m2)
-        if tau == 0.0:
-            return np.full_like(time, plateau)
-        return plateau * (1.0 - np.exp(-time / tau))
-
-    def ir_drop(self, current_a: float) -> float:
-        """Return the uncompensated ohmic potential error [V] at ``current_a``."""
-        return current_a * self.series_resistance
-
-    def charge_for_step(self, step_volt: float, area_m2: float) -> float:
-        """Return the total charge [C] delivered by a potential step."""
-        return abs(step_volt) * self.capacitance(area_m2)
-
-    def settling_time(self, area_m2: float, tolerance: float = 1e-3) -> float:
-        """Return the time [s] for the step transient to decay to ``tolerance``.
-
-        ``t = tau ln(1/tolerance)``; with zero series resistance settling is
-        instantaneous.
-        """
-        if not 0.0 < tolerance < 1.0:
-            raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
-        tau = self.time_constant(area_m2)
-        return tau * math.log(1.0 / tolerance)

@@ -9,8 +9,7 @@ Randles equivalent circuit:
 
 with ``Zw`` the Warburg (diffusion) impedance.  Binding events modulate
 ``Rct`` (faradic sensors) or ``C_dl`` (capacitive sensors); the helpers
-here compute spectra, Nyquist geometry and the ``Rct`` shift a faradic
-sensor reports.
+here compute spectra and the ``Rct`` shift a faradic sensor reports.
 """
 
 from __future__ import annotations
@@ -76,16 +75,6 @@ class RandlesCircuit:
         freqs = np.logspace(math.log10(f_low_hz), math.log10(f_high_hz),
                             n_points)
         return freqs, self.impedance(freqs)
-
-    def characteristic_frequency_hz(self) -> float:
-        """Apex frequency of the Nyquist semicircle: 1/(2 pi Rct Cdl)."""
-        return 1.0 / (2.0 * math.pi
-                      * self.charge_transfer_resistance_ohm
-                      * self.double_layer_capacitance_f)
-
-    def nyquist_diameter_ohm(self) -> float:
-        """Semicircle diameter (= Rct for the ideal Randles circuit)."""
-        return self.charge_transfer_resistance_ohm
 
 
 def binding_rct_shift(baseline: RandlesCircuit,

@@ -63,11 +63,6 @@ class RedoxCouple:
             raise ValueError(f"enhancement factor must be > 0, got {factor}")
         return replace(self, k0=self.k0 * factor)
 
-    @property
-    def mean_diffusion(self) -> float:
-        """Geometric mean of the two diffusion coefficients [m^2/s]."""
-        return (self.diffusion_ox * self.diffusion_red) ** 0.5
-
 
 #: Ferri/ferrocyanide: fast outer-sphere couple used for solver validation.
 FERRICYANIDE = RedoxCouple(

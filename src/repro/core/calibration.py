@@ -146,11 +146,6 @@ class CalibrationResult:
     area_m2: float
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def loq_molar(self) -> float:
-        """Limit of quantification [mol/L]: 10 sigma / slope."""
-        return self.lod_molar * 10.0 / 3.0
-
     def summary(self) -> str:
         """One-line summary in the paper's units."""
         low_mm = millimolar_from_molar(self.linear_range_molar[0])

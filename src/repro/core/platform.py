@@ -165,16 +165,6 @@ class MultiTargetPlatform:
             )
         return estimates
 
-    def panel_duration_s(self, dwell_time_s: float = 20.0) -> float:
-        """Time [s] for one full panel scan through the shared readout.
-
-        Requires a multiplexer (a parallel-readout platform has no scan).
-        """
-        if self.multiplexer is None:
-            raise RuntimeError("panel timing requires a multiplexer")
-        return self.multiplexer.scan_duration_s(
-            dwell_time_s, channels=sorted(self.channels))
-
     def monitor(self,
                 timeline_hours: np.ndarray,
                 concentration_profiles: dict[str, "np.ndarray"],

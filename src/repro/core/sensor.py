@@ -25,7 +25,6 @@ from repro.instrument.chain import AcquisitionChain
 from repro.nano.film import NanostructuredFilm
 from repro.techniques.chronoamperometry import Chronoamperometry
 from repro.techniques.cyclic_voltammetry import CyclicVoltammetry
-from repro.units import sensitivity_paper_from_slope
 
 
 class ReadoutMode(enum.Enum):
@@ -118,11 +117,6 @@ class Biosensor:
     def expected_slope_a_per_molar(self) -> float:
         """Analytic linear-regime calibration slope [A/M]."""
         return self.layer.sensitivity_si() * self.area_m2
-
-    def expected_sensitivity_paper(self) -> float:
-        """Analytic sensitivity in the paper's uA mM^-1 cm^-2 unit."""
-        return sensitivity_paper_from_slope(
-            self.expected_slope_a_per_molar(), self.area_m2)
 
     def expected_lod_molar(self) -> float:
         """Analytic limit of detection [mol/L]: 3 sigma / slope.

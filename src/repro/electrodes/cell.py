@@ -87,15 +87,6 @@ class ThreeElectrodeCell:
         """Geometric working-electrode area [m^2]."""
         return self.working_geometry.area_m2
 
-    @property
-    def counter_ratio(self) -> float:
-        """Counter/working area ratio; should be >= 1 for clean kinetics."""
-        return self.counter_area_m2 / self.working_area_m2
-
-    def is_well_designed(self) -> bool:
-        """True when the counter electrode does not limit the measurement."""
-        return self.counter_ratio >= 1.0
-
     def bare_double_layer(self) -> DoubleLayer:
         """Double layer of the *unmodified* working electrode.
 

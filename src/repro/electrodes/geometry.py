@@ -64,14 +64,6 @@ class ElectrodeGeometry:
         """Equivalent disk radius [m] — the length scale of radial diffusion."""
         return math.sqrt(self.area_m2 / math.pi)
 
-    def is_microelectrode(self, threshold_m: float = 25e-6) -> bool:
-        """True when the characteristic length is below ``threshold_m``.
-
-        Microelectrodes (radius below ~25 um) reach a radial steady state
-        instead of showing Cottrell decay.
-        """
-        return self.characteristic_length_m < threshold_m
-
     def steady_state_time_s(self, diffusion_m2_s: float = 7e-10) -> float:
         """Time [s] for the diffusion layer to span the electrode.
 

@@ -70,10 +70,6 @@ class MicrofabricatedChip:
             solution_resistance_ohm=self.solution_resistance_ohm,
         )
 
-    def all_cells(self) -> list[ThreeElectrodeCell]:
-        """Return the cells of every channel, in channel order."""
-        return [self.channel_cell(i) for i in range(self.n_channels)]
-
     @property
     def total_sensing_area_m2(self) -> float:
         """Combined working area of all channels [m^2]."""
@@ -90,11 +86,3 @@ class MicrofabricatedChip:
             raise ValueError("height must be > 0")
         footprint = self.total_sensing_area_m2 * 4.0 + self.counter_area_m2
         return footprint * height_m * 1e3
-
-    def reference_area_m2(self) -> float:
-        """Area of the Pt pseudo-reference strip [m^2].
-
-        The reference carries no current, so a strip one tenth of the
-        counter electrode suffices.
-        """
-        return 0.1 * self.counter_area_m2

@@ -58,7 +58,6 @@ from repro.engine.monitor import (
 )
 from repro.inference.evaluate import (
     credible_interval,
-    detection_delay_h,
     interval_coverage,
     reconstruction_mard,
     reconstruction_rmse,
@@ -213,26 +212,6 @@ class EstimationResult:
         return credible_interval(self.filtered_concentration_molar,
                                  self.filtered_std_molar,
                                  self.plan.interval_z)
-
-    def excursion_detection_delays_h(self, low_molar: float,
-                                     high_molar: float,
-                                     smoothed: bool = False) -> np.ndarray:
-        """Per-channel time-to-detection of window excursions [h].
-
-        Delegates to :func:`repro.inference.evaluate.detection_delay_h`
-        on the chosen reconstruction against the simulator truth.
-
-        Args:
-            low_molar / high_molar: therapeutic-window bounds [mol/L].
-            smoothed: score the RTS pass instead of the causal filter.
-        """
-        estimate = (self.smoothed_concentration_molar if smoothed
-                    else self.filtered_concentration_molar)
-        if estimate is None:
-            raise ValueError("plan did not run the smoother")
-        return detection_delay_h(
-            self.true_concentration_molar, estimate, low_molar,
-            high_molar, self.plan.monitor.sample_period_s)
 
     def channel_summary(self, index: int) -> str:
         """One-line reconstruction summary for one channel."""

@@ -348,15 +348,6 @@ class TherapyResult:
         default=None, repr=False)
     measured_current_a: np.ndarray | None = field(default=None, repr=False)
 
-    def patient_summary(self, index: int) -> str:
-        """One-line outcome for one patient."""
-        patient = self.plan.cohort.patients[index]
-        return (
-            f"{patient.patient_id} [{patient.phenotype.value}]: "
-            f"in-range {self.time_in_range[index] * 100:.0f} %, "
-            f"trough error {self.trough_abs_rel_error[index] * 100:.0f} %, "
-            f"last dose {self.doses_mol[index, -1] * 1e6:.0f} umol")
-
     def phenotype_summary(self) -> str:
         """Outcome stratified by CYP phenotype — the personalization
         story in four lines."""

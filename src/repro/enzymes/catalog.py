@@ -68,11 +68,6 @@ class Enzyme:
         if self.n_electrons < 1:
             raise ValueError(f"{self.name}: n_electrons must be >= 1")
 
-    @property
-    def specificity_constant(self) -> float:
-        """Return kcat/Km [L/(mol s)], the catalytic efficiency."""
-        return self.kcat_per_s / self.km_molar
-
 
 GLUCOSE_OXIDASE = Enzyme(
     name="glucose oxidase",

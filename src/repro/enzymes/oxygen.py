@@ -113,18 +113,3 @@ class OxygenDependence:
         if beyond.size == 0:
             return float(substrate[-1])
         return float(substrate[beyond[0]])
-
-    def oxygen_deficit_ratio(self,
-                             substrate_molar: float,
-                             oxygen_molar: float) -> float:
-        """Substrate-to-effective-O2 ratio — the classic deficit metric.
-
-        Ratios above ~1 flag the regime where the sensor reads O2 supply
-        instead of the analyte.
-        """
-        if substrate_molar < 0:
-            raise ValueError("substrate level must be >= 0")
-        effective = self._effective_o2(oxygen_molar)
-        if effective == 0.0:
-            return float("inf")
-        return substrate_molar / effective

@@ -74,62 +74,3 @@ class EnzymeStability:
         if temperature_k <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature_k}")
         return float(self.rates_at(np.asarray(temperature_k)))
-
-    def remaining_activity(self,
-                           elapsed_s: np.ndarray | float,
-                           temperature_k: float | None = None
-                           ) -> np.ndarray | float:
-        """Return the remaining activity fraction after ``elapsed_s`` seconds."""
-        times = np.asarray(elapsed_s, dtype=float)
-        if np.any(times < 0):
-            raise ValueError("elapsed time must be >= 0")
-        rate = (self.decay_rate_per_s if temperature_k is None
-                else self.rate_at(temperature_k))
-        value = np.exp(-rate * times)
-        if np.isscalar(elapsed_s):
-            return float(value)
-        return value
-
-    def remaining_activity_batch(self,
-                                 elapsed_s: np.ndarray,
-                                 temperatures_k: np.ndarray | float | None = None,
-                                 ) -> np.ndarray:
-        """Remaining activity for a batch of channels, vectorized.
-
-        Batch kernel for the streaming monitor: per-channel elapsed
-        times (rows) decay at per-channel Arrhenius rates.
-
-        Args:
-            elapsed_s: elapsed times [s], shape ``(n_channels, n_samples)``
-                (or any shape broadcastable against the rates).
-            temperatures_k: per-channel operating temperatures [K],
-                shape ``(n_channels,)`` (broadcast column-wise), a scalar
-                applied to every channel, or ``None`` for the reference
-                temperature.
-
-        Returns:
-            Activity fractions, shaped like ``elapsed_s``.
-        """
-        times = np.asarray(elapsed_s, dtype=float)
-        if np.any(times < 0):
-            raise ValueError("elapsed time must be >= 0")
-        if temperatures_k is None:
-            rates = np.asarray(self.decay_rate_per_s)
-        else:
-            rates = self.rates_at(np.asarray(temperatures_k, dtype=float))
-        if rates.ndim == 1 and times.ndim == 2:
-            rates = rates[:, None]
-        return np.exp(-rates * times)
-
-    def lifetime_to_fraction(self, fraction: float,
-                             temperature_k: float | None = None) -> float:
-        """Return the time [s] until activity falls to ``fraction``.
-
-        E.g. ``lifetime_to_fraction(0.9)`` is the window within which the
-        sensor calibration stays within 10 % of nominal.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-        rate = (self.decay_rate_per_s if temperature_k is None
-                else self.rate_at(temperature_k))
-        return -math.log(fraction) / rate

@@ -16,9 +16,8 @@ concentration, and how sure are we?  This package is that inverse layer:
   with a bit-identical scalar reference (gated <= 1e-9 in
   ``tests/engine/test_core_contract.py`` and >= 5x slower in
   ``benchmarks/bench_core.py``);
-* :mod:`repro.inference.evaluate` — RMSE / MARD against ground truth,
-  empirical credible-interval coverage, and time-to-detection of
-  therapeutic-window excursions.
+* :mod:`repro.inference.evaluate` — RMSE / MARD against ground truth
+  and empirical credible-interval coverage.
 
 The engine entry point is :func:`repro.engine.run_estimation`
 (:mod:`repro.engine.estimation`), registered as the ``estimation``
@@ -38,7 +37,6 @@ Quickstart::
 
 from repro.inference.evaluate import (
     credible_interval,
-    detection_delay_h,
     interval_coverage,
     reconstruction_mard,
     reconstruction_rmse,
@@ -67,7 +65,6 @@ __all__ = [
     "KalmanTrace",
     "MonitorObservationModel",
     "credible_interval",
-    "detection_delay_h",
     "interval_coverage",
     "kalman_filter_batch",
     "kalman_filter_scalar",

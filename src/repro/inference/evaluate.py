@@ -1,6 +1,6 @@
-"""Reconstruction scoring: error, calibration, and detection latency.
+"""Reconstruction scoring: error and calibration.
 
-Three questions decide whether a reconstructed concentration trajectory
+Two questions decide whether a reconstructed concentration trajectory
 is clinically usable, and this module answers each one per channel:
 
 * **accuracy** — RMSE and MARD of the reconstruction against the
@@ -10,8 +10,6 @@ is clinically usable, and this module answers each one per channel:
   acceptance gate of the whole inference subsystem: a filter whose
   intervals are wrong is worse than no filter, because it is
   *confidently* wrong.)
-* **latency** — how long after the true concentration leaves the
-  therapeutic window does the reconstruction notice?
 
 All routines take ``(n_channels, n_samples)`` arrays and return one
 value per channel, matching the engines' result conventions.
@@ -114,48 +112,3 @@ def interval_coverage(true_molar: np.ndarray,
     true, lower = _check_pair(true_molar, lower_molar)
     _, upper = _check_pair(true_molar, upper_molar)
     return np.mean((true >= lower) & (true <= upper), axis=1)
-
-
-def detection_delay_h(true_molar: np.ndarray,
-                      estimated_molar: np.ndarray,
-                      low_molar: float,
-                      high_molar: float,
-                      sample_period_s: float) -> np.ndarray:
-    """Time-to-detection of therapeutic-window excursions, per channel.
-
-    For each channel: find the first sample at which the *true*
-    concentration leaves ``[low, high]``, then the first sample at or
-    after it where the *reconstruction* has also left the window.  The
-    delay between the two is what a closed-loop alarm would add on top
-    of physiology.
-
-    Args:
-        true_molar: ground-truth concentrations,
-            ``(n_channels, n_samples)``.
-        estimated_molar: reconstructed concentrations, same shape.
-        low_molar / high_molar: the therapeutic window bounds [mol/L].
-        sample_period_s: reading cadence [s].
-
-    Returns:
-        Delays [h], ``(n_channels,)``: ``nan`` when the truth never
-        leaves the window, ``inf`` when it does but the reconstruction
-        never notices.
-    """
-    true, est = _check_pair(true_molar, estimated_molar)
-    if not 0.0 <= low_molar < high_molar:
-        raise ValueError("need 0 <= low < high")
-    if sample_period_s <= 0:
-        raise ValueError("sample period must be > 0")
-    true_out = (true < low_molar) | (true > high_molar)
-    est_out = (est < low_molar) | (est > high_molar)
-    period_h = sample_period_s / 3600.0
-    delays = np.full(true.shape[0], np.nan)
-    for i in range(true.shape[0]):
-        onsets = np.flatnonzero(true_out[i])
-        if onsets.size == 0:
-            continue
-        onset = onsets[0]
-        detections = np.flatnonzero(est_out[i, onset:])
-        delays[i] = (np.inf if detections.size == 0
-                     else detections[0] * period_h)
-    return delays

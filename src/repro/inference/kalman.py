@@ -82,26 +82,6 @@ class KalmanState:
             raise ValueError("need at least one channel")
         return cls(*(np.zeros(n_channels) for _ in range(5)))
 
-    @classmethod
-    def from_trace(cls, trace: "KalmanTrace",
-                   index: int = -1) -> "KalmanState":
-        """The filtered belief at one sample of a trace.
-
-        The chunk-carry constructor: feeding the state at a chunk's
-        last sample back into :func:`kalman_filter_batch` as
-        ``initial`` continues the recursion bit-identically to one
-        uninterrupted pass — the property incremental serving
-        (:mod:`repro.serve`) is built on.
-
-        Args:
-            trace: a forward-pass :class:`KalmanTrace`.
-            index: sample index to extract (default: the last).
-        """
-        return cls(trace.m1[:, index].copy(), trace.m2[:, index].copy(),
-                   trace.p11[:, index].copy(),
-                   trace.p12[:, index].copy(),
-                   trace.p22[:, index].copy())
-
 
 def kalman_predict(state: KalmanState,
                    a_signal: "np.ndarray | float",

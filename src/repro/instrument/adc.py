@@ -93,15 +93,3 @@ class SarAdc:
         sampled = voltage[..., ::decimation]
         times = np.arange(sampled.shape[-1]) * decimation / input_rate_hz
         return times, self.convert(sampled)
-
-    def effective_number_of_bits(self, signal_rms_v: float,
-                                 noise_rms_v: float) -> float:
-        """ENOB given the in-band noise accompanying a full-swing signal.
-
-        ``ENOB = (SINAD - 1.76) / 6.02`` with SINAD in dB.
-        """
-        if signal_rms_v <= 0 or noise_rms_v <= 0:
-            raise ValueError("signal and noise RMS must be > 0")
-        total_noise = np.hypot(noise_rms_v, self.quantization_noise_rms_v)
-        sinad_db = 20.0 * np.log10(signal_rms_v / total_noise)
-        return (sinad_db - 1.76) / 6.02

@@ -39,11 +39,6 @@ class AcquiredTrace:
                 == self.true_current_a.shape):
             raise ValueError("trace arrays must share one shape")
 
-    @property
-    def rms_error_a(self) -> float:
-        """RMS deviation of the reconstruction from the true current [A]."""
-        return float(np.sqrt(np.mean((self.current_a - self.true_current_a) ** 2)))
-
 
 @dataclass(frozen=True)
 class BatchAcquiredTrace:
@@ -211,11 +206,3 @@ class AcquisitionChain:
         tia_rms = self.tia.noise.rms(f_low_hz, max(bandwidth, 2.0 * f_low_hz))
         adc_rms = self.adc.quantization_noise_rms_v / self.tia.gain_v_per_a
         return float(np.hypot(tia_rms, adc_rms))
-
-    def dynamic_range_db(self) -> float:
-        """Ratio of full-scale current to the noise floor, in dB."""
-        full_scale = self.tia.full_scale_current_a
-        noise = self.input_referred_noise_rms()
-        if noise == 0.0:
-            return float("inf")
-        return 20.0 * float(np.log10(full_scale / noise))

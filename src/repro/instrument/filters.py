@@ -2,8 +2,7 @@
 
 Between the transimpedance stage and the ADC sits a low-pass filter that
 bounds the noise bandwidth and prevents aliasing.  A Butterworth prototype
-is standard; the causal form models the real-time chain while the
-zero-phase form is available for offline re-analysis.
+is standard; the causal form models the real-time chain.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, sosfilt, sosfiltfilt
+from scipy.signal import butter, sosfilt
 
 
 @lru_cache(maxsize=128)
@@ -64,14 +63,6 @@ class AnalogLowPass:
         if sampling_rate_hz <= 0:
             raise ValueError("sampling rate must be > 0")
         return sosfilt(self._sos(sampling_rate_hz), x, axis=-1)
-
-    def apply_zero_phase(self, x: np.ndarray,
-                         sampling_rate_hz: float) -> np.ndarray:
-        """Zero-phase (forward-backward) filtering for offline analysis."""
-        x = np.asarray(x, dtype=float)
-        if sampling_rate_hz <= 0:
-            raise ValueError("sampling rate must be > 0")
-        return sosfiltfilt(self._sos(sampling_rate_hz), x, axis=-1)
 
     def noise_bandwidth_hz(self) -> float:
         """Equivalent noise bandwidth [Hz] of the Butterworth response.

@@ -2,17 +2,15 @@
 
 The paper's modularity argument in hardware form: the expensive electrical
 component (potentiostat + TIA + ADC) is shared, and an analog switch
-matrix connects it to one working electrode at a time.  The model captures
-the non-idealities that matter for sequential multi-target measurement:
-switch resistance, charge injection at switching, inter-channel leakage
-(crosstalk) and the settling wait after every switch.
+matrix connects it to one working electrode at a time.  The model applies
+the non-ideality that biases sequential multi-target measurement,
+inter-channel leakage (crosstalk), and records the switch resistance,
+charge injection and settling wait of the switch matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,55 +64,3 @@ class ChannelMultiplexer:
         leakage = sum(current for ch, current in channel_currents_a.items()
                       if ch != channel) * self.off_isolation
         return selected + leakage
-
-    def crosstalk_error(self,
-                        channel: int,
-                        channel_currents_a: dict[int, float]) -> float:
-        """Relative error induced by crosstalk on ``channel``.
-
-        Infinite when the selected channel carries no current (a blank
-        next to a strong neighbour) — exactly the hazard of multiplexed
-        blanks that the scan schedule must account for.
-        """
-        observed = self.observed_current(channel, channel_currents_a)
-        true = channel_currents_a.get(channel, 0.0)
-        if true == 0.0:
-            return float("inf") if observed != 0.0 else 0.0
-        return abs(observed - true) / abs(true)
-
-    def switching_transient(self,
-                            time_s: np.ndarray,
-                            electrode_capacitance_f: float) -> np.ndarray:
-        """Current transient [A] after a switching event.
-
-        The injected charge redistributes through the switch resistance
-        into the electrode capacitance: ``i(t) = (Q/tau) exp(-t/tau)``.
-        """
-        time_s = np.asarray(time_s, dtype=float)
-        if np.any(time_s < 0):
-            raise ValueError("time values must be >= 0")
-        if electrode_capacitance_f <= 0:
-            raise ValueError("capacitance must be > 0")
-        if self.on_resistance_ohm == 0:
-            return np.zeros_like(time_s)
-        tau = self.on_resistance_ohm * electrode_capacitance_f
-        return (self.charge_injection_c / tau) * np.exp(-time_s / tau)
-
-    def scan_duration_s(self,
-                        dwell_time_s: float,
-                        channels: list[int] | None = None) -> float:
-        """Total time [s] to visit ``channels`` once.
-
-        Each visit pays the settling wait plus the measurement dwell.
-        """
-        if dwell_time_s <= 0:
-            raise ValueError("dwell time must be > 0")
-        visit = (list(range(self.n_channels)) if channels is None
-                 else channels)
-        for channel in visit:
-            self.validate_channel(channel)
-        return len(visit) * (self.settling_time_s + dwell_time_s)
-
-    def max_scan_rate_hz(self, dwell_time_s: float) -> float:
-        """Full-panel refresh rate [Hz] with the given dwell per channel."""
-        return 1.0 / self.scan_duration_s(dwell_time_s)

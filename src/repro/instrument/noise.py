@@ -79,12 +79,6 @@ class NoiseModel:
         if self.flicker_corner_hz < 0:
             raise ValueError("flicker corner must be >= 0")
 
-    def white_rms(self, bandwidth_hz: float) -> float:
-        """White-only RMS [A] in ``bandwidth_hz``."""
-        if bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be > 0")
-        return self.white_density_a_rthz * math.sqrt(bandwidth_hz)
-
     def rms(self, f_low_hz: float, f_high_hz: float) -> float:
         """Total RMS [A] between ``f_low_hz`` and ``f_high_hz``."""
         if self.flicker_corner_hz == 0.0:

@@ -115,12 +115,6 @@ class TransimpedanceAmplifier:
         y, __ = lfilter(b, a, x, axis=-1, zi=zi)
         return y
 
-    def input_referred_rms(self, f_low_hz: float = 0.01,
-                           f_high_hz: float | None = None) -> float:
-        """Input-referred noise RMS [A] over the measurement band."""
-        high = self.bandwidth_hz if f_high_hz is None else f_high_hz
-        return self.noise.rms(f_low_hz, high)
-
     def saturates(self, current_a: float) -> bool:
         """True when ``current_a`` would hit the output rails."""
         return abs(current_a) > self.full_scale_current_a

@@ -69,11 +69,6 @@ class CarbonNanotube:
                 f"{self.outer_diameter_m * 1e9:.1f} nm tube (max {max_walls})")
 
     @property
-    def is_ballistic(self) -> bool:
-        """True when the tube is shorter than its mean free path."""
-        return self.length_m < self.mean_free_path_m
-
-    @property
     def sidewall_area_m2(self) -> float:
         """Outer sidewall area [m^2] — the protein-adsorption surface."""
         return math.pi * self.outer_diameter_m * self.length_m

@@ -1,7 +1,7 @@
 """Composite nanostructured film: the electrode surface modification.
 
 Casting a CNT dispersion onto an electrode produces a porous film whose
-effect on sensing is summarized by four multipliers consumed by the sensor
+effect on sensing is summarized by three multipliers consumed by the sensor
 model:
 
 * **area enhancement** — electroactive area / geometric area, from the CNT
@@ -9,8 +9,7 @@ model:
   utilization;
 * **rate enhancement** — heterogeneous rate constant (k0) multiplier from
   the CNT's fast electron transfer (edge-plane-like sites, tip emission);
-* **capacitance enhancement** — the double layer grows with the real area;
-* **enzyme capacity** — how much active enzyme the film can host.
+* **capacitance enhancement** — the double layer grows with the real area.
 
 These are exactly the knobs the CNT-ablation bench sweeps to reproduce the
 paper's argument that nanostructuring the electrode lifts sensitivity.
@@ -66,13 +65,6 @@ class NanostructuredFilm:
         return cls(nanotube=MWCNT_DROPSENS, medium=NAFION,
                    loading_kg_m2=loading_kg_m2)
 
-    @classmethod
-    def mwcnt_chloroform(cls, loading_kg_m2: float = 4e-4) -> "NanostructuredFilm":
-        """The paper's CYP-sensor film: MWCNT dispersed in chloroform on SPE."""
-        from repro.nano.dispersion import CHLOROFORM
-        return cls(nanotube=MWCNT_DROPSENS, medium=CHLOROFORM,
-                   loading_kg_m2=loading_kg_m2)
-
     @property
     def has_nanotubes(self) -> bool:
         """True when the film contains a non-zero CNT loading."""
@@ -116,19 +108,6 @@ class NanostructuredFilm:
             return 0.35 * self.medium.product_transport
         depth_capture = 1.0 - math.exp(-self.area_enhancement() / 3.0)
         return min(1.0, (0.35 + 0.65 * depth_capture) * self.medium.product_transport)
-
-    def enzyme_capacity_mol_m2(self,
-                               footprint_m2_per_mol: float = 3.6e7) -> float:
-        """Maximum enzyme coverage the film can host [mol per geometric m^2].
-
-        A close-packed monolayer of a ~60 kDa enzyme occupies roughly
-        ``footprint_m2_per_mol`` (60 nm^2/molecule); the film multiplies the
-        available surface by its area enhancement and the medium's affinity.
-        """
-        if footprint_m2_per_mol <= 0:
-            raise ValueError("footprint must be > 0")
-        monolayer = 1.0 / footprint_m2_per_mol
-        return monolayer * self.area_enhancement() * self.medium.enzyme_affinity
 
     def modify_couple(self, couple: RedoxCouple) -> RedoxCouple:
         """Return ``couple`` with k0 boosted by the film's rate enhancement."""

@@ -175,11 +175,6 @@ class DoseSchedule:
         """Number of administrations in the regimen."""
         return len(self.events)
 
-    @property
-    def horizon_h(self) -> float:
-        """Time of the last administration [h] (excluding washout)."""
-        return self.events[-1].time_h
-
     def concentration(self, params: PKParams,
                       times_h: np.ndarray | float) -> np.ndarray:
         """Cohort concentrations [mol/L] under this regimen.

@@ -490,11 +490,6 @@ class OneCompartmentPK:
         """Elimination micro-rate ``ke = CL/V`` [1/h]."""
         return self.clearance_l_per_h / self.volume_l
 
-    @property
-    def half_life_h(self) -> float:
-        """Terminal half-life ``ln 2 / ke`` [h]."""
-        return float(np.log(2.0) / self.elimination_rate_per_h)
-
     def concentration(self, dt_h: np.ndarray | float, dose_mol: float,
                       route: Route = Route.ORAL,
                       duration_h: float = 0.0) -> np.ndarray | float:

@@ -114,11 +114,6 @@ class PatientCohort:
         """Phenotype per patient, in cohort order."""
         return tuple(p.phenotype for p in self.patients)
 
-    @property
-    def weights_kg(self) -> np.ndarray:
-        """Body weight per patient [kg], shape ``(n_patients,)``."""
-        return np.array([p.weight_kg for p in self.patients])
-
     def params(self) -> PKParams:
         """The cohort's ``(n_patients,)`` parameter arrays."""
         return PKParams(
@@ -138,11 +133,6 @@ class PatientCohort:
         n = self.n_patients
         return {phenotype: float(np.sum(self.phenotype_mask(phenotype))) / n
                 for phenotype in CYPPhenotype}
-
-    def subset(self, mask: np.ndarray) -> "PatientCohort":
-        """The sub-cohort selected by a boolean mask (non-empty)."""
-        selected = tuple(p for p, keep in zip(self.patients, mask) if keep)
-        return PatientCohort(patients=selected)
 
     def summary(self) -> str:
         """One-line cohort description (size, phenotype mix, CL span)."""

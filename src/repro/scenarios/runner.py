@@ -25,8 +25,17 @@ from typing import Iterable
 import numpy as np
 
 from repro.engine.core import run_scalar, run_workload
+from repro.engine.estimation import EstimationPlan
+from repro.engine.monitor import MonitorPlan
+from repro.engine.plan import BatchPlan
+from repro.engine.therapy import TherapyPlan
 from repro.scenarios.protocols import ResultProtocol, workload_by_name
 from repro.scenarios.spec import Scenario
+
+#: Most readings (rows x samples) one scenario may ask the engine for.
+#: The largest example, test and benchmark shapes ask for under 10**7;
+#: 10**9 would run for minutes and, with traces kept, need tens of GB.
+MAX_READINGS = 10**8
 
 
 def spawn_scenario_seeds(root_seed: int | None, n: int) -> list[int]:
@@ -72,15 +81,38 @@ class ScenarioRun:
                     include_traces=include_traces)}
 
 
+def _readings(plan) -> float:
+    """Readings a decoded plan asks for, from its counts alone (nothing
+    is compiled or allocated); 0 for a plan type it does not know."""
+    if isinstance(plan, BatchPlan):
+        return plan.step_duration_s * sum(
+            sum(plan.replicates_for(i)) * sensor.ca_protocol.sampling_rate_hz
+            for i, sensor in enumerate(plan.sensors))
+    if isinstance(plan, TherapyPlan):
+        return plan.n_patients * plan.n_samples
+    if isinstance(plan, (MonitorPlan, EstimationPlan)):
+        return plan.n_channels * plan.n_samples
+    return 0
+
+
 def plan_for(scenario: Scenario):
-    """Decode a scenario's spec into its workload's engine plan; a
-    wrong-typed or overflowing spec value raises ``ValueError`` like
-    any bad spec."""
+    """Decode a scenario's spec into its workload's engine plan.
+
+    A wrong-typed or overflowing spec value, or a plan asking for more
+    than :data:`MAX_READINGS` readings, raises ``ValueError`` like any
+    bad spec.
+    """
     try:
-        return workload_by_name(scenario.workload).build_plan(
+        plan = workload_by_name(scenario.workload).build_plan(
             scenario.spec, scenario.seed)
+        readings = _readings(plan)
     except (TypeError, OverflowError) as error:
         raise ValueError(f"{scenario.workload} spec: {error}") from error
+    if not readings <= MAX_READINGS:
+        raise ValueError(
+            f"{scenario.workload} spec asks for {readings:.3g} readings; "
+            f"the limit is {MAX_READINGS:.0e}")
+    return plan
 
 
 def run_scenario(scenario: Scenario,

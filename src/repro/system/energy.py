@@ -63,19 +63,3 @@ class EnergyBudget:
         energy_j = battery_mah * _JOULE_PER_MAH
         power_w = self.average_power_mw(measurements_per_hour) * 1e-3
         return energy_j / power_w / 86400.0
-
-    def max_measurement_rate_per_hour(self,
-                                      battery_mah: float,
-                                      target_days: float) -> float:
-        """Highest panel rate [1/h] that still meets ``target_days``.
-
-        Zero when the standby floor alone exhausts the budget.
-        """
-        if target_days <= 0:
-            raise ValueError("target lifetime must be > 0")
-        energy_j = battery_mah * _JOULE_PER_MAH
-        power_budget_mw = energy_j / (target_days * 86400.0) * 1e3
-        headroom_mw = power_budget_mw - self.standby_power_mw
-        if headroom_mw <= 0:
-            return 0.0
-        return headroom_mw * 3600.0 / self.energy_per_measurement_mj()

@@ -118,10 +118,6 @@ class ThreeDStack:
         """Tiers replaced between uses (the biolayer)."""
         return tuple(layer for layer in self.layers if layer.disposable)
 
-    def permanent_layers(self) -> tuple[StackLayer, ...]:
-        """Tiers kept across uses (readout, power, processing, radio)."""
-        return tuple(layer for layer in self.layers if not layer.disposable)
-
     def replacement_cost_fraction(self) -> float:
         """Area fraction thrown away per use.
 
@@ -131,10 +127,6 @@ class ThreeDStack:
         disposable = sum(l.active_area_mm2() for l in self.disposable_layers())
         total = sum(l.active_area_mm2() for l in self.layers)
         return disposable / total
-
-    def volume_mm3(self) -> float:
-        """Stack volume [mm^3] (footprint x thickness)."""
-        return self.footprint_mm2 * self.total_thickness_um() * 1e-3
 
 
 def guiducci_stack() -> ThreeDStack:

@@ -115,42 +115,6 @@ class CyclicVoltammetry:
     # Surface-confined couple (adsorbed protein film).
     # ------------------------------------------------------------------
 
-    def simulate_surface_couple(self,
-                                couple: RedoxCouple,
-                                coverage_mol_m2: float,
-                                area_m2: float,
-                                double_layer: DoubleLayer | None = None,
-                                temperature_k: float = STANDARD_TEMPERATURE,
-                                ) -> Measurement:
-        """Simulate the Nernstian wave of an adsorbed redox couple.
-
-        For a surface-confined couple at equilibrium the current is
-        ``i = n F A Gamma (d theta_ox/dE) (dE/dt)`` — a symmetric bell
-        centred on the formal potential, with height proportional to both
-        coverage and scan rate (the classic surface-wave diagnostics).
-        """
-        if coverage_mol_m2 <= 0:
-            raise ValueError("coverage must be > 0")
-        if area_m2 <= 0:
-            raise ValueError("area must be > 0")
-        wave = self.waveform()
-        current = self._surface_wave_current(
-            wave, couple, coverage_mol_m2, area_m2, temperature_k)
-        if double_layer is not None:
-            current = current + self._capacitive_background(
-                wave, double_layer, area_m2)
-        return Measurement(
-            time_s=wave.time_s,
-            potential_v=wave.potential_v,
-            current_a=current,
-            technique="cyclic voltammetry (surface couple)",
-            sampling_rate_hz=self.sampling_rate_hz,
-            metadata={
-                "couple": couple.name,
-                "coverage_mol_m2": coverage_mol_m2,
-            },
-        )
-
     # ------------------------------------------------------------------
     # Catalytic CYP drug wave.
     # ------------------------------------------------------------------

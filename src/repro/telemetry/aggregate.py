@@ -30,7 +30,7 @@ from repro.telemetry.metrics import (
     render_snapshot,
     set_metrics_registry,
 )
-from repro.telemetry.perfetto import perfetto_json, write_perfetto
+from repro.telemetry.perfetto import write_perfetto
 from repro.telemetry.recorder import (
     Recorder,
     SpanRecord,
@@ -156,11 +156,6 @@ class InMemoryRecorder(Recorder):
                 handle.write(json.dumps(record.to_event(),
                                         sort_keys=True) + "\n")
         return target
-
-    def to_perfetto(self) -> dict:
-        """The recorded spans as a Chrome/Perfetto ``trace_event`` dict
-        (:func:`repro.telemetry.perfetto.perfetto_json`)."""
-        return perfetto_json(self.spans)
 
 
 @contextmanager

@@ -68,15 +68,6 @@ class FaradicImmunosensor:
             delta += float(rng.normal(0.0, self.rct_noise_ohm))
         return delta
 
-    def spectrum_at(self,
-                    concentration_molar: float,
-                    f_low_hz: float = 0.1,
-                    f_high_hz: float = 1e5,
-                    n_points: int = 50):
-        """Full EIS spectrum after antigen exposure (for Nyquist plots)."""
-        return self.circuit_at(concentration_molar).spectrum(
-            f_low_hz, f_high_hz, n_points)
-
     def limit_of_detection_molar(self) -> float:
         """LOD [mol/L]: antigen level giving a 3-sigma Rct shift."""
         threshold = 3.0 * self.rct_noise_ohm

@@ -91,16 +91,6 @@ class IonSelectiveElectrode:
                 + sign * self.slope_v_per_decade(temperature_k)
                 * math.log10(activity))
 
-    def interference_error_molar(self,
-                                 primary_molar: float,
-                                 interferents_molar: dict[str, float]
-                                 ) -> float:
-        """Apparent concentration excess [mol/L] caused by interferents."""
-        with_interferents = self.effective_activity(primary_molar,
-                                                    interferents_molar)
-        without = self.effective_activity(primary_molar, None)
-        return with_interferents - without
-
     def limit_of_detection_molar(self) -> float:
         """Practical LOD [mol/L] — where the floor bends the calibration.
 

@@ -65,10 +65,6 @@ class QuartzCrystalMicrobalance:
         if self.noise_hz < 0:
             raise ValueError("noise must be >= 0")
 
-    def mass_sensitivity_hz_per_kg_m2(self) -> float:
-        """|df/dm| [Hz per kg/m^2] — the Sauerbrey constant of the disk."""
-        return abs(sauerbrey_shift_hz(self.fundamental_hz, 1.0))
-
     def bound_mass_kg_m2(self, concentration_molar: float) -> float:
         """Bound areal mass [kg/m^2] at equilibrium."""
         if concentration_molar < 0:

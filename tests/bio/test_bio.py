@@ -7,7 +7,6 @@ from repro.bio.interference import (
     ASCORBATE,
     PARACETAMOL,
     URATE,
-    total_interference_current,
 )
 from repro.bio.matrix import BUFFER, CELL_CULTURE_MEDIUM, SERUM
 
@@ -43,33 +42,29 @@ class TestInterferents:
                              concentration_molar=2e-4)
         assert i2 == pytest.approx(2 * i1)
 
-    def test_total_sums_components(self):
-        interferents = [ASCORBATE, URATE, PARACETAMOL]
-        total = total_interference_current(interferents, AREA,
-                                           WORKING_POTENTIAL)
-        parts = sum(i.current_a(AREA, WORKING_POTENTIAL)
-                    for i in interferents)
-        assert total == pytest.approx(parts)
-
     def test_rejects_bad_area(self):
         with pytest.raises(ValueError):
             ASCORBATE.current_a(0.0, WORKING_POTENTIAL)
 
 
+def interference_a(matrix, nafion_film=False):
+    """Summed interferent current [A] of ``matrix`` at the working
+    potential."""
+    return sum(i.current_a(AREA, WORKING_POTENTIAL, nafion_film=nafion_film)
+               for i in matrix.interferents)
+
+
 class TestMatrices:
     def test_buffer_is_clean(self):
-        assert BUFFER.interference_current_a(AREA, WORKING_POTENTIAL) == 0.0
+        assert interference_a(BUFFER) == 0.0
         assert BUFFER.fouling_rate_per_hour == 0.0
 
     def test_serum_is_dirty(self):
-        assert SERUM.interference_current_a(AREA, WORKING_POTENTIAL) > 0
+        assert interference_a(SERUM) > 0
         assert SERUM.fouling_rate_per_hour > 0
 
     def test_serum_interference_reduced_by_nafion(self):
-        bare = SERUM.interference_current_a(AREA, WORKING_POTENTIAL)
-        filmed = SERUM.interference_current_a(AREA, WORKING_POTENTIAL,
-                                              nafion_film=True)
-        assert filmed < bare
+        assert interference_a(SERUM, nafion_film=True) < interference_a(SERUM)
 
     def test_fouling_decays_sensitivity(self):
         assert SERUM.sensitivity_retention(0.0) == pytest.approx(1.0)

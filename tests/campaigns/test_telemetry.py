@@ -185,6 +185,27 @@ class TestStatusThroughputAndEta:
         assert "throughput:" in summary and "shards/min" in summary
         assert "eta:" in summary and "5 shards remaining" in summary
 
+    def test_rate_spans_from_first_running_event(self, small_campaign,
+                                                 tmp_path):
+        """Two shards that start at t = 100 s and finish 2 ms apart at
+        t = 110 s ran at 2 shards per 10 s, not 1 per 2 ms."""
+        store_path = tmp_path / "fleet.sqlite"
+        ArtifactStore.create(store_path, small_campaign).close()
+        conn = sqlite3.connect(store_path)
+        with conn:
+            conn.executemany(
+                "INSERT INTO telemetry (shard_index, event, wall_s) "
+                "VALUES (?, ?, ?)",
+                [(0, "running", 100.0), (1, "running", 100.0),
+                 (0, "done", 110.0), (1, "done", 110.002)])
+        conn.close()
+        with ArtifactStore.open(store_path) as store:
+            rate = store.completion_rate_per_s()
+            summary = store.status_summary()
+        assert rate == pytest.approx(2 / 10.002)
+        assert "throughput: 12.0 shards/min" in summary
+        assert "eta: 40 s (8 shards remaining)" in summary
+
     def test_fresh_store_has_no_rate(self, small_campaign, tmp_path):
         store_path = tmp_path / "fleet.sqlite"
         ArtifactStore.create(store_path, small_campaign).close()

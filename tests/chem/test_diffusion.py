@@ -26,7 +26,7 @@ class TestGridConstruction:
 
     def test_initial_profile_is_bulk(self):
         grid = DiffusionGrid1D(7e-10, 1e-6, 50, 1e-3, 2e-3, left_bc="noflux")
-        assert np.allclose(grid.profile_molar, 2e-3)
+        assert np.allclose(grid._conc / 1e3, 2e-3)
 
 
 class TestCottrellValidation:
@@ -47,12 +47,12 @@ class TestCottrellValidation:
         grid = DiffusionGrid1D.for_transient(7e-10, 0.5, 100, 1e-3,
                                              left_value_molar=0.0)
         grid.run(100)
-        assert grid.profile_molar[0] == pytest.approx(0.0, abs=1e-12)
+        assert grid._conc[0] / 1e3 == pytest.approx(0.0, abs=1e-12)
 
     def test_bulk_concentration_untouched(self):
         grid = DiffusionGrid1D.for_transient(7e-10, 0.5, 100, 1e-3)
         grid.run(100)
-        assert grid.profile_molar[-1] == pytest.approx(1e-3, rel=1e-6)
+        assert grid._conc[-1] / 1e3 == pytest.approx(1e-3, rel=1e-6)
 
 
 class TestConservation:
@@ -61,10 +61,11 @@ class TestConservation:
                                left_bc="noflux", right_bc="noflux")
         # Perturb the initial profile, then diffuse.
         grid._conc[:30] *= 2.0
-        initial = grid.total_amount_per_area()
+        initial = np.trapezoid(grid._conc, dx=grid.dx)
         for __ in range(500):
             grid.step()
-        assert grid.total_amount_per_area() == pytest.approx(initial, rel=1e-9)
+        assert np.trapezoid(grid._conc, dx=grid.dx) == pytest.approx(
+            initial, rel=1e-9)
 
     def test_closed_box_relaxes_to_uniform(self):
         grid = DiffusionGrid1D(7e-10, 1e-6, 40, 5e-4, 1e-3,
@@ -72,7 +73,7 @@ class TestConservation:
         grid._conc[:10] *= 3.0
         for __ in range(20000):
             grid.step()
-        profile = grid.profile_molar
+        profile = grid._conc
         assert np.ptp(profile) / np.mean(profile) < 1e-3
 
 
@@ -106,11 +107,14 @@ class TestElectrodeDiffusionSystem:
     def test_sum_conserved_with_equal_diffusion(self):
         couple = RedoxCouple("sym", 1, 0.0, 7e-10, 7e-10, 1e-4)
         system = ElectrodeDiffusionSystem(couple, 1e-6, 1e-3, 1e-3, 0.5, 300)
-        initial = system.total_amount_per_area()
+        def amount():
+            return np.trapezoid(system._c_ox + system._c_red, dx=system.dx)
+
+        initial = amount()
         system.run(np.linspace(0.3, -0.3, 300))
         # O->R conversion conserves O+R; bulk Dirichlet adds nothing net
         # because the far boundary stays at bulk for both species.
-        assert system.total_amount_per_area() == pytest.approx(initial, rel=1e-6)
+        assert amount() == pytest.approx(initial, rel=1e-6)
 
     def test_step_depletion_approaches_cottrell(self):
         system = ElectrodeDiffusionSystem(FERRICYANIDE, 1e-6, 1e-3, 0.0,
@@ -125,5 +129,5 @@ class TestElectrodeDiffusionSystem:
         system = ElectrodeDiffusionSystem(FERRICYANIDE, 1e-6, 1e-3, 0.0,
                                           1.0, 500)
         system.run(np.linspace(0.5, -0.5, 500))
-        assert np.all(system.profile_ox_molar >= 0)
-        assert np.all(system.profile_red_molar >= 0)
+        assert np.all(system._c_ox >= 0)
+        assert np.all(system._c_red >= 0)

@@ -29,16 +29,6 @@ class TestStatics(object):
         # 0.2 F/m^2 * 1 mm^2 = 0.2 uF; tau = 100 * 0.2e-6 = 20 us.
         assert layer.time_constant(1e-6) == pytest.approx(2e-5)
 
-    def test_sweep_current(self, layer):
-        # i = C v: 0.2 uF * 0.1 V/s = 20 nA.
-        assert layer.sweep_current(0.1, 1e-6) == pytest.approx(2e-8)
-
-    def test_ir_drop(self, layer):
-        assert layer.ir_drop(1e-6) == pytest.approx(1e-4)
-
-    def test_charge_for_step(self, layer):
-        assert layer.charge_for_step(0.65, 1e-6) == pytest.approx(0.65 * 0.2e-6)
-
 
 class TestStepTransient:
     def test_initial_current_is_step_over_resistance(self, layer):
@@ -55,7 +45,7 @@ class TestStepTransient:
         times = np.linspace(0.0, 20 * tau, 20000)
         transient = layer.step_transient(times, 0.65, 1e-6)
         charge = np.trapezoid(transient, times)
-        assert charge == pytest.approx(layer.charge_for_step(0.65, 1e-6),
+        assert charge == pytest.approx(0.65 * layer.capacitance(1e-6),
                                        rel=1e-3)
 
     def test_zero_resistance_gives_no_transient(self):
@@ -66,27 +56,3 @@ class TestStepTransient:
     def test_rejects_negative_times(self, layer):
         with pytest.raises(ValueError):
             layer.step_transient(np.array([-1.0]), 1.0, 1e-6)
-
-
-class TestSweepTransient:
-    def test_plateau_is_sweep_current(self, layer):
-        tau = layer.time_constant(1e-6)
-        times = np.array([50 * tau])
-        transient = layer.sweep_transient(times, 0.1, 1e-6)
-        assert transient[0] == pytest.approx(layer.sweep_current(0.1, 1e-6),
-                                             rel=1e-6)
-
-    def test_starts_at_zero(self, layer):
-        transient = layer.sweep_transient(np.array([0.0]), 0.1, 1e-6)
-        assert transient[0] == pytest.approx(0.0)
-
-
-class TestSettling:
-    def test_settling_time_formula(self, layer):
-        tau = layer.time_constant(1e-6)
-        assert layer.settling_time(1e-6, 1e-3) == pytest.approx(
-            tau * np.log(1e3))
-
-    def test_rejects_bad_tolerance(self, layer):
-        with pytest.raises(ValueError):
-            layer.settling_time(1e-6, 0.0)

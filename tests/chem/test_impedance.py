@@ -26,7 +26,7 @@ class TestSpectrum:
         assert z.real == pytest.approx(10_100.0, rel=1e-3)
 
     def test_nyquist_semicircle_apex(self, circuit):
-        f_apex = circuit.characteristic_frequency_hz()
+        f_apex = 1.0 / (2.0 * np.pi * 10_000.0 * 1e-6)  # 1 / (2 pi Rct Cdl)
         z = circuit.impedance(f_apex)
         # At the apex, -Im(Z) = Rct/2 and Re(Z) = Rs + Rct/2.
         assert -z.imag == pytest.approx(5000.0, rel=1e-2)

@@ -66,11 +66,5 @@ class TestBuiltinCouples:
         # The validation couple must be near-reversible at CV scan rates.
         assert FERRICYANIDE.k0 >= 1e-5
 
-    def test_mean_diffusion_between_individual_values(self):
-        mean = FERRICYANIDE.mean_diffusion
-        low = min(FERRICYANIDE.diffusion_ox, FERRICYANIDE.diffusion_red)
-        high = max(FERRICYANIDE.diffusion_ox, FERRICYANIDE.diffusion_red)
-        assert low <= mean <= high
-
     def test_oxygen_reducible(self):
         assert OXYGEN.formal_potential < HYDROGEN_PEROXIDE.formal_potential

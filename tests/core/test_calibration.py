@@ -47,9 +47,6 @@ class TestGlucoseCalibration:
     def test_lod_matches_paper(self, result):
         assert result.lod_molar == pytest.approx(2e-6, rel=0.6)
 
-    def test_loq_is_ten_thirds_lod(self, result):
-        assert result.loq_molar == pytest.approx(result.lod_molar * 10 / 3)
-
     def test_fit_quality(self, result):
         assert result.r_squared > 0.995
 

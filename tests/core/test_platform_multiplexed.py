@@ -38,12 +38,3 @@ class TestMultiplexedPanel:
         estimates = muxed.measure_sample(truth, np.random.default_rng(4))
         # The blank glutamate channel reads a phantom concentration.
         assert estimates["glutamate"] > 50e-6
-
-    def test_panel_duration_counts_channels(self):
-        muxed = calibrated_platform(ChannelMultiplexer(settling_time_s=0.5))
-        assert muxed.panel_duration_s(20.0) == pytest.approx(3 * 20.5)
-
-    def test_panel_duration_requires_multiplexer(self):
-        clean = calibrated_platform(None)
-        with pytest.raises(RuntimeError, match="multiplexer"):
-            clean.panel_duration_s()

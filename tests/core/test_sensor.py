@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.sensor import ReadoutMode
+from repro.units import sensitivity_paper_from_slope
 
 
 class TestComposition:
@@ -39,8 +40,9 @@ class TestResponseModel:
         # Gain trim targets the *regression* slope over the linear range;
         # the analytic initial slope therefore sits ~10 % above 55.5
         # (Michaelis-Menten curvature biases range-wide regressions low).
-        assert glucose_sensor.expected_sensitivity_paper() \
-            == pytest.approx(55.5, rel=0.17)
+        assert sensitivity_paper_from_slope(
+            glucose_sensor.expected_slope_a_per_molar(),
+            glucose_sensor.area_m2) == pytest.approx(55.5, rel=0.17)
 
     def test_linear_range_upper_from_km(self, glucose_sensor):
         assert glucose_sensor.linear_range_upper_molar(0.1) \

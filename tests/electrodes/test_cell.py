@@ -29,25 +29,18 @@ class TestReferences:
 
 
 class TestCell:
-    def make_cell(self, counter_ratio: float = 2.0) -> ThreeElectrodeCell:
+    def make_cell(self) -> ThreeElectrodeCell:
         geometry = ElectrodeGeometry.from_area(1e-6)
         return ThreeElectrodeCell(
             name="test cell",
             working_geometry=geometry,
             working_material=GOLD,
             counter_material=GOLD,
-            counter_area_m2=counter_ratio * 1e-6,
+            counter_area_m2=2e-6,
         )
 
     def test_working_area_from_geometry(self):
         assert self.make_cell().working_area_m2 == pytest.approx(1e-6)
-
-    def test_counter_ratio(self):
-        assert self.make_cell(3.0).counter_ratio == pytest.approx(3.0)
-
-    def test_well_designed_requires_counter_dominance(self):
-        assert self.make_cell(2.0).is_well_designed()
-        assert not self.make_cell(0.5).is_well_designed()
 
     def test_bare_double_layer_includes_roughness(self):
         cell = self.make_cell()
@@ -83,7 +76,7 @@ class TestMicrochip:
 
     def test_channel_cells_share_reference(self):
         chip = MicrofabricatedChip()
-        cells = chip.all_cells()
+        cells = [chip.channel_cell(i) for i in range(chip.n_channels)]
         assert len(cells) == 5
         assert all(cell.reference is PT_PSEUDO for cell in cells)
 

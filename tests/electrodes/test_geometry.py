@@ -34,13 +34,10 @@ class TestConstruction:
 
 class TestMicroelectrodeRegime:
     def test_paper_microchip_electrode_is_not_ultramicro(self):
-        # 0.25 mm^2 -> radius ~282 um: macro-regime diffusion.
+        # 0.25 mm^2 -> radius ~282 um, far above the ~25 um below which
+        # diffusion turns radial: macro-regime diffusion.
         chip_electrode = ElectrodeGeometry.from_area(2.5e-7)
-        assert not chip_electrode.is_microelectrode()
-
-    def test_true_microelectrode(self):
-        micro = ElectrodeGeometry.disk(10e-6)
-        assert micro.is_microelectrode()
+        assert chip_electrode.characteristic_length_m > 25e-6
 
     def test_characteristic_length_of_disk_is_radius(self):
         disk = ElectrodeGeometry.disk(20e-6)

@@ -88,14 +88,6 @@ class TestRunEstimation:
         with pytest.raises(ValueError, match="smoother"):
             causal.interval(smoothed=True)
 
-    def test_detection_delays_delegate(self, result):
-        from repro.analytes.physiological import physiological_range
-
-        window = physiological_range("glucose")
-        delays = result.excursion_detection_delays_h(
-            window.low_molar, window.high_molar)
-        assert delays.shape == (result.plan.n_channels,)
-
     def test_deterministic_replay(self, plan):
         a = run_estimation(plan)
         b = run_estimation(plan)

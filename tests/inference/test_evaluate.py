@@ -5,7 +5,6 @@ import pytest
 
 from repro.inference.evaluate import (
     credible_interval,
-    detection_delay_h,
     interval_coverage,
     reconstruction_mard,
     reconstruction_rmse,
@@ -57,39 +56,3 @@ class TestIntervals:
     def test_invalid_quantile_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
             credible_interval(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
-
-
-class TestDetection:
-    WINDOW = (1.0, 3.0)
-
-    def test_delay_in_hours(self):
-        true = np.array([[2.0, 2.0, 4.0, 4.0, 4.0]])
-        est = np.array([[2.0, 2.0, 2.5, 2.9, 3.5]])
-        delay = detection_delay_h(true, est, *self.WINDOW,
-                                  sample_period_s=1800.0)
-        # Truth leaves at index 2, estimate at index 4: 2 samples late.
-        np.testing.assert_allclose(delay, [1.0])
-
-    def test_immediate_detection_is_zero(self):
-        true = np.array([[2.0, 4.0]])
-        est = np.array([[2.0, 3.7]])
-        np.testing.assert_allclose(
-            detection_delay_h(true, est, *self.WINDOW, 900.0), [0.0])
-
-    def test_no_excursion_is_nan_and_miss_is_inf(self):
-        true = np.array([[2.0, 2.0], [2.0, 4.0]])
-        est = np.array([[2.0, 2.0], [2.0, 2.0]])
-        delays = detection_delay_h(true, est, *self.WINDOW, 900.0)
-        assert np.isnan(delays[0])
-        assert np.isinf(delays[1])
-
-    def test_low_side_excursions_count(self):
-        true = np.array([[2.0, 0.5, 0.5]])
-        est = np.array([[2.0, 1.5, 0.9]])
-        np.testing.assert_allclose(
-            detection_delay_h(true, est, *self.WINDOW, 3600.0), [1.0])
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError, match="low < high"):
-            detection_delay_h(np.zeros((1, 2)), np.zeros((1, 2)),
-                              3.0, 1.0, 900.0)

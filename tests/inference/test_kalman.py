@@ -56,6 +56,14 @@ def dynamics(params):
             params["a_wander"], params["q_wander"])
 
 
+def belief_at(trace, index=-1):
+    """The filtered belief at one sample of ``trace``, built from its
+    columns as ``EstimationKernels.run_chunk`` carries it into the next
+    chunk."""
+    return KalmanState(*(getattr(trace, name)[:, index]
+                         for name in ("m1", "m2", "p11", "p12", "p22")))
+
+
 def predictions(trace, *dynamics_args):
     """The smoother's derived one-step predictions of samples 1..T-1,
     ``(n_channels, n_samples - 1)``."""
@@ -183,7 +191,7 @@ class TestFilter:
             step = kalman_filter_batch(
                 z[:, k + 1:k + 2], params["gain"][:, :1],
                 params["offset"][:, :1], np.inf, *args[3:],
-                initial=KalmanState.from_trace(trace, k))
+                initial=belief_at(trace, k))
             for name in ("m1", "m2", "p11", "p12", "p22"):
                 np.testing.assert_array_equal(
                     getattr(predicted, name)[:, k],
@@ -227,8 +235,8 @@ class TestFilter:
     def test_matches_per_sample_oracle_in_chunks(self, chunk):
         """Censored runs (r = inf), a channel whose innovation variance
         is exactly 0 (r = q = 0 from an exact start), a non-zero
-        initial belief, and chunks carried through
-        :meth:`KalmanState.from_trace` (``None``: the whole horizon)."""
+        initial belief, and chunks carried through the last column of
+        each chunk's trace (``None``: the whole horizon)."""
         _, z, params = simulate(n_channels=4, n_samples=60)
         r = np.repeat(params["r"][:, None], z.shape[1], axis=1)
         r[:, 20:26] = np.inf
@@ -258,7 +266,7 @@ class TestFilter:
                 params["offset"][:, block], r[:, block], *dyn,
                 initial=state)
             chunks.append(trace)
-            state = KalmanState.from_trace(trace)
+            state = belief_at(trace)
         for name in ("m1", "m2", "p11", "p12", "p22"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(c, name) for c in chunks], axis=1),

@@ -7,6 +7,11 @@ from repro.instrument.chain import AcquisitionChain
 from repro.instrument.filters import AnalogLowPass
 
 
+def rms_error_a(trace):
+    """RMS deviation [A] of an acquired trace from the true current."""
+    return np.sqrt(np.mean((trace.current_a - trace.true_current_a) ** 2))
+
+
 class TestAnalogLowPass:
     def test_passes_dc(self):
         lp = AnalogLowPass(cutoff_hz=5.0, order=2)
@@ -20,15 +25,6 @@ class TestAnalogLowPass:
         tone = np.sin(2 * np.pi * 40.0 * t)
         out = lp.apply(tone, fs)
         assert np.max(np.abs(out[2000:])) < 0.01
-
-    def test_zero_phase_preserves_peak_position(self):
-        lp = AnalogLowPass(cutoff_hz=5.0, order=2)
-        fs = 100.0
-        x = np.exp(-0.5 * ((np.arange(1000) - 500) / 30.0) ** 2)
-        causal = lp.apply(x, fs)
-        zero_phase = lp.apply_zero_phase(x, fs)
-        assert abs(int(np.argmax(zero_phase)) - 500) <= 1
-        assert int(np.argmax(causal)) > 500  # causal filter delays
 
     def test_noise_bandwidth_order1(self):
         lp = AnalogLowPass(cutoff_hz=10.0, order=1)
@@ -69,15 +65,11 @@ class TestAcquisitionChain:
             np.full(2000, 5e-7), 20.0, rng=np.random.default_rng(5))
         noisy = self.make_chain(noise=1e-9).acquire(
             np.full(2000, 5e-7), 20.0, rng=np.random.default_rng(5))
-        assert noisy.rms_error_a > quiet.rms_error_a
+        assert rms_error_a(noisy) > rms_error_a(quiet)
 
     def test_input_referred_noise_positive(self):
         chain = self.make_chain(noise=1e-12)
         assert chain.input_referred_noise_rms() > 0
-
-    def test_dynamic_range_reasonable(self):
-        chain = self.make_chain(noise=1e-12)
-        assert 20.0 < chain.dynamic_range_db() < 160.0
 
     def test_rejects_non_multiple_rate(self, rng):
         chain = self.make_chain()

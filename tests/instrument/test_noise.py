@@ -76,7 +76,7 @@ class TestNoiseModelSampling:
 
     def test_rms_helper_consistency(self):
         model = NoiseModel(white_density_a_rthz=1e-12, flicker_corner_hz=0.0)
-        assert model.rms(0.0, 25.0) == pytest.approx(model.white_rms(25.0))
+        assert model.rms(0.0, 25.0) == pytest.approx(1e-12 * np.sqrt(25.0))
 
     def test_rejects_bad_sample_request(self):
         model = NoiseModel(white_density_a_rthz=1e-12)

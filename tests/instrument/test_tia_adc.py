@@ -110,18 +110,6 @@ class TestAdc:
         with pytest.raises(ValueError, match="integer multiple"):
             adc.sample_trace(np.zeros(100), 25.0)
 
-    def test_enob_bounded_by_resolution(self):
-        adc = SarAdc(n_bits=12, v_ref=2.5)
-        enob = adc.effective_number_of_bits(
-            signal_rms_v=2.5 / np.sqrt(2), noise_rms_v=1e-9)
-        assert 11.0 < enob <= 12.2
-
-    def test_enob_degrades_with_noise(self):
-        adc = SarAdc(n_bits=16, v_ref=2.5)
-        clean = adc.effective_number_of_bits(1.0, 1e-9)
-        noisy = adc.effective_number_of_bits(1.0, 1e-3)
-        assert noisy < clean
-
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             SarAdc(n_bits=2)

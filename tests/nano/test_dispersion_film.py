@@ -94,16 +94,6 @@ class TestCntFilm:
         assert modified.k0 == pytest.approx(
             HYDROGEN_PEROXIDE.k0 * film.rate_enhancement())
 
-    def test_enzyme_capacity_scales_with_area(self):
-        light = NanostructuredFilm.mwcnt_nafion(1e-4)
-        heavy = NanostructuredFilm.mwcnt_nafion(5e-4)
-        assert heavy.enzyme_capacity_mol_m2() > light.enzyme_capacity_mol_m2()
-
     def test_film_thickness_micron_scale(self):
         film = NanostructuredFilm.mwcnt_nafion()
         assert 1e-7 < film.film_thickness_m() < 1e-4
-
-    def test_chloroform_variant(self):
-        film = NanostructuredFilm.mwcnt_chloroform()
-        assert film.medium.name == "chloroform"
-        assert film.has_nanotubes

@@ -34,7 +34,6 @@ class TestDoseSchedule:
     def test_regimen_builder(self):
         schedule = DoseSchedule.regimen(2e-4, 12.0, 4)
         assert schedule.n_doses == 4
-        assert schedule.horizon_h == 36.0
         assert [e.time_h for e in schedule.events] == [0.0, 12.0, 24.0, 36.0]
 
     def test_events_sorted(self):

@@ -120,8 +120,8 @@ class TestShapes:
 
     def test_half_life(self, one_cpt):
         c0 = one_cpt.concentration(1.0, 1e-3, Route.IV_BOLUS)
-        c1 = one_cpt.concentration(1.0 + one_cpt.half_life_h, 1e-3,
-                                   Route.IV_BOLUS)
+        half_life_h = np.log(2.0) / one_cpt.elimination_rate_per_h
+        c1 = one_cpt.concentration(1.0 + half_life_h, 1e-3, Route.IV_BOLUS)
         assert c1 == pytest.approx(0.5 * c0)
 
 

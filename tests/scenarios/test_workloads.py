@@ -393,6 +393,21 @@ class TestStrictDecoding:
                 plan_for(_with(path, leaf, value))
             assert time.perf_counter() - began < 0.5
 
+    @pytest.mark.parametrize("path, leaf", [
+        ("calibration_panel.json", "n_blanks"),
+        ("calibration_panel.json", "n_replicates"),
+        ("calibration_panel.json", "step_duration_s"),
+        ("cyclosporine_course.json", "n_doses"),
+        ("glucose_week.json", "duration_h"),
+        ("estimation_glucose_day.json", "duration_h")])
+    def test_work_is_bounded_at_decode(self, path, leaf):
+        """A spec asking for more than MAX_READINGS readings is refused
+        while it decodes, before anything is compiled or allocated."""
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="readings"):
+            plan_for(_with(path, leaf, 10**9))
+        assert time.perf_counter() - began < 0.5
+
     @pytest.mark.parametrize("leaf", ["dose_interval_h", "sample_period_s"])
     def test_an_overflowing_period_is_a_value_error(self, leaf):
         with pytest.raises(ValueError):

@@ -687,6 +687,29 @@ class TestRequestLimits:
         assert response.startswith(f"HTTP/1.1 {status} ".encode())
         assert not caplog.records
 
+    @pytest.mark.parametrize("target, scenario", [
+        pytest.param("/scenarios", Scenario(
+            workload="calibration", name="huge", seed=7,
+            spec={**CALIBRATION_SCENARIO.spec, "n_blanks": 10**9}),
+            id="job-n-blanks"),
+        pytest.param("/scenarios", Scenario(
+            workload="therapy", name="huge", seed=1,
+            spec={"drug": "cyclosporine", "n_patients": 4,
+                  "cohort_seed": 7, "controller": {"kind": "bayesian"},
+                  "n_doses": 10**9}), id="job-n-doses"),
+        pytest.param("/streams", Scenario(
+            workload="monitor", name="huge", seed=11,
+            spec={**MONITOR_SCENARIO.spec, "duration_h": 10**9}),
+            id="stream-duration"),
+    ])
+    def test_work_over_the_budget_is_400(self, client, target, scenario):
+        """A spec that decodes to more readings than the work budget is
+        refused at submit and at stream open, not queued."""
+        body = json.dumps(scenario.to_dict()).encode()
+        response = _raw_post(client, target, body)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"readings" in response
+
     @pytest.mark.parametrize("length", [b"abc", b"-5"])
     def test_bad_content_length_is_400(self, client, length):
         import socket

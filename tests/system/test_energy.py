@@ -56,17 +56,6 @@ class TestBatteryLife:
         assert budget.battery_life_days(100.0, 12.0) \
             < budget.battery_life_days(100.0, 1.0)
 
-    def test_max_rate_meets_target(self, budget):
-        rate = budget.max_measurement_rate_per_hour(100.0, target_days=30.0)
-        assert rate > 0
-        achieved = budget.battery_life_days(100.0, rate)
-        assert achieved == pytest.approx(30.0, rel=1e-6)
-
-    def test_impossible_target_gives_zero_rate(self, budget):
-        assert budget.max_measurement_rate_per_hour(1.0, 10_000.0) == 0.0
-
     def test_rejects_bad_inputs(self, budget):
         with pytest.raises(ValueError):
             budget.battery_life_days(0.0, 1.0)
-        with pytest.raises(ValueError):
-            budget.max_measurement_rate_per_hour(100.0, 0.0)

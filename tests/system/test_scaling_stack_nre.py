@@ -69,7 +69,8 @@ class TestThreeDStack:
 
     def test_permanent_layers_carry_electronics(self):
         stack = guiducci_stack()
-        names = {layer.name for layer in stack.permanent_layers()}
+        names = {layer.name for layer in stack.layers
+                 if not layer.disposable}
         assert "analog readout tier" in names
         assert "rf tier" in names
 

@@ -77,41 +77,6 @@ class TestSolutionCouple(object):
         assert with_dl.current_a[3 * n // 4] > 0
 
 
-class TestSurfaceCouple:
-    def test_peak_at_formal_potential(self):
-        cv = CyclicVoltammetry(0.1, -0.8, 0.1, sampling_rate_hz=200.0)
-        record = cv.simulate_surface_couple(CYP_HEME, 1e-7, AREA)
-        n = record.time_s.size
-        idx = int(np.argmin(record.current_a[: n // 2]))
-        assert record.potential_v[idx] == pytest.approx(
-            CYP_HEME.formal_potential, abs=0.02)
-
-    def test_peak_height_theory(self):
-        # Surface wave peak: n^2 F^2 v A Gamma / (4 R T).
-        from repro.constants import FARADAY, GAS_CONSTANT, STANDARD_TEMPERATURE
-        coverage, rate = 1e-7, 0.1
-        cv = CyclicVoltammetry(0.1, -0.8, rate, sampling_rate_hz=400.0)
-        record = cv.simulate_surface_couple(CYP_HEME, coverage, AREA)
-        n = record.time_s.size
-        simulated = abs(record.current_a[: n // 2].min())
-        analytic = (FARADAY ** 2 * rate * AREA * coverage
-                    / (4 * GAS_CONSTANT * STANDARD_TEMPERATURE))
-        assert simulated == pytest.approx(analytic, rel=2e-2)
-
-    def test_height_linear_in_coverage(self):
-        cv = CyclicVoltammetry(0.1, -0.8, 0.1, sampling_rate_hz=200.0)
-        r1 = cv.simulate_surface_couple(CYP_HEME, 1e-7, AREA)
-        r2 = cv.simulate_surface_couple(CYP_HEME, 2e-7, AREA)
-        assert abs(r2.current_a.min()) == pytest.approx(
-            2 * abs(r1.current_a.min()), rel=1e-6)
-
-    def test_symmetric_anodic_return_wave(self):
-        cv = CyclicVoltammetry(0.1, -0.8, 0.1, sampling_rate_hz=200.0)
-        record = cv.simulate_surface_couple(CYP_HEME, 1e-7, AREA)
-        assert abs(record.current_a.max()) == pytest.approx(
-            abs(record.current_a.min()), rel=5e-2)
-
-
 class TestCatalyticCyp:
     def make_layer(self) -> ImmobilizedLayer:
         return ImmobilizedLayer(

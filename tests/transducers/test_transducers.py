@@ -109,12 +109,14 @@ class TestIonSelectiveElectrode:
             selectivity={"K+": 0.01},
             interferent_charges={"K+": 1},
         )
-        error = ise.interference_error_molar(1e-4, {"K+": 1e-2})
+        error = (ise.effective_activity(1e-4, {"K+": 1e-2})
+                 - ise.effective_activity(1e-4, None))
         assert error == pytest.approx(1e-4, rel=1e-6)  # 0.01 * 1e-2
 
     def test_unlisted_interferent_ignored(self):
         ise = IonSelectiveElectrode(ion_charge=1)
-        assert ise.interference_error_molar(1e-4, {"Na+": 1.0}) == 0.0
+        assert ise.effective_activity(1e-4, {"Na+": 1.0}) \
+            == ise.effective_activity(1e-4, None)
 
     def test_floor_flattens_response(self):
         ise = IonSelectiveElectrode(ion_charge=1,
@@ -152,8 +154,8 @@ class TestFaradicImmunosensor:
             3 * sensor.rct_noise_ohm, rel=1e-6)
 
     def test_spectrum_semicircle_grows(self, sensor):
-        __, z_blank = sensor.spectrum_at(0.0)
-        __, z_bound = sensor.spectrum_at(1e-8)
+        __, z_blank = sensor.circuit_at(0.0).spectrum(0.1, 1e5, 50)
+        __, z_bound = sensor.circuit_at(1e-8).spectrum(0.1, 1e5, 50)
         assert (-z_bound.imag).max() > (-z_blank.imag).max()
 
     def test_blocking_never_complete(self, sensor):
