@@ -137,7 +137,7 @@ def _interleaved_best_runs(spec: CampaignSpec, tmp_path: Path
                            ) -> "tuple[CampaignReport, CampaignReport]":
     """The fastest single-worker and :data:`MULTI_WORKERS` runs of
     ``spec`` over :data:`ROUNDS` rounds, the two alternating within
-    each round (as ``bench_core.py``'s ``_interleaved_min_wall_s``
+    each round (as ``bench_core.py``'s ``_interleaved_overhead``
     samples its contenders).  Every run must finish every shard and
     export the first single-worker run's bytes."""
     runs: "dict[int, list[CampaignReport]]" = {1: [], MULTI_WORKERS: []}

@@ -19,6 +19,8 @@ by the monitor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +129,8 @@ class ConcentrationTrajectory:
 
         Pure function of absolute wear time — never of how the caller
         chunks the time axis — which is the property the streaming
-        monitor's chunk-invariance contract rests on.
+        monitor's chunk-invariance contract rests on.  A one-row
+        :func:`cohort_mean_molar`.
 
         Args:
             hours: wear times [h], scalar or any array shape.
@@ -135,23 +138,7 @@ class ConcentrationTrajectory:
         Returns:
             Concentrations [mol/L], shaped like the input.
         """
-        t = np.asarray(hours, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("wear time must be >= 0")
-        value = np.full_like(t, self.baseline_molar, dtype=float)
-        if self.circadian_amplitude_molar > 0:
-            value = value + self.circadian_amplitude_molar * np.sin(
-                2.0 * np.pi * (t - self.circadian_phase_h)
-                / self.circadian_period_h)
-        if self.excursion_amplitude_molar > 0:
-            since_last = np.mod(t, self.excursion_interval_h)
-            # Steady-state geometric sum over all previous excursions.
-            normalization = 1.0 - np.exp(
-                -self.excursion_interval_h / self.excursion_tau_h)
-            value = value + (self.excursion_amplitude_molar
-                             * np.exp(-since_last / self.excursion_tau_h)
-                             / normalization)
-        value = np.maximum(value, self.floor_molar)
+        value = cohort_mean_molar((self,), hours)[0]
         if np.isscalar(hours):
             return float(value)
         return value
@@ -238,6 +225,60 @@ class ConcentrationTrajectory:
             noise_tau_h=1.0,
             floor_molar=max(window.low_molar * 0.25, 0.0),
         )
+
+
+#: The deterministic parameters of a trajectory, in formula order.
+_MEAN_FIELDS = attrgetter(
+    "baseline_molar", "circadian_amplitude_molar", "circadian_period_h",
+    "circadian_phase_h", "excursion_amplitude_molar", "excursion_interval_h",
+    "excursion_tau_h", "floor_molar")
+
+
+def cohort_mean_molar(trajectories: "Sequence[ConcentrationTrajectory]",
+                      hours: np.ndarray | float) -> np.ndarray:
+    """Deterministic concentrations [mol/L] of a cohort, in one pass.
+
+    The :class:`ConcentrationTrajectory` formula over per-row parameter
+    columns, shaped ``(len(trajectories),) + np.shape(hours)``.  A term
+    whose parameters every row shares runs once on ``hours`` alone; a
+    row without a term (zero amplitude) adds an exact zero.
+    """
+    t = np.asarray(hours, dtype=float)
+    if (t < 0).any():
+        raise ValueError("wear time must be >= 0")
+    rows = [_MEAN_FIELDS(trajectory) for trajectory in trajectories]
+    column = (len(rows),) + (1,) * t.ndim
+    (value, circadian, _, _, excursion, _, _, floor) = np.array(
+        rows).T.reshape((8,) + column)
+    terms = _term_parameters(rows, 1, column)
+    if terms is not None:
+        period, phase = terms
+        value = value + circadian * np.sin(
+            2.0 * np.pi * (t - phase) / period)
+    terms = _term_parameters(rows, 4, column)
+    if terms is not None:
+        interval, tau = terms
+        since_last = np.mod(t, interval)
+        # Steady-state geometric sum over all previous excursions.
+        normalization = 1.0 - np.exp(-interval / tau)
+        value = value + (excursion * np.exp(-since_last / tau)
+                         / normalization)
+    return np.maximum(value, floor, out=np.empty(column[:1] + t.shape))
+
+
+def _term_parameters(rows: list, amplitude: int, column: tuple):
+    """The two parameters after ``row[amplitude]``: scalars when all rows
+    share them, else ``column``-shaped arrays; ``None`` when no row has
+    the term.  Rows without it take 1.0 for both, which keeps their zero
+    contribution finite."""
+    active = [row[amplitude] > 0 for row in rows]
+    if not any(active):
+        return None
+    parameters = [row[amplitude + 1:amplitude + 3] if on else (1.0, 1.0)
+                  for row, on in zip(rows, active)]
+    if all(pair == parameters[0] for pair in parameters):
+        return parameters[0]
+    return np.array(parameters).T.reshape((2,) + column)
 
 
 _RANGES: dict[str, PhysiologicalRange] = {

@@ -140,17 +140,16 @@ def one_point_recalibration_batch(slopes_a_per_molar: np.ndarray,
         and a boolean mask of channels whose recalibration was accepted.
     """
     slopes = np.atleast_1d(np.asarray(slopes_a_per_molar, dtype=float))
-    references = np.broadcast_to(
-        np.asarray(reference_concentrations_molar, dtype=float), slopes.shape)
-    signals = np.broadcast_to(
-        np.asarray(measured_signals_a, dtype=float), slopes.shape)
-    intercepts = np.broadcast_to(
-        np.asarray(intercepts_a, dtype=float), slopes.shape)
-    if np.any(slopes <= 0):
+    references = np.asarray(reference_concentrations_molar, dtype=float)
+    if (slopes <= 0).any():
         raise ValueError("prior slopes must be > 0")
-    if np.any(references <= 0):
+    if (references <= 0).any():
         raise ValueError("reference concentrations must be > 0")
-    implied = (signals - intercepts) / references
+    implied = ((np.asarray(measured_signals_a, dtype=float) - intercepts_a)
+               / references)
+    if implied.shape != slopes.shape:
+        # Raises like any failed broadcast when the inputs outgrow slopes.
+        implied = np.broadcast_to(implied, slopes.shape)
     applied = implied > 0
     return np.where(applied, implied, slopes), applied
 

@@ -72,6 +72,7 @@ from repro.inference.kalman import (
 )
 from repro.inference.observation import (
     MonitorObservationModel,
+    _observation_model,
     monitor_observation_model,
 )
 
@@ -446,9 +447,10 @@ class EstimationKernels(KernelSet):
     def init_state(self, plan: EstimationPlan) -> SimpleNamespace:
         """Monitor carry state, observation model, filter dynamics and
         filter trace."""
-        model = monitor_observation_model(plan.monitor)
+        monitor = _init_monitor_state(plan.monitor)
+        model = _observation_model(plan.monitor, monitor.wear)
         return SimpleNamespace(
-            monitor=_init_monitor_state(plan.monitor),
+            monitor=monitor,
             model=model,
             dynamics=KalmanDynamics.prepare(
                 plan.n_channels, model.a_signal, model.q_signal,

@@ -46,7 +46,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.analytes.physiological import ConcentrationTrajectory
+from repro.analytes.physiological import (
+    ConcentrationTrajectory,
+    cohort_mean_molar,
+)
 from repro.bio.matrix import SERUM
 from repro.core.longterm import (
     DriftBudget,
@@ -635,16 +638,18 @@ def estimate_chunk_with_recalibration(
 
     The shared vector-path core of both streaming engines (monitor and
     therapy): a chunk of digitized readings is inverted through the
-    current per-channel calibration, split at the absolute reference
-    sample indices so re-fits apply *from the next sample on* — the
-    arithmetic the chunk-invariance contract rests on.  A reference
-    fires at absolute index ``k`` when ``(k + 1) % ref_every == 0``;
-    channels whose reading error at a reference exceeds ``tolerance``
-    are re-fit via :func:`one_point_recalibration_batch` (a channel
-    with a non-positive reference level skips its re-fit).  With
-    ``policy_active`` false — disabled policy *or* a schedule that
-    cannot fire inside the horizon — the chunk estimates in one segment
-    with no recalibration arithmetic at all.
+    current per-channel calibration, with re-fits applied *from the
+    sample after* their absolute reference index on — the arithmetic
+    the chunk-invariance contract rests on.  A reference fires at
+    absolute index ``k`` when ``(k + 1) % ref_every == 0``; channels
+    whose reading error at a reference exceeds ``tolerance`` are re-fit
+    via :func:`one_point_recalibration_batch` (a channel with a
+    non-positive reference level skips its re-fit).  Only the reference
+    columns are walked, one ``(n_channels,)`` pass each; the chunk's
+    estimates then come from one pass against the slope in force over
+    each sample.  With ``policy_active`` false — disabled policy *or* a
+    schedule that cannot fire inside the horizon — or no reference in
+    the chunk, that one pass is all there is.
 
     Args:
         measured: digitized readings [A], ``(n_channels, chunk)``.
@@ -663,44 +668,44 @@ def estimate_chunk_with_recalibration(
         ``(absolute_index, accepted_mask)`` entry per reference sample
         where at least one channel was re-fit.
     """
-    n_channels, chunk = measured.shape
-    estimates = np.empty((n_channels, chunk))
     events: list[tuple[int, np.ndarray]] = []
-    segment_start = start
-    while segment_start < stop:
-        if policy_active:
-            # Next reference sample at an absolute index (chunk-
-            # invariant): k is a reference when (k + 1) % ref == 0.
-            next_ref = ((segment_start + ref_every)
-                        // ref_every) * ref_every - 1
-            segment_stop = min(stop, next_ref + 1)
-        else:
-            segment_stop = stop
-        local = slice(segment_start - start, segment_stop - start)
-        estimates[:, local] = np.maximum(
-            0.0, (measured[:, local] - intercepts[:, None])
-            / slopes[:, None])
-        last = segment_stop - 1
-        if policy_active and (last + 1) % ref_every == 0:
-            j = last - start
-            reference_c = reference_concentration[:, j]
-            # A channel whose true level sits at a 0.0 trajectory
-            # floor has no usable reference draw this round: skip
-            # its re-fit instead of aborting the cohort.
-            has_reference = reference_c > 0
-            rel_error = np.zeros(n_channels)
-            np.divide(np.abs(estimates[:, j] - reference_c),
-                      reference_c, out=rel_error, where=has_reference)
-            triggered = has_reference & (rel_error > tolerance)
-            if np.any(triggered):
-                refit, applied = one_point_recalibration_batch(
-                    slopes, np.where(has_reference, reference_c, 1.0),
-                    measured[:, j], intercepts)
-                accepted = triggered & applied
-                slopes = np.where(accepted, refit, slopes)
-                if np.any(accepted):
-                    events.append((last, accepted))
-        segment_start = segment_stop
+    # Absolute reference indices in the chunk: k with (k + 1) % ref == 0.
+    references = range(((start + ref_every) // ref_every) * ref_every - 1,
+                       stop if policy_active else start, ref_every)
+    in_force = [slopes]
+    if references:
+        # Reference columns as rows; a channel whose true level sits at
+        # a 0.0 trajectory floor has no usable reference draw this round
+        # and skips its re-fit instead of aborting the cohort.
+        columns = np.arange(references.start - start, stop - start,
+                            ref_every)
+        readings = measured.T[columns]
+        reference_c = reference_concentration.T[columns]
+        has_reference = reference_c > 0
+        safe_reference = np.where(has_reference, reference_c, 1.0)
+        # The re-fit a triggered channel takes does not depend on the
+        # prior slope: one call covers every reference of the chunk.
+        refit, applied = one_point_recalibration_batch(
+            np.broadcast_to(slopes, readings.shape), safe_reference,
+            readings, intercepts)
+        numerators = readings - intercepts
+        for r, last in enumerate(references):
+            estimate = np.maximum(0.0, numerators[r] / slopes)
+            accepted = has_reference[r] & applied[r] & (
+                np.abs(estimate - reference_c[r]) / safe_reference[r]
+                > tolerance)
+            if accepted.any():
+                slopes = np.where(accepted, refit[r], slopes)
+                events.append((last, accepted))
+            in_force.append(slopes)
+        # Each sample divides by the slope in force over its segment.
+        lengths = np.full(len(in_force), ref_every)
+        lengths[0] = columns[0] + 1
+        lengths[-1] = stop - 1 - references[-1]
+        divisor = np.repeat(np.stack(in_force, axis=1), lengths, axis=1)
+    else:
+        divisor = slopes[:, None]
+    estimates = np.maximum(0.0, (measured - intercepts[:, None]) / divisor)
     return estimates, slopes, events
 
 
@@ -742,21 +747,13 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
     )
 
 
-def _trajectory_mean(plan: MonitorPlan, start: int,
-                     stop: int) -> np.ndarray:
-    """Each channel's deterministic concentration over ``[start, stop)``."""
-    t_h = plan.sample_times_h(start, stop)
-    return np.stack([channel.trajectory.mean_molar(t_h)
-                     for channel in plan.channels])
-
-
 def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
                    start: int, stop: int, mean: np.ndarray) -> None:
     """Advance every channel by one ``(n_channels, chunk)`` block.
 
     ``mean`` is the trajectory mean over the block (read, never
-    written): :func:`_trajectory_mean`, or a slice of an observation
-    model that already holds it.
+    written): :func:`~repro.analytes.physiological.cohort_mean_molar`,
+    or a slice of an observation model that already holds it.
     """
     n_channels = plan.n_channels
     chunk = stop - start
@@ -1055,8 +1052,9 @@ class MonitorKernels(KernelSet):
     def run_chunk(self, plan: MonitorPlan, state, segment,
                   start: int, stop: int) -> None:
         """Advance the cohort across samples ``[start, stop)``."""
-        _monitor_chunk(plan, state, start, stop,
-                       _trajectory_mean(plan, start, stop))
+        _monitor_chunk(plan, state, start, stop, cohort_mean_molar(
+            [channel.trajectory for channel in plan.channels],
+            plan.sample_times_h(start, stop)))
 
     def finalize(self, plan: MonitorPlan, state) -> MonitorResult:
         """Assemble the :class:`MonitorResult`."""

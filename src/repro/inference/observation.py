@@ -37,9 +37,10 @@ import numpy as np
 
 from typing import Sequence
 
+from repro.analytes.physiological import cohort_mean_molar
 from repro.core.sensor import Biosensor
 from repro.engine.core import require_row_block
-from repro.engine.monitor import MonitorPlan, reading_noise_sigma_a
+from repro.engine.monitor import MonitorPlan, WearParams, reading_noise_sigma_a
 
 
 def quantization_sigma_a(sensor: Biosensor) -> float:
@@ -223,16 +224,22 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     Returns:
         The assembled :class:`MonitorObservationModel`.
     """
+    return _observation_model(plan, plan.wear_params())
+
+
+def _observation_model(plan: MonitorPlan,
+                       wear: WearParams) -> MonitorObservationModel:
+    """:func:`monitor_observation_model` from the plan's ``wear``
+    parameters, for a caller whose wear state already holds them."""
     n, t = plan.n_channels, plan.n_samples
     time_h = plan.sample_times_h(0, t)
     dt_s = plan.sample_period_s
-    wear = plan.wear_params()
     channels = plan.channels
-    mean = np.empty((n, t))
+    mean = cohort_mean_molar([channel.trajectory for channel in channels],
+                             time_h)
     gain = np.empty((n, t))
     offset = np.empty((n, t))
-    for i, (channel, sensor) in enumerate(zip(channels, wear.sensors)):
-        mean[i] = channel.trajectory.mean_molar(time_h)
+    for i, sensor in enumerate(wear.sensors):
         retention = np.exp(-wear.decay_rate_per_hour[i] * time_h)
         response, slope = response_linearization(sensor, mean[i])
         gain[i] = retention * slope
@@ -254,9 +261,13 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
         mean_molar=mean,
         gain_a_per_molar=gain,
         offset_a=offset,
-        measurement_variance_a2=np.array(
-            [observation_variance_a2(sensor, add_noise=plan.add_noise)
-             for sensor in wear.sensors]),
+        # Python-float squares, bit for bit observation_variance_a2's:
+        # NumPy's ``x ** 2`` is ``x * x``, which can differ from pow().
+        measurement_variance_a2=np.array([
+            quantization_sigma_a(sensor) ** 2
+            + (sigma ** 2 if plan.add_noise else 0.0)
+            for sensor, sigma in zip(wear.sensors,
+                                     wear.measurement_sigma_a.tolist())]),
         censor_level_a=rail_censor_levels(wear.sensors),
         a_signal=a_signal,
         q_signal=q_signal,

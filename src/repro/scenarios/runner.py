@@ -105,7 +105,7 @@ def plan_for(scenario: Scenario):
     try:
         plan = workload_by_name(scenario.workload).build_plan(
             scenario.spec, scenario.seed)
-        readings = _readings(plan)
+        readings = float(_readings(plan))
     except (TypeError, OverflowError) as error:
         raise ValueError(f"{scenario.workload} spec: {error}") from error
     if not readings <= MAX_READINGS:

@@ -413,6 +413,11 @@ class TestStrictDecoding:
         with pytest.raises(ValueError):
             plan_for(_with("cyclosporine_course.json", leaf, 1e308))
 
+    def test_a_count_past_float_range_is_a_value_error(self):
+        # The budget check must not format an int too large for a float.
+        with pytest.raises(ValueError):
+            plan_for(_with("cyclosporine_course.json", "n_doses", 10**400))
+
 
 class TestResultProtocol:
     def test_every_workload_result_implements_the_contract(self):
