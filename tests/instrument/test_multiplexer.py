@@ -33,6 +33,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_channels": 0},
+        {"n_channels": -3},
+        {"off_isolation": float("nan")},
         {"off_isolation": -0.1},
         {"off_isolation": 1.0},
     ])
