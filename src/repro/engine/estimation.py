@@ -419,6 +419,21 @@ def _run_estimation_scalar(plan: EstimationPlan) -> EstimationResult:
 _MOMENTS = ("m1", "m2", "p11", "p12", "p22")
 
 
+def _estimation_state(plan: EstimationPlan,
+                      monitor: SimpleNamespace) -> SimpleNamespace:
+    """Estimation carry state around a fresh or restored monitor state:
+    the observation model, filter dynamics and an empty filter trace."""
+    model = _observation_model(plan.monitor, monitor.wear)
+    return SimpleNamespace(
+        monitor=monitor,
+        model=model,
+        dynamics=KalmanDynamics.prepare(
+            plan.n_channels, model.a_signal, model.q_signal,
+            model.a_wander, model.q_wander),
+        trace=KalmanTrace.empty(plan.n_channels, plan.n_samples),
+    )
+
+
 class EstimationKernels(KernelSet):
     """The estimation workload as a kernel set on the execution core.
 
@@ -447,16 +462,7 @@ class EstimationKernels(KernelSet):
     def init_state(self, plan: EstimationPlan) -> SimpleNamespace:
         """Monitor carry state, observation model, filter dynamics and
         filter trace."""
-        monitor = _init_monitor_state(plan.monitor)
-        model = _observation_model(plan.monitor, monitor.wear)
-        return SimpleNamespace(
-            monitor=monitor,
-            model=model,
-            dynamics=KalmanDynamics.prepare(
-                plan.n_channels, model.a_signal, model.q_signal,
-                model.a_wander, model.q_wander),
-            trace=KalmanTrace.empty(plan.n_channels, plan.n_samples),
-        )
+        return _estimation_state(plan, _init_monitor_state(plan.monitor))
 
     def run_chunk(self, plan: EstimationPlan, state, segment,
                   start: int, stop: int) -> None:
@@ -533,14 +539,13 @@ class EstimationKernels(KernelSet):
                 f"plan has {n}")
         trace = require_keys(snapshot["trace"], _MOMENTS,
                              "estimation snapshot trace")
-        state = self.init_state(plan)
         monitor_state, monitor_cursor = MONITOR_KERNELS.restore_state(
             plan.monitor, snapshot["monitor"])
         if monitor_cursor != cursor:
             raise ValueError(
                 f"nested monitor snapshot is at sample {monitor_cursor},"
                 f" estimation snapshot at {cursor}")
-        state.monitor = monitor_state
+        state = _estimation_state(plan, monitor_state)
         for name in _MOMENTS:
             getattr(state.trace, name)[:, :cursor] = decode_array(
                 trace[name], shape=(n, cursor))

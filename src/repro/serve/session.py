@@ -177,7 +177,7 @@ class StreamSession:
         times = []
         blocks: "dict[str, list[np.ndarray]]" = {}
 
-        def publish(lo: int, hi: int) -> None:
+        def publish(lo: int, hi: int, seconds: float) -> None:
             update = dict(self._kernels.stream_update(
                 self._plan, self._state, lo, hi))
             times.append(np.asarray(update.pop("time_h")))

@@ -146,6 +146,27 @@ class TestTraceCorrelation:
         assert advance.attrs["trace_id"] \
             == response.getheader("X-Trace-Id")
 
+    def test_push_chunk_spans_nest_under_the_advance(self, served):
+        """The segment walk opens its spans on the active recorder, so
+        a traced push shows its segment and chunk under
+        ``serve.advance``, in the push's trace."""
+        client, __, recorder = served
+        stream = client.create_stream(SCENARIO.to_dict())
+        client.push_readings(stream["stream_id"], count=6)
+        (advance,) = [span for span in recorder.spans
+                      if span.name == "serve.advance"]
+        (segment,) = [span for span in recorder.spans
+                      if span.name == "core.segment"]
+        (chunk,) = [span for span in recorder.spans
+                    if span.name == "core.run_chunk"]
+        assert (segment.depth, chunk.depth) == (advance.depth + 1,
+                                                advance.depth + 2)
+        for inner in (segment, chunk):
+            assert inner.attrs["trace_id"] == advance.attrs["trace_id"]
+            assert advance.start_s <= inner.start_s
+            assert inner.start_s + inner.duration_s \
+                <= advance.start_s + advance.duration_s
+
     def test_exemplar_and_span_share_the_job_trace(self, served):
         client, registry, recorder = served
         _run_one_job(client)

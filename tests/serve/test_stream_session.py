@@ -183,3 +183,44 @@ class TestStreamingSupport:
         assert session.workload == "monitor"
         assert session.plan.seed == 5
         assert session.n_samples == 36
+
+
+class TestRestoreBuildsStateOnce:
+    def test_estimation_restore_builds_the_wear_front_end_once(
+            self, monkeypatch):
+        """A restore gathers the wear parameters and spawns the
+        generator streams once, as opening the stream does, and still
+        finishes bit-identically."""
+        from repro.engine import monitor
+        from repro.engine.estimation import EstimationPlan
+
+        plan = EstimationPlan(monitor=monitor.MonitorPlan(
+            channels=monitor.glucose_cohort(4), duration_h=6.0,
+            sample_period_s=300.0, seed=23))
+        uninterrupted = StreamSession("estimation", plan)
+        uninterrupted.advance(None)
+        session = StreamSession("estimation", plan)
+        session.advance(12)
+        snapshot = session.export_state()
+
+        calls = {"from_rows": 0, "spawn_generators": 0}
+        from_rows = monitor.WearParams.from_rows.__func__
+        spawn = monitor.spawn_generators
+
+        def counted_from_rows(cls, rows):
+            calls["from_rows"] += 1
+            return from_rows(cls, rows)
+
+        def counted_spawn(*args):
+            calls["spawn_generators"] += 1
+            return spawn(*args)
+
+        monkeypatch.setattr(monitor.WearParams, "from_rows",
+                            classmethod(counted_from_rows))
+        monkeypatch.setattr(monitor, "spawn_generators", counted_spawn)
+        restored = StreamSession.restore(plan, snapshot)
+        assert calls == {"from_rows": 1, "spawn_generators": 1}
+        restored.advance(None)
+        np.testing.assert_array_equal(
+            restored.result().filtered_concentration_molar,
+            uninterrupted.result().filtered_concentration_molar)

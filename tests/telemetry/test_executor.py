@@ -10,8 +10,14 @@ disabled one.
 """
 
 import numpy as np
+import pytest
 
-from repro.engine.core import kernels_for, registered_workloads, run_workload
+from repro.engine.core import (
+    execute,
+    kernels_for,
+    registered_workloads,
+    run_workload,
+)
 from repro.telemetry import (
     InMemoryRecorder,
     MetricsRegistry,
@@ -132,3 +138,43 @@ class TestInstrumentationIsInert:
         np.testing.assert_array_equal(baseline.mard, instrumented.mard)
         np.testing.assert_array_equal(baseline.n_recalibrations,
                                       instrumented.n_recalibrations)
+
+
+class _FailingChunk:
+    """A kernel set whose second chunk raises; the rest delegates."""
+
+    def __init__(self, kernels) -> None:
+        self.kernels = kernels
+        self.chunks = 0
+
+    def __getattr__(self, name):
+        return getattr(self.kernels, name)
+
+    def run_chunk(self, plan, state, segment, start, stop) -> None:
+        self.chunks += 1
+        if self.chunks == 2:
+            raise FloatingPointError("chunk failed")
+        self.kernels.run_chunk(plan, state, segment, start, stop)
+
+
+class TestRaisingChunk:
+    def test_error_propagates_through_every_open_span(self, recorder):
+        kernels = _FailingChunk(kernels_for("monitor"))
+        registry = MetricsRegistry()
+        previous = set_metrics_registry(registry)
+        try:
+            with pytest.raises(FloatingPointError, match="chunk failed"):
+                execute(kernels, kernels.contract_plan())
+        finally:
+            set_metrics_registry(previous)
+        errors = [(record.name, record.error) for record in recorder.spans]
+        assert errors == [
+            ("core.compile", None), ("core.init_state", None),
+            ("core.run_chunk", None),
+            ("core.run_chunk", "FloatingPointError"),
+            ("core.segment", "FloatingPointError"),
+            ("core.execute", "FloatingPointError")]
+        assert recorder._depth == 0
+        chunks = registry.snapshot()["instruments"][
+            "repro_core_chunks_total"]["series"]
+        assert [row["value"] for row in chunks] == [1.0]

@@ -13,13 +13,16 @@ import pytest
 
 from repro.engine.core import kernels_for
 from repro.engine.core.executor import execute
+from repro.serve import StreamSession
 from repro.telemetry import (
     NULL_RECORDER,
     InMemoryRecorder,
+    NullMetricsRegistry,
     NullRecorder,
     TraceIdFilter,
     get_recorder,
     recorder_from_env,
+    set_metrics_registry,
     set_recorder,
     span,
     telemetry_env_enabled,
@@ -46,6 +49,30 @@ class CountingStub(NullRecorder):
         self.calls += 1
 
 
+class CountingMetricsStub(NullMetricsRegistry):
+    """A disabled metrics registry that counts every instrument request.
+
+    Still ``enabled = False``: any call that lands here proves a hot
+    path asked for an instrument despite metrics being off.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def counter(self, *args, **kwargs):
+        self.calls += 1
+        return super().counter(*args, **kwargs)
+
+    def gauge(self, *args, **kwargs):
+        self.calls += 1
+        return super().gauge(*args, **kwargs)
+
+    def histogram(self, *args, **kwargs):
+        self.calls += 1
+        return super().histogram(*args, **kwargs)
+
+
 class TestDisabledIsFree:
     def test_executor_disabled_path_makes_zero_telemetry_calls(self):
         """The acceptance stub: a full engine run through the chunked
@@ -57,6 +84,21 @@ class TestDisabledIsFree:
             execute(kernels, kernels.contract_plan())
         finally:
             set_recorder(previous)
+        assert stub.calls == 0
+
+    def test_disabled_metrics_make_zero_instrument_calls(self):
+        """Neither a batch run nor a stream push asks a disabled
+        registry for an instrument."""
+        stub = CountingMetricsStub()
+        previous = set_metrics_registry(stub)
+        try:
+            kernels = kernels_for("monitor")
+            execute(kernels, kernels.contract_plan())
+            session = StreamSession("monitor", kernels.contract_plan())
+            while not session.done:
+                session.advance(50)
+        finally:
+            set_metrics_registry(previous)
         assert stub.calls == 0
 
     def test_null_span_is_one_shared_object(self):
