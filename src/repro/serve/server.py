@@ -9,7 +9,8 @@ modes of :mod:`repro.serve`:
   queue (503 when full) under a per-workload concurrency limit, and a
   pre-forked worker process runs it; ``GET /scenarios/{id}`` reads its
   status (``?wait=<s>`` long-polls it) and ``.../result`` its
-  replayable artifact.
+  replayable artifact: the summary the server keeps, or with
+  ``?traces=1`` the traces of a re-run of the seed-resolved scenario.
 * **Streams** — ``POST /streams`` opens an incremental session,
   ``POST /streams/{id}/readings`` advances it by a block of readings
   and answers the filtered estimates, ``.../snapshot`` and
@@ -112,7 +113,7 @@ class _Job:
     job_id: str
     scenario: Any
     status: str = "queued"          # queued -> running -> done | failed
-    result: Any = None
+    result: "dict | None" = None    # the artifact, without traces
     error: "str | None" = None
     trace_id: "str | None" = None   # inherited from the submit request
     submitted_s: float = field(default_factory=time.perf_counter)
@@ -163,17 +164,23 @@ def _init_job_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _job_entry(scenario, trace_id: "str | None", spans: bool):
-    """Job-process entry: one scenario under the submit request's trace.
+def _job_entry(scenario, trace_id: "str | None", spans: bool,
+               traces: bool):
+    """Job-process entry: one scenario under the given request's trace.
 
-    Returns ``(result, spans, metrics_snapshot)`` from
-    :func:`repro.scenarios.runner.run_isolated`; the server replays the
-    spans and merges the snapshot.
+    Returns ``(artifact, spans, metrics_snapshot)``: the run's
+    replayable artifact (with traces only if ``traces``), and the spans
+    and metrics of :func:`repro.scenarios.runner.run_isolated`, which
+    the server replays and merges.  Only the artifact crosses back to
+    the server, never the result object and its traces.
     """
     from repro.scenarios import runner
 
     with trace_context(trace_id):
-        return runner.run_isolated(scenario, spans=spans, metrics=True)
+        result, spans, snapshot = runner.run_isolated(
+            scenario, spans=spans, metrics=True)
+    return (runner.ScenarioRun(scenario=scenario, result=result)
+            .to_dict(include_traces=traces), spans, snapshot)
 
 
 def _pool_processes(pool: ProcessPoolExecutor) -> list:
@@ -200,12 +207,17 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _wants_traces(query: dict) -> bool:
+    """True if a result request asks for traces (``?traces=1``)."""
+    return query.get("traces") in ("1", "true")
+
+
 def _artifact(scenario, result, query: dict) -> dict:
     """A run's replayable artifact, with traces under ``?traces=1``."""
     from repro.scenarios import ScenarioRun
 
     return ScenarioRun(scenario=scenario, result=result).to_dict(
-        include_traces=query.get("traces") in ("1", "true"))
+        include_traces=_wants_traces(query))
 
 
 def _encode(status: int, payload, keep_alive: bool,
@@ -587,8 +599,10 @@ class ReproServer:
         self._job_pool = pool
         await asyncio.wrap_future(ready)
 
-    async def _in_job_process(self, job: _Job, spans: bool):
-        """Run ``job`` in a worker process: ``(result, spans, snapshot)``.
+    async def _in_job_process(self, scenario, trace_id: "str | None",
+                              spans: bool, traces: bool):
+        """Run ``scenario`` in a worker process under ``trace_id``:
+        ``(artifact, spans, snapshot)`` from :func:`_job_entry`.
 
         A worker that dies (killed, crashed) breaks the whole pool:
         every job running in it at that moment fails with an error
@@ -599,8 +613,8 @@ class ReproServer:
         while True:
             pool = self._job_pool
             try:
-                future = pool.submit(_job_entry, job.scenario,
-                                     job.trace_id, spans)
+                future = pool.submit(_job_entry, scenario, trace_id,
+                                     spans, traces)
             except BrokenProcessPool:
                 if self._job_pool is pool:
                     await self._fork_job_pool()
@@ -617,6 +631,42 @@ class ReproServer:
                 raise BrokenProcessPool(
                     f"job worker died ({_dead_workers(processes)})"
                 ) from None
+
+    def _absorb(self, spans, snapshot) -> None:
+        """Replay a worker's spans onto this process's recorder and merge
+        its metrics snapshot into the registry."""
+        recorder = get_recorder()
+        for record in spans or ():
+            recorder.record_span(record)
+        self.registry.merge_snapshot(snapshot)
+
+    async def _replay(self, job: _Job) -> dict:
+        """Run a done job again for its artifact with traces.
+
+        The job's scenario has its seed resolved (:meth:`_submit_job`),
+        so the run reproduces the kept result bit for bit.  It runs in
+        the job pool under the fetching request's trace id, inside a
+        ``serve.replay`` span, and is no job: no job counter or
+        histogram sees it.  A full work queue answers 503, as it does a
+        submit, and so does a worker dying under the run.
+        """
+        from repro.telemetry import current_trace_id
+
+        if self._queue.full():
+            raise HttpError(
+                503, f"work queue full ({self.queue_size} jobs); "
+                     f"retry later")
+        recorder = get_recorder()
+        with recorder.span("serve.replay", workload=job.scenario.workload,
+                           job_id=job.job_id):
+            try:
+                artifact, spans, snapshot = await self._in_job_process(
+                    job.scenario, current_trace_id(), recorder.enabled,
+                    traces=True)
+            except BrokenProcessPool as error:
+                raise HttpError(503, f"{error}; retry later") from None
+            self._absorb(spans, snapshot)
+        return artifact
 
     async def _worker(self, index: int) -> None:
         """Drain the job queue under the per-workload concurrency cap."""
@@ -636,6 +686,8 @@ class ReproServer:
         engine spans and histogram exemplars correlate with the
         front-door request; the worker's spans are replayed onto this
         process's recorder and its metrics merged into the registry.
+        The job keeps the artifact without traces: ``?traces=1`` runs
+        it again (:meth:`_replay`).
         """
         workload = job.scenario.workload
         job.status = "running"
@@ -651,13 +703,13 @@ class ReproServer:
                     workload=workload).observe(started - job.submitted_s)
                 try:
                     job.result, spans, snapshot = \
-                        await self._in_job_process(job, recorder.enabled)
+                        await self._in_job_process(
+                            job.scenario, job.trace_id, recorder.enabled,
+                            traces=False)
                 except Exception as error:
                     job.error = f"{type(error).__name__}: {error}"
                 else:
-                    for record in spans or ():
-                        recorder.record_span(record)
-                    self.registry.merge_snapshot(snapshot)
+                    self._absorb(spans, snapshot)
                 job.status = "failed" if job.error else "done"
                 self._m["jobs"].labels(workload=workload,
                                        outcome=job.status).inc()
@@ -852,8 +904,9 @@ class ReproServer:
 
     def _submit_job(self, scenario):
         """Queue a scenario whose spec decodes; a refused one (400 or
-        503) is issued no job id."""
-        from repro.scenarios import plan_for
+        503) is issued no job id.  A missing seed is drawn here, so the
+        job's artifact replays and ``?traces=1`` re-runs the same run."""
+        from repro.scenarios import plan_for, spawn_scenario_seeds
         from repro.telemetry import current_trace_id
 
         if self._queue.full():
@@ -862,6 +915,8 @@ class ReproServer:
             raise HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
+        if scenario.seed is None:
+            scenario = scenario.with_seed(spawn_scenario_seeds(None, 1)[0])
         try:
             plan_for(scenario)
         except (KeyError, ValueError) as error:
@@ -912,7 +967,9 @@ class ReproServer:
                 raise HttpError(
                     409, f"job {job_id} is {job.status}"
                          + (f": {job.error}" if job.error else ""))
-            return 200, _artifact(job.scenario, job.result, query)
+            if _wants_traces(query):
+                return 200, await self._replay(job)
+            return 200, job.result
         raise HttpError(404, f"no route for job {job_id}/{rest[0]}")
 
     # -- stream routes ---------------------------------------------------

@@ -202,6 +202,44 @@ class TestTraceCorrelation:
         assert {span.attrs["trace_id"] for span in executes} \
             == submit_traces
 
+    def test_replay_runs_under_the_fetch_trace(self, served):
+        """``?traces=1`` re-runs a done job under the fetching request's
+        trace, in a ``serve.replay`` span; it is no job, so no job
+        span, counter or histogram sees it."""
+        client, registry, recorder = served
+        job_id = _run_one_job(client)["job_id"]
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=30)
+        try:
+            connection.request("GET", f"/scenarios/{job_id}/result"
+                                      "?traces=1")
+            response = connection.getresponse()
+            artifact = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert "time_h" in artifact["result"]
+        trace_id = response.getheader("X-Trace-Id")
+        (replay,) = [span for span in recorder.spans
+                     if span.name == "serve.replay"]
+        assert replay.attrs["trace_id"] == trace_id
+        assert replay.attrs["job_id"] == job_id
+        (job,) = [span for span in recorder.spans
+                  if span.name == "serve.job"]
+        assert job.attrs["trace_id"] != trace_id
+        executes = [span for span in recorder.spans
+                    if span.name == "core.execute"
+                    and span.attrs["trace_id"] == trace_id]
+        assert len(executes) == 1
+        counters = client.metrics()["counters"]
+        assert counters["jobs.submitted.monitor"] == 1
+        assert counters["jobs.done.monitor"] == 1
+        for name in ("repro_serve_job_queue_seconds",
+                     "repro_serve_job_run_seconds"):
+            (series,) = [series for __, series in registry.histogram(
+                name, labels=["workload"]).items()]
+            assert series.count == 1
+
 
 class TestJobTimings:
     def test_queue_and_run_histograms(self, served):

@@ -20,6 +20,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import threading
@@ -52,6 +53,22 @@ CALIBRATION_SCENARIO = Scenario(
     workload="calibration", name="serve-calib", seed=7,
     spec={"sensors": ["glucose/this-work"], "n_blanks": 2,
           "n_replicates": 2})
+
+THERAPY_SCENARIO = Scenario(
+    workload="therapy", name="serve-therapy", seed=5,
+    spec={"drug": "cyclosporine", "n_patients": 2, "cohort_seed": 7,
+          "controller": {"kind": "bayesian"}, "n_doses": 2,
+          "dose_interval_h": 12.0, "keep_traces": True})
+
+#: The estimation job shape of the ``jobs`` benchmark workload: 32
+#: wearers x 72 h at 5 min, smoothing on.
+JOBS_SHAPE_SCENARIO = Scenario(
+    workload="estimation", name="jobs-shape", seed=7,
+    spec={"cohort": {"sensor": "glucose/this-work", "analyte": "glucose",
+                     "wander_sigma_a": 2e-9, "n_patients": 32},
+          "duration_h": 72.0, "sample_period_s": 300.0, "smooth": True,
+          "recalibration": {"reference_interval_h": 6.0,
+                            "tolerance": 0.08}})
 
 
 #: Spec values of the wrong type, over ``ESTIMATION_SCENARIO.spec``.
@@ -91,6 +108,40 @@ def max_difference(a, b) -> float:
     return 0.0
 
 
+def _has_key(payload, key: str) -> bool:
+    """True if ``key`` names a field anywhere in a JSON payload."""
+    if isinstance(payload, dict):
+        return key in payload or any(_has_key(value, key)
+                                     for value in payload.values())
+    if isinstance(payload, list):
+        return any(_has_key(value, key) for value in payload)
+    return False
+
+
+def _spy_runs(monkeypatch, server) -> list:
+    """Record the ``traces`` flag of every run ``server`` hands its job
+    pool from now on (a job's run is False, a replay's True)."""
+    runs: list = []
+    run = server._in_job_process
+
+    async def spy(scenario, trace_id, spans, traces):
+        runs.append(traces)
+        return await run(scenario, trace_id, spans, traces)
+
+    monkeypatch.setattr(server, "_in_job_process", spy)
+    return runs
+
+
+def _assert_replays_batch(client: ServeClient, job_id: str,
+                          scenario: Scenario) -> None:
+    """The kept summary and two ``?traces=1`` re-runs of a done job all
+    equal the batch runner's artifacts exactly."""
+    assert client.result(job_id) == batch_artifact(scenario, traces=False)
+    traced = client.result(job_id, traces=True)
+    assert traced == batch_artifact(scenario, traces=True)
+    assert client.result(job_id, traces=True) == traced
+
+
 @pytest.fixture(scope="module")
 def client():
     """One shared server for the whole module, port auto-picked."""
@@ -128,20 +179,46 @@ class TestServiceEndpoints:
 
 class TestJobs:
     def test_submitted_job_reproduces_batch_artifact(self, client):
-        job = client.submit(MONITOR_SCENARIO.to_dict())
-        assert job["status"] == "queued"
-        assert job["workload"] == "monitor"
-        done = client.wait_for_job(job["job_id"])
-        assert done["status"] == "done"
-        remote = client.result(job["job_id"], traces=True)
-        assert remote == batch_artifact(MONITOR_SCENARIO)
+        """Streamable workloads: a monitor keeping its traces and an
+        estimation smoothing (both spec defaults)."""
+        for scenario in (MONITOR_SCENARIO, ESTIMATION_SCENARIO):
+            job = client.submit(scenario.to_dict())
+            assert job["status"] == "queued"
+            assert job["workload"] == scenario.workload
+            done = client.wait_for_job(job["job_id"])
+            assert done["status"] == "done"
+            _assert_replays_batch(client, job["job_id"], scenario)
 
     def test_non_streaming_workloads_still_run_as_jobs(self, client):
-        job = client.submit(CALIBRATION_SCENARIO.to_dict())
-        client.wait_for_job(job["job_id"])
-        remote = client.result(job["job_id"])
-        assert remote == batch_artifact(CALIBRATION_SCENARIO,
-                                        traces=False)
+        for scenario in (CALIBRATION_SCENARIO, THERAPY_SCENARIO):
+            job = client.submit(scenario.to_dict())
+            client.wait_for_job(job["job_id"])
+            _assert_replays_batch(client, job["job_id"], scenario)
+
+    def test_seedless_job_gets_a_replayable_artifact(self, client):
+        """A submit without a seed draws one, so its artifact replays."""
+        seedless = Scenario.from_dict(
+            {**MONITOR_SCENARIO.to_dict(), "seed": None})
+        seeds = set()
+        for __ in range(2):
+            job = client.submit(seedless.to_dict())
+            client.wait_for_job(job["job_id"])
+            artifact = client.result(job["job_id"])
+            seed = artifact["scenario"]["seed"]
+            assert isinstance(seed, int)
+            seeds.add(seed)
+            _assert_replays_batch(client, job["job_id"],
+                                  Scenario.from_dict(artifact["scenario"]))
+        assert len(seeds) == 2
+
+    def test_worker_returns_a_summary(self):
+        """A job worker hands back the artifact without traces, not the
+        result object: kilobytes, where the traces of this shape are
+        megabytes."""
+        payload = server_module._job_entry(JOBS_SHAPE_SCENARIO, None,
+                                           spans=False, traces=False)
+        assert len(pickle.dumps(payload)) < 16 * 1024
+        assert not _has_key(payload[0], "time_h")
 
     def test_invalid_scenario_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -154,24 +231,30 @@ class TestJobs:
             client.status("job-9999")
         assert excinfo.value.status == 404
 
-    def test_result_of_unfinished_job_is_409(self, sleepy_server):
-        """A queued/failed job has no result to fetch.  (A spec that
-        does not decode never becomes a job, so the failing job is one
-        whose run raises.)"""
-        __, client = sleepy_server
+    def test_result_of_unfinished_job_is_409(self, sleepy_server,
+                                             monkeypatch):
+        """A queued/failed job has no result to fetch, and asking for
+        its traces replays nothing.  (A spec that does not decode never
+        becomes a job, so the failing job is one whose run raises.)"""
+        thread, client = sleepy_server
+        runs = _spy_runs(monkeypatch, thread.server)
         held = client.submit(_scenario_of(_SleepyWorkload))
         failing = client.submit(_scenario_of(_FailingWorkload))
         for job in (held, failing):
-            with pytest.raises(ServeError) as excinfo:
-                client.result(job["job_id"])
-            assert excinfo.value.status == 409
+            for traces in (False, True):
+                with pytest.raises(ServeError) as excinfo:
+                    client.result(job["job_id"], traces=traces)
+                assert excinfo.value.status == 409
         _SleepyWorkload.release.set()
         with pytest.raises(ServeError, match="fails on purpose"):
             client.wait_for_job(failing["job_id"], timeout_s=30.0)
-        with pytest.raises(ServeError) as excinfo:
-            client.result(failing["job_id"])
-        assert excinfo.value.status == 409
-        assert "failed" in str(excinfo.value)
+        for traces in (False, True):
+            with pytest.raises(ServeError) as excinfo:
+                client.result(failing["job_id"], traces=traces)
+            assert excinfo.value.status == 409
+            assert "failed" in str(excinfo.value)
+        client.wait_for_job(held["job_id"], timeout_s=30.0)
+        assert runs == [False, False]
 
 
 class TestStreams:
@@ -477,6 +560,20 @@ class _KillerWorkload(_SleepyWorkload):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _ReplayKillerWorkload(_SleepyWorkload):
+    """Runs once, then SIGKILLs the job worker that runs it again."""
+
+    name = "replay-killer-serve-test"
+    runs = fork_context().RawValue("i", 0)
+
+    def run_chunk(self, plan, state, segment, start, stop):
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("refusing to kill the test process")
+        _ReplayKillerWorkload.runs.value += 1
+        if _ReplayKillerWorkload.runs.value > 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _scenario_of(workload) -> dict:
     return Scenario(workload=workload.name, name="probe", seed=1,
                     spec={}).to_dict()
@@ -621,9 +718,33 @@ class TestShutdown:
             _unregister(_KillerWorkload)
 
 
+    def test_worker_killed_under_a_replay_is_503(self):
+        _register(_ReplayKillerWorkload())
+        try:
+            with ServerThread(port=0, workers=1) as thread, \
+                    ServeClient(thread.host, thread.port) as client:
+                job = client.submit(_scenario_of(_ReplayKillerWorkload))
+                client.wait_for_job(job["job_id"], timeout_s=30.0)
+                with pytest.raises(ServeError) as excinfo:
+                    client.result(job["job_id"], traces=True)
+                assert excinfo.value.status == 503
+                assert "killed by SIGKILL" in str(excinfo.value)
+                assert client.status(job["job_id"])["status"] == "done"
+                assert client.result(job["job_id"])["result"] \
+                    == {"slept": 1}
+                # the rebuilt pool runs the next job
+                job = client.submit(MONITOR_SCENARIO.to_dict())
+                client.wait_for_job(job["job_id"])
+                _assert_replays_batch(client, job["job_id"],
+                                      MONITOR_SCENARIO)
+        finally:
+            _unregister(_ReplayKillerWorkload)
+
+
 class TestBackpressure:
     def test_full_queue_answers_503(self):
-        """Submissions beyond queue_size bounce instead of buffering."""
+        """Submissions beyond queue_size bounce instead of buffering, and
+        so does a replay for traces, which counts as no job."""
         _SleepyWorkload.release.clear()
         _register(_SleepyWorkload())
         scenario = Scenario(workload=_SleepyWorkload.name,
@@ -632,6 +753,8 @@ class TestBackpressure:
             with ServerThread(port=0, queue_size=1,
                               workers=1) as thread, \
                     ServeClient(thread.host, thread.port) as client:
+                done = client.submit(CALIBRATION_SCENARIO.to_dict())
+                client.wait_for_job(done["job_id"])
                 first = client.submit(scenario)
                 # wait until the worker picked job 1 off the queue
                 deadline = time.monotonic() + 10.0
@@ -646,8 +769,18 @@ class TestBackpressure:
                 assert "queue full" in str(excinfo.value)
                 rejected = client.metrics()["counters"]["jobs.rejected"]
                 assert rejected >= 1
+                with pytest.raises(ServeError) as excinfo:
+                    client.result(done["job_id"], traces=True)
+                assert excinfo.value.status == 503
+                assert "queue full" in str(excinfo.value)
+                assert client.metrics()["counters"]["jobs.rejected"] \
+                    == rejected
+                assert client.result(done["job_id"]) == batch_artifact(
+                    CALIBRATION_SCENARIO, traces=False)
                 _SleepyWorkload.release.set()
                 client.wait_for_job(first["job_id"])
+                assert client.result(done["job_id"], traces=True) \
+                    == batch_artifact(CALIBRATION_SCENARIO)
         finally:
             _SleepyWorkload.release.set()
             _unregister(_SleepyWorkload)
@@ -996,8 +1129,9 @@ def _status_of(client: ServeClient, target: str) -> int:
 
 
 class TestRetention:
-    def test_evicted_jobs_answer_410(self, retaining_server):
+    def test_evicted_jobs_answer_410(self, retaining_server, monkeypatch):
         thread, client = retaining_server
+        runs = _spy_runs(monkeypatch, thread.server)
         failing = _scenario_of(_FailingWorkload)
         calibration = CALIBRATION_SCENARIO.to_dict()
         ids = []
@@ -1008,8 +1142,10 @@ class TestRetention:
         for job_id in ids[:3]:
             for target in (f"/scenarios/{job_id}",
                            f"/scenarios/{job_id}/result",
+                           f"/scenarios/{job_id}/result?traces=1",
                            f"/scenarios/{job_id}?wait=5"):
                 assert _status_of(client, target) == 410, target
+        assert runs == [False] * 5
         with pytest.raises(ServeError) as excinfo:
             client.result(ids[0])
         assert excinfo.value.status == 410
@@ -1027,6 +1163,20 @@ class TestRetention:
             {"failing-serve-test": 2, "calibration": 1})
         assert client.metrics()["jobs"] == {
             "queued": 0, "running": 0, "done": 2, "failed": 0}
+
+    def test_kept_results_are_summaries(self, retaining_server):
+        """Past :data:`MAX_FINISHED_JOBS`, every job the server keeps
+        holds its artifact without traces, never its traces."""
+        thread, client = retaining_server
+        for __ in range(server_module.MAX_FINISHED_JOBS + 4):
+            _finish(client, MONITOR_SCENARIO.to_dict())
+        kept = list(thread.server._jobs.values())
+        assert len(kept) == server_module.MAX_FINISHED_JOBS
+        for job in kept:
+            assert isinstance(job.result, dict)
+            assert not _has_key(job.result, "time_h")
+        assert _has_key(client.result(kept[0].job_id, traces=True),
+                        "time_h")
 
     def test_long_polled_job_is_never_evicted(self, retaining_server):
         thread, client = retaining_server
