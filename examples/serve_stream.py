@@ -6,13 +6,15 @@ Boots the asyncio serving process on a background thread
 stdlib client:
 
 * submit the checked-in day-long glucose reconstruction scenario as a
-  **job** (bounded work queue, poll to done, fetch the artifact), and
+  **job** (bounded work queue, poll to done, fetch the artifact's
+  summary: the server keeps no traces, and asking for them re-runs the
+  job), and
 * open the same scenario as a live **stream**, pushing one hour of
   readings at a time and printing the cohort's filtered glucose as it
   arrives —
 
-then verifies the two artifacts are identical: streaming changes when
-you get the numbers, never which numbers you get.
+then verifies the two summaries agree: streaming changes when you get
+the numbers, never which numbers you get.
 
 Run:  python examples/serve_stream.py
 """
@@ -64,7 +66,8 @@ def main() -> None:
         # Mode 1 - batch job through the bounded queue.
         job = client.submit(scenario.to_dict())
         client.wait_for_job(job["job_id"])
-        job_artifact = client.result(job["job_id"], traces=True)
+        # The job's kept summary; traces=True would re-run the job.
+        job_artifact = client.result(job["job_id"])
         mard = job_artifact["result"]["cohort_filtered_mard"]
         print(f"job {job['job_id']}: done, cohort filtered MARD "
               f"{mard * 100:.1f}%")
@@ -87,7 +90,7 @@ def main() -> None:
         print(f"snapshot at cursor {snapshot['cursor']}: "
               f"{len(str(snapshot)):,} chars, resumable anywhere")
 
-        stream_artifact = client.stream_result(stream_id, traces=True)
+        stream_artifact = client.stream_result(stream_id)
         worst = _max_difference(stream_artifact, job_artifact)
         assert worst <= 1e-9, f"stream/batch diverged by {worst}"
         print(f"stream result == job result (max difference {worst:.1e},"

@@ -133,6 +133,18 @@ class _Job:
 
 
 @dataclass
+class _Replay:
+    """A done job's re-run for ``?traces=1``.  It waits in the work
+    queue and runs on a queue worker like a job, so it counts against
+    the same bounds, but it is no job."""
+
+    job: _Job
+    trace_id: "str | None"          # inherited from the fetch request
+    #: Resolved with the artifact with traces, or the error to answer.
+    answer: asyncio.Future
+
+
+@dataclass
 class _Stream:
     """One open incremental session."""
 
@@ -169,18 +181,24 @@ def _job_entry(scenario, trace_id: "str | None", spans: bool,
     """Job-process entry: one scenario under the given request's trace.
 
     Returns ``(artifact, spans, metrics_snapshot)``: the run's
-    replayable artifact (with traces only if ``traces``), and the spans
-    and metrics of :func:`repro.scenarios.runner.run_isolated`, which
-    the server replays and merges.  Only the artifact crosses back to
-    the server, never the result object and its traces.
+    replayable artifact, and the spans and metrics of
+    :func:`repro.scenarios.runner.run_isolated`, which the server
+    replays and merges.  Only the artifact crosses back to the server,
+    never the result object: without ``traces`` the dict the server
+    keeps, with them the JSON response body, encoded here rather than
+    on the server's event loop.
     """
     from repro.scenarios import runner
 
     with trace_context(trace_id):
         result, spans, snapshot = runner.run_isolated(
             scenario, spans=spans, metrics=True)
-    return (runner.ScenarioRun(scenario=scenario, result=result)
-            .to_dict(include_traces=traces), spans, snapshot)
+    artifact = runner.ScenarioRun(scenario=scenario, result=result) \
+        .to_dict(include_traces=traces)
+    if traces:
+        artifact = _Text(json.dumps(artifact, default=_json_default),
+                         "application/json")
+    return artifact, spans, snapshot
 
 
 def _pool_processes(pool: ProcessPoolExecutor) -> list:
@@ -283,7 +301,7 @@ class ReproServer:
         self._streams: "dict[str, _Stream]" = {}
         #: Ids issued so far, per prefix (``job``, ``stream``).
         self._issued: "collections.Counter[str]" = collections.Counter()
-        self._queue: "asyncio.Queue[_Job] | None" = None
+        self._queue: "asyncio.Queue[_Job | _Replay] | None" = None
         self._semaphores: "dict[str, asyncio.Semaphore]" = {}
         self._tasks: "list[asyncio.Task]" = []
         self._server: "asyncio.base_events.Server | None" = None
@@ -640,15 +658,16 @@ class ReproServer:
             recorder.record_span(record)
         self.registry.merge_snapshot(snapshot)
 
-    async def _replay(self, job: _Job) -> dict:
-        """Run a done job again for its artifact with traces.
+    async def _replay(self, job: _Job) -> _Text:
+        """Run a done job again for its artifact with traces (the
+        encoded JSON body).
 
         The job's scenario has its seed resolved (:meth:`_submit_job`),
-        so the run reproduces the kept result bit for bit.  It runs in
-        the job pool under the fetching request's trace id, inside a
-        ``serve.replay`` span, and is no job: no job counter or
-        histogram sees it.  A full work queue answers 503, as it does a
-        submit, and so does a worker dying under the run.
+        so the run reproduces the kept result bit for bit.  The replay
+        takes a work-queue slot (503 while the queue is full, as a
+        submit gets) and runs on a queue worker under the workload's
+        concurrency cap (:meth:`_run_replay`), so fetches add no pool
+        work beyond ``workers`` runs at once.
         """
         from repro.telemetry import current_trace_id
 
@@ -656,27 +675,60 @@ class ReproServer:
             raise HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
+        replay = _Replay(job=job, trace_id=current_trace_id(),
+                         answer=asyncio.get_running_loop().create_future())
+        self._queue.put_nowait(replay)
+        self._m["queue_depth"].set(self._queue.qsize())
+        return await replay.answer
+
+    async def _run_replay(self, replay: _Replay) -> None:
+        """Run one replay in a worker process and answer its fetch.
+
+        It runs under the fetching request's trace id, inside a
+        ``serve.replay`` span, and is no job: no job counter or
+        histogram sees it.  A worker dying under the run answers 503.
+        A replay whose fetch went away (cancelled) runs nothing.
+        """
+        if replay.answer.done():
+            return
+        job = replay.job
         recorder = get_recorder()
-        with recorder.span("serve.replay", workload=job.scenario.workload,
-                           job_id=job.job_id):
+        with trace_context(replay.trace_id), \
+                recorder.span("serve.replay", workload=job.scenario.workload,
+                              job_id=job.job_id):
             try:
                 artifact, spans, snapshot = await self._in_job_process(
-                    job.scenario, current_trace_id(), recorder.enabled,
+                    job.scenario, replay.trace_id, recorder.enabled,
                     traces=True)
             except BrokenProcessPool as error:
-                raise HttpError(503, f"{error}; retry later") from None
-            self._absorb(spans, snapshot)
-        return artifact
+                outcome = HttpError(503, f"{error}; retry later")
+            except Exception as error:
+                outcome = error
+            else:
+                self._absorb(spans, snapshot)
+                outcome = None
+        self._m["queue_depth"].set(self._queue.qsize())
+        if replay.answer.done():
+            return
+        if outcome is None:
+            replay.answer.set_result(artifact)
+        else:
+            replay.answer.set_exception(outcome)
 
     async def _worker(self, index: int) -> None:
-        """Drain the job queue under the per-workload concurrency cap."""
+        """Drain the work queue (jobs and replays) under the per-workload
+        concurrency cap."""
         while True:
-            job = await self._queue.get()
+            item = await self._queue.get()
+            replay = isinstance(item, _Replay)
+            workload = (item.job if replay else item).scenario.workload
             semaphore = self._semaphores.setdefault(
-                job.scenario.workload,
-                asyncio.Semaphore(self.per_workload))
+                workload, asyncio.Semaphore(self.per_workload))
             async with semaphore:
-                await self._run_job(job)
+                if replay:
+                    await self._run_replay(item)
+                else:
+                    await self._run_job(item)
             self._queue.task_done()
 
     async def _run_job(self, job: _Job) -> None:

@@ -785,6 +785,74 @@ class TestBackpressure:
             _SleepyWorkload.release.set()
             _unregister(_SleepyWorkload)
 
+    def test_replays_are_bounded_like_jobs(self):
+        """A burst of ``?traces=1`` fetches while the pool is busy takes
+        work-queue slots: the fetches past ``queue_size`` get 503, and
+        no more than ``workers`` runs are in the pool at once."""
+        _SleepyWorkload.release.set()
+        _register(_SleepyWorkload())
+        scenario = Scenario(workload=_SleepyWorkload.name,
+                            name="sleepy", seed=1, spec={}).to_dict()
+        try:
+            with ServerThread(port=0, queue_size=2,
+                              workers=1) as thread, \
+                    ServeClient(thread.host, thread.port) as client:
+                done = client.submit(scenario)
+                client.wait_for_job(done["job_id"])
+                _SleepyWorkload.release.clear()
+                running = {"now": 0, "most": 0}
+                run = thread.server._in_job_process
+
+                async def counting(*args, **kwargs):
+                    running["now"] += 1
+                    running["most"] = max(running["most"], running["now"])
+                    try:
+                        return await run(*args, **kwargs)
+                    finally:
+                        running["now"] -= 1
+
+                thread.server._in_job_process = counting
+                busy = client.submit(scenario)
+                deadline = time.monotonic() + 10.0
+                while (client.status(busy["job_id"])["status"]
+                       != "running"):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                assert client.health()["queue_depth"] == 0
+                answers: list = []
+
+                def fetch() -> None:
+                    try:
+                        answers.append(client.result(done["job_id"],
+                                                     traces=True))
+                    except ServeError as error:
+                        answers.append(error.status)
+
+                fetches = [threading.Thread(target=fetch)
+                           for __ in range(5)]
+                for fetch_thread in fetches:
+                    fetch_thread.start()
+                deadline = time.monotonic() + 10.0
+                while answers.count(503) < 3:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                assert client.health()["queue_depth"] == 2
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit(scenario)
+                assert excinfo.value.status == 503
+                _SleepyWorkload.release.set()
+                for fetch_thread in fetches:
+                    fetch_thread.join(timeout=30.0)
+                assert answers.count(503) == 3
+                assert [answer for answer in answers if answer != 503] \
+                    == [client.result(done["job_id"])] * 2
+                assert client.wait_for_job(busy["job_id"])["status"] \
+                    == "done"
+                assert running["most"] == 1
+        finally:
+            _SleepyWorkload.release.set()
+            _unregister(_SleepyWorkload)
+
 
 class TestRequestLimits:
     def test_oversized_body_is_413(self, monkeypatch):
