@@ -38,8 +38,9 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.runner import THROTTLE_ENV
-from repro.engine.core import floor_from_env
 from repro.scenarios import Scenario
+
+from harness import floor_from_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -2,8 +2,8 @@
 
 One loop replaces the four per-engine speedup gates: for each workload
 registered on the execution core, the chunked executor is timed against
-that workload's honest scalar baseline and gated on the floor named by
-its kernel set (``floor_env``, 5x by default, relaxed in CI).  The
+that workload's honest scalar baseline and gated on the floor named in
+``FLOOR_ENV`` (5x by default, relaxed in CI).  The
 whole sweep lands in one unified ``BENCH_core.json`` (workload ->
 payload) so the perf trajectory of the whole execution core diffs as a
 single file across PRs.
@@ -30,9 +30,7 @@ import pytest
 
 from repro.engine import BatchPlan
 from repro.engine.core import (
-    floor_from_env,
     kernels_for,
-    measure_speedup,
     registered_workloads,
     run_scalar,
     run_workload,
@@ -49,7 +47,17 @@ from repro.inference.observation import (
 )
 from repro.rng import spawn_generators
 
+from harness import floor_from_env, measure_speedup
+
 N_REPLICATES = 25
+
+#: Environment variable holding each workload's speedup floor.
+FLOOR_ENV = {
+    "calibration": "ENGINE_SPEEDUP_FLOOR",
+    "monitor": "MONITOR_SPEEDUP_FLOOR",
+    "therapy": "THERAPY_SPEEDUP_FLOOR",
+    "estimation": "INFERENCE_SPEEDUP_FLOOR",
+}
 
 
 def _calibration_bench(panel, historical_point):
@@ -130,10 +138,9 @@ def test_registered_workload_speedups(bench_json, historical_point,
         if workload not in benches:
             pytest.fail(f"registered workload {workload!r} has no bench "
                         "spec: add one to benchmarks/bench_core.py")
-        kernels = kernels_for(workload)
         fast, slow, extras = benches[workload]()
         payload = measure_speedup(
-            fast, slow, floor_from_env(kernels.floor_env),
+            fast, slow, floor_from_env(FLOOR_ENV[workload]),
             extras=extras, scalar_repeats=1)
         unified[workload] = payload
         print(f"\n{workload}: scalar {payload['scalar_wall_s'] * 1e3:.0f}"

@@ -5,7 +5,7 @@ open-loop wear over a week-long cohort stream.
 
 The speedup gate for this workload (and every other registered one)
 runs in ``bench_core.py`` through the shared harness
-(:mod:`repro.engine.core.bench`); the execution-contract gates (chunk
+(``benchmarks/harness.py``); the execution-contract gates (chunk
 invariance, scalar equivalence, deterministic replay) live in
 ``tests/engine/test_core_contract.py``.
 """

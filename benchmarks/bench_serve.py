@@ -29,7 +29,6 @@ import json
 import statistics
 import time
 
-from repro.engine.core import floor_from_env
 from repro.engine.estimation import EstimationPlan
 from repro.engine.monitor import (
     MonitorPlan,
@@ -38,6 +37,8 @@ from repro.engine.monitor import (
 )
 from repro.scenarios import Scenario
 from repro.serve import ServeClient, ServerThread, StreamSession
+
+from harness import floor_from_env
 
 N_CHANNELS = 16
 BLOCK_SAMPLES = 60          # one hour of 1-min readings per advance

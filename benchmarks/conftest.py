@@ -12,7 +12,7 @@ Perf trajectory: engine benches also drop a machine-readable
 are *tracked* across PRs, not just asserted once.  The speedup gates
 themselves run once, for every registered workload, in
 ``bench_core.py`` through the shared harness
-(:mod:`repro.engine.core.bench`); the per-engine bench files keep only
+(``benchmarks/harness.py``); the per-engine bench files keep only
 their domain claims.  The workload-scale plan factories live here so
 the domain benches and the unified speedup gate time the same plans.
 """

@@ -1,4 +1,4 @@
-"""Shared speedup-bench harness: time once, gate everywhere.
+"""Shared speedup-bench harness for the files in ``benchmarks/``.
 
 Every workload's benchmark pairs the chunked executor against an honest
 scalar baseline and gates the ratio on a floor read from the
@@ -11,7 +11,7 @@ mechanics all four used to copy-paste:
   payload (``scalar_wall_s`` / ``batch_wall_s`` / ``speedup`` /
   ``speedup_floor`` plus workload-specific extras).
 
-``benchmarks/bench_core.py`` drives this harness over every registered
+``bench_core.py`` drives this harness over every registered
 workload in one loop and emits the payloads as the unified
 ``BENCH_core.json`` record (one entry per workload).
 """

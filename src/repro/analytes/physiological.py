@@ -46,10 +46,6 @@ class PhysiologicalRange:
                 f"{self.analyte}: need 0 <= low < high, got "
                 f"({self.low_molar}, {self.high_molar})")
 
-    def contains(self, concentration_molar: float) -> bool:
-        """True when ``concentration_molar`` is inside the window."""
-        return self.low_molar <= concentration_molar <= self.high_molar
-
     @property
     def span_molar(self) -> float:
         """Window width [mol/L]."""

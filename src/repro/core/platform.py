@@ -18,7 +18,6 @@ from repro.core.calibration import (
     CalibrationProtocol,
     CalibrationResult,
     default_protocol_for_range,
-    run_calibration,
 )
 from repro.core.detection import estimate_concentration, measure_point
 from repro.core.registry import SensorSpec, build_sensor
@@ -37,7 +36,7 @@ class MultiTargetPlatform:
         chip: the microfabricated electrode array.
         channels: channel index -> composed biosensor.
         calibrations: channel index -> calibration result (after
-            :meth:`calibrate`).
+            :meth:`calibrate_batch`).
         multiplexer: optional shared-readout switch matrix; when present,
             panel measurements include inter-channel crosstalk and the
             scan timing accounts for settling between channels.
@@ -75,33 +74,10 @@ class MultiTargetPlatform:
         return {ch: sensor.analyte.name
                 for ch, sensor in sorted(self.channels.items())}
 
-    def calibrate(self,
-                  rng: np.random.Generator | None = None,
-                  upper_molar_by_channel: dict[int, float] | None = None,
-                  ) -> dict[int, CalibrationResult]:
-        """Calibrate every channel; returns and stores the results.
-
-        Args:
-            rng: shared random generator (reproducibility).
-            upper_molar_by_channel: optional expected range upper bound per
-                channel; defaults to the sensor's analytic linearity limit.
-        """
-        rng = get_rng(rng)
-        results: dict[int, CalibrationResult] = {}
-        for channel, sensor, protocol in self._channel_protocols(
-                upper_molar_by_channel):
-            results[channel] = run_calibration(sensor, protocol, rng)
-        self.calibrations = results
-        return results
-
     def _channel_protocols(self,
                            upper_molar_by_channel: dict[int, float] | None,
                            ) -> list[tuple[int, Biosensor, CalibrationProtocol]]:
-        """Resolve the calibration protocol for every channel, in order.
-
-        Shared by the scalar and batch calibration paths so their
-        protocol-selection policy cannot drift apart.
-        """
+        """Resolve the calibration protocol for every channel, in order."""
         resolved = []
         for channel, sensor in sorted(self.channels.items()):
             if upper_molar_by_channel and channel in upper_molar_by_channel:
@@ -118,11 +94,10 @@ class MultiTargetPlatform:
                         ) -> dict[int, CalibrationResult]:
         """Calibrate every channel as one batched campaign (engine path).
 
-        Vectorized counterpart of :meth:`calibrate`: the whole panel —
-        every channel's blanks, standards and replicates — evaluates
-        through :func:`repro.engine.calibrate_panel` with deterministic
-        per-cell randomness derived from ``seed``.  Results are stored
-        and returned exactly like :meth:`calibrate`.
+        The whole panel — every channel's blanks, standards and
+        replicates — evaluates through :func:`repro.engine.calibrate_panel`
+        with deterministic per-cell randomness derived from ``seed``.
+        Results are stored in :attr:`calibrations` and returned.
         """
         from repro.engine import calibrate_panel
 
@@ -143,7 +118,7 @@ class MultiTargetPlatform:
 
         ``concentrations_molar`` maps analyte name -> true level; channels
         whose analyte is absent from the sample see zero.  Requires a prior
-        :meth:`calibrate`.
+        :meth:`calibrate_batch`.
         """
         if not self.calibrations:
             raise RuntimeError("platform must be calibrated before measuring")

@@ -44,14 +44,6 @@ class ElectrodeGeometry:
         return cls("disk", math.pi * radius ** 2, math.pi * diameter_m)
 
     @classmethod
-    def rectangle(cls, width_m: float, height_m: float) -> "ElectrodeGeometry":
-        """Build a rectangular electrode."""
-        if width_m <= 0 or height_m <= 0:
-            raise ValueError("width and height must be > 0")
-        return cls("rectangle", width_m * height_m,
-                   2.0 * (width_m + height_m))
-
-    @classmethod
     def from_area(cls, area_m2: float) -> "ElectrodeGeometry":
         """Build a disk with the requested area (papers often quote area only)."""
         if area_m2 <= 0:

@@ -8,9 +8,8 @@ axis, chunking policy, segment graph), and a registered
 :class:`~repro.engine.core.kernelset.KernelSet` advances carry state
 through :func:`~repro.engine.core.executor.execute`'s chunk loop.  The
 core provides, once for everyone: chunked iteration, carry-state
-threading, chunk-size invariance and scalar-equivalence checking
-(:mod:`~repro.engine.core.contract`), and the gated speedup-bench
-harness (:mod:`~repro.engine.core.bench`).
+threading, and chunk-size invariance and scalar-equivalence checking
+(:mod:`~repro.engine.core.contract`).
 
 Entry points:
 
@@ -21,11 +20,6 @@ Adding a fifth workload means writing a kernel set and registering it —
 not a fifth engine.  See ``docs/architecture.md``.
 """
 
-from repro.engine.core.bench import (
-    best_of,
-    floor_from_env,
-    measure_speedup,
-)
 from repro.engine.core.contract import (
     DEFAULT_CHUNK_SIZES,
     assert_fields_match,
@@ -79,7 +73,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "Segment",
     "assert_fields_match",
-    "best_of",
     "check_chunk_invariance",
     "check_deterministic_replay",
     "check_scalar_equivalence",
@@ -88,10 +81,8 @@ __all__ = [
     "encode_array",
     "encode_rng",
     "execute",
-    "floor_from_env",
     "kernels_for",
     "load_snapshot",
-    "measure_speedup",
     "register_kernels",
     "registered_workloads",
     "require_keys",

@@ -63,8 +63,6 @@ class KernelSet(abc.ABC):
     Class attributes:
         name: registry key (``"calibration"``, ``"monitor"``, ...).
         plan_type: the declarative plan dataclass this set compiles.
-        floor_env: environment variable holding this workload's
-            speedup floor (read by the shared bench harness).
         snapshot_version: version stamp of this kernel set's snapshot
             content (``None`` — the default — means the workload does
             not support suspend/resume; see the snapshot surface
@@ -73,7 +71,6 @@ class KernelSet(abc.ABC):
 
     name: ClassVar[str]
     plan_type: ClassVar[type]
-    floor_env: ClassVar[str]
     snapshot_version: ClassVar["int | None"] = None
 
     # -- execution surface -------------------------------------------------

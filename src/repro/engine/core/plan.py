@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 
 def require_positive(name: str, value: float) -> None:
@@ -157,13 +156,6 @@ class ExecutionPlan:
                 f"segments cover [0, {cursor}) but the plan declares "
                 f"{self.n_samples} samples")
 
-    @property
-    def n_chunks(self) -> int:
-        """Total kernel invocations the executor will make."""
-        return sum(
-            -(-(segment.stop - segment.start) // self.chunk_samples)
-            for segment in self.segments)
-
 
 def single_segment(workload: str, n_channels: int, n_samples: int,
                    chunk_samples: int) -> ExecutionPlan:
@@ -237,7 +229,3 @@ def spans_to_segments(workload: str, n_channels: int,
         segments=tuple(
             Segment(index=i, start=start, stop=stop)
             for i, (start, stop) in enumerate(spans)))
-
-
-#: Convenience alias used in kernel-set type hints.
-AnyPlan = Any

@@ -450,7 +450,6 @@ class EstimationKernels(KernelSet):
 
     name = "estimation"
     plan_type = EstimationPlan
-    floor_env = "INFERENCE_SPEEDUP_FLOOR"
     snapshot_version = 2
 
     def compile(self, plan: EstimationPlan):

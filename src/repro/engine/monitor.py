@@ -1037,7 +1037,6 @@ class MonitorKernels(KernelSet):
 
     name = "monitor"
     plan_type = MonitorPlan
-    floor_env = "MONITOR_SPEEDUP_FLOOR"
     snapshot_version = 1
 
     def compile(self, plan: MonitorPlan):

@@ -105,7 +105,6 @@ class CalibrationKernels(KernelSet):
 
     name = "calibration"
     plan_type = BatchPlan
-    floor_env = "ENGINE_SPEEDUP_FLOOR"
 
     def compile(self, plan: BatchPlan):
         """One segment per sensor over its half-open flat-cell span."""

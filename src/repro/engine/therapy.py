@@ -841,7 +841,6 @@ class TherapyKernels(KernelSet):
 
     name = "therapy"
     plan_type = TherapyPlan
-    floor_env = "THERAPY_SPEEDUP_FLOOR"
 
     def compile(self, plan: TherapyPlan):
         """One segment per dose interval, chunked within intervals."""

@@ -22,7 +22,10 @@ def michaelis_menten_rate(concentration_molar: np.ndarray | float,
     the returned value carries the same unit.  ``concentration_molar`` may
     be a scalar or array and must be non-negative.
     """
-    _validate(vmax, km_molar)
+    if vmax < 0:
+        raise ValueError(f"Vmax must be >= 0, got {vmax}")
+    if km_molar <= 0:
+        raise ValueError(f"Km must be > 0, got {km_molar}")
     conc = np.asarray(concentration_molar, dtype=float)
     if np.any(conc < 0):
         raise ValueError("concentrations must be >= 0")
@@ -71,10 +74,3 @@ def km_for_linear_range(upper_molar: float, tolerance: float = 0.1) -> float:
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
     return upper_molar * (1.0 - tolerance) / tolerance
-
-
-def _validate(vmax: float, km_molar: float) -> None:
-    if vmax < 0:
-        raise ValueError(f"Vmax must be >= 0, got {vmax}")
-    if km_molar <= 0:
-        raise ValueError(f"Km must be > 0, got {km_molar}")

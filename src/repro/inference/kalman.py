@@ -183,12 +183,6 @@ class KalmanTrace:
         return KalmanTrace(*(moment[:, start:stop]
                              for moment in _moments(self)))
 
-    def transposed(self) -> "KalmanTrace":
-        """The same moments with the axes swapped, C-contiguous
-        (time-major: one contiguous row per step)."""
-        return KalmanTrace(*(np.ascontiguousarray(moment.T)
-                             for moment in _moments(self)))
-
 
 def _moments(belief: "KalmanState | KalmanTrace") -> tuple:
     """The five moments in stacking order ``m1, m2, p11, p12, p22``."""

@@ -191,16 +191,6 @@ class MonitorObservationModel:
     q_wander: np.ndarray
     floor_molar: np.ndarray
 
-    @property
-    def n_channels(self) -> int:
-        """Cohort size of the model."""
-        return self.mean_molar.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        """Samples per channel covered by the model."""
-        return self.mean_molar.shape[1]
-
     def reading_variance(self, measured: np.ndarray) -> np.ndarray:
         """Per-reading measurement variance of a ``(n_channels, n)``
         block: the channel's variance, infinite where the reading is

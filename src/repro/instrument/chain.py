@@ -64,11 +64,6 @@ class BatchAcquiredTrace:
         if self.time_s.shape != (self.current_a.shape[1],):
             raise ValueError("time grid must match the sample axis")
 
-    @property
-    def n_cells(self) -> int:
-        """Number of independent traces in the batch."""
-        return self.current_a.shape[0]
-
     def cell(self, index: int) -> AcquiredTrace:
         """Extract one cell as a scalar-API :class:`AcquiredTrace`."""
         return AcquiredTrace(time_s=self.time_s,

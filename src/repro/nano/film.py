@@ -112,16 +112,3 @@ class NanostructuredFilm:
     def modify_couple(self, couple: RedoxCouple) -> RedoxCouple:
         """Return ``couple`` with k0 boosted by the film's rate enhancement."""
         return couple.with_rate_enhancement(self.rate_enhancement())
-
-    def film_thickness_m(self, porosity: float = 0.9) -> float:
-        """Estimate the film thickness [m] from loading and porosity.
-
-        ``t = loading / (rho_carbon (1 - porosity))`` — drop-cast CNT films
-        are extremely porous (>= 85 % void).
-        """
-        if not 0.0 < porosity < 1.0:
-            raise ValueError(f"porosity must be in (0, 1), got {porosity}")
-        if not self.has_nanotubes:
-            return 0.0
-        solid_density = 2100.0  # kg/m^3, graphitic carbon
-        return self.loading_kg_m2 / (solid_density * (1.0 - porosity))

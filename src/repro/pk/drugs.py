@@ -45,15 +45,6 @@ class TherapeuticWindow:
                 <= self.high_molar):
             raise ValueError("target trough must sit inside the window")
 
-    @property
-    def span_molar(self) -> float:
-        """Window width [mol/L]."""
-        return self.high_molar - self.low_molar
-
-    def contains(self, concentration_molar: float) -> bool:
-        """True when a level is inside the window (inclusive)."""
-        return self.low_molar <= concentration_molar <= self.high_molar
-
 
 @dataclass(frozen=True)
 class DrugSpec:

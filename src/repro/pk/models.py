@@ -390,11 +390,6 @@ class PKParams:
         """True when the distribution pair (Q, V2) is present."""
         return self.intercompartmental_l_per_h is not None
 
-    @property
-    def elimination_rate_per_h(self) -> np.ndarray:
-        """Terminal elimination micro-rate ``CL/V`` per patient [1/h]."""
-        return self.clearance_l_per_h / self.volume_l
-
     def unit_response(self, dt_h: np.ndarray | float,
                       route: Route = Route.ORAL,
                       duration_h: float = 0.0) -> np.ndarray:
@@ -459,8 +454,9 @@ class PKParams:
 class OneCompartmentPK:
     """One patient's one-compartment model (scalar convenience wrapper).
 
-    Thin scalar facade over the batch kernels, mirroring the library
-    convention that scalar APIs wrap the array implementations.
+    Scalar parameters for one patient (a controller's prior, a drug's
+    typical patient); :meth:`params` lifts them to the length-1
+    :class:`PKParams` the batch kernels take.
 
     Attributes:
         clearance_l_per_h: elimination clearance [L/h].
@@ -489,24 +485,3 @@ class OneCompartmentPK:
     def elimination_rate_per_h(self) -> float:
         """Elimination micro-rate ``ke = CL/V`` [1/h]."""
         return self.clearance_l_per_h / self.volume_l
-
-    def concentration(self, dt_h: np.ndarray | float, dose_mol: float,
-                      route: Route = Route.ORAL,
-                      duration_h: float = 0.0) -> np.ndarray | float:
-        """Concentration [mol/L] at ``dt_h`` after one dose.
-
-        Args:
-            dt_h: times since administration [h], scalar or array.
-            dose_mol: administered dose [mol].
-            route: administration route.
-            duration_h: infusion duration [h] (INFUSION route only).
-
-        Returns:
-            Concentrations shaped like ``dt_h`` (scalar in, scalar out).
-        """
-        response = dose_mol * self.params().unit_response(
-            np.atleast_1d(np.asarray(dt_h, dtype=float)),
-            route, duration_h)[0]
-        if np.isscalar(dt_h):
-            return float(response[0])
-        return response

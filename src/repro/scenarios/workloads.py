@@ -452,8 +452,9 @@ class TherapyWorkload:
             "   process_noise_*, wander_* as in TherapyPlan)"))
 
 
-#: The built-in workload instances, registered at import time.
-CALIBRATION = register_workload(CalibrationWorkload())
+#: The built-in workloads, registered at import time; the estimation
+#: workload decodes its wear spec through ``MONITOR``.
+register_workload(CalibrationWorkload())
 MONITOR = register_workload(MonitorWorkload())
-THERAPY = register_workload(TherapyWorkload())
-ESTIMATION = register_workload(EstimationWorkload())
+register_workload(TherapyWorkload())
+register_workload(EstimationWorkload())

@@ -90,11 +90,3 @@ class IonSelectiveElectrode:
         return (self.standard_potential_v
                 + sign * self.slope_v_per_decade(temperature_k)
                 * math.log10(activity))
-
-    def limit_of_detection_molar(self) -> float:
-        """Practical LOD [mol/L] — where the floor bends the calibration.
-
-        IUPAC places it at the intersection of the Nernstian and flat
-        segments, i.e. at the detection floor itself.
-        """
-        return self.detection_floor_molar

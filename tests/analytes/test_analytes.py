@@ -44,11 +44,6 @@ class TestCatalog:
 
 
 class TestPhysiologicalRanges:
-    def test_glucose_window(self):
-        window = physiological_range("glucose")
-        assert window.contains(5e-3)       # normoglycemia
-        assert not window.contains(50e-3)  # far beyond hyperglycemia
-
     def test_span(self):
         window = physiological_range("glucose")
         assert window.span_molar == pytest.approx(7e-3)

@@ -96,6 +96,16 @@ class TestBatchKernels:
                     budget.sensitivity_retention(float(hours[row, col])),
                     rel=1e-12)
 
+    def test_retention_is_enzyme_decay_times_matrix_fouling(self, budget):
+        """The fused exponent is the product of the enzyme-only decay (a
+        clean buffer) and the matrix's own fouling retention."""
+        hours = np.array([[0.0, 12.0, 48.0], [6.0, 24.0, 168.0]])
+        enzyme_only = DriftBudget(stability=budget.stability, matrix=BUFFER)
+        np.testing.assert_allclose(
+            budget.sensitivity_retention_batch(hours),
+            enzyme_only.sensitivity_retention_batch(hours)
+            * SERUM.sensitivity_retention_batch(hours), rtol=1e-12)
+
     def test_decay_rate_consistent_with_hours_to_error(self, budget):
         assert budget.hours_to_error(0.1) == pytest.approx(
             -np.log(0.9) / budget.decay_rate_per_hour)

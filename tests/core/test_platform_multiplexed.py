@@ -14,8 +14,7 @@ def calibrated_platform(multiplexer=None):
     uppers = {0: molar_from_millimolar(1.0),
               1: molar_from_millimolar(1.0),
               2: molar_from_millimolar(2.0)}
-    platform.calibrate(np.random.default_rng(21),
-                       upper_molar_by_channel=uppers)
+    platform.calibrate_batch(seed=21, upper_molar_by_channel=uppers)
     return platform
 
 

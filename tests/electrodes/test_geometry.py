@@ -12,11 +12,6 @@ class TestConstruction:
         disk = ElectrodeGeometry.disk(2e-3)
         assert disk.area_m2 == pytest.approx(math.pi * 1e-6)
 
-    def test_rectangle_area_perimeter(self):
-        rect = ElectrodeGeometry.rectangle(2e-3, 3e-3)
-        assert rect.area_m2 == pytest.approx(6e-6)
-        assert rect.perimeter_m == pytest.approx(10e-3)
-
     def test_from_area_roundtrip(self):
         geometry = ElectrodeGeometry.from_area(2.5e-7)
         assert geometry.area_m2 == pytest.approx(2.5e-7, rel=1e-9)
@@ -28,8 +23,6 @@ class TestConstruction:
     def test_rejects_non_positive_dimensions(self):
         with pytest.raises(ValueError):
             ElectrodeGeometry.disk(0.0)
-        with pytest.raises(ValueError):
-            ElectrodeGeometry.rectangle(1e-3, -1e-3)
 
 
 class TestMicroelectrodeRegime:

@@ -22,6 +22,9 @@ from repro.therapy import (
     BayesianTroughController,
     FixedRegimenController,
     ProportionalTroughController,
+    fraction_above_window,
+    fraction_below_window,
+    time_in_range,
 )
 
 DRUG = CYCLOSPORINE
@@ -247,6 +250,19 @@ class TestTherapyResult:
         np.testing.assert_allclose(
             result.time_in_range + result.fraction_below
             + result.fraction_above, 1.0)
+
+    def test_window_fractions_match_the_trace_metrics(self, cohort):
+        """The chunk-streamed window counts equal the whole-trace
+        metrics of ``repro.therapy`` on the same true levels."""
+        result = run_therapy(short_plan(cohort))
+        levels = result.true_concentration_molar
+        for streamed, metric in (
+                (result.time_in_range, time_in_range),
+                (result.fraction_below, fraction_below_window),
+                (result.fraction_above, fraction_above_window)):
+            np.testing.assert_allclose(streamed,
+                                       metric(levels, DRUG.window),
+                                       rtol=0.0, atol=1e-12)
 
     def test_summary_mentions_phenotypes(self, cohort):
         result = run_therapy(short_plan(cohort))

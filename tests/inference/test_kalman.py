@@ -64,11 +64,17 @@ def belief_at(trace, index=-1):
                          for name in ("m1", "m2", "p11", "p12", "p22")))
 
 
+def transposed(trace):
+    """The same moments with the axes swapped, C-contiguous."""
+    return KalmanTrace(*(np.ascontiguousarray(getattr(trace, name).T)
+                         for name in ("m1", "m2", "p11", "p12", "p22")))
+
+
 def predictions(trace, *dynamics_args):
     """The smoother's derived one-step predictions of samples 1..T-1,
     ``(n_channels, n_samples - 1)``."""
-    return _predictions(trace.transposed(), *_dynamics(
-        trace.m1.shape[0], *dynamics_args)).transposed()
+    return transposed(_predictions(transposed(trace), *_dynamics(
+        trace.m1.shape[0], *dynamics_args)))
 
 
 def per_sample_rts(trace, a_signal, q_signal, a_wander, q_wander):

@@ -71,8 +71,6 @@ class TestModelConsistency:
     """The subsystem's core claim: the model is the simulator's physics."""
 
     def test_shapes(self, plan, model):
-        assert model.n_channels == plan.n_channels
-        assert model.n_samples == plan.n_samples
         assert model.mean_molar.shape == (plan.n_channels, plan.n_samples)
         assert model.gain_a_per_molar.shape == model.mean_molar.shape
 

@@ -93,7 +93,3 @@ class TestCntFilm:
         modified = film.modify_couple(HYDROGEN_PEROXIDE)
         assert modified.k0 == pytest.approx(
             HYDROGEN_PEROXIDE.k0 * film.rate_enhancement())
-
-    def test_film_thickness_micron_scale(self):
-        film = NanostructuredFilm.mwcnt_nafion()
-        assert 1e-7 < film.film_thickness_m() < 1e-4

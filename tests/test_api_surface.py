@@ -70,7 +70,7 @@ class TestDocstrings:
         "repro.engine.core", "repro.engine.core.plan",
         "repro.engine.core.kernelset", "repro.engine.core.executor",
         "repro.engine.core.registry", "repro.engine.core.contract",
-        "repro.engine.core.bench", "repro.engine.core.snapshot",
+        "repro.engine.core.snapshot",
         "repro.serve", "repro.serve.session", "repro.serve.server",
         "repro.serve.client", "repro.serve.cli",
         "repro.pk.models", "repro.pk.dosing",

@@ -58,7 +58,6 @@ class TestSiteSkeleton:
                          "repro.engine.core.executor",
                          "repro.engine.core.registry",
                          "repro.engine.core.contract",
-                         "repro.engine.core.bench",
                          "repro.engine.core.snapshot",
                          "repro.serve", "repro.serve.session",
                          "repro.serve.server", "repro.serve.client",

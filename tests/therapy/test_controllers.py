@@ -27,6 +27,14 @@ def regimen():
     return RegimenSpec(dose_interval_h=12.0, n_doses=6)
 
 
+def concentration(model, dt_h, dose_mol, route=Route.ORAL,
+                  duration_h=0.0):
+    """One dose's concentration [mol/L] ``dt_h`` after it."""
+    response = model.params().unit_response(np.array([dt_h]), route,
+                                            duration_h)
+    return dose_mol * float(response[0, 0])
+
+
 def observation_for(prior, regimen, clearances, doses_mol, k):
     """Noise-free troughs simulated from per-patient true clearances.
 
@@ -45,9 +53,8 @@ def observation_for(prior, regimen, clearances, doses_mol, k):
             bioavailability=prior.bioavailability)
         for j, t in enumerate(trough_times):
             troughs[p, j] = sum(
-                model.concentration(float(t - t0), float(doses_mol[p, m]),
-                                    regimen.route,
-                                    regimen.infusion_duration_h)
+                concentration(model, float(t - t0), float(doses_mol[p, m]),
+                              regimen.route, regimen.infusion_duration_h)
                 for m, t0 in enumerate(dose_times) if t - t0 > 0)
     return ControllerObservation(
         regimen=regimen, interval_index=k,
@@ -168,10 +175,10 @@ class TestBayesianTrough:
                                  prior.bioavailability)
         next_trough_time = obs.time_h + regimen.dose_interval_h
         predicted = sum(
-            model.concentration(next_trough_time - t0, float(d))
+            concentration(model, next_trough_time - t0, float(d))
             for t0, d in zip(obs.dose_times_h, doses[0])) + \
-            model.concentration(regimen.dose_interval_h,
-                                float(next_dose[0]))
+            concentration(model, regimen.dose_interval_h,
+                          float(next_dose[0]))
         assert predicted == pytest.approx(TARGET, rel=0.05)
 
     def test_prior_regularizes_toward_typical(self, prior, regimen):

@@ -67,11 +67,6 @@ class TestTroughError:
 
 
 class TestTherapeuticWindow:
-    def test_contains_and_span(self):
-        assert WINDOW.contains(3e-6)
-        assert not WINDOW.contains(9e-6)
-        assert WINDOW.span_molar == pytest.approx(6e-6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TherapeuticWindow(low_molar=0.0, high_molar=1e-6,
