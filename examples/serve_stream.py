@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.scenarios import Scenario
 from repro.serve import ServeClient, ServerThread
+from repro.telemetry import parse_prometheus
 
 SCENARIO = Path(__file__).parent / "scenarios" / \
     "estimation_glucose_day.json"
@@ -96,10 +97,18 @@ def main() -> None:
         print(f"stream result == job result (max difference {worst:.1e},"
               f" gate 1e-9)")
 
-        metrics = client.metrics()
-        print(f"served {metrics['counters']['readings.pushed']} channel-"
-              f"readings across {metrics['jobs']['done']} job(s) and "
-              f"{metrics['open_streams']} open stream(s)")
+        samples = parse_prometheus(client.metrics())
+
+        def total(name: str, **labels: str) -> float:
+            return sum(sample["value"] for sample in samples
+                       if sample["name"] == name
+                       and labels.items() <= sample["labels"].items())
+
+        print(f"served {total('repro_serve_readings_total'):.0f} channel-"
+              f"readings across "
+              f"{total('repro_serve_jobs_total', outcome='done'):.0f} "
+              f"job(s) and {total('repro_serve_streams_open'):.0f} open "
+              f"stream(s)")
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ from repro.campaigns.store import (
     SHARD_STATUSES,
     STORE_SCHEMA_VERSION,
     TELEMETRY_EVENTS,
-    TELEMETRY_SCHEMA_VERSION,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "ShardTiming",
     "TELEMETRY_EVENTS",
-    "TELEMETRY_SCHEMA_VERSION",
     "duration_stats",
     "execute_shard",
     "perfetto_trace",

@@ -205,7 +205,7 @@ def _run_shard(store: ArtifactStore, shard_index: int) -> tuple[int, str]:
         recorder.record_span(record)
     if metrics_snapshot is not None:
         registry.merge_snapshot(metrics_snapshot)
-    store.record_result(shard_index, row, elapsed_s=elapsed)
+    store.record_result(shard_index, row)
     store.record_event("done", shard_index, worker=worker,
                        duration_s=elapsed,
                        payload={"trace_id": trace_id})

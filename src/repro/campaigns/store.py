@@ -37,15 +37,10 @@ from repro.scenarios.spec import Scenario
 #: Version stamp of the on-disk SQLite layout.  Bump on any table /
 #: column change; ``ArtifactStore.open`` rejects mismatches.
 #: v2 added the ``telemetry`` event table; v3 widened its event CHECK
-#: to admit ``metrics`` rows (per-shard registry snapshots).
-STORE_SCHEMA_VERSION = 3
-
-#: Version stamp of the ``telemetry`` table's row layout, tracked
-#: separately so telemetry readers (``campaign report``, ``status``)
-#: can refuse rows they would misread without invalidating the shard
-#: data next to them.  v2 added ``metrics`` events and the
-#: ``trace_id`` / ``error_class`` payload keys on lifecycle events.
-TELEMETRY_SCHEMA_VERSION = 2
+#: to admit ``metrics`` rows (per-shard registry snapshots); v4 dropped
+#: the unread ``shards.elapsed_s`` column and the separate telemetry
+#: version stamp (this one covers the telemetry rows too).
+STORE_SCHEMA_VERSION = 4
 
 #: Legal shard lifecycle states, in order.
 SHARD_STATUSES = ("pending", "running", "done", "failed")
@@ -71,8 +66,7 @@ CREATE TABLE shards (
     status      TEXT    NOT NULL DEFAULT 'pending'
                 CHECK (status IN ('pending', 'running', 'done', 'failed')),
     result      TEXT,
-    error       TEXT,
-    elapsed_s   REAL
+    error       TEXT
 );
 CREATE TABLE telemetry (
     event_id    INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -149,7 +143,6 @@ class ArtifactStore:
             import repro
             manifest = {
                 "store_schema_version": str(STORE_SCHEMA_VERSION),
-                "telemetry_schema_version": str(TELEMETRY_SCHEMA_VERSION),
                 "campaign": spec.to_json(indent=0),
                 "spec_hash": spec.spec_hash(),
                 "workload": spec.base.workload,
@@ -298,26 +291,21 @@ class ArtifactStore:
                 "UPDATE shards SET status = 'running' "
                 "WHERE shard_index = ?", (index,))
 
-    def record_result(self, index: int, summary_row: Mapping[str, Any],
-                      elapsed_s: float | None = None) -> None:
+    def record_result(self, index: int,
+                      summary_row: Mapping[str, Any]) -> None:
         """Mark shard ``index`` ``done`` with its result row.
 
         Args:
             index: shard index.
             summary_row: the shard result's flat
                 :meth:`~repro.scenarios.ResultProtocol.summary_row`.
-            elapsed_s: wall-clock shard duration (kept for status
-                display only; deliberately excluded from exports so
-                resumed and uninterrupted campaigns export
-                identically).
         """
         payload = json.dumps(dict(summary_row), sort_keys=True,
                              allow_nan=False)
         with self._conn:
             self._conn.execute(
                 "UPDATE shards SET status = 'done', result = ?, "
-                "error = NULL, elapsed_s = ? WHERE shard_index = ?",
-                (payload, elapsed_s, index))
+                "error = NULL WHERE shard_index = ?", (payload, index))
 
     def record_failure(self, index: int, message: str) -> None:
         """Mark shard ``index`` ``failed`` with its error message."""
@@ -417,18 +405,8 @@ class ArtifactStore:
 
         Each row carries ``shard_index``, ``event``, ``worker``,
         ``wall_s``, ``duration_s`` and the decoded ``payload`` (or
-        None).  Raises ``ValueError`` if the store's telemetry table
-        was written under a different :data:`TELEMETRY_SCHEMA_VERSION`
-        — the shard data stays readable, only the telemetry readers
-        refuse.
+        None).
         """
-        version = self.meta("telemetry_schema_version")
-        if version != str(TELEMETRY_SCHEMA_VERSION):
-            raise ValueError(
-                f"{self.path} holds telemetry schema version {version} "
-                f"(this build reads version {TELEMETRY_SCHEMA_VERSION});"
-                " shard rows are unaffected, but re-run the campaign "
-                "with a matching repro version to read its telemetry")
         rows = []
         for row in self._conn.execute(
                 "SELECT shard_index, event, worker, wall_s, duration_s, "

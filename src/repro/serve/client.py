@@ -202,16 +202,11 @@ class ServeClient:
         """``GET /workloads`` — the registered workload rows."""
         return self._request("GET", "/workloads")["workloads"]
 
-    def metrics(self) -> dict:
-        """``GET /metrics`` — counters, queue depth, live gauges."""
-        return self._request("GET", "/metrics")
-
-    def metrics_prometheus(self) -> str:
-        """``GET /metrics?format=prometheus`` — the text exposition
+    def metrics(self) -> str:
+        """``GET /metrics`` — the server's registry as Prometheus text
         (format 0.0.4; :func:`repro.telemetry.parse_prometheus` reads
         it)."""
-        return self._exchange(
-            "GET", "/metrics?format=prometheus").decode("utf-8")
+        return self._exchange("GET", "/metrics").decode("utf-8")
 
     def wait_until_healthy(self, timeout_s: float = 30.0) -> dict:
         """Poll ``/healthz`` until the server answers (boot helper)."""

@@ -16,10 +16,10 @@ modes of :mod:`repro.serve`:
   and answers the filtered estimates, ``.../snapshot`` and
   ``.../result`` read its resume point and batch-identical artifact.
 
-The server meters itself on a :mod:`repro.telemetry.metrics`
-registry, exposed on ``GET /metrics`` as JSON or (``?format=prometheus``)
-Prometheus text.  Every request runs under a fresh trace id, echoed as
-an ``X-Trace-Id`` header and stamped on its spans and latency exemplar;
+The server meters itself on its own :mod:`repro.telemetry.metrics`
+registry, scraped as Prometheus text on ``GET /metrics``.  Every
+request runs under a fresh trace id, echoed as an ``X-Trace-Id``
+header and stamped on its spans and latency exemplar;
 a job inherits its submitting request's id, and its worker's spans and
 metrics are replayed onto the server's recorder and registry.
 
@@ -56,7 +56,6 @@ from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
     get_recorder,
-    set_metrics_registry,
     trace_context,
 )
 
@@ -91,12 +90,6 @@ _SHUTDOWN_GRACE_S = 1.0
 #: closes it after that, and its id answers 404 like a deleted one.
 _STREAM_IDLE_S = 600.0
 
-#: Running servers whose registry is installed process-wide, oldest
-#: first, and the lock that guards it with the active registry: a
-#: server stopping under a later one hands that one the registry to
-#: restore, whatever order they stop in.
-_INSTALLED: "list[ReproServer]" = []
-_INSTALLED_LOCK = threading.Lock()
 
 @dataclass
 class _Text:
@@ -181,7 +174,7 @@ def _job_entry(scenario, trace_id: "str | None", spans: bool,
     """Job-process entry: one scenario under the given request's trace.
 
     Returns ``(artifact, spans, metrics_snapshot)``: the run's
-    replayable artifact, and the spans and metrics of
+    :func:`_artifact`, and the spans and metrics of
     :func:`repro.scenarios.runner.run_isolated`, which the server
     replays and merges.  Only the artifact crosses back to the server,
     never the result object: without ``traces`` the dict the server
@@ -193,12 +186,7 @@ def _job_entry(scenario, trace_id: "str | None", spans: bool,
     with trace_context(trace_id):
         result, spans, snapshot = runner.run_isolated(
             scenario, spans=spans, metrics=True)
-    artifact = runner.ScenarioRun(scenario=scenario, result=result) \
-        .to_dict(include_traces=traces)
-    if traces:
-        artifact = _Text(json.dumps(artifact, default=_json_default),
-                         "application/json")
-    return artifact, spans, snapshot
+    return _artifact(scenario, result, traces), spans, snapshot
 
 
 def _pool_processes(pool: ProcessPoolExecutor) -> list:
@@ -230,12 +218,34 @@ def _wants_traces(query: dict) -> bool:
     return query.get("traces") in ("1", "true")
 
 
-def _artifact(scenario, result, query: dict) -> dict:
-    """A run's replayable artifact, with traces under ``?traces=1``."""
+def _dumps_by_row(value) -> str:
+    """``json.dumps(value, default=_json_default)``, the same text, from
+    one encoder call per row of a nested list.
+
+    The C encoder holds the GIL for a whole call, so a thread encoding
+    megabytes at once would stall the event loop as long; between rows
+    the loop gets its turn.
+    """
+    if isinstance(value, dict) and all(isinstance(key, str)
+                                       for key in value):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps_by_row(item)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return "[" + ", ".join(_dumps_by_row(row) for row in value) + "]"
+    return json.dumps(value, default=_json_default)
+
+
+def _artifact(scenario, result, traces: bool):
+    """A run's replayable artifact: the summary dict, or with
+    ``traces`` its encoded JSON body (a :class:`_Text` of megabytes,
+    so never built on the event loop)."""
     from repro.scenarios import ScenarioRun
 
-    return ScenarioRun(scenario=scenario, result=result).to_dict(
-        include_traces=_wants_traces(query))
+    artifact = ScenarioRun(scenario=scenario, result=result).to_dict(
+        include_traces=traces)
+    if traces:
+        return _Text(_dumps_by_row(artifact), "application/json")
+    return artifact
 
 
 def _encode(status: int, payload, keep_alive: bool,
@@ -265,10 +275,9 @@ class ReproServer:
             calibration runs).
         registry: the :class:`~repro.telemetry.MetricsRegistry` to
             meter into.  None (the default) builds a private enabled
-            one — the front door always meters itself.  It is installed
-            process-wide for the server's lifetime so engine-core
-            histograms from stream advances land in the same scrape
-            (restored on :meth:`stop`).
+            one — the front door always meters itself.  The process's
+            active registry is left alone: job workers meter into a
+            private one whose snapshot the server merges into this.
 
     Requests are bounded by the :mod:`repro.serve.framing` limits;
     runtime gauges refresh every :data:`COLLECT_INTERVAL_S`.
@@ -291,9 +300,6 @@ class ReproServer:
         self.workers = workers
         self.per_workload = per_workload
         self.registry = registry
-        #: The registry this server's install replaced (see
-        #: :data:`_INSTALLED`).
-        self._previous_registry: "MetricsRegistry | None" = None
         self._m: "dict[str, Any] | None" = None
         self._jobs: "dict[str, _Job]" = {}
         #: Finished job ids, oldest first: the eviction order.
@@ -318,9 +324,6 @@ class ReproServer:
         """Bind the listener and start the worker + collector tasks."""
         if self.registry is None:
             self.registry = MetricsRegistry()
-        with _INSTALLED_LOCK:
-            self._previous_registry = set_metrics_registry(self.registry)
-            _INSTALLED.append(self)
         self._build_instruments()
         # fork before the listener binds: workers inherit no socket
         await self._fork_job_pool()
@@ -379,15 +382,6 @@ class ReproServer:
             # the pool's manager sees the workers die and reaps them
             self._job_pool.shutdown(wait=True, cancel_futures=True)
             self._job_pool = None
-        with _INSTALLED_LOCK:
-            if self in _INSTALLED:
-                index = _INSTALLED.index(self)
-                del _INSTALLED[index]
-                if index < len(_INSTALLED):
-                    _INSTALLED[index]._previous_registry = \
-                        self._previous_registry
-                else:
-                    set_metrics_registry(self._previous_registry)
 
     async def serve_forever(self) -> None:
         """Start, serve until cancelled, then stop (the CLI entry)."""
@@ -518,48 +512,6 @@ class ReproServer:
             evicted = self._jobs.pop(self._finished.popleft())
             self._m["jobs"].labels(workload=evicted.scenario.workload,
                                    outcome="evicted").inc()
-
-    def metrics(self) -> dict:
-        """The ``GET /metrics`` JSON payload: counters plus live gauges.
-
-        The flat ``counters`` dict is *derived* from the registry's
-        instrument series (summed over status class where the legacy
-        key did not distinguish), so the JSON and Prometheus views of
-        the same server always agree.
-        """
-        counters: "dict[str, int]" = {}
-        if self._m is not None:
-            for labels, series in self._m["requests"].items():
-                key = (f"requests.{labels['method']} "
-                       f"{labels['endpoint']}")
-                counters[key] = counters.get(key, 0) + int(series.value)
-            for labels, series in self._m["jobs"].items():
-                key = ("jobs.rejected"
-                       if labels["outcome"] == "rejected"
-                       else f"jobs.{labels['outcome']}."
-                            f"{labels['workload']}")
-                counters[key] = counters.get(key, 0) + int(series.value)
-            for labels, series in self._m["streams_opened"].items():
-                counters[f"streams.opened.{labels['workload']}"] = \
-                    int(series.value)
-            for name in ("closed", "evicted", "rejected"):
-                value = self._m[f"streams_{name}"].value
-                if value:
-                    counters[f"streams.{name}"] = int(value)
-            readings = sum(series.value for __, series
-                           in self._m["readings"].items())
-            if readings:
-                counters["readings.pushed"] = int(readings)
-        return {
-            "counters": dict(sorted(counters.items())),
-            "queue_depth": (self._queue.qsize()
-                            if self._queue is not None else 0),
-            "jobs": {status: sum(1 for job in self._jobs.values()
-                                 if job.status == status)
-                     for status in ("queued", "running", "done",
-                                    "failed")},
-            "open_streams": len(self._streams),
-        }
 
     # -- runtime collectors ----------------------------------------------
 
@@ -920,16 +872,9 @@ class ReproServer:
                 200, {"workloads": workload_rows()})
         if parts == ["metrics"]:
             self._get_only(method)
-            exposition = query.get("format")
-            if exposition == "prometheus":
-                self._collect_runtime()
-                return 200, _Text(self.registry.render_prometheus(),
-                                  PROMETHEUS_CONTENT_TYPE)
-            if exposition not in (None, "json"):
-                raise HttpError(
-                    400, f"unknown format {exposition!r} "
-                         "(use 'json' or 'prometheus')")
-            return 200, self.metrics()
+            self._collect_runtime()
+            return 200, _Text(self.registry.render_prometheus(),
+                              PROMETHEUS_CONTENT_TYPE)
         if parts == ["scenarios"]:
             if method != "POST":
                 raise HttpError(405, "use POST /scenarios")
@@ -1072,8 +1017,11 @@ class ReproServer:
                 raise HttpError(
                     409, f"stream {stream_id} has "
                          f"{stream.session.remaining} samples left")
-            return 200, _artifact(stream.scenario,
-                                  stream.session.result(), query)
+            result = stream.session.result()
+            if _wants_traces(query):
+                return 200, await asyncio.to_thread(
+                    _artifact, stream.scenario, result, True)
+            return 200, _artifact(stream.scenario, result, False)
         if rest == ["snapshot"]:
             return 200, stream.session.export_state()
         raise HttpError(404, f"no route for stream {stream_id}/{rest[0]}")

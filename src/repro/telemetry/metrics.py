@@ -30,9 +30,9 @@ on :attr:`MetricsRegistry.enabled` (the enabled path itself is gated
 <= 3 % on the core executor in ``benchmarks/bench_core.py``).  The
 registry is the only place a number is recorded — the span recorder
 keeps durations only.  Turn metrics on with ``REPRO_METRICS=1`` (metrics
-alone), ``REPRO_TELEMETRY=1`` (spans *and* metrics), programmatically
-via :func:`set_metrics_registry`, or implicitly by running the serve
-front door (which always meters itself).
+alone), ``REPRO_TELEMETRY=1`` (spans *and* metrics) or programmatically
+via :func:`set_metrics_registry`.  The serve front door always meters
+itself, into a registry of its own that it never installs.
 
 Cross-process aggregation goes through **snapshots**: a registry
 serializes to a schema-versioned dict (:meth:`MetricsRegistry.snapshot`),
@@ -42,8 +42,8 @@ persists one snapshot per shard in the artifact store so
 ``python -m repro campaign report`` and ``python -m repro telemetry
 summary`` can render fleet-wide latency histograms.
 
-Prometheus text exposition (format version 0.0.4, the content type the
-serve front door answers on ``GET /metrics?format=prometheus``) is
+Prometheus text exposition (format version 0.0.4, what the serve front
+door answers on ``GET /metrics``) is
 rendered by :func:`render_prometheus` and round-trip-checked by
 :func:`parse_prometheus`, a deliberately strict line-format validator
 used by the golden-format tests and the CI scrape drill.
@@ -81,7 +81,7 @@ DEFAULT_CARDINALITY_CAP = 64
 OVERFLOW_LABEL = "__overflow__"
 
 #: The content type of Prometheus text exposition format 0.0.4 — what
-#: ``GET /metrics?format=prometheus`` answers with.
+#: ``GET /metrics`` answers with.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -360,8 +360,8 @@ class _Family:
 class Counter(_Family):
     """A monotonically increasing total (requests served, errors seen).
 
-    Unlabelled families may call :meth:`inc` directly; labelled ones
-    go through :meth:`~_Family.labels` first.
+    An unlabelled family may call :meth:`inc` directly; every other
+    verb goes through :meth:`~_Family.labels` first.
     """
 
     kind = "counter"
@@ -371,15 +371,13 @@ class Counter(_Family):
         """Add ``value`` to the unlabelled series."""
         self.labels().inc(value)
 
-    @property
-    def value(self) -> float:
-        """The unlabelled series' total (0 before any increment)."""
-        series = self._series.get(())
-        return series.value if series is not None else 0.0
-
 
 class Gauge(_Family):
-    """A level that moves both ways (queue depth, in-flight jobs, RSS)."""
+    """A level that moves both ways (queue depth, in-flight jobs, RSS).
+
+    An unlabelled family may call :meth:`set` directly; every other
+    verb goes through :meth:`~_Family.labels` first.
+    """
 
     kind = "gauge"
     _series_type = _GaugeSeries
@@ -387,20 +385,6 @@ class Gauge(_Family):
     def set(self, value: float) -> None:
         """Overwrite the unlabelled series' level."""
         self.labels().set(value)
-
-    def inc(self, value: float = 1.0) -> None:
-        """Move the unlabelled series up by ``value``."""
-        self.labels().inc(value)
-
-    def dec(self, value: float = 1.0) -> None:
-        """Move the unlabelled series down by ``value``."""
-        self.labels().dec(value)
-
-    @property
-    def value(self) -> float:
-        """The unlabelled series' level (0 before any write)."""
-        series = self._series.get(())
-        return series.value if series is not None else 0.0
 
 
 class Histogram(_Family):
@@ -441,10 +425,6 @@ class Histogram(_Family):
 
     def _new_series(self) -> _HistogramSeries:
         return _HistogramSeries(self._lock, self.buckets)
-
-    def observe(self, value: float) -> None:
-        """Record one observation on the unlabelled series."""
-        self.labels().observe(value)
 
 
 class MetricsRegistry:

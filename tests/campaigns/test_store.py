@@ -101,8 +101,7 @@ def _record_rows(store_path, indices):
         for index in indices:
             store.mark_running(index)
             store.record_result(
-                index, {"workload": "monitor", "shard": index},
-                elapsed_s=0.001)
+                index, {"workload": "monitor", "shard": index})
 
 
 class TestConcurrentWriters:
@@ -133,7 +132,7 @@ class TestConcurrentWriters:
         writer = ArtifactStore.open(store_path)
         reader = ArtifactStore.open(store_path, readonly=True)
         writer.mark_running(0)
-        writer.record_result(0, {"workload": "monitor"}, elapsed_s=0.1)
+        writer.record_result(0, {"workload": "monitor"})
         assert reader.counts()["done"] == 1
         with pytest.raises(sqlite3.OperationalError):
             reader.mark_running(1)  # read-only handles cannot write
@@ -169,8 +168,7 @@ class TestExport:
     def test_export_excludes_wall_clock_fields(self, store_path):
         with ArtifactStore.open(store_path) as store:
             store.mark_running(0)
-            store.record_result(0, {"workload": "monitor"},
-                                elapsed_s=123.0)
+            store.record_result(0, {"workload": "monitor"})
             text = store.export_json()
         assert "elapsed" not in text
         payload = json.loads(text)

@@ -5,8 +5,8 @@ campaign layer — worker ids, durations, span summaries — and these
 tests pin its four contracts: the runner records the full
 ``queued -> running -> done/failed`` lifecycle (plus ``spans`` when
 instrumented), the deterministic export never changes whether or not
-telemetry was on, readers refuse a mismatched telemetry schema while
-shard data stays readable, and ``python -m repro campaign report`` on
+telemetry was on, ``campaign report`` refuses a store of another
+schema version, and ``python -m repro campaign report`` on
 the checked-in example fleet renders percentiles and a
 Perfetto-loadable trace end to end.
 """
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import (
+    STORE_SCHEMA_VERSION,
     ArtifactStore,
     duration_stats,
     perfetto_trace,
@@ -136,37 +137,22 @@ class TestDeterministicExport:
             assert store.export_json() == reference_export
 
 
-class TestTelemetrySchemaVersioning:
-    def test_mismatch_refuses_telemetry_but_not_shards(
-            self, small_campaign, tmp_path):
-        store_path = tmp_path / "fleet.sqlite"
-        run_campaign(small_campaign, store_path, workers=1)
-        conn = sqlite3.connect(store_path)
-        with conn:
-            conn.execute(
-                "UPDATE meta SET value = '999' "
-                "WHERE key = 'telemetry_schema_version'")
-        conn.close()
-        with ArtifactStore.open(store_path) as store:
-            with pytest.raises(ValueError,
-                               match="telemetry schema version 999"):
-                store.telemetry_events()
-            # Shard data is unaffected by a telemetry-only mismatch.
-            assert store.counts()["done"] == small_campaign.n_shards
-            assert "shards" in json.loads(store.export_json())
-
-    def test_report_cli_reports_mismatch_as_usage_error(
+class TestStoreSchemaVersioning:
+    def test_report_cli_refuses_other_version(
             self, small_campaign, tmp_path, capsys):
+        """One version stamp covers shards and telemetry: ``campaign
+        report`` on a store of another layout is a usage error."""
         store_path = tmp_path / "fleet.sqlite"
         run_campaign(small_campaign, store_path, workers=1)
         conn = sqlite3.connect(store_path)
         with conn:
             conn.execute(
-                "UPDATE meta SET value = '999' "
-                "WHERE key = 'telemetry_schema_version'")
+                "UPDATE meta SET value = ? "
+                "WHERE key = 'store_schema_version'",
+                (str(STORE_SCHEMA_VERSION + 1),))
         conn.close()
         assert cli_main(["campaign", "report", str(store_path)]) == 2
-        assert "telemetry schema version" in capsys.readouterr().out
+        assert "store schema version" in capsys.readouterr().out
 
 
 class TestStatusThroughputAndEta:

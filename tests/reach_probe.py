@@ -96,7 +96,7 @@ try:
     client.push_readings(stream, count=12)
     client.stream_status(stream)
     client.delete_stream(stream)
-    parse_prometheus(client.metrics_prometheus())
+    parse_prometheus(client.metrics())
     try:
         client.status("job-9999")
     except ServeError:

@@ -28,6 +28,7 @@ from .test_server import (
     MONITOR_SCENARIO,
     batch_artifact,
     max_difference,
+    scraped,
 )
 
 
@@ -41,7 +42,8 @@ def served():
 
 
 def _connections(registry: MetricsRegistry) -> float:
-    return registry.counter("repro_serve_connections_total").value
+    return registry.counter("repro_serve_connections_total") \
+        .labels().value
 
 
 class TestSharedClient:
@@ -105,7 +107,7 @@ class TestReconnect:
         assert (update["start"], update["stop"], update["cursor"]) \
             == (0, 5, 5)
         assert client.stream_status(stream["stream_id"])["cursor"] == 5
-        assert client.metrics()["counters"]["readings.pushed"] == 5 * 2
+        assert scraped(client, "repro_serve_readings_total") == 5 * 2
         assert _connections(registry) == 2
 
     def test_refused_request_drops_the_connection(self, monkeypatch):

@@ -1,12 +1,12 @@
 """The serving metrics surface: exposition, correlation, collectors.
 
 Boots the real server and gates the observability contracts:
-``GET /metrics?format=prometheus`` emits valid exposition format 0.0.4
-(round-tripped through :func:`~repro.telemetry.parse_prometheus`),
-every response carries an ``X-Trace-Id`` that also lands in the span
-trace and the latency histogram's exemplar, runtime collectors report
-real RSS/GC levels, and the legacy JSON ``/metrics`` payload stays
-derivable from the registry.
+``GET /metrics`` emits valid exposition format 0.0.4 of the server's
+own registry (round-tripped through
+:func:`~repro.telemetry.parse_prometheus`), every response carries an
+``X-Trace-Id`` that also lands in the span trace and the latency
+histogram's exemplar, runtime collectors report real RSS/GC levels,
+and the process's active registry is never touched.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     get_metrics_registry,
     parse_prometheus,
+    set_metrics_registry,
     set_recorder,
 )
+
+from .test_server import scraped
 
 SCENARIO = Scenario(
     workload="monitor", name="serve-metrics", seed=11,
@@ -59,8 +62,7 @@ class TestPrometheusEndpoint:
     def test_round_trips_validator(self, served):
         client, registry, __ = served
         _run_one_job(client)
-        text = client.metrics_prometheus()
-        samples = parse_prometheus(text)
+        samples = parse_prometheus(client.metrics())
         names = {sample["name"] for sample in samples}
         assert "repro_serve_requests_total" in names
         assert "repro_serve_request_seconds_bucket" in names
@@ -70,38 +72,39 @@ class TestPrometheusEndpoint:
         assert "repro_core_execute_seconds_bucket" in names
 
     def test_content_type_and_status(self, served):
+        """Every scrape is Prometheus text: the query is ignored, so an
+        old scrape config's ``?format=prometheus`` still works."""
         client, __, __ = served
-        connection = http.client.HTTPConnection(
-            client.host, client.port, timeout=30)
-        try:
-            connection.request("GET", "/metrics?format=prometheus")
-            response = connection.getresponse()
-            body = response.read()
-        finally:
-            connection.close()
-        assert response.status == 200
-        assert response.getheader("Content-Type") \
-            == PROMETHEUS_CONTENT_TYPE
-        parse_prometheus(body.decode("utf-8"))
+        for target in ("/metrics", "/metrics?format=prometheus",
+                       "/metrics?format=json"):
+            connection = http.client.HTTPConnection(
+                client.host, client.port, timeout=30)
+            try:
+                connection.request("GET", target)
+                response = connection.getresponse()
+                body = response.read()
+            finally:
+                connection.close()
+            assert response.status == 200, target
+            assert response.getheader("Content-Type") \
+                == PROMETHEUS_CONTENT_TYPE, target
+            assert parse_prometheus(body.decode("utf-8")), target
 
-    def test_unknown_format_is_400(self, served):
+    def test_job_and_request_counts(self, served):
         client, __, __ = served
-        connection = http.client.HTTPConnection(
-            client.host, client.port, timeout=30)
-        try:
-            connection.request("GET", "/metrics?format=msgpack")
-            response = connection.getresponse()
-            payload = json.loads(response.read())
-        finally:
-            connection.close()
-        assert response.status == 400
-        assert "format" in payload["error"]
+        _run_one_job(client)
+        for outcome in ("submitted", "done"):
+            assert scraped(client, "repro_serve_jobs_total",
+                           workload="monitor", outcome=outcome) == 1
+        assert scraped(client, "repro_serve_requests_total",
+                       method="GET") >= 1
+        assert scraped(client, "repro_serve_queue_depth") == 0
 
     def test_runtime_collectors_report_levels(self, served):
         client, registry, __ = served
-        client.metrics_prometheus()  # forces a collection pass
+        client.metrics()  # forces a collection pass
         rss = registry.gauge("repro_process_resident_memory_bytes")
-        assert rss.value > 1e6  # a real python process is > 1 MB
+        assert rss.labels().value > 1e6  # a python process is > 1 MB
         snapshot = registry.snapshot()
         gc_series = snapshot["instruments"][
             "repro_python_gc_collections"]["series"]
@@ -231,9 +234,9 @@ class TestTraceCorrelation:
                     if span.name == "core.execute"
                     and span.attrs["trace_id"] == trace_id]
         assert len(executes) == 1
-        counters = client.metrics()["counters"]
-        assert counters["jobs.submitted.monitor"] == 1
-        assert counters["jobs.done.monitor"] == 1
+        for outcome in ("submitted", "done"):
+            assert scraped(client, "repro_serve_jobs_total",
+                           workload="monitor", outcome=outcome) == 1
         for name in ("repro_serve_job_queue_seconds",
                      "repro_serve_job_run_seconds"):
             (series,) = [series for __, series in registry.histogram(
@@ -255,23 +258,11 @@ class TestJobTimings:
             assert series.count == 1
             assert series.exemplar["trace_id"] \
                 == job_span.attrs["trace_id"]
-        samples = parse_prometheus(client.metrics_prometheus())
+        samples = parse_prometheus(client.metrics())
         counts = {sample["name"]: sample["value"] for sample in samples
                   if sample["name"].endswith("_count")}
         assert counts["repro_serve_job_queue_seconds_count"] == 1
         assert counts["repro_serve_job_run_seconds_count"] == 1
-
-
-class TestLegacyJsonMetrics:
-    def test_json_payload_derived_from_registry(self, served):
-        client, __, __ = served
-        _run_one_job(client)
-        payload = client.metrics()
-        assert payload["counters"]["jobs.submitted.monitor"] == 1
-        assert payload["counters"]["jobs.done.monitor"] == 1
-        assert any(key.startswith("requests.GET ")
-                   for key in payload["counters"])
-        assert payload["queue_depth"] == 0
 
 
 class TestConnectionsAndAdvance:
@@ -279,7 +270,7 @@ class TestConnectionsAndAdvance:
         client, registry, __ = served
         for __ in range(5):
             client.health()
-        samples = parse_prometheus(client.metrics_prometheus())
+        samples = parse_prometheus(client.metrics())
         values = {sample["name"]: sample["value"] for sample in samples
                   if not sample["labels"]}
         requests = sum(sample["value"] for sample in samples
@@ -303,7 +294,7 @@ class TestConnectionsAndAdvance:
         (advance,) = [span for span in recorder.spans
                       if span.name == "serve.advance"]
         assert series.sum <= advance.duration_s
-        samples = parse_prometheus(client.metrics_prometheus())
+        samples = parse_prometheus(client.metrics())
         assert any(
             sample["name"] == "repro_serve_stream_advance_seconds_count"
             and sample["labels"] == {"workload": "monitor"}
@@ -326,9 +317,63 @@ class TestRegistryPerServer:
                     _run_one_job(client)
             for thread in threads:
                 with ServeClient(thread.host, thread.port) as client:
-                    counters = client.metrics()["counters"]
-                assert counters["jobs.submitted.monitor"] == 1
+                    assert scraped(client, "repro_serve_jobs_total",
+                                   workload="monitor",
+                                   outcome="submitted") == 1
         finally:
             for thread in reversed(threads) if reverse else threads:
                 thread.stop()
         assert get_metrics_registry() is before
+
+
+class _CountingRegistry(MetricsRegistry):
+    """A registry that counts every instrument lookup made on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def counter(self, *args, **kwargs):
+        self.calls += 1
+        return super().counter(*args, **kwargs)
+
+    def gauge(self, *args, **kwargs):
+        self.calls += 1
+        return super().gauge(*args, **kwargs)
+
+    def histogram(self, *args, **kwargs):
+        self.calls += 1
+        return super().histogram(*args, **kwargs)
+
+
+class TestProcessRegistryUntouched:
+    def test_server_meters_only_into_its_own_registry(self):
+        """A job, a traces replay, a stream push, a traced stream result
+        and a scrape leave the process's active registry installed and
+        unused; every number lands in the server's registry."""
+        installed = _CountingRegistry()
+        previous = set_metrics_registry(installed)
+        try:
+            with ServerThread(port=0, workers=1) as thread, \
+                    ServeClient(thread.host, thread.port) as client:
+                assert get_metrics_registry() is installed
+                job_id = _run_one_job(client)["job_id"]
+                client.result(job_id, traces=True)
+                assert get_metrics_registry() is installed
+                stream = client.create_stream(SCENARIO.to_dict())
+                client.push_readings(stream["stream_id"])
+                client.stream_result(stream["stream_id"], traces=True)
+                assert get_metrics_registry() is installed
+                names = {sample["name"] for sample
+                         in parse_prometheus(client.metrics())}
+                own = {family.name
+                       for family in thread.server.registry.families()}
+            assert get_metrics_registry() is installed
+            assert installed.calls == 0
+        finally:
+            set_metrics_registry(previous)
+        for family in ("repro_serve_jobs_total",
+                       "repro_serve_readings_total",
+                       "repro_core_execute_seconds"):
+            assert family in own
+        assert "repro_core_execute_seconds_bucket" in names

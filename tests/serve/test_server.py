@@ -36,6 +36,7 @@ from repro.scenarios.runner import fork_context
 from repro.serve import ServeClient, ServeError, ServerThread
 from repro.serve import framing
 from repro.serve import server as server_module
+from repro.telemetry import parse_prometheus
 
 MONITOR_SCENARIO = Scenario(
     workload="monitor", name="serve-wear", seed=11,
@@ -106,6 +107,15 @@ def max_difference(a, b) -> float:
         return abs(a - b)
     assert a == b, (a, b)
     return 0.0
+
+
+def scraped(client: ServeClient, name: str, **labels: str) -> float:
+    """The sum of the scraped ``name`` series whose labels include
+    ``labels`` (0 when there is none)."""
+    samples = parse_prometheus(client.metrics())
+    return sum(sample["value"] for sample in samples
+               if sample["name"] == name
+               and labels.items() <= sample["labels"].items())
 
 
 def _has_key(payload, key: str) -> bool:
@@ -362,8 +372,8 @@ class TestStreams:
         scenario = Scenario(workload="estimation", name="typed", seed=1,
                             spec={**ESTIMATION_SCENARIO.spec, **override})
         last = client.submit(CALIBRATION_SCENARIO.to_dict())["job_id"]
-        submitted = client.metrics()["counters"].get(
-            "jobs.submitted.estimation", 0)
+        submitted = scraped(client, "repro_serve_jobs_total",
+                            workload="estimation", outcome="submitted")
         with pytest.raises(ServeError) as excinfo:
             client.submit(scenario.to_dict())
         assert excinfo.value.status == 400
@@ -372,8 +382,9 @@ class TestStreams:
         with pytest.raises(ServeError) as excinfo:
             client.status(next_id)
         assert excinfo.value.status == 404
-        assert client.metrics()["counters"].get(
-            "jobs.submitted.estimation", 0) == submitted
+        assert scraped(client, "repro_serve_jobs_total",
+                       workload="estimation",
+                       outcome="submitted") == submitted
 
     @pytest.mark.parametrize("override", [
         pytest.param({"n_patients": 1e308}, id="n-patients-1e308"),
@@ -404,30 +415,30 @@ class TestMetrics:
         client.health()
         job = client.submit(MONITOR_SCENARIO.to_dict())
         client.wait_for_job(job["job_id"])
-        metrics = client.metrics()
-        counters = metrics["counters"]
-        assert counters["requests.GET /healthz"] >= 1
-        assert counters["requests.POST /scenarios"] >= 1
-        assert counters["requests.GET /scenarios/*"] >= 1
-        assert counters["jobs.submitted.monitor"] >= 1
-        assert counters["jobs.done.monitor"] >= 1
-        assert metrics["jobs"]["done"] >= 1
+        for method, endpoint in (("GET", "/healthz"),
+                                 ("POST", "/scenarios"),
+                                 ("GET", "/scenarios/*")):
+            assert scraped(client, "repro_serve_requests_total",
+                           method=method, endpoint=endpoint) >= 1
+        for outcome in ("submitted", "done"):
+            assert scraped(client, "repro_serve_jobs_total",
+                           workload="monitor", outcome=outcome) >= 1
+        # a done job is held until evicted
+        assert scraped(client, "repro_serve_jobs_total", outcome="done") \
+            - scraped(client, "repro_serve_jobs_total",
+                      outcome="evicted") >= 1
 
     def test_readings_counter_counts_channel_readings(self, client):
-        before = client.metrics()["counters"].get("readings.pushed", 0)
+        before = scraped(client, "repro_serve_readings_total")
         stream = client.create_stream(MONITOR_SCENARIO.to_dict())
         client.push_readings(stream["stream_id"], count=10)
-        after = client.metrics()["counters"]["readings.pushed"]
+        after = scraped(client, "repro_serve_readings_total")
         assert after - before == 10 * 2   # 10 samples x 2 channels
         client.delete_stream(stream["stream_id"])
 
     def test_requests_are_spans_on_recorder_counts_on_registry(
             self, client):
-        from repro.telemetry import (
-            InMemoryRecorder,
-            parse_prometheus,
-            set_recorder,
-        )
+        from repro.telemetry import InMemoryRecorder, set_recorder
 
         recorder = InMemoryRecorder()
         previous = set_recorder(recorder)
@@ -437,7 +448,7 @@ class TestMetrics:
             set_recorder(previous)
         assert "serve.request" in {record.name
                                     for record in recorder.spans}
-        samples = parse_prometheus(client.metrics_prometheus())
+        samples = parse_prometheus(client.metrics())
         assert any(
             sample["name"] == "repro_serve_requests_total"
             and sample["labels"]["endpoint"] == "/healthz"
@@ -767,14 +778,15 @@ class TestBackpressure:
                     client.submit(scenario)
                 assert excinfo.value.status == 503
                 assert "queue full" in str(excinfo.value)
-                rejected = client.metrics()["counters"]["jobs.rejected"]
+                rejected = scraped(client, "repro_serve_jobs_total",
+                                   outcome="rejected")
                 assert rejected >= 1
                 with pytest.raises(ServeError) as excinfo:
                     client.result(done["job_id"], traces=True)
                 assert excinfo.value.status == 503
                 assert "queue full" in str(excinfo.value)
-                assert client.metrics()["counters"]["jobs.rejected"] \
-                    == rejected
+                assert scraped(client, "repro_serve_jobs_total",
+                               outcome="rejected") == rejected
                 assert client.result(done["job_id"]) == batch_artifact(
                     CALIBRATION_SCENARIO, traces=False)
                 _SleepyWorkload.release.set()
@@ -1183,12 +1195,12 @@ def _finish(client: ServeClient, scenario: dict) -> str:
 
 
 def _evicted_counts(client: ServeClient) -> "collections.Counter[str]":
-    """``jobs.evicted.<workload>`` counts, by workload."""
-    prefix = "jobs.evicted."
+    """Evicted job counts, by workload."""
     return collections.Counter({
-        key[len(prefix):]: value
-        for key, value in client.metrics()["counters"].items()
-        if key.startswith(prefix)})
+        sample["labels"]["workload"]: sample["value"]
+        for sample in parse_prometheus(client.metrics())
+        if sample["name"] == "repro_serve_jobs_total"
+        and sample["labels"]["outcome"] == "evicted"})
 
 
 def _status_of(client: ServeClient, target: str) -> int:
@@ -1227,10 +1239,19 @@ class TestRetention:
                        "/scenarios/job-abc",
                        "/scenarios/job-" + "9" * 5000):
             assert _status_of(client, target) == 404, target
-        assert _evicted_counts(client) == collections.Counter(
+        evicted = _evicted_counts(client)
+        assert evicted == collections.Counter(
             {"failing-serve-test": 2, "calibration": 1})
-        assert client.metrics()["jobs"] == {
-            "queued": 0, "running": 0, "done": 2, "failed": 0}
+        # the jobs held: none queued or running, and of each workload's
+        # finished jobs those not evicted (2 done, 0 failed)
+        assert scraped(client, "repro_serve_queue_depth") == 0
+        assert scraped(client, "repro_serve_jobs_inflight") == 0
+        assert scraped(client, "repro_serve_jobs_total",
+                       workload="calibration",
+                       outcome="done") - evicted["calibration"] == 2
+        assert scraped(client, "repro_serve_jobs_total",
+                       workload="failing-serve-test", outcome="failed") \
+            - evicted["failing-serve-test"] == 0
 
     def test_kept_results_are_summaries(self, retaining_server):
         """Past :data:`MAX_FINISHED_JOBS`, every job the server keeps
@@ -1282,8 +1303,8 @@ class TestStreamLimits:
         monkeypatch.setattr(server_module, "MAX_STREAMS", 2)
         with ServerThread(port=0, workers=1) as thread, \
                 ServeClient(thread.host, thread.port) as client:
-            rejected = client.metrics()["counters"].get(
-                "streams.rejected", 0)
+            rejected = scraped(client,
+                               "repro_serve_streams_rejected_total")
             opened = [client.create_stream(MONITOR_SCENARIO.to_dict())
                       for __ in range(2)]
             with pytest.raises(ServeError) as excinfo:
@@ -1291,23 +1312,20 @@ class TestStreamLimits:
             assert excinfo.value.status == 503
             client.delete_stream(opened[0]["stream_id"])
             client.create_stream(MONITOR_SCENARIO.to_dict())
-            assert client.metrics()["counters"]["streams.rejected"] \
+            assert scraped(client, "repro_serve_streams_rejected_total") \
                 == rejected + 1
 
     def test_idle_stream_is_closed(self, monkeypatch):
-        from repro.telemetry import parse_prometheus
-
         monkeypatch.setattr(server_module, "_STREAM_IDLE_S", 0.3)
         monkeypatch.setattr(server_module, "COLLECT_INTERVAL_S", 0.05)
         with ServerThread(port=0, workers=1) as thread, \
                 ServeClient(thread.host, thread.port) as client:
-            evicted = client.metrics()["counters"].get(
-                "streams.evicted", 0)
+            evicted = scraped(client, "repro_serve_streams_evicted_total")
             idle = client.create_stream(MONITOR_SCENARIO.to_dict())
             busy = client.create_stream(MONITOR_SCENARIO.to_dict())
             deadline = time.monotonic() + 10.0
-            while client.metrics()["counters"].get(
-                    "streams.evicted", 0) == evicted:
+            while scraped(client, "repro_serve_streams_evicted_total") \
+                    == evicted:
                 assert time.monotonic() < deadline
                 client.stream_status(busy["stream_id"])
                 time.sleep(0.05)
@@ -1315,7 +1333,7 @@ class TestStreamLimits:
                 client.stream_status(idle["stream_id"])
             assert excinfo.value.status == 404
             assert client.stream_status(busy["stream_id"])["cursor"] == 0
-            samples = parse_prometheus(client.metrics_prometheus())
+            samples = parse_prometheus(client.metrics())
             assert [sample["value"] for sample in samples
                     if sample["name"]
                     == "repro_serve_streams_evicted_total"] \

@@ -42,8 +42,8 @@ def snapshot_file(tmp_path):
                      ["outcome"]).labels(outcome="done").inc(4)
     hist = registry.histogram("repro_latency_seconds", "latency",
                               buckets=[0.1, 1.0])
-    hist.observe(0.05)
-    hist.observe(0.5)
+    hist.labels().observe(0.05)
+    hist.labels().observe(0.5)
     path = tmp_path / "snapshot.json"
     path.write_text(json.dumps(registry.snapshot()))
     return path

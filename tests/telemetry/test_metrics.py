@@ -50,16 +50,17 @@ class TestInstruments:
         registry = MetricsRegistry()
         gauge = registry.gauge("queue_depth", "depth")
         gauge.set(4)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 3
+        series = gauge.labels()
+        series.inc()
+        series.dec(2)
+        assert series.value == 3
 
     def test_histogram_buckets_sum_count_quantiles(self):
         registry = MetricsRegistry()
         hist = registry.histogram("latency_seconds", "latency",
                                   buckets=[0.1, 1.0, 10.0])
         for value in (0.05, 0.5, 0.5, 5.0):
-            hist.observe(value)
+            hist.labels().observe(value)
         series = hist.labels()
         assert series.count == 4
         assert series.sum == pytest.approx(6.05)
@@ -149,8 +150,8 @@ class TestSnapshotAlgebra:
         registry.gauge("depth", "queue").set(5)
         hist = registry.histogram("lat_seconds", "lat",
                                   buckets=[0.1, 1.0])
-        hist.observe(0.05)
-        hist.observe(0.5)
+        hist.labels().observe(0.05)
+        hist.labels().observe(0.5)
         return registry
 
     def test_snapshot_is_json_clean(self):
@@ -179,9 +180,9 @@ class TestSnapshotAlgebra:
     def test_exemplar_records_active_trace(self):
         registry = MetricsRegistry()
         hist = registry.histogram("lat_seconds", buckets=[1.0])
-        hist.observe(0.5)  # no trace active -> no exemplar
+        hist.labels().observe(0.5)  # no trace active -> no exemplar
         with trace_context() as trace_id:
-            hist.observe(0.7)
+            hist.labels().observe(0.7)
         exemplar = hist.labels().exemplar
         assert exemplar == {"value": 0.7, "trace_id": trace_id}
         snapshot = registry.snapshot()
@@ -200,8 +201,8 @@ class TestSnapshotAlgebra:
         hist = registry.histogram("lat_seconds",
                                   buckets=[0.1, 1.0, 10.0])
         for __ in range(99):
-            hist.observe(0.05)
-        hist.observe(5.0)
+            hist.labels().observe(0.05)
+        hist.labels().observe(5.0)
         rows = snapshot_histogram_rows(registry.snapshot())
         (row,) = rows
         assert row["name"] == "lat_seconds"
@@ -236,8 +237,8 @@ class TestPrometheusExposition:
         hist = registry.histogram("repro_latency_seconds",
                                   "Request latency.",
                                   buckets=[0.1, 1.0])
-        hist.observe(0.05)
-        hist.observe(0.5)
+        hist.labels().observe(0.05)
+        hist.labels().observe(0.5)
         text = registry.render_prometheus()
         expected = (
             "# HELP repro_jobs_total Jobs by outcome.\n"
@@ -259,7 +260,8 @@ class TestPrometheusExposition:
         registry = MetricsRegistry()
         registry.counter("a_total", "with \\ and \"quotes\"",
                          ["k"]).labels(k='v"\\\n').inc()
-        registry.histogram("h_seconds", buckets=[0.5]).observe(0.1)
+        registry.histogram("h_seconds", buckets=[0.5]).labels() \
+            .observe(0.1)
         registry.gauge("g").set(-1.5)
         samples = parse_prometheus(registry.render_prometheus())
         names = {sample["name"] for sample in samples}

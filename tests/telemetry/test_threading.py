@@ -54,7 +54,7 @@ class TestConcurrentRecorder:
         _run_threads(work)
         recorder.close()
 
-        assert events.value == N_THREADS * N_EVENTS
+        assert events.labels().value == N_THREADS * N_EVENTS
         assert len(recorder.spans) == N_THREADS * N_EVENTS
 
         spans = read_jsonl(trace)  # raises if any line is torn JSON
@@ -103,7 +103,7 @@ class TestConcurrentRegistry:
             hist = registry.histogram("op_seconds", buckets=[0.5, 1.0])
             for step in range(N_EVENTS):
                 counter.labels(thread=index).inc()
-                hist.observe(0.25)
+                hist.labels().observe(0.25)
 
         _run_threads(work)
         snapshot = registry.snapshot()
