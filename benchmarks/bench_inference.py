@@ -12,6 +12,10 @@ Three domain claims on a cohort-sized reconstruction:
   troughs (with variances) improves cohort time-in-range over raw
   readouts.
 
+It also prints an estimation job's ``tracemalloc`` peak in bytes per
+reading on the cohort plan, with smoothing on and off (a figure for the
+ledger; no gate).
+
 The speedup gate for this workload (and every other registered one)
 runs in ``bench_core.py`` through the shared harness
 (``benchmarks/harness.py``); the execution-contract gates (chunk
@@ -19,6 +23,8 @@ invariance, scalar equivalence, deterministic replay) live in
 ``tests/engine/test_core_contract.py``.
 """
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +57,26 @@ def test_reconstruction_beats_linear_estimator(estimation_cohort_plan):
           f"estimator {linear * 100:.1f} %")
     assert filtered < 0.5 * linear
     assert smoothed_rmse <= filtered_rmse * 1.01
+
+
+def test_job_peak_memory_per_reading(estimation_cohort_plan):
+    """Print a job's ``tracemalloc`` peak per reading, smoothing on and
+    off; the gates live in ``tests/engine/test_estimation_memory.py``."""
+    plan = estimation_cohort_plan()
+    readings = plan.n_channels * plan.n_samples
+    for smooth in (True, False):
+        job = replace(plan, smooth=smooth)
+        run_estimation(job)      # first-call caches stay out of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_estimation(job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"\nestimation job peak, smoothing "
+              f"{'on' if smooth else 'off'}: {peak / readings:.0f} B per "
+              f"reading ({plan.n_channels} x {plan.n_samples} readings)")
 
 
 def test_filtered_troughs_improve_dosing(therapy_course_plan):

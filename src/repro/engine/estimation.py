@@ -487,7 +487,12 @@ class EstimationKernels(KernelSet):
             out=state.trace.columns(start, stop))
 
     def finalize(self, plan: EstimationPlan, state) -> EstimationResult:
-        """Smooth (optionally) and score the :class:`EstimationResult`."""
+        """Smooth (optionally) and score the :class:`EstimationResult`.
+
+        Drops the last chunk's arrays first: only ``stream_update``
+        reads them, between chunks.
+        """
+        state.monitor.last_update = None
         monitor_result = _finalize_monitor(plan.monitor, state.monitor)
         model = state.model
         smoothed = (rts_smoother_batch(state.trace, model.a_signal,

@@ -1056,7 +1056,10 @@ class MonitorKernels(KernelSet):
             plan.sample_times_h(start, stop)))
 
     def finalize(self, plan: MonitorPlan, state) -> MonitorResult:
-        """Assemble the :class:`MonitorResult`."""
+        """Assemble the :class:`MonitorResult`, dropping the last
+        chunk's arrays (only ``stream_update`` reads them, between
+        chunks)."""
+        state.last_update = None
         return _finalize_monitor(plan, state)
 
     def export_state(self, plan: MonitorPlan, state,

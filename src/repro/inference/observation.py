@@ -40,7 +40,12 @@ from typing import Sequence
 from repro.analytes.physiological import cohort_mean_molar
 from repro.core.sensor import Biosensor
 from repro.engine.core import require_row_block
-from repro.engine.monitor import MonitorPlan, WearParams, reading_noise_sigma_a
+from repro.engine.monitor import (
+    MonitorPlan,
+    WearParams,
+    _row_groups,
+    reading_noise_sigma_a,
+)
 
 
 def quantization_sigma_a(sensor: Biosensor) -> float:
@@ -217,10 +222,23 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     return _observation_model(plan, plan.wear_params())
 
 
+#: Most floats in one block of rows that :func:`_observation_model`
+#: linearizes at once.  Rows sharing a sensor object are linearized
+#: together, one call per block instead of per row; the cap keeps each
+#: block's ``(rows, n_samples)`` temporaries under glibc's 128 KiB mmap
+#: threshold, so a long horizon (one row per block) allocates as it did
+#: row by row.
+LINEARIZE_BLOCK_FLOATS = 16384
+
+
 def _observation_model(plan: MonitorPlan,
                        wear: WearParams) -> MonitorObservationModel:
     """:func:`monitor_observation_model` from the plan's ``wear``
-    parameters, for a caller whose wear state already holds them."""
+    parameters, for a caller whose wear state already holds them.
+
+    Every entry is the per-row expression; only the number of rows of
+    one sensor evaluated at once varies (:data:`LINEARIZE_BLOCK_FLOATS`).
+    """
     n, t = plan.n_channels, plan.n_samples
     time_h = plan.sample_times_h(0, t)
     dt_s = plan.sample_period_s
@@ -229,12 +247,20 @@ def _observation_model(plan: MonitorPlan,
                              time_h)
     gain = np.empty((n, t))
     offset = np.empty((n, t))
-    for i, sensor in enumerate(wear.sensors):
-        retention = np.exp(-wear.decay_rate_per_hour[i] * time_h)
-        response, slope = response_linearization(sensor, mean[i])
-        gain[i] = retention * slope
-        offset[i] = retention * response + (
-            wear.background_a[i] + wear.baseline_drift_a_per_hour[i] * time_h)
+    decay = wear.decay_rate_per_hour[:, None]
+    background = wear.background_a[:, None]
+    drift = wear.baseline_drift_a_per_hour[:, None]
+    by_id = {id(sensor): sensor for sensor in wear.sensors}
+    rows_per_block = max(1, LINEARIZE_BLOCK_FLOATS // t)
+    for key, group in _row_groups(map(id, wear.sensors)):
+        group = np.arange(n)[group]
+        for first in range(0, group.size, rows_per_block):
+            rows = group[first:first + rows_per_block]
+            retention = np.exp(-decay[rows] * time_h)
+            response, slope = response_linearization(by_id[key], mean[rows])
+            gain[rows] = retention * slope
+            offset[rows] = retention * response + (
+                background[rows] + drift[rows] * time_h)
     a_signal = np.exp(-dt_s / np.array(
         [channel.trajectory.noise_tau_h * 3600.0 for channel in channels]))
     a_wander = np.exp(-dt_s / wear.wander_tau_s)

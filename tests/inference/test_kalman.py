@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.inference.kalman import (
+    RTS_SLAB_STEPS,
     KalmanState,
     KalmanTrace,
     _dynamics,
@@ -16,6 +17,14 @@ from repro.inference.kalman import (
     rts_smoother_batch,
     rts_smoother_scalar,
 )
+
+
+#: The smoother's slab length, and censored runs that straddle sample
+#: ``SLAB``, where the back pass over a trace of two slabs moves from
+#: the newer slab to the older.
+SLAB = RTS_SLAB_STEPS
+assert SLAB <= 4096, "slab-edge cases simulate up to 2 * SLAB + 1 samples"
+CENSORED_ACROSS_SLAB = ((1, SLAB - 8, SLAB + 4), (3, 20, 30))
 
 
 def simulate(n_channels=3, n_samples=400, seed=7,
@@ -324,30 +333,40 @@ class TestSmoother:
         np.testing.assert_array_equal(smoothed.m1[:, -1],
                                       trace.m1[:, -1])
 
-    @pytest.mark.parametrize("n_channels, n_samples, drifting", [
-        pytest.param(4, 1, False, id="1"),
-        pytest.param(4, 2, False, id="2"),
-        pytest.param(4, 300, False, id="300"),
-        pytest.param(32, 864, True, id="32x864-drifting-censored"),
+    @pytest.mark.parametrize("n_channels, n_samples, censored", [
+        pytest.param(4, 1, (), id="1"),
+        pytest.param(4, 2, (), id="2"),
+        pytest.param(4, 300, (), id="300"),
+        pytest.param(32, 864, ((1, 100, 130), (3, 500, 560)),
+                     id="32x864-drifting-censored"),
+        # Trace lengths around the smoother's slab: one slab short of
+        # its last step, a short slab, one full slab, a full slab plus a
+        # one-step slab, two full slabs.
+        *(pytest.param(8, n_samples, CENSORED_ACROSS_SLAB,
+                       id=f"8x{label}-drifting-censored")
+          for label, n_samples in (
+              ("slab-1", SLAB - 1), ("slab", SLAB), ("slab+1", SLAB + 1),
+              ("slab+2", SLAB + 2), ("2slab+1", 2 * SLAB + 1))),
     ])
     def test_hoisted_gains_match_per_sample_oracle(self, n_channels,
-                                                   n_samples, drifting):
+                                                   n_samples, censored):
         """Per-channel coefficients, and one channel in four whose
         wander carries no noise so its predicted covariance is singular
-        and the diagonal fallback of the inverse is taken; the long
-        cohort adds a time-varying gain and censored (r = inf) runs."""
+        and the diagonal fallback of the inverse is taken; the drifting
+        cohorts add a time-varying gain and censored (r = inf) runs,
+        each ``(row step, first sample, stop sample)``."""
         _, z, params = simulate(n_channels=n_channels, n_samples=n_samples)
         a_signal = np.resize([0.95, 0.8, 0.99, 0.95], n_channels)
         a_wander = np.resize([0.99, 0.999, 0.9, 0.99], n_channels)
         q_wander = np.resize([0.01, 0.0, 0.002, 0.05], n_channels)
         gain = params["gain"]
         r = np.repeat(params["r"][:, None], n_samples, axis=1)
-        if drifting:
+        if censored:
             gain = gain * (1.0 + 0.3 * np.sin(
                 np.linspace(0.0, 6.0, n_samples)
                 + np.arange(n_channels)[:, None]))
-            r[:, 100:130] = np.inf
-            r[::3, 500:560] = np.inf
+            for step, first, stop in censored:
+                r[::step, first:stop] = np.inf
         trace = kalman_filter_batch(
             z, gain, params["offset"], r, a_signal,
             params["q_signal"], a_wander, q_wander)

@@ -12,6 +12,7 @@ from repro.engine.monitor import (
     run_monitor,
 )
 from repro.inference.observation import (
+    LINEARIZE_BLOCK_FLOATS,
     monitor_observation_model,
     observation_variance_a2,
     quantization_sigma_a,
@@ -112,6 +113,36 @@ class TestModelConsistency:
         quiet = monitor_observation_model(replace(plan, add_noise=False))
         np.testing.assert_array_equal(quiet.q_signal, 0.0)
         np.testing.assert_array_equal(quiet.q_wander, 0.0)
+
+    @pytest.mark.parametrize("shared_sensor", [True, False])
+    def test_block_linearization_matches_per_row(self, shared_sensor):
+        """Rows of one sensor are linearized a block at a time; each
+        entry is bit for bit the per-row expression.  40 rows x 864
+        samples span three blocks, the last one short; the unshared
+        cohort interleaves two sensor objects."""
+        plan = MonitorPlan(channels=glucose_cohort(40), duration_h=72.0,
+                           sample_period_s=300.0, seed=3)
+        assert 40 * plan.n_samples > 2 * LINEARIZE_BLOCK_FLOATS
+        if not shared_sensor:
+            other = replace(plan.channels[0].sensor)
+            plan = replace(plan, channels=tuple(
+                replace(channel, sensor=other) if i % 3 == 1 else channel
+                for i, channel in enumerate(plan.channels)))
+            assert len({id(sensor) for sensor in plan.wear_params().sensors
+                        }) == 2
+        model = monitor_observation_model(plan)
+        wear = plan.wear_params()
+        time_h = model.time_h
+        for i, sensor in enumerate(wear.sensors):
+            retention = np.exp(-wear.decay_rate_per_hour[i] * time_h)
+            response, slope = response_linearization(
+                sensor, model.mean_molar[i])
+            np.testing.assert_array_equal(model.gain_a_per_molar[i],
+                                          retention * slope)
+            np.testing.assert_array_equal(
+                model.offset_a[i], retention * response + (
+                    wear.background_a[i]
+                    + wear.baseline_drift_a_per_hour[i] * time_h))
 
     def test_gain_decays_with_retention(self, model):
         """Mean trajectories are near-periodic, so the drift retention
