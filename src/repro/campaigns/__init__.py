@@ -59,7 +59,6 @@ from repro.campaigns.report import (
     shard_timings,
     span_breakdown,
     worker_utilization,
-    write_report_perfetto,
 )
 from repro.campaigns.runner import (
     CampaignReport,
@@ -93,5 +92,4 @@ __all__ = [
     "shard_timings",
     "span_breakdown",
     "worker_utilization",
-    "write_report_perfetto",
 ]

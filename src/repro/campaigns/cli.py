@@ -99,11 +99,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     import json
 
     from repro.campaigns.report import (
+        perfetto_trace,
         render_report,
         report_payload,
-        write_report_perfetto,
     )
     from repro.campaigns.store import ArtifactStore
+    from repro.telemetry.perfetto import write_perfetto
 
     try:
         with ArtifactStore.open(args.store) as store:
@@ -113,7 +114,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             else:
                 print(render_report(store))
             if args.perfetto_out is not None:
-                path = write_report_perfetto(store, args.perfetto_out)
+                path = write_perfetto(args.perfetto_out,
+                                      perfetto_trace(store))
                 if not args.json:
                     print(f"perfetto trace -> {path}")
     except _USAGE_ERRORS as error:

@@ -22,9 +22,10 @@ the process recorder is enabled; this module turns those rows into
   (the ``campaign report --json`` output);
 * :func:`render_report` — the text block ``python -m repro campaign
   report`` prints;
-* :func:`perfetto_trace` / :func:`write_report_perfetto` — a
-  Chrome/Perfetto ``trace_event`` timeline, one track per worker
-  process, loadable as-is at https://ui.perfetto.dev.
+* :func:`perfetto_trace` — a Chrome/Perfetto ``trace_event``
+  timeline, one track per worker process, that
+  :func:`~repro.telemetry.write_perfetto` writes to a file loadable
+  as-is at https://ui.perfetto.dev.
 
 Everything here reads wall-clock telemetry and is therefore strictly
 outside the deterministic export surface: ``campaign export`` never
@@ -34,14 +35,13 @@ different telemetry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.campaigns.store import ArtifactStore
 from repro.telemetry.aggregate import percentile
 from repro.telemetry.metrics import (
+    histogram_table,
     merge_snapshots,
     snapshot_histogram_rows,
 )
@@ -371,21 +371,10 @@ def render_report(store: ArtifactStore) -> str:
                 f" {row['recovered_shards']:>8d}")
     metrics = merged_metrics(events)
     if metrics is not None:
-        histograms = snapshot_histogram_rows(metrics)
+        histograms = histogram_table(metrics)
         if histograms:
             lines.append("fleet-wide latency histograms (all workers):")
-            lines.append(f"  {'histogram':<44} {'count':>7} "
-                         f"{'p50':>10} {'p95':>10} {'p99':>10}")
-            for row in histograms:
-                labels = ",".join(f"{key}={value}" for key, value
-                                  in sorted(row["labels"].items()))
-                label = row["name"] + (f"{{{labels}}}" if labels
-                                       else "")
-                lines.append(
-                    f"  {label:<44} {row['count']:>7d} "
-                    f"{row['p50'] * 1e3:>8.2f}ms "
-                    f"{row['p95'] * 1e3:>8.2f}ms "
-                    f"{row['p99'] * 1e3:>8.2f}ms")
+            lines.extend(histograms)
     else:
         lines.append("no metrics snapshots recorded — run the campaign "
                      "with REPRO_METRICS=1 for fleet-wide histograms")
@@ -419,14 +408,3 @@ def perfetto_trace(store: ArtifactStore) -> dict:
                 args={"shard": timing.shard_index,
                       "status": timing.status}))
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-def write_report_perfetto(store: ArtifactStore,
-                          path: "str | Path") -> Path:
-    """Serialize :func:`perfetto_trace` to ``path`` and return it."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(perfetto_trace(store), indent=2, sort_keys=True)
-        + "\n", encoding="utf-8")
-    return target

@@ -35,11 +35,9 @@ redoes.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import random
 import signal
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -49,7 +47,11 @@ from pathlib import Path
 
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ArtifactStore
-from repro.scenarios.runner import fork_context, run_isolated
+from repro.scenarios.runner import (
+    _exit_with_parent,
+    fork_context,
+    run_isolated,
+)
 
 #: Environment knob: artificial per-shard delay in seconds.  Exists for
 #: crash drills — the kill/resume tests and the CI campaign smoke use
@@ -242,30 +244,12 @@ def _hold_worker_store(store_path: str) -> None:
     global _held
     _held = ArtifactStore.open(store_path)
     Finalize(_held, _held.close, exitpriority=0)
-    _exit_with_parent()
-
-
-def _exit_with_parent() -> None:
-    """Make this pool worker exit once its parent process is gone.
-
-    A worker whose parent was killed would wait for work forever,
-    holding its connection and with it the WAL file.  A daemon thread
-    waits on the parent's sentinel, then sends the main thread
-    ``SIGTERM``, whose handler (:func:`_close_and_exit`) closes the
-    connection and exits.  A shard cut short this way rolls back any
-    write in progress and stays ``running`` for resume to re-run, as
-    if the worker had been killed.
-    """
-    parent = multiprocessing.parent_process()
+    # An orphaned worker would hold its connection, and with it the
+    # WAL file, forever.  Its SIGTERM closes the connection and exits;
+    # a shard cut short this way rolls back any write in progress and
+    # stays ``running`` for resume to re-run, as if it had been killed.
     signal.signal(signal.SIGTERM, _close_and_exit)
-    main = threading.main_thread().ident
-
-    def watch() -> None:
-        parent.join()
-        signal.pthread_kill(main, signal.SIGTERM)
-
-    threading.Thread(target=watch, name="parent-watch",
-                     daemon=True).start()
+    _exit_with_parent()
 
 
 def _close_and_exit(signum: int, frame) -> None:

@@ -12,7 +12,6 @@ from repro.chem.species import (
     RedoxCouple,
     FERRICYANIDE,
     HYDROGEN_PEROXIDE,
-    OXYGEN,
     CYP_HEME,
 )
 from repro.chem.butler_volmer import (
@@ -37,7 +36,6 @@ __all__ = [
     "RedoxCouple",
     "FERRICYANIDE",
     "HYDROGEN_PEROXIDE",
-    "OXYGEN",
     "CYP_HEME",
     "rate_constants",
     "cottrell_current",

@@ -10,8 +10,7 @@ actually carry current in the paper's sensors:
   electron transfer produces the cyclic-voltammetry reduction peak used for
   drug sensing;
 * ``FERRICYANIDE`` — the classic reversible outer-sphere probe, used for
-  solver validation against Randles-Sevcik;
-* ``OXYGEN`` — co-substrate of the oxidases.
+  solver validation against Randles-Sevcik.
 """
 
 from __future__ import annotations
@@ -84,17 +83,6 @@ HYDROGEN_PEROXIDE = RedoxCouple(
     diffusion_ox=1.4e-9,
     diffusion_red=1.4e-9,
     k0=5.0e-6,
-    alpha=0.5,
-)
-
-#: Dissolved oxygen (co-substrate of oxidases, reducible at the electrode).
-OXYGEN = RedoxCouple(
-    name="oxygen",
-    n_electrons=2,
-    formal_potential=-0.1,
-    diffusion_ox=2.0e-9,
-    diffusion_red=2.0e-9,
-    k0=1.0e-7,
     alpha=0.5,
 )
 

@@ -56,11 +56,9 @@ from repro.engine.core.snapshot import (
     decode_rng,
     encode_array,
     encode_rng,
-    load_snapshot,
     require_keys,
     require_list,
     require_snapshot,
-    save_snapshot,
     snapshot_envelope,
 )
 
@@ -82,13 +80,11 @@ __all__ = [
     "encode_rng",
     "execute",
     "kernels_for",
-    "load_snapshot",
     "register_kernels",
     "registered_workloads",
     "require_keys",
     "require_list",
     "require_snapshot",
-    "save_snapshot",
     "snapshot_envelope",
     "require_at_least",
     "require_in_open_unit_interval",

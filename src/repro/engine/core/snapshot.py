@@ -26,15 +26,13 @@ Wire format:
   (samples completed); :func:`require_snapshot` validates all four.
 
 Restoring reads outside input, so every decoder here answers a
-malformed snapshot with ``ValueError`` and nothing else.
-:func:`save_snapshot` / :func:`load_snapshot` put snapshots on disk as
-``.json`` (human-readable, exact).
+malformed snapshot with ``ValueError`` and nothing else.  A snapshot
+is a JSON-clean dict, so ``json.dumps`` / ``json.loads`` put it on disk
+and back exactly.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -211,35 +209,3 @@ def require_snapshot(snapshot: Mapping[str, Any], workload: str,
         raise ValueError(
             f"snapshot cursor {cursor!r} outside [0, {n_samples}]")
     return cursor
-
-
-def save_snapshot(snapshot: Mapping[str, Any],
-                  path: "str | Path") -> Path:
-    """Write a snapshot verbatim to a ``.json`` file (exact float64
-    round trip, human-readable) and return the path.
-
-    Raises:
-        ValueError: a suffix other than ``.json``.
-    """
-    target = _json_path(path)
-    target.write_text(json.dumps(snapshot, indent=2,
-                                 sort_keys=True) + "\n")
-    return target
-
-
-def load_snapshot(path: "str | Path") -> dict:
-    """Read a snapshot written by :func:`save_snapshot`.
-
-    Raises:
-        ValueError: a suffix other than ``.json``.
-    """
-    return json.loads(_json_path(path).read_text())
-
-
-def _json_path(path: "str | Path") -> Path:
-    """``path`` as a :class:`Path`, refusing any suffix but ``.json``."""
-    path = Path(path)
-    if path.suffix != ".json":
-        raise ValueError(
-            f"snapshot files are .json, got {path.suffix or 'no suffix'!r}")
-    return path

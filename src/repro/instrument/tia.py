@@ -54,11 +54,6 @@ class TransimpedanceAmplifier:
             flicker_corner_hz=1.0,
         )
 
-    @property
-    def full_scale_current_a(self) -> float:
-        """Largest current [A] representable before rail saturation."""
-        return self.rail_v / self.gain_v_per_a
-
     def amplify(self,
                 current_a: np.ndarray,
                 sampling_rate_hz: float,
@@ -114,7 +109,3 @@ class TransimpedanceAmplifier:
         zi = (1.0 - alpha) * x[..., :1]
         y, __ = lfilter(b, a, x, axis=-1, zi=zi)
         return y
-
-    def saturates(self, current_a: float) -> bool:
-        """True when ``current_a`` would hit the output rails."""
-        return abs(current_a) > self.full_scale_current_a

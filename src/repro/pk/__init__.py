@@ -4,7 +4,7 @@ The missing physics of personalized medicine: the sensor panel of the
 paper measures a drug level, but *therapy* is about the dose that
 produced it.  This package models that forward map in closed form —
 one- and two-compartment models with first-order absorption and
-CYP-mediated clearance (:mod:`repro.pk.models`), dose schedules
+CYP-mediated clearance (:mod:`repro.pk.models`), dose regimens
 evaluated by superposition (:mod:`repro.pk.dosing`), virtual-patient
 populations stratified by CYP phenotype (:mod:`repro.pk.population`)
 and a drug catalog with therapeutic windows (:mod:`repro.pk.drugs`) —
@@ -13,14 +13,13 @@ the closed-loop therapy engine (:mod:`repro.engine.therapy`) consumes.
 
 Quickstart::
 
-    from repro.pk import CYCLOSPORINE, DoseSchedule
+    from repro.pk import CYCLOSPORINE, concentration_from_doses
     import numpy as np
 
     cohort = CYCLOSPORINE.population.sample(n_patients=16, seed=7)
-    schedule = DoseSchedule.regimen(
-        dose_mol=8e-4, interval_h=12.0, n_doses=6)
-    levels = schedule.concentration(
-        cohort.params(), np.linspace(0.0, 96.0, 385))
+    levels = concentration_from_doses(
+        np.linspace(0.0, 96.0, 385), dose_times_h=12.0 * np.arange(6),
+        doses_mol=8e-4, params=cohort.params())
 """
 
 from repro.pk.models import (
@@ -35,8 +34,6 @@ from repro.pk.models import (
     two_compartment_oral_batch,
 )
 from repro.pk.dosing import (
-    DoseEvent,
-    DoseSchedule,
     concentration_from_doses,
     steady_state_trough_per_mol,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "two_compartment_bolus_batch",
     "two_compartment_infusion_batch",
     "two_compartment_oral_batch",
-    "DoseEvent",
-    "DoseSchedule",
     "concentration_from_doses",
     "steady_state_trough_per_mol",
     "CYPPhenotype",

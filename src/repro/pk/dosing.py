@@ -1,17 +1,15 @@
-"""Dose schedules and superposition evaluation.
+"""Dose regimens evaluated by superposition.
 
 A linear PK model responds to a regimen as the sum of its per-dose unit
-responses — so a :class:`DoseSchedule` evaluates in closed form at any
-set of times by superposing :meth:`repro.pk.models.PKParams.unit_response`
-kernels, one per event.  The same superposition primitive
-(:func:`concentration_from_doses`) is what the closed-loop therapy
-engine calls with *per-patient* dose arrays, because an adaptive
-controller gives every virtual patient its own dose history.
+responses, so a regimen evaluates in closed form at any set of times by
+superposing :meth:`repro.pk.models.PKParams.unit_response` kernels, one
+per dose.  :func:`concentration_from_doses` is that superposition; the
+closed-loop therapy engine calls it with *per-patient* dose arrays,
+because an adaptive controller gives every virtual patient its own dose
+history.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,99 +96,3 @@ def steady_state_trough_per_mol(params: PKParams,
     ages_h = (np.arange(n_doses, dtype=float) + 1.0) * interval_h
     return np.sum(params.unit_response(ages_h[None, :], route, duration_h),
                   axis=1)
-
-
-@dataclass(frozen=True)
-class DoseEvent:
-    """One administration event of a regimen.
-
-    Attributes:
-        time_h: administration time [h] from the start of therapy.
-        dose_mol: administered amount [mol].
-        route: administration route.
-        duration_h: infusion duration [h] (INFUSION route only, > 0).
-    """
-
-    time_h: float
-    dose_mol: float
-    route: Route = Route.ORAL
-    duration_h: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.time_h < 0:
-            raise ValueError("dose time must be >= 0")
-        if self.dose_mol < 0:
-            raise ValueError("dose must be >= 0")
-        if self.route is Route.INFUSION and self.duration_h <= 0:
-            raise ValueError("infusions need a duration > 0")
-        if self.route is not Route.INFUSION and self.duration_h != 0.0:
-            raise ValueError("duration applies to infusions only")
-
-
-@dataclass(frozen=True)
-class DoseSchedule:
-    """A whole regimen: an ordered tuple of :class:`DoseEvent` entries.
-
-    Attributes:
-        events: the administrations, sorted by time at construction.
-    """
-
-    events: tuple[DoseEvent, ...]
-
-    def __post_init__(self) -> None:
-        if not self.events:
-            raise ValueError("schedule needs at least one dose")
-        object.__setattr__(self, "events", tuple(
-            sorted(self.events, key=lambda e: e.time_h)))
-
-    @classmethod
-    def regimen(cls, dose_mol: float, interval_h: float, n_doses: int,
-                route: Route = Route.ORAL, start_h: float = 0.0,
-                duration_h: float = 0.0) -> "DoseSchedule":
-        """Build an equally spaced fixed-dose regimen.
-
-        Args:
-            dose_mol: amount per administration [mol].
-            interval_h: dosing interval [h], > 0.
-            n_doses: number of administrations, >= 1.
-            route: administration route.
-            start_h: time of the first dose [h].
-            duration_h: infusion duration [h] (INFUSION route only).
-
-        Returns:
-            The schedule, e.g. ``regimen(2.5e-4, 12.0, 6)`` for three
-            days of 12-hourly oral dosing.
-        """
-        if interval_h <= 0:
-            raise ValueError("dose interval must be > 0")
-        if n_doses < 1:
-            raise ValueError("need at least one dose")
-        return cls(events=tuple(
-            DoseEvent(time_h=start_h + k * interval_h, dose_mol=dose_mol,
-                      route=route, duration_h=duration_h)
-            for k in range(n_doses)))
-
-    @property
-    def n_doses(self) -> int:
-        """Number of administrations in the regimen."""
-        return len(self.events)
-
-    def concentration(self, params: PKParams,
-                      times_h: np.ndarray | float) -> np.ndarray:
-        """Cohort concentrations [mol/L] under this regimen.
-
-        Superposes every event's unit response; events may mix routes.
-
-        Args:
-            params: per-patient model parameters.
-            times_h: evaluation times [h], ``(n_times,)`` or scalar.
-
-        Returns:
-            Concentrations, shape ``(n_patients, n_times)``.
-        """
-        t = np.atleast_1d(np.asarray(times_h, dtype=float))
-        total = np.zeros((params.n_patients, t.size))
-        for event in self.events:
-            total = total + event.dose_mol * params.unit_response(
-                t[None, :] - event.time_h, event.route, event.duration_h)
-        return total

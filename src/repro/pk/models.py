@@ -331,7 +331,8 @@ class PKParams:
     One- or two-compartment depending on whether the distribution pair
     ``(intercompartmental_l_per_h, volume_peripheral_l)`` is present.
     Produced by :meth:`repro.pk.population.PatientCohort.params` and
-    consumed by the therapy engine and :class:`repro.pk.dosing.DoseSchedule`.
+    consumed by the therapy engine through
+    :func:`repro.pk.dosing.concentration_from_doses`.
 
     Attributes:
         clearance_l_per_h: elimination clearance per patient [L/h],

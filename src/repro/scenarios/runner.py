@@ -13,12 +13,15 @@ which can be serialized and re-run bit-identically on its own.
 :func:`run_isolated` and :func:`fork_context` are the pieces the two
 process-pool callers share — campaign shards and served jobs both run a
 scenario in a worker process under private telemetry and ship the
-spans and metrics back to the parent.
+spans and metrics back to the parent, and each pool worker exits once
+its parent is gone (:func:`_exit_with_parent`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -222,3 +225,22 @@ def fork_context():
     """
     available = "fork" in multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if available else None)
+
+
+def _exit_with_parent() -> None:
+    """Make this pool worker exit once its parent process is gone.
+
+    A worker whose parent was killed would wait for work forever.  A
+    daemon thread waits on the parent's sentinel, then sends the main
+    thread ``SIGTERM``; the worker's own ``SIGTERM`` disposition ends
+    it.  Call from a pool initializer, after any handler is installed.
+    """
+    parent = multiprocessing.parent_process()
+    main = threading.main_thread().ident
+
+    def watch() -> None:
+        parent.join()
+        signal.pthread_kill(main, signal.SIGTERM)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()

@@ -242,8 +242,9 @@ class EstimationWorkload:
     """Cohort concentration reconstruction (:func:`repro.engine.run_estimation`).
 
     Spec fields: everything the ``monitor`` workload accepts (the wear
-    simulation whose currents are inverted; ``keep_traces`` is forced on
-    — the filter consumes the per-sample readings), plus:
+    simulation whose currents are inverted; ``keep_traces`` defaults to
+    on and ``false`` is refused — the filter consumes the per-sample
+    readings), plus:
 
     * ``smooth`` — also run the RTS smoothing pass (default true);
     * ``interval_level`` — nominal credible level of the reported bands
@@ -290,7 +291,8 @@ class EstimationWorkload:
             "  smooth           also run the RTS smoother (default true)\n"
             "  interval_level   credible level of the bands (default 0.95)\n"
             "  (plus chunk_samples, add_noise, spec_tolerance as in the\n"
-            "   monitor workload; keep_traces is forced on)"))
+            "   monitor workload; keep_traces defaults to true, and false\n"
+            "   is refused: the filter needs every reading)"))
 
 
 def _controller_from(drug: DrugSpec,

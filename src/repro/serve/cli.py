@@ -49,7 +49,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ReproServer(host=args.host, port=args.port,
                              queue_size=args.queue_size,
                              workers=args.workers,
-                             per_workload=args.per_workload,
                              registry=(get_metrics_registry()
                                        if recorder is not None else None))
         _install_shutdown_handlers()
@@ -75,9 +74,6 @@ def add_serve_command(sub: "argparse._SubParsersAction") -> None:
                               "get 503 (default: 16)")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="job worker processes (default: 2)")
-    serve_p.add_argument("--per-workload", type=int, default=2,
-                         help="max concurrent jobs per workload "
-                              "(default: 2)")
     serve_p.add_argument("--telemetry", action="store_true",
                          help="record serve.* and engine spans; print "
                               "them and the metrics on shutdown")

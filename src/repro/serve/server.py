@@ -6,11 +6,11 @@ A small server on nothing but the standard library
 modes of :mod:`repro.serve`:
 
 * **Jobs** — ``POST /scenarios`` queues a scenario on a bounded work
-  queue (503 when full) under a per-workload concurrency limit, and a
-  pre-forked worker process runs it; ``GET /scenarios/{id}`` reads its
-  status (``?wait=<s>`` long-polls it) and ``.../result`` its
-  replayable artifact: the summary the server keeps, or with
-  ``?traces=1`` the traces of a re-run of the seed-resolved scenario.
+  queue (503 when full), and a pre-forked worker process runs it;
+  ``GET /scenarios/{id}`` reads its status (``?wait=<s>`` long-polls
+  it) and ``.../result`` its replayable artifact: the summary the
+  server keeps, or with ``?traces=1`` the traces of a re-run of the
+  seed-resolved scenario.
 * **Streams** — ``POST /streams`` opens an incremental session,
   ``POST /streams/{id}/readings`` advances it by a block of readings
   and answers the filtered estimates, ``.../snapshot`` and
@@ -164,9 +164,14 @@ def _init_job_worker() -> None:
     """Job-process initializer: leave signal handling to the server,
     which terminates its workers itself (inherited SIGINT/SIGTERM
     handlers would turn a Ctrl-C into a traceback in every worker and
-    make ``terminate()`` raise instead of exit)."""
+    make ``terminate()`` raise instead of exit).  The default SIGTERM
+    also ends a worker whose server was killed
+    (:func:`~repro.scenarios.runner._exit_with_parent`)."""
+    from repro.scenarios.runner import _exit_with_parent
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _exit_with_parent()
 
 
 def _job_entry(scenario, trace_id: "str | None", spans: bool,
@@ -270,9 +275,6 @@ class ReproServer:
         workers: job worker processes, forked once in :meth:`start`
             (so a workload registered after that is not visible to
             jobs); stream advances run on the event loop itself.
-        per_workload: max jobs of any single workload running at once
-            (a cohort-heavy estimation job cannot starve quick
-            calibration runs).
         registry: the :class:`~repro.telemetry.MetricsRegistry` to
             meter into.  None (the default) builds a private enabled
             one — the front door always meters itself.  The process's
@@ -289,16 +291,13 @@ class ReproServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  queue_size: int = 16, workers: int = 2,
-                 per_workload: int = 2,
                  registry: "MetricsRegistry | None" = None) -> None:
-        if queue_size < 1 or workers < 1 or per_workload < 1:
-            raise ValueError(
-                "queue_size, workers and per_workload must be >= 1")
+        if queue_size < 1 or workers < 1:
+            raise ValueError("queue_size and workers must be >= 1")
         self.host = host
         self.port = port
         self.queue_size = queue_size
         self.workers = workers
-        self.per_workload = per_workload
         self.registry = registry
         self._m: "dict[str, Any] | None" = None
         self._jobs: "dict[str, _Job]" = {}
@@ -308,7 +307,6 @@ class ReproServer:
         #: Ids issued so far, per prefix (``job``, ``stream``).
         self._issued: "collections.Counter[str]" = collections.Counter()
         self._queue: "asyncio.Queue[_Job | _Replay] | None" = None
-        self._semaphores: "dict[str, asyncio.Semaphore]" = {}
         self._tasks: "list[asyncio.Task]" = []
         self._server: "asyncio.base_events.Server | None" = None
         self._job_pool: "ProcessPoolExecutor | None" = None
@@ -668,19 +666,13 @@ class ReproServer:
             replay.answer.set_exception(outcome)
 
     async def _worker(self, index: int) -> None:
-        """Drain the work queue (jobs and replays) under the per-workload
-        concurrency cap."""
+        """Drain the work queue (jobs and replays), one item at a time."""
         while True:
             item = await self._queue.get()
-            replay = isinstance(item, _Replay)
-            workload = (item.job if replay else item).scenario.workload
-            semaphore = self._semaphores.setdefault(
-                workload, asyncio.Semaphore(self.per_workload))
-            async with semaphore:
-                if replay:
-                    await self._run_replay(item)
-                else:
-                    await self._run_job(item)
+            if isinstance(item, _Replay):
+                await self._run_replay(item)
+            else:
+                await self._run_job(item)
             self._queue.task_done()
 
     async def _run_job(self, job: _Job) -> None:

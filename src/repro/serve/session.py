@@ -221,9 +221,9 @@ class StreamSession:
     def export_state(self) -> dict:
         """Snapshot the session at its current cursor.
 
-        The returned dict is JSON-serializable (and
-        :func:`repro.engine.core.save_snapshot` writes it as a ``.json``
-        file); :meth:`restore` rebuilds an equivalent session from it.
+        The returned dict is JSON-clean, so ``json.dumps`` and
+        ``json.loads`` carry it exactly; :meth:`restore` rebuilds an
+        equivalent session from it.
         """
         return self._kernels.export_state(self._plan, self._state,
                                           self._cursor)

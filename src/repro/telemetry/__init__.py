@@ -6,8 +6,9 @@ with two halves — the recorder keeps **spans** (where did this run
 spend its time), the metrics registry keeps **every number** (counts,
 levels, latency distributions).  Five small modules:
 
-* :mod:`~repro.telemetry.recorder` — spans: ``span()`` context
-  managers, the process-local active recorder, and trace correlation
+* :mod:`~repro.telemetry.recorder` — spans: ``Recorder.span()``
+  context managers (``get_recorder().span(...)``), the process-local
+  active recorder, and trace correlation
   (:func:`new_trace_id` / :func:`trace_context` /
   :func:`current_trace_id`).  **Disabled is a strict no-op**: the
   default :data:`NULL_RECORDER` allocates nothing, and hot paths branch
@@ -109,7 +110,6 @@ from repro.telemetry.recorder import (
     new_trace_id,
     recorder_from_env,
     set_recorder,
-    span,
     telemetry_env_enabled,
     trace_context,
 )
@@ -162,7 +162,6 @@ __all__ = [
     "set_metrics_registry",
     "set_recorder",
     "snapshot_histogram_rows",
-    "span",
     "span_trace_events",
     "summarize_spans",
     "telemetry_env_enabled",

@@ -17,7 +17,6 @@ job (:mod:`repro.campaigns.report`).
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from repro.telemetry.metrics import (
     render_snapshot,
     set_metrics_registry,
 )
-from repro.telemetry.perfetto import write_perfetto
+from repro.telemetry.perfetto import perfetto_json, write_perfetto
 from repro.telemetry.recorder import (
     Recorder,
     SpanRecord,
@@ -142,21 +141,6 @@ class InMemoryRecorder(Recorder):
             lines.append("  (no spans recorded)")
         return "\n".join(lines)
 
-    def write_jsonl(self, path: "str | Path") -> Path:
-        """Dump everything recorded so far as a JSONL trace file.
-
-        One JSON object per line, every span in completion order: the
-        stream a live :class:`~repro.telemetry.JsonlSink` would have
-        captured, for recorders that aggregated first.
-        """
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for record in self.spans:
-                handle.write(json.dumps(record.to_event(),
-                                        sort_keys=True) + "\n")
-        return target
-
 
 @contextmanager
 def telemetry_session(enabled: bool = False,
@@ -200,5 +184,6 @@ def telemetry_session(enabled: bool = False,
         if trace_out is not None:
             print(f"trace -> {trace_out}")
         if perfetto_out is not None:
-            path = write_perfetto(perfetto_out, recorder.spans)
+            path = write_perfetto(perfetto_out,
+                                  perfetto_json(recorder.spans))
             print(f"perfetto trace -> {path}")

@@ -291,10 +291,6 @@ class _HistogramSeries:
             if trace_id is not None:
                 self.exemplar = {"value": value, "trace_id": trace_id}
 
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (``q`` in [0, 1])."""
-        return histogram_quantile(self._bounds, self.bucket_counts, q)
-
 
 class _Family:
     """Shared family machinery: label validation, series, the cap."""
@@ -788,21 +784,30 @@ def snapshot_histogram_rows(snapshot: Mapping) -> list[dict]:
     return rows
 
 
+def histogram_table(snapshot: Mapping) -> list[str]:
+    """:func:`snapshot_histogram_rows` as aligned text lines: a header
+    and one count / p50 / p95 / p99 line per series, or no lines when
+    no histogram has observations."""
+    rows = snapshot_histogram_rows(snapshot)
+    if not rows:
+        return []
+    lines = [f"  {'histogram':<44} {'count':>7} {'p50':>10} "
+             f"{'p95':>10} {'p99':>10}"]
+    for row in rows:
+        label = row["name"] + _render_labels(row["labels"])
+        lines.append(
+            f"  {label:<44} {row['count']:>7d} "
+            f"{row['p50'] * 1e3:>8.2f}ms {row['p95'] * 1e3:>8.2f}ms "
+            f"{row['p99'] * 1e3:>8.2f}ms")
+    return lines
+
+
 def render_snapshot(snapshot: Mapping) -> str:
     """A snapshot as the aligned human table ``telemetry summary`` prints."""
     require_snapshot(snapshot)
     lines = ["metrics summary "
              f"(schema v{snapshot['metrics_schema_version']})"]
-    histogram_rows = snapshot_histogram_rows(snapshot)
-    if histogram_rows:
-        lines.append(f"  {'histogram':<44} {'count':>7} {'p50':>10} "
-                     f"{'p95':>10} {'p99':>10}")
-        for row in histogram_rows:
-            label = row["name"] + _render_labels(row["labels"])
-            lines.append(
-                f"  {label:<44} {row['count']:>7d} "
-                f"{row['p50'] * 1e3:>8.2f}ms {row['p95'] * 1e3:>8.2f}ms "
-                f"{row['p99'] * 1e3:>8.2f}ms")
+    lines.extend(histogram_table(snapshot))
     scalar_lines = []
     for name in sorted(snapshot["instruments"]):
         entry = snapshot["instruments"][name]

@@ -100,12 +100,12 @@ def perfetto_json(spans: Iterable[SpanRecord],
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_perfetto(path: "str | Path", spans: Iterable[SpanRecord],
-                   process_name: str = "repro") -> Path:
-    """Serialize :func:`perfetto_json` to ``path`` and return it."""
+def write_perfetto(path: "str | Path", trace: dict) -> Path:
+    """Write a trace dict (:func:`perfetto_json` of spans, or a
+    campaign's :func:`repro.campaigns.report.perfetto_trace`) to
+    ``path`` as sorted, indented JSON and return the path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(
-        perfetto_json(spans, process_name=process_name),
-        indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    target.write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
     return target

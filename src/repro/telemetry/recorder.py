@@ -354,9 +354,3 @@ def set_recorder(recorder: Recorder | None) -> Recorder | None:
     previous = _ACTIVE
     _ACTIVE = recorder
     return previous
-
-
-def span(name: str, **attrs: Any):
-    """Module-level convenience: a span on the active recorder."""
-    return get_recorder().span(name, **attrs)
-

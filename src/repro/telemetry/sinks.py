@@ -4,9 +4,9 @@ A sink is anything with ``emit(event: dict)`` and ``close()``.  The one
 shipped here, :class:`JsonlSink`, appends one JSON object per line —
 the trace format ``python -m repro run --trace-out`` writes, CI uploads
 as a workflow artifact, and :func:`read_jsonl` loads back for tooling
-and tests.  Sinks exist for *live* capture (a crash loses at most the
-unflushed tail); post-hoc dumps of an aggregated run go through
-:meth:`repro.telemetry.InMemoryRecorder.write_jsonl` instead.
+and tests.  Sinks capture live (a crash loses at most the unflushed
+tail); to keep an aggregated run's spans on disk too, attach a sink to
+the :class:`repro.telemetry.InMemoryRecorder` before it records.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class JsonlSink:
     (e.g. from ``REPRO_TELEMETRY_TRACE``) costs nothing if the run
     never records.  Thread-safe: a lock serializes open/emit/close, so
     events from a thread pool land as whole lines in arrival order.
-    Usable as a context manager; :meth:`close` is idempotent.
+    :meth:`close` is idempotent.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -47,14 +47,6 @@ class JsonlSink:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-    def __enter__(self) -> "JsonlSink":
-        """Context-manager entry: the sink itself."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: close the file."""
-        self.close()
 
 
 def read_jsonl(path: "str | Path") -> list[dict]:

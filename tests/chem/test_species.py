@@ -6,7 +6,6 @@ from repro.chem.species import (
     CYP_HEME,
     FERRICYANIDE,
     HYDROGEN_PEROXIDE,
-    OXYGEN,
     RedoxCouple,
 )
 
@@ -65,6 +64,3 @@ class TestBuiltinCouples:
     def test_ferricyanide_is_fast(self):
         # The validation couple must be near-reversible at CV scan rates.
         assert FERRICYANIDE.k0 >= 1e-5
-
-    def test_oxygen_reducible(self):
-        assert OXYGEN.formal_potential < HYDROGEN_PEROXIDE.formal_potential

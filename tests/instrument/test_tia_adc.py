@@ -26,12 +26,6 @@ class TestTia:
         out = tia.amplify(np.full(2000, 10e-6), 100.0, add_noise=False)
         assert np.max(out) == pytest.approx(2.5)
 
-    def test_full_scale_current(self):
-        tia = quiet_tia(gain=1e6, rail=2.5)
-        assert tia.full_scale_current_a == pytest.approx(2.5e-6)
-        assert tia.saturates(3e-6)
-        assert not tia.saturates(2e-6)
-
     def test_bandwidth_attenuates_fast_signal(self):
         tia = quiet_tia(bandwidth=1.0)
         fs = 1000.0

@@ -1,11 +1,9 @@
-"""Tests for repro.pk.dosing (schedules and superposition)."""
+"""Tests for repro.pk.dosing (superposition of dose regimens)."""
 
 import numpy as np
 import pytest
 
 from repro.pk.dosing import (
-    DoseEvent,
-    DoseSchedule,
     concentration_from_doses,
     steady_state_trough_per_mol,
 )
@@ -18,53 +16,16 @@ def params():
                             ka_per_h=1.2, bioavailability=0.6).params()
 
 
-class TestDoseEvent:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DoseEvent(time_h=-1.0, dose_mol=1e-4)
-        with pytest.raises(ValueError):
-            DoseEvent(time_h=0.0, dose_mol=-1e-4)
-        with pytest.raises(ValueError):
-            DoseEvent(time_h=0.0, dose_mol=1e-4, route=Route.INFUSION)
-        with pytest.raises(ValueError):
-            DoseEvent(time_h=0.0, dose_mol=1e-4, duration_h=1.0)
-
-
-class TestDoseSchedule:
-    def test_regimen_builder(self):
-        schedule = DoseSchedule.regimen(2e-4, 12.0, 4)
-        assert schedule.n_doses == 4
-        assert [e.time_h for e in schedule.events] == [0.0, 12.0, 24.0, 36.0]
-
-    def test_events_sorted(self):
-        schedule = DoseSchedule(events=(
-            DoseEvent(time_h=12.0, dose_mol=1e-4),
-            DoseEvent(time_h=0.0, dose_mol=2e-4)))
-        assert [e.time_h for e in schedule.events] == [0.0, 12.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            DoseSchedule(events=())
-
+class TestConcentrationFromDoses:
     def test_superposition_equals_manual_sum(self, params):
-        schedule = DoseSchedule.regimen(2e-4, 12.0, 3)
         t = np.linspace(0.0, 48.0, 97)
-        total = schedule.concentration(params, t)
+        total = concentration_from_doses(
+            t, np.array([0.0, 12.0, 24.0]), 2e-4, params)
         manual = sum(
             2e-4 * params.unit_response(t[None, :] - t0, Route.ORAL)
             for t0 in (0.0, 12.0, 24.0))
         np.testing.assert_allclose(total, manual, rtol=0, atol=1e-18)
 
-    def test_mixed_routes(self, params):
-        schedule = DoseSchedule(events=(
-            DoseEvent(time_h=0.0, dose_mol=1e-4, route=Route.IV_BOLUS),
-            DoseEvent(time_h=6.0, dose_mol=2e-4, route=Route.ORAL)))
-        c = schedule.concentration(params, np.array([0.0, 7.0]))
-        assert c[0, 0] == pytest.approx(1e-4 / 50.0)
-        assert c[0, 1] > 0.0
-
-
-class TestConcentrationFromDoses:
     def test_per_patient_doses(self, params):
         cohort = np.concatenate([params.clearance_l_per_h] * 3)
         from repro.pk.models import PKParams
@@ -105,9 +66,9 @@ class TestConcentrationFromDoses:
 class TestSteadyStateTrough:
     def test_matches_long_regimen(self, params):
         per_mol = steady_state_trough_per_mol(params, 12.0)
-        schedule = DoseSchedule.regimen(1e-3, 12.0, 300)
-        trough = schedule.concentration(
-            params, np.array([300 * 12.0]))[:, 0]
+        trough = concentration_from_doses(
+            np.array([300 * 12.0]), 12.0 * np.arange(300), 1e-3,
+            params)[:, 0]
         np.testing.assert_allclose(per_mol * 1e-3, trough, rtol=1e-12)
 
     def test_shorter_interval_raises_trough(self, params):

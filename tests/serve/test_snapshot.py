@@ -1,7 +1,7 @@
 """Snapshot wire format: suspend at k, serialize, restore, finish.
 
 Covers the :mod:`repro.engine.core.snapshot` primitives (array / rng
-codecs, envelope validation, ``.json`` files) and the
+codecs, envelope validation) and the
 kernel-set snapshot surface end to end: a session suspended at an
 arbitrary cursor, serialized through real JSON text, restored in a
 fresh session, must finish bit-identical to an uninterrupted run.
@@ -22,9 +22,7 @@ from repro.engine.core import (
     encode_array,
     encode_rng,
     kernels_for,
-    load_snapshot,
     require_snapshot,
-    save_snapshot,
     snapshot_envelope,
 )
 from repro.engine.monitor import MonitorPlan, glucose_cohort
@@ -143,39 +141,6 @@ class TestSuspendResume:
 
         assert carry_bytes(late) == pytest.approx(carry_bytes(early),
                                                   rel=0.02)
-
-
-@pytest.mark.parametrize("suffix", [".json"])
-@pytest.mark.parametrize("workload", STREAMABLE_WORKLOADS)
-class TestSnapshotFiles:
-    def test_disk_round_trip_finishes_identically(self, workload,
-                                                  suffix, plan_for,
-                                                  batch_result,
-                                                  tmp_path):
-        plan = plan_for(workload)
-        session = StreamSession(workload, plan)
-        session.advance(13)
-        path = save_snapshot(session.export_state(),
-                             tmp_path / f"snap{suffix}")
-        resumed = StreamSession.restore(plan, load_snapshot(path))
-        resumed.advance(None)
-        kernels = kernels_for(workload)
-        assert_fields_match(
-            workload, f"disk {suffix}",
-            kernels.contract_fields(batch_result(workload)),
-            kernels.contract_fields(resumed.result()))
-
-    def test_other_suffixes_rejected(self, workload, suffix, plan_for,
-                                     tmp_path):
-        session = StreamSession(workload, plan_for(workload))
-        session.advance(13)
-        snapshot = session.export_state()
-        for bad in ("snap.npz", "snap.txt", "snap"):
-            with pytest.raises(ValueError, match=r"\.json"):
-                save_snapshot(snapshot, tmp_path / bad)
-            with pytest.raises(ValueError, match=r"\.json"):
-                load_snapshot(tmp_path / bad)
-        assert not any(tmp_path.iterdir())
 
 
 def _drop(node, key):

@@ -66,8 +66,10 @@ class TestInstruments:
         assert series.sum == pytest.approx(6.05)
         # 0.05 -> le=0.1; 0.5, 0.5 -> le=1.0; 5.0 -> le=10.0
         assert list(series.bucket_counts) == [1, 2, 1, 0]
-        assert 0.1 <= series.quantile(0.5) <= 1.0
-        assert series.quantile(1.0) <= 10.0
+        bounds = [0.1, 1.0, 10.0]
+        assert 0.1 <= histogram_quantile(
+            bounds, series.bucket_counts, 0.5) <= 1.0
+        assert histogram_quantile(bounds, series.bucket_counts, 1.0) <= 10.0
 
     def test_exponential_buckets_shape(self):
         buckets = exponential_buckets(1e-3, 2.0, 5)

@@ -69,7 +69,7 @@ class TestFullTrace:
     def test_json_round_trip_schema(self, tmp_path):
         spans = [make_span("core.execute", 10.0, 1.0),
                  make_span("core.run_chunk", 10.1, 0.4, depth=1)]
-        path = write_perfetto(tmp_path / "trace.json", spans)
+        path = write_perfetto(tmp_path / "trace.json", perfetto_json(spans))
         loaded = json.loads(path.read_text())
         assert loaded["displayTimeUnit"] == "ms"
         events = loaded["traceEvents"]

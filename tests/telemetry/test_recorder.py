@@ -24,7 +24,6 @@ from repro.telemetry import (
     recorder_from_env,
     set_metrics_registry,
     set_recorder,
-    span,
     telemetry_env_enabled,
     trace_context,
 )
@@ -150,11 +149,6 @@ class TestEnabledSpans:
         with recorder.span("after"):
             pass
         assert recorder.spans[-1].depth == 0
-
-    def test_module_level_verbs_hit_active_recorder(self, recorder):
-        with span("modlevel"):
-            pass
-        assert recorder.spans[0].name == "modlevel"
 
 
 class TestActiveRecorder:

@@ -47,8 +47,6 @@ MUX = ("shared-readout MultiTargetPlatform, paper-map's multiplexed chip "
        "(tests/core/test_platform_multiplexed.py)")
 CNT = ("paper-map's CNT electron-transfer claim, section 2.2 "
        "(tests/nano/test_cnt.py)")
-REGIMEN = ("paper-map's dose regimens and the repro.pk docstring; the "
-           "superposition steady_state_trough is checked against")
 FRAMING = "HTTP error path of a malformed request (tests/serve)"
 NULL = "disabled-registry side of the metrics API (tests/telemetry)"
 HOOK = "kernel cache test hook"
@@ -96,8 +94,7 @@ ALLOWED = {
     "_run_estimation_scalar": ORACLE, "_observation_inputs": ORACLE,
     "decode_array": SNAPSHOT, "decode_rng": SNAPSHOT,
     "require_keys": SNAPSHOT, "require_list": SNAPSHOT,
-    "require_snapshot": SNAPSHOT, "save_snapshot": SNAPSHOT,
-    "load_snapshot": SNAPSHOT, "_json_path": SNAPSHOT,
+    "require_snapshot": SNAPSHOT,
     "MonitorKernels.restore_state": SNAPSHOT,
     "EstimationKernels.restore_state": SNAPSHOT,
     "StreamSession.restore": SNAPSHOT,
@@ -112,17 +109,9 @@ ALLOWED = {
     "run_calibration_batch": "README quick start",
     "set_global_seed": "README and docs/index.md",
     "Scenario.save": "docs/scenarios.md; the file Scenario.load reads",
-    "span": "docs/telemetry.md",
-    "InMemoryRecorder.write_jsonl": "docs/telemetry.md",
-    "JsonlSink.__enter__": "context manager, as its docstring says",
-    "JsonlSink.__exit__": "context manager, as its docstring says",
     "read_jsonl": "reads JsonlSink traces back to check them",
     "_NullSeries.labels": NULL, "NullMetricsRegistry.counter": NULL,
     "NullMetricsRegistry.gauge": NULL, "NullMetricsRegistry.histogram": NULL,
-    "_HistogramSeries.quantile": "per-series form of histogram_quantile",
-    "DoseEvent.__post_init__": REGIMEN,
-    "DoseSchedule.__post_init__": REGIMEN, "DoseSchedule.regimen": REGIMEN,
-    "DoseSchedule.n_doses": REGIMEN, "DoseSchedule.concentration": REGIMEN,
     "PopulationModel.monomorphic": "single-phenotype strata of the "
                                    "therapy gates in docs/therapy.md",
     "time_in_range": "whole-trace form of the therapy engine's streamed "
@@ -137,11 +126,8 @@ ALLOWED = {
     "CarbonNanotube.resistance_ohm": CNT,
     "ImmobilizedLayer.response_time_s": "section 1's miniaturization "
                                         "claim: thin films respond fast",
-    "NoiseModel.sample": "time-domain draw of the 1/f spectrum rms() "
-                         "integrates (tests/instrument/test_noise.py)",
-    "TransimpedanceAmplifier.full_scale_current_a": "rail check before "
-                                                    "a measurement",
-    "TransimpedanceAmplifier.saturates": "rail check before a measurement",
+    "NoiseModel.sample": "the 1-D draw TransimpedanceAmplifier.amplify "
+                         "calls on a 1-D trace",
     "michaelis_menten_rate": "reference for ping_pong_rate",
     "peak_separation_reversible": "reference for the CV simulator",
     "moving_average": "comparator for savitzky_golay",
@@ -157,7 +143,6 @@ ALLOWED = {
                                                 "checked against",
     "SampleMatrix.sensitivity_retention": "scalar form of that factor",
     "BUFFER": "clean calibration matrix tests hold serum against",
-    "OXYGEN": "species catalog: the oxidases' co-substrate",
 }
 
 
